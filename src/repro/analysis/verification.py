@@ -202,8 +202,7 @@ def verify_uniform_deployment(
             failures.append("agents still held in link delay buffers")
         for agent_id in sorted(faults.lost):
             failures.append(f"agent {agent_id} was lost in transit (link fault)")
-    snapshot = engine.snapshot()
-    if snapshot.total_messages_pending() > 0:
+    if engine.pending_messages() > 0:
         failures.append("undelivered messages remain")
     for agent_id in engine.agent_ids:
         agent = engine.agent(agent_id)

@@ -4,11 +4,11 @@ Two complementary feature maps, both observed after every executed
 atomic action:
 
 * **canonical state coverage** — the rotation- and relabelling-
-  invariant :meth:`~repro.ring.configuration.Configuration.canonical`
-  form of the global state, the same key the exhaustive checker
-  memoises on.  A run that reaches a canonical state no previous run
-  reached has, by definition, explored schedule-space the campaign had
-  never seen.
+  invariant :meth:`~repro.ring.configuration.Configuration.canonical_key`
+  of the global state, the same key the exhaustive checker memoises on
+  (its first 8 bytes, as an int).  A run that reaches a canonical state
+  no previous run reached has, by definition, explored schedule-space
+  the campaign had never seen.
 * **enabled-pattern coverage** — a coarse abstraction of the
   *scheduling surface*: the sorted multiset of per-agent statuses
   (active / queued / queue-head / suspended / woken / halted) plus the
@@ -17,10 +17,11 @@ atomic action:
   structurally new scheduling situations (e.g. "two woken followers at
   once" — the wake-race shape).
 
-Keys are stored as 64-bit BLAKE2b digests of the feature ``repr``:
-stable across processes and interpreter runs (unlike builtin ``hash``
-under ``PYTHONHASHSEED``), so parallel shards can merge their maps and
-deterministic campaigns stay deterministic.
+Keys are 64-bit ints: the state key is a prefix of the blake2b state
+digest, the pattern key a BLAKE2b digest of the pattern ``repr``.  Both
+are stable across processes and interpreter runs (unlike builtin
+``hash`` under ``PYTHONHASHSEED``), so parallel shards can merge their
+maps and deterministic campaigns stay deterministic.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class CoverageMap:
         gain = 0
         if snapshot is None:
             snapshot = engine.snapshot()
-        state_key = coverage_key(snapshot.canonical())
+        state_key = int.from_bytes(snapshot.canonical_key()[:8], "big")
         if state_key not in self._states:
             self._states.add(state_key)
             gain += 1

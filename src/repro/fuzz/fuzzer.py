@@ -18,10 +18,10 @@ One campaign (:class:`ScheduleFuzzer`, described by a
    mutation operators (:mod:`repro.fuzz.mutate`) or splice two
    entries, and execute the result: recorded entries drive the engine
    (skip-disabled semantics), then seeded randomness takes over,
-3. **feed back** — a run that reached a canonical
-   :meth:`~repro.ring.configuration.Configuration.canonical` state or
-   enabled-pattern no run had seen donates its executed prefix to the
-   corpus (:mod:`repro.fuzz.corpus`),
+3. **feed back** — a run that reached a canonical state (by
+   :meth:`~repro.ring.configuration.Configuration.canonical_key`, the
+   checker's memo key) or enabled-pattern no run had seen donates its
+   executed prefix to the corpus (:mod:`repro.fuzz.corpus`),
 4. **on violation** — delta-debug the executed schedule to a 1-minimal
    reproduction (:func:`repro.mc.shrink.shrink_schedule` against
    :func:`~repro.mc.oracle.drive_schedule` on

@@ -2,7 +2,7 @@
 
 The checker explores the directed graph whose vertices are engine
 states (quotiented by the ring-rotation / agent-relabelling symmetry of
-:meth:`repro.ring.configuration.Configuration.canonical`) and whose
+:meth:`repro.ring.configuration.Configuration.canonical_key`) and whose
 edges are single atomic actions of enabled agents.  This module holds
 the small value objects that exploration threads through:
 

@@ -4,8 +4,8 @@ The engine exposes a :class:`Configuration` snapshot after every atomic
 action (on request) and at quiescence.  Snapshots are immutable value
 objects used by the verifier, the trace recorder, the impossibility
 experiment (which compares *local configurations* of corresponding nodes
-in two rings, Lemma 1) and the model checker (which memoises visited
-states on the snapshot's canonical form).
+in two rings, Lemma 1), the fuzzer's coverage map and the model checker
+(which memoises visited states on the snapshot's canonical key).
 
 Canonical form
 --------------
@@ -15,14 +15,21 @@ and agent ids exist only for the simulator's bookkeeping, and every
 engine transition is equivariant under rotating the node labels and
 permuting the agent ids.  Two configurations related by such a
 relabelling are therefore bisimilar — they generate identical future
-behaviour.  :meth:`Configuration.canonical` quotients both symmetries
-out: it re-describes the state namelessly (per node: tokens, the sorted
-multiset of staying-agent payloads, the queue as a payload sequence,
-where a payload is the agent's started flag + state fingerprint + inbox
-contents) and picks the lexicographically least rotation.  Equality and
-hashing delegate to the canonical form, so a ``set`` or ``dict`` of
+behaviour.  :meth:`Configuration.packed_layout` quotients both
+symmetries out: it re-describes the state namelessly as one byte block
+per node (tokens, the staying-agent payloads sorted by their bytes, the
+queue as a payload sequence, where a payload is the agent's started
+flag + state fingerprint + inbox contents packed by :func:`pack_value`)
+and picks the lexicographically least rotation of the block sequence.
+:meth:`Configuration.canonical_key` is a 16-byte digest of that form.
+Equality and hashing delegate to the key, so a ``set`` or ``dict`` of
 configurations deduplicates the whole symmetry orbit — exactly what the
-model checker's visited-state memo needs.
+model checker's visited-state memo and the fuzzer's coverage map need.
+
+Engine snapshots carry the per-agent payload bytes precomputed
+(``payload_bytes``): the engine re-packs only the agents whose payload
+changed since its previous snapshot, so encoding a state costs the
+agents that acted (or received a broadcast), not all ``k``.
 
 Link-fault state
 ----------------
@@ -33,9 +40,9 @@ on each link and for how many more ticks), phantom duplicate entries
 (anonymous ``-1`` payloads in queues and buffers), and the draw
 counters (global move ordinal plus spent loss/dup budgets — the future
 fault draws are a pure function of these).  ``faults`` holds the
-:meth:`repro.ring.network.RingFaults.snapshot` tuple; the canonical and
-packed forms fold the buffers into each node's block *inside* the
-rotation (they live on concrete links) and append the counters as a
+:meth:`repro.ring.network.RingFaults.snapshot` tuple; the packed form
+folds the buffers into each node's block *inside* the rotation (they
+live on concrete links) and appends the counters as a
 rotation-invariant trailer.  Phantoms encode as an anonymous marker —
 they carry no agent state and are interchangeable, so relabelling
 soundness is preserved.  Lost agents are deliberately *not* encoded:
@@ -50,12 +57,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Configuration",
     "LocalConfiguration",
     "PACKED_ENCODING_VERSION",
+    "encode_payload",
+    "least_rotation",
     "pack_value",
 ]
 
@@ -63,12 +72,6 @@ __all__ = [
 #: byte layout changes so spilled model-checker frontiers keyed on the
 #: encoding can never be resumed against an incompatible format.
 PACKED_ENCODING_VERSION = "MC1"
-
-#: Canonical-form stand-in for a phantom (duplicated) delivery.  Agent
-#: payloads are ``(started, state, inbox)`` tuples, so a bare string can
-#: never collide with one; phantoms are anonymous and interchangeable,
-#: which is exactly what a shared constant marker expresses.
-_PHANTOM_MARKER = "phantom"
 
 #: Packed-form byte for a phantom payload.  Every other payload encoding
 #: opens with a :func:`pack_value` type tag (``(`` for the payload
@@ -84,8 +87,9 @@ def pack_value(value: object, out: bytearray) -> None:
     values, or two distinct sequences of values, never share a byte
     string.  Covers the value types agent fingerprints use (``None``,
     bools, ints, strings, bytes, tuples/lists, frozen dataclasses) and
-    falls back to tagged ``repr`` for anything exotic, mirroring the
-    guarantees :meth:`Configuration.canonical` relies on.
+    falls back to tagged ``repr`` for anything exotic; the packed
+    canonical form (:meth:`Configuration.packed_layout`) is injective
+    exactly because this encoding is.
     """
     if value is None:
         out += b"N"
@@ -120,6 +124,42 @@ def pack_value(value: object, out: bytearray) -> None:
         raw = repr(value).encode("utf-8")
         out += b"R%d:" % len(raw)
         out += raw
+
+
+def encode_payload(payload: Tuple[object, object, object]) -> bytes:
+    """The packed bytes of one agent payload ``(started, state, inbox)``."""
+    out = bytearray()
+    pack_value(payload, out)
+    return bytes(out)
+
+
+def least_rotation(items: Sequence[object]) -> int:
+    """Lowest ``r`` minimising ``items[r:] + items[:r]`` lexicographically.
+
+    The two-pointer minimum-rotation scan: ``i`` and ``j`` are the two
+    surviving candidate starts and ``k`` the length of their common
+    prefix.  On the first mismatch every start in ``[loser, loser + k]``
+    is beaten by the matching start of the winner, so the loser jumps
+    past them; a candidate is only ever discarded when strictly larger,
+    so the survivor is the lowest minimal start.  O(n) comparisons.
+    """
+    n = len(items)
+    doubled = list(items) * 2
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a = doubled[i + k]
+        b = doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 @dataclass(frozen=True)
@@ -157,7 +197,7 @@ class Configuration:
       least once (a never-started agent is observably different from a
       started agent whose declared state happens to look initial).
 
-    Equality and ``hash()`` compare canonical forms (see the module
+    Equality and ``hash()`` compare :meth:`canonical_key` (see the module
     docstring): configurations equal up to ring rotation and agent
     relabelling compare equal, distinct states never do.
     """
@@ -172,17 +212,18 @@ class Configuration:
     started: Optional[Mapping[int, bool]] = None
     #: ``RingFaults.snapshot()`` tuple ``(buffers, lost, ordinal,
     #: loss_used, dup_used)`` on a faulty ring, else ``None`` (see the
-    #: module docstring for how it enters the canonical forms).
+    #: module docstring for how it enters the packed form).
     faults: Optional[Tuple[object, ...]] = None
-    _canonical: Optional[Tuple[object, ...]] = field(
-        default=None, init=False, repr=False
-    )
+    #: Agent id -> :func:`encode_payload` of its payload, precomputed by
+    #: the engine; ``None`` packs the payloads from the fields above.
+    #: A cache, not state: it never enters equality.
+    payload_bytes: Optional[Mapping[int, bytes]] = field(default=None, repr=False)
     _packed: Optional[bytes] = field(default=None, init=False, repr=False)
     _slots: Optional[Tuple[int, ...]] = field(default=None, init=False, repr=False)
     _key: Optional[bytes] = field(default=None, init=False, repr=False)
 
     # ------------------------------------------------------------------
-    # Canonical form, equality and hashing
+    # Packed canonical encoding, equality and hashing
     # ------------------------------------------------------------------
 
     def _agent_payload(self, agent_id: int) -> Tuple[object, ...]:
@@ -194,85 +235,17 @@ class Configuration:
             inbox = self.inbox_sizes.get(agent_id, 0)
         return (started, self.agent_states[agent_id], inbox)
 
-    def canonical(self) -> Tuple[object, ...]:
-        """Return the rotation- and relabelling-invariant state key.
-
-        The encoding lists, per node in ring order, ``(tokens, sorted
-        staying payloads, queued payloads head-first)`` and selects the
-        lexicographically least of the ``n`` rotations.  Payload tuples
-        mix ``None``/ints/strings, which Python refuses to order
-        directly, so rotations are compared through their ``repr`` — a
-        deterministic, injective encoding on the value types agents use
-        (ints, bools, strings, ``None``, tuples, frozen dataclasses).
-        The result is cached: snapshots are immutable.
-        """
-        if self._canonical is not None:
-            return self._canonical
-        payloads = {
-            agent_id: self._agent_payload(agent_id) for agent_id in self.agent_states
-        }
-        faults = self.faults
-        if faults is not None:
-            buffers, _lost, ordinal, loss_used, dup_used = faults
-        nodes = []
-        for node in range(self.ring_size):
-            staying = tuple(
-                sorted(
-                    (payloads[agent_id] for agent_id in self.staying.get(node, ())),
-                    key=repr,
-                )
-            )
-            queued = tuple(
-                payloads[agent_id] if agent_id >= 0 else _PHANTOM_MARKER
-                for agent_id in self.queues.get(node, ())
-            )
-            if faults is None:
-                nodes.append((self.tokens[node], staying, queued))
-            else:
-                # Delay buffers live on concrete links, so they rotate
-                # with the ring: fold them into the node entry (payload
-                # description + remaining ticks, head first).
-                held = tuple(
-                    (
-                        payloads[payload] if payload >= 0 else _PHANTOM_MARKER,
-                        remaining,
-                    )
-                    for payload, remaining in buffers[node]
-                )
-                nodes.append((self.tokens[node], staying, queued, held))
-        node_reprs = [repr(entry) for entry in nodes]
-        size = self.ring_size
-        best = min(
-            range(size),
-            key=lambda r: tuple(node_reprs[r:] + node_reprs[:r]),
-        )
-        canonical = (size,) + tuple(nodes[best:] + nodes[:best])
-        if faults is not None:
-            # Rotation-invariant draw counters: the future fault draws
-            # are a pure function of these, so states that agree on the
-            # ring but diverge on spent budgets must not be merged.
-            canonical = canonical + (
-                ("link-faults", ordinal, loss_used, dup_used),
-            )
-        object.__setattr__(self, "_canonical", canonical)
-        return canonical
-
-    # ------------------------------------------------------------------
-    # Packed canonical encoding (model-checker memo key)
-    # ------------------------------------------------------------------
-
     def packed_layout(self) -> Tuple[bytes, Tuple[int, ...]]:
-        """Return ``(packed, slot_to_agent)`` — the compact canonical form.
+        """Return ``(packed, slot_to_agent)`` — the canonical form.
 
         ``packed`` is a deterministic byte string invariant under ring
         rotation and agent relabelling: per node (starting from the
-        lexicographically least rotation of the byte form) it encodes the
-        token count, the staying-agent payloads sorted by their encoded
-        bytes, and the queued payloads head first, every piece
-        self-delimiting via :func:`pack_value`.  It induces exactly the
-        same state partition as :meth:`canonical` — both are injective
-        per-node encodings minimised over the same rotation orbit — but
-        costs a fraction of the memory of the ``repr``-tuple form.
+        lexicographically least rotation of the byte form, see
+        :func:`least_rotation`) it encodes the token count, the
+        staying-agent payloads sorted by their encoded bytes, and the
+        queued payloads head first, every piece self-delimiting via
+        :func:`pack_value`.  Distinct states outside one symmetry orbit
+        never share it.
 
         ``slot_to_agent`` maps *canonical agent slots* (positions in the
         packed traversal order: per canonical node, staying agents in
@@ -289,22 +262,34 @@ class Configuration:
         if self._packed is not None:
             assert self._slots is not None
             return self._packed, self._slots
-        payload_bytes = {}
-        for agent_id in self.agent_states:
-            buf = bytearray()
-            pack_value(self._agent_payload(agent_id), buf)
-            payload_bytes[agent_id] = bytes(buf)
+        payload_bytes = self.payload_bytes
+        if payload_bytes is None:
+            payload_bytes = {
+                agent_id: encode_payload(self._agent_payload(agent_id))
+                for agent_id in self.agent_states
+            }
         faults = self.faults
-        if faults is not None:
+        occupied = {node for node, agents in self.staying.items() if agents}
+        occupied.update(node for node, queue in self.queues.items() if queue)
+        if faults is None:
+            empty_tail = b""
+        else:
             buffers, _lost, ordinal, loss_used, dup_used = faults
-        blocks = []
-        node_slots = []
-        for node in range(self.ring_size):
+            empty_tail = b"F0:"
+            occupied.update(node for node, held in enumerate(buffers) if held)
+        # Nodes with no agent in sight differ only in their token count:
+        # they share one block object per count.
+        empty = {
+            count: b"I%d;P0:Q0:%s" % (count, empty_tail) for count in set(self.tokens)
+        }
+        blocks = [empty[count] for count in self.tokens]
+        node_slots = {}
+        for node in occupied:
             staying_ids = sorted(
                 self.staying.get(node, ()),
                 key=lambda agent_id: (payload_bytes[agent_id], agent_id),
             )
-            queued_ids = tuple(self.queues.get(node, ()))
+            queued_ids = self.queues.get(node, ())
             block = bytearray()
             block += b"I%d;" % self.tokens[node]
             block += b"P%d:" % len(staying_ids)
@@ -328,13 +313,12 @@ class Configuration:
                     else:
                         block += _PHANTOM_BYTE
                     block += b"I%d;" % remaining
-            blocks.append(bytes(block))
-            node_slots.append(
-                tuple(staying_ids)
-                + tuple(agent_id for agent_id in queued_ids if agent_id >= 0)
+            blocks[node] = bytes(block)
+            node_slots[node] = tuple(staying_ids) + tuple(
+                agent_id for agent_id in queued_ids if agent_id >= 0
             )
         size = self.ring_size
-        best = min(range(size), key=lambda r: blocks[r:] + blocks[:r])
+        best = least_rotation(blocks)
         packed = b"%s;I%d;%s" % (
             PACKED_ENCODING_VERSION.encode("ascii"),
             size,
@@ -348,8 +332,8 @@ class Configuration:
             packed += b"F;I%d;I%d;I%d;" % (ordinal, loss_used, dup_used)
         slots: Tuple[int, ...] = tuple(
             agent_id
-            for node_agents in node_slots[best:] + node_slots[:best]
-            for agent_id in node_agents
+            for node in sorted(node_slots, key=lambda node: (node - best) % size)
+            for agent_id in node_slots[node]
         )
         object.__setattr__(self, "_packed", packed)
         object.__setattr__(self, "_slots", slots)
@@ -360,7 +344,7 @@ class Configuration:
         return self.packed_layout()[0]
 
     def canonical_key(self) -> bytes:
-        """A 16-byte blake2b digest of :meth:`packed` — the memo key.
+        """A 16-byte blake2b digest of :meth:`packed` — the state key.
 
         Collisions are cryptographically negligible at 128 bits, so the
         model checker memoises on the digest instead of the full packed
@@ -372,13 +356,17 @@ class Configuration:
         object.__setattr__(self, "_key", key)
         return key
 
+    #: The rotation- and relabelling-invariant state key, under its
+    #: historical name.
+    canonical = canonical_key
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self.canonical_key() == other.canonical_key()
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        return hash(self.canonical_key())
 
     def local(self, node: int) -> LocalConfiguration:
         """Return the local configuration of ``node`` (Lemma 1's unit).

@@ -17,7 +17,7 @@ replays bit for bit anywhere.
 Why the draw is keyed on a *global move ordinal*, not on the link
 index or the agent id: the model checker quotients the state space by
 ring rotation and agent relabelling
-(:meth:`repro.ring.configuration.Configuration.canonical`).  That
+(:meth:`repro.ring.configuration.Configuration.canonical_key`).  That
 quotient is sound only if two symmetric states have isomorphic
 futures.  A draw keyed on the concrete link index (or agent id) would
 break under rotation (relabelling): the "same" state reached via two
@@ -25,7 +25,7 @@ rotations would draw different faults and diverge.  Keying on the
 label-invariant count of prior move-onto-link events keeps every
 fault decision equivariant: rotate or relabel a configuration and the
 drawn faults rotate/relabel with it.  (The ordinal is part of the
-fault state and therefore of the canonical/packed encoding, which is
+fault state and therefore of the packed canonical encoding, which is
 exactly what makes memoising faulty states sound.)
 
 The link itself becomes schedulable: the *link actor* of the link into

@@ -67,7 +67,7 @@ from repro.errors import (
     SimulationError,
     SimulationLimitExceeded,
 )
-from repro.ring.configuration import Configuration
+from repro.ring.configuration import Configuration, encode_payload
 from repro.ring.faults import PHANTOM, LinkSpec
 from repro.ring.network import Ring
 from repro.ring.placement import Placement
@@ -112,6 +112,9 @@ class Engine:
         self._homes: Dict[int, int] = dict(enumerate(placement.homes))
         self._inboxes: Dict[int, List[object]] = {i: [] for i in self._agents}
         self._started: Dict[int, bool] = {i: False for i in self._agents}
+        # Agent id -> (payload, packed bytes) at the last snapshot; see
+        # snapshot().
+        self._payload_cache: Dict[int, Tuple[Tuple[object, ...], bytes]] = {}
         if scheduler is None:
             # Late import: the registry lazily imports the algorithm
             # modules, which themselves import this module.
@@ -399,6 +402,7 @@ class Engine:
         clone._faults = fast.faults
         clone._size = self._size
         clone._enabled = set(self._enabled)
+        clone._payload_cache = dict(self._payload_cache)
         return clone
 
     def snapshot(self) -> Configuration:
@@ -406,33 +410,53 @@ class Engine:
 
         The snapshot carries full message contents (``inboxes``) and the
         per-agent started flags on top of the classic 5-tuple, so its
-        canonical form (see :meth:`Configuration.canonical`) identifies
-        the global state exactly — the model checker's memoisation key.
+        canonical key (see :meth:`Configuration.canonical_key`)
+        identifies the global state exactly — the model checker's
+        memoisation key and the fuzzer's coverage key.
+
+        It also carries each agent's packed payload bytes.  An agent
+        whose ``(started, fingerprint, inbox)`` payload equals the one
+        seen at the previous snapshot of this engine (or of the engine
+        it was forked from) reuses those bytes; only the agents that
+        acted or received a broadcast since are packed afresh.
         """
+        agent_states = {}
+        inboxes = {}
+        payload_bytes = {}
+        cache = self._payload_cache
+        started = self._started
+        for agent_id, agent in self._agents.items():
+            state = agent.state_fingerprint()
+            inbox = tuple(self._inboxes[agent_id])
+            payload = (started[agent_id], state, inbox)
+            cached = cache.get(agent_id)
+            if cached is not None and cached[0] == payload:
+                encoded = cached[1]
+            else:
+                encoded = encode_payload(payload)
+                cache[agent_id] = (payload, encoded)
+            agent_states[agent_id] = state
+            inboxes[agent_id] = inbox
+            payload_bytes[agent_id] = encoded
         return Configuration(
-            ring_size=self._ring.size,
-            agent_states={
-                agent_id: agent.state_fingerprint()
-                for agent_id, agent in self._agents.items()
-            },
-            tokens=self._ring.token_counts,
-            inbox_sizes={
-                agent_id: len(inbox) for agent_id, inbox in self._inboxes.items()
-            },
+            ring_size=self._size,
+            agent_states=agent_states,
+            tokens=tuple(self._tokens),
+            inbox_sizes={agent_id: len(inbox) for agent_id, inbox in inboxes.items()},
             staying={
-                node: tuple(sorted(self._ring.staying_at(node)))
-                for node in range(self._ring.size)
+                node: tuple(sorted(agents)) if agents else ()
+                for node, agents in enumerate(self._staying)
             },
-            queues={
-                node: self._ring.queue_contents(node)
-                for node in range(self._ring.size)
-            },
-            inboxes={
-                agent_id: tuple(inbox) for agent_id, inbox in self._inboxes.items()
-            },
-            started=dict(self._started),
+            queues={node: tuple(queue) for node, queue in enumerate(self._queues)},
+            inboxes=inboxes,
+            started=dict(started),
             faults=None if self._faults is None else self._faults.snapshot(),
+            payload_bytes=payload_bytes,
         )
+
+    def pending_messages(self) -> int:
+        """Undelivered messages across all agents, without a snapshot."""
+        return sum(len(inbox) for inbox in self._inboxes.values())
 
     def final_positions(self) -> Dict[int, int]:
         """Map agent id -> node for all staying agents (post-quiescence)."""

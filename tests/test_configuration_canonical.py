@@ -87,9 +87,13 @@ def test_diverged_fork_snapshot_differs():
 
 def test_canonical_is_cached_and_stable():
     snapshot = build_engine("known_k_full", Placement(6, homes=(0, 2))).snapshot()
-    first = snapshot.canonical()
-    assert snapshot.canonical() is first  # cached on the frozen instance
-    assert first[0] == 6  # leads with the ring size
+    first = snapshot.canonical_key()
+    assert snapshot.canonical_key() is first  # cached on the frozen instance
+    assert isinstance(first, bytes) and len(first) == 16
+    # The historical name is an alias of the one state key.
+    assert Configuration.canonical is Configuration.canonical_key
+    assert snapshot.canonical() is first
+    assert hash(snapshot) == hash(first)
 
 
 def test_unstarted_agent_distinguished_from_started():

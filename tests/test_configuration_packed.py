@@ -1,18 +1,24 @@
-"""The packed canonical encoding: injective, symmetric, old-key-compatible.
+"""The packed canonical encoding: injective, symmetric, stable.
 
-The model checker's memo table moved from ``repr``-tuple canonical forms
-to packed bytes hashed with blake2b
-(:meth:`~repro.ring.configuration.Configuration.packed_layout`).  These
-tests pin the contract from three sides:
+Every state rung (model-checker memo, POR sleep slots, fuzz coverage,
+``Configuration`` equality) keys states on packed bytes hashed with
+blake2b (:meth:`~repro.ring.configuration.Configuration.packed_layout`).
+These tests pin the contract from several sides, against the
+independent ``repr``-tuple oracle
+:func:`reference_impls.reference_canonical`:
 
-* **Hypothesis invariance** — both the old ``canonical()`` and the new
+* **Hypothesis invariance** — both the reference form and the packed
   ``packed()``/``canonical_key()`` encodings are invariant under a
   random ring rotation composed with a random agent relabelling, and
   both distinguish a mutated configuration from its original.
 * **Partition differential** — on breadth-first walks of real engine
-  state spaces, the new key partitions states *identically* to the old
-  one (no splits, no merges); the mc-marked variant covers the full
-  PR-2 verification grid.
+  state spaces, the packed key partitions states *identically* to the
+  reference one (no splits, no merges); the mc-marked variant covers the
+  full exhaustive verification grid.
+* **Least rotation** — the linear scan picks exactly the brute-force
+  minimum, lowest index on ties.
+* **Golden keys** — fixed snapshots keep their ``canonical_key()``
+  bytes, so spilled frontiers and archived coverage stay valid.
 * **Slot layout** — ``packed_layout`` enumerates every agent exactly
   once, in a relabelling-stable order (the POR sleep sets depend on it).
 """
@@ -25,8 +31,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_impls import reference_canonical
 from repro.experiments.runner import ALGORITHMS, build_engine
-from repro.ring.configuration import Configuration, pack_value
+from repro.ring.configuration import Configuration, least_rotation, pack_value
+from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
 
 
@@ -117,7 +125,7 @@ def test_both_encodings_invariant_under_rotation_and_relabelling(config, data):
     perm_values = data.draw(st.permutations(agents), label="perm")
     perm = dict(zip(agents, perm_values))
     other = _transform(config, shift, perm)
-    assert config.canonical() == other.canonical()
+    assert reference_canonical(config) == reference_canonical(other)
     assert config.packed() == other.packed()
     assert config.canonical_key() == other.canonical_key()
 
@@ -178,7 +186,7 @@ def test_both_encodings_distinguish_mutations(config, data):
             inboxes=inboxes,
             started=config.started,
         )
-    assert config.canonical() != mutated.canonical()
+    assert reference_canonical(config) != reference_canonical(mutated)
     assert config.packed() != mutated.packed()
     assert config.canonical_key() != mutated.canonical_key()
 
@@ -225,13 +233,15 @@ def test_pack_value_concatenation_unambiguous():
 
 
 # ----------------------------------------------------------------------
-# Partition differential against the old canonical key
+# Partition differential against the reference canonical form
 # ----------------------------------------------------------------------
 
-def _walk_and_compare(algorithm: str, placement: Placement, limit: int) -> int:
-    """BFS the real state space; assert old/new keys partition alike."""
+def _walk_and_compare(
+    algorithm: str, placement: Placement, limit: int, links=None
+) -> int:
+    """BFS the real state space; assert both keys partition alike."""
     root = build_engine(
-        algorithm, placement, collect_metrics=False, record_views=True
+        algorithm, placement, collect_metrics=False, record_views=True, links=links
     )
     frontier = deque([root])
     new_by_old: dict = {}
@@ -242,7 +252,7 @@ def _walk_and_compare(algorithm: str, placement: Placement, limit: int) -> int:
         engine = frontier.popleft()
         snapshot = engine.snapshot()
         states += 1
-        old_key = repr(snapshot.canonical())
+        old_key = repr(reference_canonical(snapshot))
         new_key = snapshot.canonical_key()
         if old_key in new_by_old:
             assert new_by_old[old_key] == new_key, "old-equal states split"
@@ -268,6 +278,15 @@ def test_packed_key_partitions_like_canonical_small(algorithm):
     assert distinct > 10
 
 
+@pytest.mark.parametrize("algorithm", ["known_k_logspace", "unknown"])
+def test_packed_key_partitions_like_canonical_faulty(algorithm):
+    links = LinkSpec(delay=1, dup=1, seed=3)
+    distinct = _walk_and_compare(
+        algorithm, Placement(5, homes=(0, 2)), limit=600, links=links
+    )
+    assert distinct > 10
+
+
 @pytest.mark.mc
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (8, 2)])
@@ -276,6 +295,77 @@ def test_packed_key_partitions_like_canonical_grid(algorithm, n, k):
 
     for placement in all_placements(n, k, dedupe_rotations=False):
         _walk_and_compare(algorithm, placement, limit=100_000)
+
+
+# ----------------------------------------------------------------------
+# Least rotation
+# ----------------------------------------------------------------------
+
+def _brute_least_rotation(seq) -> int:
+    return min(range(len(seq)), key=lambda r: seq[r:] + seq[:r])
+
+
+_BLOCKS = st.sampled_from([b"I0;P0:Q0:", b"I1;P0:Q0:", b"I0;P1:x", b"I0;P", b"*"])
+
+
+@given(seq=st.lists(_BLOCKS, min_size=1, max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_least_rotation_matches_brute_force(seq):
+    assert least_rotation(seq) == _brute_least_rotation(seq)
+
+
+@given(
+    block=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    repeats=st.integers(1, 6),
+    shift=st.integers(0, 29),
+)
+@settings(max_examples=300, deadline=None)
+def test_least_rotation_ties_pick_the_lowest_index(block, repeats, shift):
+    # Periodic sequences have one minimal rotation per period: the scan
+    # must return the first, exactly like min(range(n), key=...).
+    seq = block * repeats
+    shift %= len(seq)
+    seq = seq[shift:] + seq[:shift]
+    best = least_rotation(seq)
+    assert best == _brute_least_rotation(seq)
+    assert best < len(seq) // repeats
+
+
+# ----------------------------------------------------------------------
+# Golden canonical keys
+# ----------------------------------------------------------------------
+
+_GOLDEN = [
+    ("known_k_full", 8, (0, 3, 5), None, 0, 0,
+     "d9856f9ef30fe3fb91cb00cf92ce7d7e", (0, 1, 2)),
+    ("unknown", 10, (0, 3, 7), None, 25, 0,
+     "96ed0993ae6f491b6f764d88062813c7", (0, 2, 1)),
+    ("known_k_logspace", 9, (0, 1, 4), None, 40, -1,
+     "16426cd2c305640780dfa5ac52d7bb82", (1, 0, 2)),
+    ("known_n_full", 7, (1, 2), None, 12, -1,
+     "7d11c9d9e1ef43eff0c6aed8711b484d", (0, 1)),
+    ("unknown", 8, (0, 2, 5), LinkSpec(delay=1, dup=1, seed=3), 20, -1,
+     "e8aa81212b729abacd32004823a4d27c", (0,)),
+    ("unknown", 8, (0, 2, 5), LinkSpec(delay=2, loss=1, dup=1, seed=5), 30, 0,
+     "9b5fadc7abd3abb6ec8ea7956355b18d", (1, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "algorithm,n,homes,links,steps,pick,key,slots", _GOLDEN
+)
+def test_canonical_key_golden(algorithm, n, homes, links, steps, pick, key, slots):
+    # Snapshots reached by a fixed schedule (always the first or the
+    # last enabled actor) keep the exact key bytes and slot layout of
+    # encoding version MC1.
+    engine = build_engine(
+        algorithm, Placement(n, homes=homes), record_views=True, links=links
+    )
+    for _ in range(steps):
+        engine.step(engine.enabled_agents()[pick])
+    snapshot = engine.snapshot()
+    assert snapshot.canonical_key().hex() == key
+    assert snapshot.packed_layout()[1] == slots
 
 
 # ----------------------------------------------------------------------

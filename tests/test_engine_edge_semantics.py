@@ -11,7 +11,9 @@ Two contracts pinned here:
 * **Observation fast paths** (``collect_metrics=False``, no trace):
   turning recording off must never change what the simulation *does* —
   same activation log, same step count, same final positions — across
-  every algorithm and scheduler family.
+  every algorithm and scheduler family.  ``pending_messages()``, the
+  snapshot-free message count run verification uses, must equal the
+  snapshot's count.
 """
 
 from __future__ import annotations
@@ -187,3 +189,18 @@ def test_metrics_and_trace_off_together_preserve_execution(algorithm):
     bare.run()
     assert list(bare.activation_log) == list(full.activation_log)
     assert bare.final_positions() == full.final_positions()
+
+
+@pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+def test_pending_messages_agrees_with_snapshot(algorithm):
+    # Run verification counts undelivered messages without building a
+    # snapshot; the count must be the snapshot's at every boundary.
+    engine = _engine(algorithm, 24, 6, 7, RandomScheduler(seed=13))
+    seen_pending = engine.pending_messages() > 0
+    while not engine.quiescent:
+        engine.run_rounds(1)
+        pending = engine.pending_messages()
+        assert pending == engine.snapshot().total_messages_pending()
+        seen_pending = seen_pending or pending > 0
+    if algorithm == "known_k_logspace":
+        assert seen_pending  # leader notices sit in follower inboxes

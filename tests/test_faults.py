@@ -332,12 +332,12 @@ class TestFaultyEngine:
         assert reliable.snapshot().faults is None
         snap = faulty.snapshot()
         assert snap.faults is not None
-        # The canonical form grows a link-faults trailer so memoised
-        # faulty states can never collide with reliable ones.
-        assert any(
-            isinstance(part, tuple) and part and part[0] == "link-faults"
-            for part in snap.canonical()
-        )
+        # The packed form grows a link-faults trailer (the draw
+        # counters) so memoised faulty states can never collide with
+        # reliable ones.
+        ordinal, loss_used, dup_used = snap.faults[2:]
+        trailer = b"F;I%d;I%d;I%d;" % (ordinal, loss_used, dup_used)
+        assert snap.packed().endswith(trailer)
         assert reliable.snapshot().packed() != snap.packed()
 
     def test_run_experiment_with_delay_still_uniform(self):
