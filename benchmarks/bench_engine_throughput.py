@@ -3,9 +3,9 @@
 Not a paper table — operational data for users sizing their own sweeps.
 pytest-benchmark timing is meaningful here (multiple rounds).
 
-Besides the terminal tables, this module writes ``BENCH_engine.json`` at
-the repo root: one machine-readable entry per case (steps, mean seconds,
-steps/second) so later PRs can track the throughput trajectory.  The
+Besides the terminal tables, this module records one machine-readable
+``BENCH_engine.json`` case per measurement (steps, mean seconds,
+steps/second) so the throughput trajectory can be tracked.  The
 large cases (n=1024, k=32) exist precisely for that trajectory: the
 single-agent-per-batch ``RandomScheduler`` case is where a full O(k)
 enabled-set rescan per step hurts most, and where the incremental
@@ -14,44 +14,17 @@ enabledness engine shows its gain.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
 from typing import Callable, Dict
-
-import pytest
 
 from repro.experiments.runner import build_engine
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.ring.placement import random_placement
 from repro.sim.scheduler import RandomScheduler
 
-from benchmarks.conftest import report_lines
+from benchmarks.conftest import record_case, report_lines
 
-_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-_CASES: Dict[str, Dict[str, object]] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    """Merge every recorded case into BENCH_engine.json after the module.
-
-    Read-modify-write so a partial run (``-k large_random``) refreshes
-    only the cases it measured instead of erasing the tracked history.
-    """
-    yield
-    if not _CASES:
-        return
-    cases: Dict[str, Dict[str, object]] = {}
-    if _JSON_PATH.exists():
-        try:
-            cases = json.loads(_JSON_PATH.read_text()).get("cases", {})
-        except (json.JSONDecodeError, AttributeError):
-            cases = {}
-    cases.update(_CASES)
-    payload = {"schema": 1, "unit": "atomic actions", "cases": cases}
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _timed(make_engine: Callable[[], object]):
@@ -72,8 +45,8 @@ def _timed(make_engine: Callable[[], object]):
 
 def _record_case(
     name: str, algorithm: str, n: int, k: int, scheduler: str, steps: int, seconds: float
-) -> None:
-    _CASES[name] = {
+) -> Dict[str, object]:
+    return record_case(name, {
         "algorithm": algorithm,
         "n": n,
         "k": k,
@@ -81,7 +54,7 @@ def _record_case(
         "steps": steps,
         "mean_seconds": round(seconds, 6),
         "steps_per_second": round(steps / seconds) if seconds > 0 else None,
-    }
+    })
 
 
 def _bench_run(
@@ -93,7 +66,7 @@ def _bench_run(
         return build_engine(algorithm, placement, scheduler=sched)
 
     steps, seconds = benchmark(_timed(make_engine))
-    _record_case(name, algorithm, n, k, scheduler, steps, seconds)
+    case = _record_case(name, algorithm, n, k, scheduler, steps, seconds)
     report_lines(
         f"Engine throughput - {name}",
         [
@@ -102,7 +75,7 @@ def _bench_run(
         ],
     )
     assert steps > 0
-    return steps
+    return case
 
 
 def test_throughput_known_k_full(benchmark):
@@ -134,10 +107,9 @@ def test_throughput_large_random_scheduler(benchmark):
     # The acceptance case for the incremental enabledness engine: one
     # agent per batch means a per-batch rescan costs O(k) per atomic
     # action; the live enabled set makes this O(1).
-    _bench_run(
+    case = _bench_run(
         benchmark, "known_k_full n=1024 k=32 random", "known_k_full", 1024, 32, 7, "random"
     )
-    case = _CASES["known_k_full n=1024 k=32 random"]
     case["seed_baseline_steps_per_second"] = _SEED_RANDOM_CASE_ACTIONS_PER_SECOND
     assert case["steps_per_second"] > 2 * _SEED_RANDOM_CASE_ACTIONS_PER_SECOND
 

@@ -20,44 +20,19 @@ ceiling and the reduction ratio are tracked PR over PR.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
-from typing import Dict
-
-import pytest
 
 from repro.mc import check_frontier, check_interleavings
 from repro.ring.placement import Placement
 
-from benchmarks.conftest import report_lines
-
-_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-_CASES: Dict[str, Dict[str, object]] = {}
+from benchmarks.conftest import record_case, report_lines
 
 #: The pinned flagship cell: the largest (n, k) the ladder verifies
 #: exhaustively.  8009 canonical states under either mode.
 _ALGORITHM = "unknown"
 _PLACEMENT = Placement(ring_size=10, homes=(0, 3, 7))
 _REQUIRED_IMPROVEMENT = 2.0
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    """Merge every recorded case into BENCH_engine.json after the module."""
-    yield
-    if not _CASES:
-        return
-    cases: Dict[str, Dict[str, object]] = {}
-    if _JSON_PATH.exists():
-        try:
-            cases = json.loads(_JSON_PATH.read_text()).get("cases", {})
-        except (json.JSONDecodeError, AttributeError):
-            cases = {}
-    cases.update(_CASES)
-    payload = {"schema": 1, "unit": "atomic actions", "cases": cases}
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_por_halves_verification_work(benchmark):
@@ -86,7 +61,7 @@ def test_por_halves_verification_work(benchmark):
         f"{_REQUIRED_IMPROVEMENT}x on the pinned cell"
     )
 
-    _CASES[f"mc por {_ALGORITHM} n=10 k=3"] = {
+    record_case(f"mc por {_ALGORITHM} n=10 k=3", {
         "algorithm": _ALGORITHM,
         "n": _PLACEMENT.ring_size,
         "k": _PLACEMENT.agent_count,
@@ -103,7 +78,7 @@ def test_por_halves_verification_work(benchmark):
         "transitions_per_second_full": round(full.transitions / full_seconds),
         "transitions_per_second_por": round(reduced.transitions / por_seconds),
         "wall_clock_speedup": round(speedup, 2),
-    }
+    })
     report_lines(
         "Model checker - sleep-set POR (pinned n=10 k=3 cell)",
         [
@@ -127,7 +102,7 @@ def test_max_verified_instance_and_memo_footprint(benchmark):
     assert result.ok and result.complete
     assert result.memo_bytes > 0
 
-    _CASES[f"mc max-verified {_ALGORITHM} n=10 k=3"] = {
+    record_case(f"mc max-verified {_ALGORITHM} n=10 k=3", {
         "algorithm": _ALGORITHM,
         "n": _PLACEMENT.ring_size,
         "k": _PLACEMENT.agent_count,
@@ -139,7 +114,7 @@ def test_max_verified_instance_and_memo_footprint(benchmark):
         "memo_bytes": result.memo_bytes,
         "mean_seconds": round(seconds, 6),
         "states_per_second": round(result.explored / seconds),
-    }
+    })
     report_lines(
         "Model checker - max verified instance",
         [
@@ -178,18 +153,17 @@ def test_parallel_frontier_jobs(benchmark):
             f"{os.cpu_count()}-core host ({speedup:.2f}x)"
         )
 
-    _CASES[f"mc frontier {_ALGORITHM} n=10 k=3 jobs={jobs}"] = {
+    record_case(f"mc frontier {_ALGORITHM} n=10 k=3 jobs={jobs}", {
         "algorithm": _ALGORITHM,
         "n": _PLACEMENT.ring_size,
         "k": _PLACEMENT.agent_count,
         "jobs": jobs,
-        "host_cpus": os.cpu_count(),
         "states": parallel.explored,
         "serial_seconds": round(serial_seconds, 6),
         "parallel_seconds": round(parallel_seconds, 6),
         "parallel_speedup": round(speedup, 2),
         "states_per_second_parallel": round(parallel.explored / parallel_seconds),
-    }
+    })
     report_lines(
         f"Model checker - frontier driver (jobs={jobs}, "
         f"{os.cpu_count()} host cpu(s))",

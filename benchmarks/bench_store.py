@@ -18,42 +18,16 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict
-
-import pytest
 
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import SweepSpec, execute_sweep, expand_cells
 from repro.spec import ExperimentSpec, PlacementSpec
 from repro.store import RunRecord, RunStore
 
-from benchmarks.conftest import report_lines
+from benchmarks.conftest import record_case, report_lines
 
-_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-_CASES: Dict[str, Dict[str, object]] = {}
 
 _RECORDS = 500
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    """Merge every recorded case into BENCH_engine.json after the module.
-
-    Same read-modify-write contract as ``bench_engine_throughput``: a
-    partial run refreshes only the cases it measured.
-    """
-    yield
-    if not _CASES:
-        return
-    cases: Dict[str, Dict[str, object]] = {}
-    if _JSON_PATH.exists():
-        try:
-            cases = json.loads(_JSON_PATH.read_text()).get("cases", {})
-        except (json.JSONDecodeError, AttributeError):
-            cases = {}
-    cases.update(_CASES)
-    payload = {"schema": 1, "unit": "atomic actions", "cases": cases}
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _synthetic_records(count: int) -> list:
@@ -92,11 +66,11 @@ def test_store_put_throughput(benchmark, tmp_path_factory):
 
     count, seconds = benchmark(write_all)
     assert count == _RECORDS
-    _CASES[f"store put x{_RECORDS}"] = {
+    record_case(f"store put x{_RECORDS}", {
         "records": _RECORDS,
         "mean_seconds": round(seconds, 6),
         "records_per_second": round(_RECORDS / seconds) if seconds > 0 else None,
-    }
+    })
     report_lines(
         "Run store - put",
         [f"{_RECORDS} records in {seconds:.3f}s "
@@ -120,11 +94,11 @@ def test_store_reopen_and_get_throughput(benchmark, tmp_path_factory):
 
     count, seconds = benchmark(read_all)
     assert count == _RECORDS
-    _CASES[f"store reopen+get x{_RECORDS}"] = {
+    record_case(f"store reopen+get x{_RECORDS}", {
         "records": _RECORDS,
         "mean_seconds": round(seconds, 6),
         "records_per_second": round(_RECORDS / seconds) if seconds > 0 else None,
-    }
+    })
     report_lines(
         "Run store - reopen + get",
         [f"{_RECORDS} records in {seconds:.3f}s "
@@ -161,12 +135,12 @@ def test_warm_cache_sweep_speedup(benchmark, tmp_path_factory):
     assert warm.rows == cold.rows
     speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
     assert speedup > 10, f"warm sweep only {speedup:.1f}x faster than cold"
-    _CASES["sweep warm-cache 8 cells"] = {
+    record_case("sweep warm-cache 8 cells", {
         "cells": cold.executed,
         "cold_seconds": round(cold_seconds, 6),
         "mean_seconds": round(warm_seconds, 6),
         "speedup": round(speedup, 1),
-    }
+    })
     report_lines(
         "Run store - warm-cache sweep",
         [
@@ -244,13 +218,13 @@ def test_indexed_open_and_lookup_vs_scan(benchmark, tmp_path_factory):
         f"indexed open+get only {speedup:.1f}x faster than scan "
         f"({indexed_seconds:.4f}s vs {scan_seconds:.4f}s)"
     )
-    _CASES[f"store indexed open+get x{_INDEX_RECORDS}"] = {
+    record_case(f"store indexed open+get x{_INDEX_RECORDS}", {
         "records": _INDEX_RECORDS,
         "index_build_seconds": round(build_seconds, 6),
         "scan_seconds": round(scan_seconds, 6),
         "mean_seconds": round(indexed_seconds, 6),
         "speedup": round(speedup, 1),
-    }
+    })
     report_lines(
         "Run store - indexed open + point lookup",
         [

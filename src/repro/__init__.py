@@ -51,7 +51,7 @@ from repro.errors import (
     SimulationLimitExceeded,
     VerificationError,
 )
-from repro.experiments.runner import ALGORITHMS, RunResult, run_experiment
+from repro.experiments.runner import RunResult, run_experiment
 from repro.registry import (
     AlgorithmInfo,
     SchedulerInfo,
@@ -89,7 +89,6 @@ from repro.store import RunRecord, RunStore, cached_run
 __version__ = "1.1.0"
 
 __all__ = [
-    "ALGORITHMS",
     "AlgorithmInfo",
     "BurstScheduler",
     "ConfigurationError",

@@ -474,11 +474,7 @@ def run_campaign(
                     {
                         "unit": by_key[unit_key].to_dict(),
                         "attempt": attempt,
-                        "options": {
-                            "keep_going": True,
-                            "shrink": True,
-                            "backend": spec.backend,
-                        },
+                        "options": {"keep_going": True, "shrink": True},
                     }
                 )
                 ledger.append(

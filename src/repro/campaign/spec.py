@@ -88,14 +88,8 @@ class CampaignSpec:
     backoff_base: float = 0.5
     backoff_cap: float = 30.0
     shards: int = 4  # fuzz only; fixed so work identity ignores workers
-    backend: str = "object"  # cell execution engine: "object" | "batch"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("object", "batch"):
-            raise ConfigurationError(
-                f"campaign backend must be 'object' or 'batch', "
-                f"got {self.backend!r}"
-            )
         if self.kind not in ("sweep", "fuzz"):
             raise ConfigurationError(
                 f"campaign kind must be 'sweep' or 'fuzz', got {self.kind!r}"
@@ -182,11 +176,6 @@ class CampaignSpec:
             "backoff_cap": self.backoff_cap,
             "shards": self.shards,
         }
-        # The backend is a fleet knob, not part of the work (both engines
-        # archive byte-identical records).  Emitted only when non-default
-        # so pre-existing campaign content hashes stay stable.
-        if self.backend != "object":
-            fleet["backend"] = self.backend
         return {
             "kind": self.kind,
             "sweep": self.sweep.to_dict() if self.sweep else None,
@@ -205,6 +194,9 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"campaign spec has unknown keys {sorted(unknown)}"
             )
+        # Specs from before cells always ran on the object engine may
+        # carry a "backend" fleet key; it never entered work_hash, so it
+        # is ignored and their ledgers resume.
         fleet = data.get("fleet", {})
         if not isinstance(fleet, dict):
             raise ConfigurationError("campaign spec 'fleet' must be a dict")
@@ -221,7 +213,6 @@ class CampaignSpec:
             backoff_base=float(fleet.get("backoff_base", 0.5)),
             backoff_cap=float(fleet.get("backoff_cap", 30.0)),
             shards=int(fleet.get("shards", 4)),
-            backend=str(fleet.get("backend", "object")),
         )
 
     def to_json(self, indent: Optional[int] = 2) -> str:

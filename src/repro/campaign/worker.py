@@ -103,36 +103,14 @@ def _stream_coverage_delta(
 
 
 def _execute_cell(
-    unit: WorkUnit,
-    attempt: int,
-    store,
-    chaos: ChaosPlan,
-    fault,
-    options: Optional[Dict[str, object]] = None,
+    unit: WorkUnit, attempt: int, store, chaos: ChaosPlan, fault
 ) -> Dict[str, object]:
-    """One sweep cell: run the experiment, archive the record.
-
-    ``options["backend"] == "batch"`` routes the cell through the
-    columnar engine (a campaign unit is one trial, so the "batch" has
-    size one — the win here is uniformity with sweep-level batching,
-    and byte-identical records either way).  Cells the batch backend
-    does not cover fall back to the object engine, like everywhere
-    else the knob appears.
-    """
+    """One sweep cell: run the experiment, archive the record."""
     from repro.experiments.runner import run_experiment
     from repro.spec import ExperimentSpec
 
     spec = ExperimentSpec.from_dict(unit.payload["spec"])
-    backend = (options or {}).get("backend", "object")
-    if backend == "batch":
-        from repro.sim.batch import batch_supported, run_batch
-
-        if batch_supported(spec) is None:
-            result = run_batch([spec])[0]
-        else:
-            result = run_experiment(spec)
-    else:
-        result = run_experiment(spec)
+    result = run_experiment(spec)
     # The mid-cell crash window: the result exists only in this
     # process's memory until the put below commits it.
     chaos.inject(fault, "mid")
@@ -228,9 +206,7 @@ def worker_main(
                 # `kill` at the start point never returns from here.
                 chaos.inject(fault, "start", heartbeat_stop=heartbeat.stop)
                 if unit.kind == "cell":
-                    summary = _execute_cell(
-                        unit, attempt, store, chaos, fault, options=options
-                    )
+                    summary = _execute_cell(unit, attempt, store, chaos, fault)
                 elif unit.kind == "fuzz-shard":
                     summary = _execute_fuzz_shard(
                         unit, attempt, store, chaos, fault,

@@ -399,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     psweep_parser.add_argument(
         "--backend", choices=("object", "batch"), default="object",
         help=(
-            "execution backend: 'batch' runs each cell's trials as one "
-            "vectorized numpy batch (byte-identical rows, much faster); "
-            "cells the batch backend cannot cover fall back to 'object'"
+            "execution backend: 'batch' runs the known_k_full/known_n_full "
+            "cells under sync as one vectorized numpy batch per cell "
+            "(byte-identical rows); every other cell runs on 'object'"
         ),
     )
     psweep_parser.add_argument(
@@ -715,13 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--shards", type=int, default=4,
         help="fuzz campaign: independent shards the budget is split into",
-    )
-    campaign_parser.add_argument(
-        "--backend", choices=("object", "batch"), default="object",
-        help=(
-            "sweep campaign: cell execution engine (batch = columnar numpy "
-            "engine, byte-identical records; uncovered cells fall back)"
-        ),
     )
     campaign_parser.add_argument(
         "--chaos", default=None, metavar="SPEC",
@@ -1417,7 +1410,6 @@ def _command_campaign(args: argparse.Namespace) -> int:
             unit_timeout=args.unit_timeout,
             max_retries=args.max_retries,
             backoff_base=args.backoff_base,
-            backend=args.backend,
         )
     chaos = parse_chaos_spec(args.chaos) if args.chaos else None
     print(f"campaign {spec.content_hash()[:16]}: {spec.describe()}")

@@ -15,7 +15,6 @@ from repro.experiments.lower_bound import (
 )
 from repro.experiments.report import PROFILES, ReportProfile, generate_report
 from repro.experiments.runner import (
-    ALGORITHMS,
     RunResult,
     build_agents,
     build_engine,
@@ -33,7 +32,6 @@ from repro.experiments.statistics import (
     aggregate_trials,
 )
 from repro.experiments.sweep import (
-    SCHEDULER_SPECS,
     SweepCell,
     SweepSpec,
     cell_seed,
@@ -61,7 +59,6 @@ __all__ = [
     "results_from_json",
     "results_to_json",
     "save_results",
-    "ALGORITHMS",
     "AlgorithmComparison",
     "compare_algorithms",
     "FIGURES",
@@ -82,7 +79,6 @@ __all__ = [
     "symmetry_placement",
     "symmetry_sweep",
     "table1_sweep",
-    "SCHEDULER_SPECS",
     "SweepCell",
     "SweepSpec",
     "cell_seed",

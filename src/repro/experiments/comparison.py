@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.optimal import optimal_uniform_plan
-from repro.experiments.runner import ALGORITHMS, RunResult, run_experiment
+from repro.experiments.runner import RunResult, run_experiment
+from repro.registry import algorithm_names
 from repro.ring.placement import Placement
 from repro.sim.scheduler import Scheduler
 
@@ -78,7 +79,7 @@ def compare_algorithms(
     (default: a fresh synchronous scheduler each, so ideal times are
     comparable).
     """
-    names = list(algorithms) if algorithms is not None else sorted(ALGORITHMS)
+    names = list(algorithms) if algorithms is not None else algorithm_names()
     results = {}
     for name in names:
         scheduler: Optional[Scheduler] = (

@@ -11,41 +11,22 @@ declarative :class:`repro.spec.ExperimentSpec` — the serialized-spec
 path and the kwargs path produce byte-identical executions (pinned by
 ``tests/test_spec.py``).
 
-Algorithm metadata lives in :mod:`repro.registry`; the module-level
-``ALGORITHMS`` mapping survives as a backward-compatible live view of
-the registry in the historical ``name -> (factory, halts, description)``
-tuple format.  Mutating it still works but raises a
-``DeprecationWarning`` — register through
-:func:`repro.registry.register_algorithm` instead.
+Algorithm metadata lives in :mod:`repro.registry`
+(:func:`~repro.registry.algorithm_names`,
+:func:`~repro.registry.get_algorithm`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    MutableMapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from repro.store.records import RunRecord
 
 from repro.analysis.verification import VerificationReport, verify_uniform_deployment
 from repro.errors import ConfigurationError
-from repro.registry import (
-    AlgorithmInfo,
-    algorithm_names,
-    build_scheduler,
-    get_algorithm,
-    register_algorithm_info,
-    unregister_algorithm,
-)
+from repro.registry import build_scheduler, get_algorithm
 from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
 from repro.sim.agent import Agent
@@ -54,73 +35,7 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceRecorder
 from repro.spec import ExperimentSpec
 
-__all__ = ["ALGORITHMS", "RunResult", "build_agents", "build_engine", "run_experiment"]
-
-_MUTATION_WARNING = (
-    "mutating ALGORITHMS is deprecated; use repro.registry."
-    "register_algorithm / unregister_algorithm instead"
-)
-
-
-class _AlgorithmsView(MutableMapping):
-    """Live ``name -> (factory, halts, description)`` view of the registry.
-
-    Read access mirrors the historical dict exactly (self-test agents
-    such as ``wake_race`` are hidden, as before).  Writes are deprecated
-    but still functional: assignment of a legacy tuple forwards to the
-    registry with placeholder Table 1 metadata, deletion unregisters —
-    both after a ``DeprecationWarning``.
-    """
-
-    def __getitem__(self, name: str) -> Tuple[object, bool, str]:
-        try:
-            info = get_algorithm(name)
-        except ConfigurationError:
-            raise KeyError(name) from None
-        if info.selftest:
-            raise KeyError(name)
-        return (info.factory, info.halts, info.description)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(algorithm_names())
-
-    def __len__(self) -> int:
-        return len(algorithm_names())
-
-    def __setitem__(self, name: str, value: Tuple[object, bool, str]) -> None:
-        warnings.warn(_MUTATION_WARNING, DeprecationWarning, stacklevel=2)
-        try:
-            factory, halts, description = value
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"ALGORITHMS[{name!r}] expects a (factory, halts, description) "
-                f"tuple, got {value!r}"
-            ) from None
-        register_algorithm_info(
-            AlgorithmInfo(
-                name=name,
-                factory=factory,
-                halts=bool(halts),
-                knowledge="unspecified",
-                memory_bound="unspecified",
-                time_bound="unspecified",
-                table1_row="unregistered",
-                description=str(description),
-            ),
-            replace=True,
-        )
-
-    def __delitem__(self, name: str) -> None:
-        warnings.warn(_MUTATION_WARNING, DeprecationWarning, stacklevel=2)
-        self[name]  # raise KeyError for unknown/hidden names
-        unregister_algorithm(name)
-
-    def __repr__(self) -> str:
-        return f"ALGORITHMS({dict(self)!r})"
-
-
-#: Backward-compatible registry view: name -> (factory, halts, description).
-ALGORITHMS: MutableMapping[str, Tuple[object, bool, str]] = _AlgorithmsView()
+__all__ = ["RunResult", "build_agents", "build_engine", "run_experiment"]
 
 
 @dataclass(frozen=True)

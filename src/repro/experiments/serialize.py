@@ -28,8 +28,6 @@ from repro.experiments.runner import RunResult
 from repro.store.records import result_from_payload, result_to_payload
 
 __all__ = [
-    "result_to_dict",
-    "result_from_dict",
     "results_to_json",
     "results_from_json",
     "save_results",
@@ -39,25 +37,11 @@ __all__ = [
 _FORMAT_VERSION = 1
 
 
-def result_to_dict(result: RunResult) -> dict:
-    """Flatten one RunResult into JSON-safe primitives.
-
-    Delegates to the canonical payload schema shared with the run
-    store, so there is exactly one place the result shape is defined.
-    """
-    return result_to_payload(result)
-
-
-def result_from_dict(data: dict) -> RunResult:
-    """Rebuild a RunResult from :func:`result_to_dict` output."""
-    return result_from_payload(data)
-
-
 def results_to_json(results: Sequence[RunResult]) -> str:
     """Serialise results (with a format version) to a JSON string."""
     payload = {
         "format_version": _FORMAT_VERSION,
-        "results": [result_to_dict(result) for result in results],
+        "results": [result_to_payload(result) for result in results],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -93,7 +77,7 @@ def results_from_json(text: str) -> List[RunResult]:
         raise ConfigurationError(
             "not a results file: no 'results' list"
         )
-    return [result_from_dict(record) for record in records]
+    return [result_from_payload(record) for record in records]
 
 
 def save_results(results: Sequence[RunResult], path: Union[str, Path]) -> None:

@@ -43,16 +43,7 @@ import json
 import multiprocessing
 import warnings
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     CampaignInterrupted,
@@ -60,19 +51,12 @@ from repro.errors import (
     ProvenanceWarning,
 )
 from repro.experiments.runner import RunResult, run_experiment
-from repro.registry import (
-    build_scheduler,
-    get_algorithm,
-    parse_scheduler_spec,
-    scheduler_names,
-)
+from repro.registry import get_algorithm, parse_scheduler_spec
 from repro.ring.faults import LinkSpec
-from repro.sim.scheduler import Scheduler
 from repro.spec import ExperimentSpec, PlacementSpec
 from repro.store import RunRecord, RunStore, env_fingerprint
 
 __all__ = [
-    "SCHEDULER_SPECS",
     "SUMMARY_GROUP_KEYS",
     "SweepCell",
     "SweepOutcome",
@@ -81,58 +65,12 @@ __all__ = [
     "cell_seed",
     "execute_sweep",
     "expand_cells",
-    "make_scheduler",
     "rows_from_store",
     "run_cell",
     "run_sweep",
     "rows_to_json",
     "summarize_rows",
 ]
-
-class _SchedulerSpecsView(Mapping):
-    """Deprecated read-only view: spec name -> factory taking the cell seed.
-
-    Kept so historical ``SCHEDULER_SPECS[name](seed)`` call sites keep
-    working; the factories now delegate to
-    :func:`repro.registry.build_scheduler`, so the registry is the only
-    place schedulers are constructed.
-    """
-
-    def __getitem__(self, name: str) -> object:
-        try:
-            parse_scheduler_spec(name)
-        except ConfigurationError:
-            # Mapping contract: `in` / `.get` must see KeyError, not a
-            # domain error, to keep legacy membership tests working.
-            raise KeyError(name) from None
-        return lambda seed, _name=name: build_scheduler(_name, seed=seed)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(scheduler_names())
-
-    def __len__(self) -> int:
-        return len(scheduler_names())
-
-
-#: Deprecated registry view (use scheduler spec strings instead).
-SCHEDULER_SPECS: Mapping[str, object] = _SchedulerSpecsView()
-
-
-def make_scheduler(spec_name: str, seed: int) -> Scheduler:
-    """Deprecated alias for :func:`repro.registry.build_scheduler`.
-
-    The sweep runner used to own its own scheduler table; the typed
-    registry replaced it.  ``spec_name`` may now be any scheduler spec
-    string (``"laggard:victims=0,patience=5"``), not just a bare name.
-    """
-    warnings.warn(
-        "repro.experiments.sweep.make_scheduler is deprecated; use "
-        "repro.registry.build_scheduler",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_scheduler(spec_name, seed=seed)
-
 
 def cell_seed(
     base_seed: int,
@@ -408,13 +346,14 @@ def execute_sweep(
       were cached, which were computed, and in what order workers
       finished — byte-identical to a storeless serial run.
 
-    ``backend="batch"`` executes the pending cells on the columnar
-    engine (:mod:`repro.sim.batch`): cells are grouped per (algorithm,
-    n, k, scheduler, budget) and each group runs as one vectorized
-    batch in the parent process.  Results — rows, archived records,
-    content hashes — are byte-identical to the object path by
-    construction; cells the batch backend does not cover silently fall
-    back to the object pool.  ``validate_backend=True`` additionally
+    ``backend="batch"`` executes the pending cells that
+    :func:`repro.sim.batch.batch_supported` accepts (``known_k_full`` /
+    ``known_n_full`` under ``sync``) on the columnar engine: they are
+    grouped per (algorithm, n, k, scheduler, budget) and each group runs
+    as one vectorized batch in the parent process.  Every declined cell
+    runs on the object pool as with ``backend="object"``.  Results —
+    rows, archived records, content hashes — are byte-identical to the
+    object path by construction.  ``validate_backend=True`` additionally
     re-runs a deterministic sample of every batch on the object engine
     and raises :class:`~repro.errors.BackendMismatch` on any
     divergence (the differential-oracle gate).
@@ -480,10 +419,9 @@ def execute_sweep(
     worker = _row_for_cell if store is None else _record_for_cell
 
     # Batch backend: peel the batchable cells off the pool's work list
-    # and group them into homogeneous vectorizable batches.  Grouping by
-    # scheduler spec keeps all-sync groups on the engine's fused round
-    # path; unbatchable cells stay on `pool_pending` and run exactly as
-    # before, so a partially covered sweep still completes.
+    # and group them into homogeneous vectorizable batches; declined
+    # cells stay on `pool_pending` and run exactly as with the object
+    # backend.
     pool_pending = pending
     batch_groups: List[List[Tuple[int, SweepCell]]] = []
     if backend == "batch" and pending:

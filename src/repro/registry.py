@@ -91,7 +91,7 @@ class AlgorithmInfo:
     ``table1_row`` carry the paper's Table 1 metadata; ``selftest``
     marks deliberately broken agents that exist to prove the model
     checker can find bugs (they are hidden from experiment-facing
-    listings such as ``ALGORITHMS`` and the ``repro run`` choices).
+    listings such as :func:`algorithm_names` and the ``repro run`` choices).
     """
 
     name: str

@@ -191,8 +191,7 @@ class JobManager:
         from repro.store import cached_run
 
         store = self._open_store()
-        backend = str(job.options.get("backend", "object"))
-        result, hit = cached_run(job.spec, store, backend=backend)
+        result, hit = cached_run(job.spec, store)
         job.progress = {"executed": 0 if hit else 1, "cached": 1 if hit else 0}
         return {
             "content_hash": job.spec.content_hash(),

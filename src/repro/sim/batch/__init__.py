@@ -1,24 +1,25 @@
 """Columnar batch-simulation backend (numpy state-as-columns engine).
 
 The object engine in :mod:`repro.sim.engine` executes one trial at a
-time, one Python-level atomic action at a time — ~280-480k actions/s
-(BENCH_engine.json).  This package executes *B trials of one
-(algorithm, n, k, scheduler family) cell as a single vectorized batch*:
+time, one Python-level atomic action at a time.  This package executes
+*B synchronous trials of one (algorithm, n, k) cell as a single
+vectorized batch*:
 
 * agent state lives in ``(B, k)`` numpy columns (location codes, phase
-  counters, token tallies, inbox cursors, terminal flags),
+  counters, token tallies, terminal flags),
 * link queues are ``(B, n, k)`` ring buffers with head/length cursors,
-* the four core algorithms' protocol generators are rewritten as masked
-  column updates over an explicit phase machine
-  (:mod:`repro.sim.batch.kernels`),
-* scheduler decisions become per-trial index arrays: the synchronous
-  family dispatches whole agent columns per round with no per-trial
-  Python at all, while the randomized families drive one real
-  per-trial :class:`~repro.sim.scheduler.Scheduler` instance each so
-  every RNG draw is byte-identical to the object engine's.
+* the two full-information agents of Algorithm 1 (``known_k_full``,
+  ``known_n_full``) are rewritten as masked column updates over an
+  explicit phase machine (:mod:`repro.sim.batch.kernels`),
+* one ``sync`` round of every trial runs as one kernel call.
 
-The object engine stays on as the *differential oracle*, exactly the
-pattern PR 1 established with ``recompute_enabled_agents``: on shared
+That is the only place batching wins: at large batch sizes the full
+kernels under ``sync`` beat the object engine several times over, while
+every other algorithm or scheduler family measured slower than the
+object engine.  :func:`batch_supported` encodes that rule, and sweeps
+run every declined cell on the object engine.
+
+The object engine stays on as the *differential oracle*: on shared
 seeds the batch backend reproduces the object engine's activation log,
 Metrics and final positions bit for bit, and
 :func:`repro.sim.batch.runner.run_batch` can sample-check that promise
@@ -26,7 +27,7 @@ Metrics and final positions bit for bit, and
 """
 
 from repro.sim.batch.engine import BatchEngine
-from repro.sim.batch.kernels import KERNELS, batch_supported
-from repro.sim.batch.runner import run_batch
+from repro.sim.batch.kernels import KERNELS
+from repro.sim.batch.runner import batch_supported, run_batch
 
 __all__ = ["BatchEngine", "KERNELS", "batch_supported", "run_batch"]

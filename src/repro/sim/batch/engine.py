@@ -1,57 +1,43 @@
-"""The columnar batch engine: B trials of one cell as numpy columns.
+"""The columnar batch engine: B synchronous trials of one cell as numpy columns.
 
 One :class:`BatchEngine` advances *every* trial of one (algorithm, n,
-k, scheduler family) cell together.  The per-trial state the object
-engine keeps in Python objects becomes arrays:
+k) cell under the ``sync`` scheduler together.  The per-trial state the
+object engine keeps in Python objects becomes arrays:
 
 ==================  ==========  ==========================================
 column              shape       object-engine counterpart
 ==================  ==========  ==========================================
 ``loc``             (B, k)      ``Ring.locations`` (same code: node index
-                                for staying agents, ``-(node+1)`` while
+                                for halted agents, ``-(node+1)`` while
                                 queued toward ``node``)
-``staying``         (B, k)      membership of ``Ring._staying[node]``
-``halted``/
-``suspended``       (B, k)      ``Agent._halted`` / ``Agent._suspended``
+``halted``          (B, k)      ``Agent._halted``
 ``enabled``         (B, k)      ``Engine._enabled``
 ``tokens``          (B, n)      ``Ring.tokens``
-``stay_count``      (B, n)      ``len(Ring._staying[node])``
 ``qbuf/qhead/qlen`` (B, n, k)   ``Ring._queues[node]`` as a ring buffer
-``inbox_len``       (B, k)      ``len(Engine._inboxes[agent])``
 ``steps``           (B,)        ``Engine._steps``
 ==================  ==========  ==========================================
 
-An engine *dispatch* replays :meth:`repro.sim.engine.Engine._activate`
-for up to one agent per trial, as masked column updates in the exact
-same order: budget check, dequeue/unsettle, inbox drain, kernel
-transition, token release, broadcast+wake, move/settle, metrics and the
-``steps % interval == 0 or halt or suspend`` memory audit.
+The kernels (:mod:`repro.sim.batch.kernels`) cover the two
+full-information agents of Algorithm 1, whose every action moves or
+halts.  So every enabled agent is the head of a link queue, nobody
+messages, suspends or reads the co-located agents, and a halted agent
+never acts again.
 
-Selectors, not flat indices, address the columns: a dispatch is
-``(tsel, asel)`` where ``tsel`` is ``slice(None)`` (every trial) or a
-trial-index array, and ``asel`` is a scalar agent id or a per-trial
-array.  The synchronous fast path dispatches whole agent columns as
-``(slice(None), j)`` — pure strided numpy, no gather/scatter — which is
-where the >=10x-over-object throughput comes from; partially-enabled
-columns and stepwise schedules fall back to fancy indexing with the
-same code path, so both modes share one set of semantics.
+One object-engine ``sync`` batch is the sorted enabled list, re-checked
+per entry.  Because the round's entries are independent for these
+agents, :meth:`BatchEngine._fused_round` runs a whole round of every
+trial as one multi-entry kernel call.  When a round could hit some
+trial's step budget, the round instead dispatches agent column by agent
+column through :meth:`BatchEngine._dispatch`, a replay of
+:meth:`repro.sim.engine.Engine._activate` with an exact per-action
+budget check: budget, dequeue, kernel transition, token release,
+move/halt, metrics and the ``steps % interval == 0 or halt`` memory
+audit, in that order.
 
-Scheduling runs in one of two drivers:
-
-* **synchronous fast path** — every scheduler is the ``sync`` family,
-  so one round is a snapshot of the enabled columns dispatched
-  column-by-column with zero per-trial Python,
-* **stepwise mode** — every trial owns a real
-  :class:`~repro.sim.scheduler.Scheduler` instance seeded exactly as
-  the object path seeds it; per batch the engine hands each instance
-  its sorted enabled list and dispatches the returned batches
-  slot-by-slot, preserving each trial's in-batch order.  RNG identity
-  is by construction, not by re-implementation.
-
-Per-trial failures (step-budget exhaustion, a scheduler misbehaving)
-quarantine just that trial: its columns freeze, the recorded exception
-— message-identical to the object engine's — is re-raised when the
-trial's result is materialised, and every other trial runs on.
+A trial that exhausts its step budget is quarantined: its columns
+freeze, the recorded exception — message-identical to the object
+engine's — is re-raised when the trial's result is materialised, and
+every other trial runs on.
 """
 
 from __future__ import annotations
@@ -67,15 +53,13 @@ from repro.errors import (
     SimulationLimitExceeded,
 )
 from repro.ring.placement import Placement
-from repro.sim.batch.kernels import KERNELS, load_kernels
+from repro.sim.batch.kernels import KERNELS
 from repro.sim.metrics import Metrics
 from repro.sim.scheduler import Scheduler, SynchronousScheduler
 
 __all__ = ["BatchEngine"]
 
 _DEFAULT_STEP_SLACK = 64  # keep in lockstep with repro.sim.engine
-
-_ALL = slice(None)
 
 
 def _sub(asel: Union[int, np.ndarray], mask: np.ndarray):
@@ -84,7 +68,7 @@ def _sub(asel: Union[int, np.ndarray], mask: np.ndarray):
 
 
 class BatchEngine:
-    """Drive B trials of one algorithm cell to quiescence, vectorized."""
+    """Drive B synchronous trials of one algorithm cell to quiescence."""
 
     def __init__(
         self,
@@ -96,7 +80,6 @@ class BatchEngine:
         collect_metrics: bool = True,
         record_log: bool = False,
     ) -> None:
-        load_kernels()
         if algorithm not in KERNELS:
             raise ConfigurationError(
                 f"algorithm {algorithm!r} has no batch kernel "
@@ -107,6 +90,10 @@ class BatchEngine:
         if not (len(placements) == len(schedulers) == len(max_steps)):
             raise ConfigurationError(
                 "placements, schedulers and max_steps must align per trial"
+            )
+        if not all(isinstance(s, SynchronousScheduler) for s in schedulers):
+            raise ConfigurationError(
+                "the batch engine runs synchronous schedules only"
             )
         n = placements[0].ring_size
         k = placements[0].agent_count
@@ -134,7 +121,6 @@ class BatchEngine:
             [default_budget if m is None else int(m) for m in max_steps],
             dtype=np.int64,
         )
-        self.max_steps = list(max_steps)
         self.steps = np.zeros(B, dtype=np.int64)
         # Budget checks are elided while this per-dispatch upper bound on
         # any trial's step count stays within the smallest budget.
@@ -144,26 +130,19 @@ class BatchEngine:
         # -- ring + agent columns ---------------------------------------
         homes = np.array([p.homes for p in placements], dtype=np.int64)  # (B, k)
         self.loc = -(homes + 1)  # C0: everyone queued toward home
-        self.staying = np.zeros((B, k), dtype=bool)
         self.halted = np.zeros((B, k), dtype=bool)
-        self.suspended = np.zeros((B, k), dtype=bool)
         self.tokens = np.zeros((B, n), dtype=np.int64)
-        self.stay_count = np.zeros((B, n), dtype=np.int64)
         self.qbuf = np.zeros((B, n, k), dtype=np.int64)
         self.qhead = np.zeros((B, n), dtype=np.int64)
         self.qlen = np.zeros((B, n), dtype=np.int64)
         # Homes are distinct per placement, so every initial queue holds
         # exactly one agent and every agent starts as a queue head.
         t_grid = np.arange(B, dtype=np.int64)
-        self._tgrid = t_grid
         agent_ids = np.tile(np.arange(k, dtype=np.int64), B)
         self.qbuf[np.repeat(t_grid, k), homes.reshape(-1), 0] = agent_ids
         self.qlen[np.repeat(t_grid, k), homes.reshape(-1)] = 1
         self.enabled = np.ones((B, k), dtype=bool)
         self.enabled_count = np.full(B, k, dtype=np.int64)
-
-        self.inbox_len = np.zeros((B, k), dtype=np.int64)
-        self.inboxes: Dict[Tuple[int, int], List[object]] = {}
 
         self.failed = np.zeros(B, dtype=bool)
         self.failures: Dict[int, BaseException] = {}
@@ -174,55 +153,36 @@ class BatchEngine:
         self.m_activations = np.zeros((B, k), dtype=np.int64)
         self.m_mem = np.zeros((B, k), dtype=np.int64)
         self.m_mem_seen = np.zeros((B, k), dtype=bool)
-        self.m_sent = np.zeros(B, dtype=np.int64)
-        self.m_delivered = np.zeros(B, dtype=np.int64)
         self.m_tokens = np.zeros(B, dtype=np.int64)
         self.m_rounds = np.zeros(B, dtype=np.int64)
-        self.counts_time = np.array(
-            [bool(s.counts_time) for s in self.schedulers], dtype=bool
-        )
 
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
 
-    def run(self) -> None:
-        """Run every trial to quiescence (or individual failure)."""
-        if all(isinstance(s, SynchronousScheduler) for s in self.schedulers):
-            self._run_sync()
-        else:
-            self._run_stepwise()
-
     def _refresh_active(self) -> None:
         np.greater(self.enabled_count, 0, out=self.active)
         self.active &= ~self.failed
 
-    def _run_sync(self) -> None:
-        """Round-based dispatch with zero per-trial Python (the fast path).
+    def run(self) -> None:
+        """Run every trial to quiescence (or individual failure).
 
-        One object-engine ``sync`` batch is the sorted enabled list,
-        re-checked per entry; iterating agent columns in id order over a
-        round-start snapshot is the same order per trial.  A column
-        enabled in every trial dispatches as pure strided numpy.
+        Iterating agent columns in id order over a round-start snapshot
+        of the enabled set is the object ``sync`` batch order per trial.
         """
         enabled = self.enabled
-        fused = self.kernel.fused_sync
         while True:
             round_trials = np.flatnonzero(self.active)
             if round_trials.size == 0:
                 return
-            if fused and self._fused_round():
+            if self._fused_round():
                 self._refresh_active()
                 continue
             snapshot = enabled.copy()
             for agent in range(self.k):
-                col = snapshot[:, agent] & enabled[:, agent]
-                if col.all():
-                    self._dispatch(_ALL, agent, self._tgrid)
-                else:
-                    t_sel = np.flatnonzero(col)
-                    if t_sel.size:
-                        self._dispatch(t_sel, agent, t_sel)
+                t_sel = np.flatnonzero(snapshot[:, agent] & enabled[:, agent])
+                if t_sel.size:
+                    self._dispatch(t_sel, agent)
             if self.collect_metrics:
                 survived = round_trials[~self.failed[round_trials]]
                 self.m_rounds[survived] += 1
@@ -231,16 +191,13 @@ class BatchEngine:
     def _fused_round(self) -> bool:
         """One whole sync round as a single multi-entry dispatch.
 
-        Only called for ``fused_sync`` kernels (see
-        :class:`~repro.sim.batch.kernels.Kernel`), whose dynamics make
-        the round's entries independent: every enabled agent is the
-        head of a single-occupancy queue and either moves or halts, so
-        dequeuing everyone first and enqueuing all movers at the
-        post-dequeue heads reaches the exact end-of-round state the
-        per-agent dispatch sequence would, and the final enabled set is
-        exactly the mover set.  Per-agent step numbers (for the memory
-        audit) are the agent's rank in its trial's round, as the
-        column-by-column path would assign them.
+        Every enabled agent is the head of a single-occupancy queue and
+        either moves or halts, so dequeuing everyone first and enqueuing
+        all movers at the post-dequeue heads reaches the exact
+        end-of-round state the per-agent dispatch sequence would, and
+        the final enabled set is exactly the mover set.  Per-agent step
+        numbers (for the memory audit) are the agent's rank in its
+        trial's round, as the column-by-column path would assign them.
 
         Returns ``False`` without touching state when any trial could
         hit its step budget this round — the caller then runs the
@@ -278,11 +235,8 @@ class BatchEngine:
         qh = self.qhead[te, node] + 1
         qh[qh == k] = 0
         self.qhead[te, node] = qh
-        vtokens = self.tokens[te, node]
 
-        move, release, halt, _susp, _bcasts = self.kernel.step(
-            te, ae, vtokens, None, {}
-        )
+        move, release, halt = self.kernel.step(te, ae, self.tokens[te, node])
 
         if release.any():
             rel_t, rel_node = te[release], node[release]
@@ -301,11 +255,9 @@ class BatchEngine:
             if self.collect_metrics:
                 self.m_moves[mv_t, mv_a] += 1
         if halt.any():
-            h_t, h_a, h_node = te[halt], ae[halt], node[halt]
-            self.staying[h_t, h_a] = True
+            h_t, h_a = te[halt], ae[halt]
             self.halted[h_t, h_a] = True
-            self.loc[h_t, h_a] = h_node
-            self.stay_count[h_t, h_node] += 1
+            self.loc[h_t, h_a] = node[halt]
 
         # The post-round enabled set is exactly the mover set: clear the
         # non-movers (every (te, ae) entry was enabled at round start).
@@ -314,71 +266,9 @@ class BatchEngine:
         self.enabled_count = np.bincount(te[move], minlength=self.B)
         if self.collect_metrics:
             self.m_activations[te, ae] += 1
-            audit = steps_now % self.audit_interval == 0
-            audit |= halt
-            if audit.any():
-                aud_t, aud_a = te[audit], ae[audit]
-                bits = self.kernel.memory_bits(aud_t, aud_a)
-                self.m_mem[aud_t, aud_a] = np.maximum(
-                    self.m_mem[aud_t, aud_a], bits
-                )
-                self.m_mem_seen[aud_t, aud_a] = True
+            self._audit(te, ae, steps_now, halt)
             self.m_rounds += cnt > 0
         return True
-
-    def _run_stepwise(self) -> None:
-        """Per-trial scheduler instances, dispatched slot-by-slot.
-
-        Within each trial the batch order (and the engine's per-entry
-        enabledness re-check) is preserved exactly; across trials, slot
-        ``s`` of every batch dispatches as one vector operation.
-        """
-        enabled = self.enabled
-        while True:
-            act = np.flatnonzero(self.active)
-            if act.size == 0:
-                return
-            batches: List[Tuple[int, List[int]]] = []
-            for t in act.tolist():
-                enabled_list = np.flatnonzero(enabled[t]).tolist()
-                batch = self.schedulers[t].next_batch(enabled_list)
-                if not batch:
-                    self._fail(t, SimulationError("scheduler returned an empty batch"))
-                    continue
-                batches.append((t, batch))
-            longest = max((len(b) for _, b in batches), default=0)
-            activated = np.zeros(self.B, dtype=bool)
-            for slot in range(longest):
-                ts: List[int] = []
-                agents: List[int] = []
-                for t, batch in batches:
-                    if slot >= len(batch) or self.failed[t]:
-                        continue
-                    agent = batch[slot]
-                    if 0 <= agent < self.k and enabled[t, agent]:
-                        ts.append(t)
-                        agents.append(agent)
-                        activated[t] = True
-                if ts:
-                    t_idx = np.array(ts, dtype=np.int64)
-                    self._dispatch(t_idx, np.array(agents, dtype=np.int64), t_idx)
-            record_rounds = self.collect_metrics
-            for t, batch in batches:
-                if self.failed[t]:
-                    continue
-                if not activated[t]:
-                    live = sorted(np.flatnonzero(enabled[t]).tolist())
-                    self._fail(
-                        t,
-                        SimulationError(
-                            f"scheduler batch {batch!r} activated no enabled "
-                            f"agent (enabled: {live})"
-                        ),
-                    )
-                    continue
-                if record_rounds and self.counts_time[t]:
-                    self.m_rounds[t] += 1
-            self._refresh_active()
 
     def _fail(self, trial: int, error: BaseException) -> None:
         self.failed[trial] = True
@@ -390,35 +280,23 @@ class BatchEngine:
     # One vectorized atomic action per trial
     # ------------------------------------------------------------------
 
-    def _dispatch(
-        self,
-        tsel: Union[slice, np.ndarray],
-        asel: Union[int, np.ndarray],
-        t_arr: np.ndarray,
-    ) -> None:
-        """Replay ``Engine._activate`` for the selected (trial, agent) pairs.
+    def _dispatch(self, t_arr: np.ndarray, asel: Union[int, np.ndarray]) -> None:
+        """Replay ``Engine._activate`` for the (t_arr[i], asel[i]) pairs.
 
-        ``(tsel, asel)`` addresses the ``(B, k)`` columns (``tsel`` may
-        be ``slice(None)``, ``asel`` may be a scalar agent id); ``t_arr``
-        is always the concrete trial-index array.  Callers guarantee at
-        most one entry per trial, so every fancy-indexed in-place update
-        below touches distinct elements.
+        ``asel`` is an agent-id array or one agent id for every trial.
+        Callers guarantee at most one entry per trial, so every
+        fancy-indexed in-place update below touches distinct elements.
         """
         n, k = self.n, self.k
-        kernel = self.kernel
-        self.steps[tsel] += 1
-        steps_now = self.steps[tsel]
+        self.steps[t_arr] += 1
+        steps_now = self.steps[t_arr]
         if self.record_log:
-            logs = self.logs
-            if isinstance(asel, int):
-                for t in t_arr.tolist():
-                    logs[t].append(asel)
-            else:
-                for t, a in zip(t_arr.tolist(), asel.tolist()):
-                    logs[t].append(a)
+            agents = [asel] * t_arr.size if isinstance(asel, int) else asel.tolist()
+            for t, a in zip(t_arr.tolist(), agents):
+                self.logs[t].append(a)
         self._dispatches += 1
         if self._dispatches > self._budget_min:
-            over = steps_now > self.budget[tsel]
+            over = steps_now > self.budget[t_arr]
             if over.any():
                 for t in t_arr[over].tolist():
                     self._fail(
@@ -431,114 +309,41 @@ class BatchEngine:
                     )
                 keep = ~over
                 t_arr = t_arr[keep]
-                tsel = t_arr
                 asel = _sub(asel, keep)
                 steps_now = steps_now[keep]
                 if t_arr.size == 0:
                     return
 
-        self.enabled[tsel, asel] = False
-        self.enabled_count[tsel] -= 1
-        if kernel.suspends:
-            # Agent.act clears the suspended flag before the protocol runs.
-            self.suspended[tsel, asel] = False
+        self.enabled[t_arr, asel] = False
+        self.enabled_count[t_arr] -= 1
 
-        code = self.loc[tsel, asel]
-        arrived = code < 0
-        if arrived.all():
-            node = -code - 1
-            arr_t, arr_node = t_arr, node
-            in_place = None
-        else:
-            node = np.where(arrived, -code - 1, code)
-            arr_t, arr_node = t_arr[arrived], node[arrived]
-            in_place = ~arrived
+        # Every enabled agent heads the queue toward its node: dequeue it
+        # and enable the agent behind it, if any.
+        node = -self.loc[t_arr, asel] - 1
+        new_len = self.qlen[t_arr, node] - 1
+        self.qlen[t_arr, node] = new_len
+        qh = self.qhead[t_arr, node] + 1
+        qh[qh == k] = 0
+        self.qhead[t_arr, node] = qh
+        has_next = new_len > 0
+        if has_next.any():
+            next_t = t_arr[has_next]
+            heads = self.qbuf[next_t, node[has_next], qh[has_next]]
+            self.enabled[next_t, heads] = True
+            self.enabled_count[next_t] += 1
 
-        if arr_t.size:
-            new_len = self.qlen[arr_t, arr_node] - 1
-            self.qlen[arr_t, arr_node] = new_len
-            qh = self.qhead[arr_t, arr_node] + 1
-            qh[qh == k] = 0
-            self.qhead[arr_t, arr_node] = qh
-            has_next = new_len > 0
-            if has_next.any():
-                next_t = arr_t[has_next]
-                next_node = arr_node[has_next]
-                heads = self.qbuf[next_t, next_node, qh[has_next]]
-                self.enabled[next_t, heads] = True
-                self.enabled_count[next_t] += 1
-        if in_place is not None and in_place.any():
-            self.stay_count[t_arr[in_place], node[in_place]] -= 1
-            self.staying[t_arr[in_place], _sub(asel, in_place)] = False
-
-        vtokens = self.tokens[t_arr, node]
-        vagents = (
-            self.stay_count[t_arr, node] if kernel.needs_agents_view else None
-        )
-
-        msgs: Dict[int, Tuple[object, ...]] = {}
-        if kernel.messaging:
-            with_mail = self.inbox_len[tsel, asel] > 0
-            if with_mail.any():
-                collect = self.collect_metrics
-                positions = np.flatnonzero(with_mail).tolist()
-                mail_t = t_arr[with_mail].tolist()
-                mail_a = _sub(asel, with_mail)
-                if isinstance(mail_a, int):
-                    mail_a = [mail_a] * len(mail_t)
-                else:
-                    mail_a = mail_a.tolist()
-                for pos, t, a in zip(positions, mail_t, mail_a):
-                    drained = self.inboxes.pop((t, a))
-                    msgs[pos] = tuple(drained)
-                    self.inbox_len[t, a] = 0
-                    if collect:
-                        self.m_delivered[t] += len(drained)
-
-        move, release, halt, susp, bcasts = kernel.step(
-            t_arr, asel, vtokens, vagents, msgs
-        )
+        move, release, halt = self.kernel.step(t_arr, asel, self.tokens[t_arr, node])
 
         if release.any():
-            rel_t, rel_node = t_arr[release], node[release]
-            self.tokens[rel_t, rel_node] += 1
+            rel_t = t_arr[release]
+            self.tokens[rel_t, node[release]] += 1
             if self.collect_metrics:
                 self.m_tokens[rel_t] += 1
-
-        for i, payload in bcasts:
-            t, at_node = int(t_arr[i]), int(node[i])
-            # flatnonzero returns ascending ids == sorted(staying_here).
-            recipients = np.flatnonzero(
-                (self.loc[t] == at_node) & self.staying[t]
-            ).tolist()
-            for recipient in recipients:
-                if (
-                    self.inbox_len[t, recipient] == 0
-                    and self.suspended[t, recipient]
-                ):
-                    self.enabled[t, recipient] = True
-                    self.enabled_count[t] += 1
-                self.inboxes.setdefault((t, recipient), []).append(payload)
-                self.inbox_len[t, recipient] += 1
-            if self.collect_metrics:
-                self.m_sent[t] += len(recipients)
-
-        if move.all():
-            dest = node + 1
-            dest[dest == n] = 0
-            mv_t, mv_a = t_arr, asel
-            self.loc[tsel, asel] = -(dest + 1)
-            stay = None
-        elif move.any():
+        if move.any():
             dest = node[move] + 1
             dest[dest == n] = 0
             mv_t, mv_a = t_arr[move], _sub(asel, move)
             self.loc[mv_t, mv_a] = -(dest + 1)
-            stay = ~move
-        else:
-            dest = None
-            stay = ~move
-        if dest is not None and dest.size:
             old_len = self.qlen[mv_t, dest]
             tail = self.qhead[mv_t, dest] + old_len
             tail[tail >= k] -= k
@@ -546,44 +351,35 @@ class BatchEngine:
             self.qlen[mv_t, dest] = old_len + 1
             is_head = old_len == 0
             if is_head.any():
-                head_t = mv_t[is_head]
-                head_a = mv_a if isinstance(mv_a, int) else mv_a[is_head]
-                self.enabled[head_t, head_a] = True
-                self.enabled_count[head_t] += 1
+                self.enabled[mv_t[is_head], _sub(mv_a, is_head)] = True
+                self.enabled_count[mv_t[is_head]] += 1
             if self.collect_metrics:
                 self.m_moves[mv_t, mv_a] += 1
-
-        if stay is not None and stay.any():
-            st_t, st_a = t_arr[stay], _sub(asel, stay)
-            self.staying[st_t, st_a] = True
-            self.loc[st_t, st_a] = node[stay]
-            self.stay_count[st_t, node[stay]] += 1
-            if halt.any():
-                self.halted[t_arr[halt], _sub(asel, halt)] = True
-            if susp.any():
-                self.suspended[t_arr[susp], _sub(asel, susp)] = True
-            settle = stay & ~halt & ~susp
-            if settle.any():
-                self.enabled[t_arr[settle], _sub(asel, settle)] = True
-                self.enabled_count[t_arr[settle]] += 1
+        if halt.any():
+            h_t, h_a = t_arr[halt], _sub(asel, halt)
+            self.halted[h_t, h_a] = True
+            self.loc[h_t, h_a] = node[halt]
 
         if self.collect_metrics:
-            self.m_activations[tsel, asel] += 1
-            audit = steps_now % self.audit_interval == 0
-            if stay is not None:
-                audit |= halt
-                audit |= susp
-            if audit.all():
-                bits = kernel.memory_bits(t_arr, asel)
-                current = self.m_mem[tsel, asel]
-                self.m_mem[tsel, asel] = np.maximum(current, bits)
-                self.m_mem_seen[tsel, asel] = True
-            elif audit.any():
-                aud_t, aud_a = t_arr[audit], _sub(asel, audit)
-                bits = kernel.memory_bits(aud_t, aud_a)
-                current = self.m_mem[aud_t, aud_a]
-                self.m_mem[aud_t, aud_a] = np.maximum(current, bits)
-                self.m_mem_seen[aud_t, aud_a] = True
+            self.m_activations[t_arr, asel] += 1
+            self._audit(t_arr, asel, steps_now, halt)
+
+    def _audit(
+        self,
+        t_arr: np.ndarray,
+        asel: Union[int, np.ndarray],
+        steps_now: np.ndarray,
+        halt: np.ndarray,
+    ) -> None:
+        """The object engine's memory audit: every ``interval`` steps and
+        on halting, raise the agent's high-water memory mark."""
+        audit = steps_now % self.audit_interval == 0
+        audit |= halt
+        if audit.any():
+            aud_t, aud_a = t_arr[audit], _sub(asel, audit)
+            bits = self.kernel.memory_bits(aud_t, aud_a)
+            self.m_mem[aud_t, aud_a] = np.maximum(self.m_mem[aud_t, aud_a], bits)
+            self.m_mem_seen[aud_t, aud_a] = True
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -607,10 +403,8 @@ class BatchEngine:
             for a in range(self.k)
             if self.m_mem_seen[trial, a]
         }
-        metrics.messages_sent = int(self.m_sent[trial])
-        metrics.messages_delivered = int(self.m_delivered[trial])
         metrics.tokens_released = int(self.m_tokens[trial])
-        if self.counts_time[trial] and self.collect_metrics and self.m_rounds[trial]:
+        if self.m_rounds[trial]:
             metrics.rounds = int(self.m_rounds[trial])
         return metrics
 
@@ -634,19 +428,9 @@ class BatchEngine:
         failures: List[str] = []
         if self.qlen[trial].any():
             failures.append("agents still in transit on links")
-        if int(self.inbox_len[trial].sum()) > 0:
-            failures.append("undelivered messages remain")
-        require_halted = self.kernel.halts
-        require_suspended = not self.kernel.halts
         for agent in range(self.k):
-            if require_halted and not self.halted[trial, agent]:
+            if not self.halted[trial, agent]:
                 failures.append(f"agent {agent} is not halted")
-            if require_suspended and not (
-                self.suspended[trial, agent] or self.halted[trial, agent]
-            ):
-                failures.append(
-                    f"agent {agent} is neither suspended nor halted"
-                )
         if failures:
             return VerificationReport(
                 False, self.n, self.k, (), tuple(failures)
@@ -657,8 +441,8 @@ class BatchEngine:
     def result_for(self, trial: int) -> "RunResult":
         """The trial's :class:`~repro.experiments.runner.RunResult`.
 
-        Raises the trial's recorded failure (step budget, scheduler
-        misbehaviour) exactly as the object-engine path would have.
+        Raises the trial's recorded step-budget failure exactly as the
+        object-engine path would have.
         """
         from repro.experiments.runner import RunResult
 

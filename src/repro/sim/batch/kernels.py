@@ -1,38 +1,46 @@
-"""Kernel interface and registry for the columnar batch engine.
+"""Batch kernels for Algorithm 1 (``known_k_full`` / ``known_n_full``).
 
 A *kernel* is one algorithm's protocol generator rewritten as masked
 column updates: where the object engine resumes a Python generator per
 atomic action, a kernel advances an explicit per-(trial, agent) phase
-machine stored in ``(B, k)`` numpy columns.  The translation is exact —
-each kernel linearises its generator yield-by-yield, so the action
-emitted for any (phase, view) pair, and the declared-state values
-visible to the memory audit at the yield point, match the object agent
-bit for bit.  ``tests/test_batch_differential.py`` holds every kernel
-to that standard against the object engine on shared seeds.
+machine stored in flat ``B * k`` numpy columns.  The translation is
+exact — the action emitted for any (phase, view) pair, and the
+declared-state values visible to the memory audit at the yield point,
+match the object agent bit for bit.  ``tests/test_batch_differential.py``
+holds both kernels to that standard against the object engine on
+shared seeds.
 
-Common-case transitions (walking, counting distances) are fully
-vectorized; rare decisions (circuit completion, leader election,
-estimate adoption) drop to per-trial scalar code that reuses the very
-same helpers (:func:`repro.analysis.sequences.rotation_rank`,
-:func:`repro.core.targets.target_offset`, ...) the object agents call,
-so the arithmetic cannot drift.
+Both agents run the same two-phase linearisation:
+
+* **CIRCUIT** — walk the ring once, appending inter-token distances to
+  ``D`` (circuit detection: ``k`` tokens seen, or ``n`` moves made),
+* **DEPLOY** — after the completion arithmetic (rotation rank, §3.1.1
+  target offset), walk ``remaining`` hops and halt.
+
+Every action moves or halts, and tokens are only released at the
+agents' distinct homes, so the entries of one synchronous round are
+independent: the engine may pass a whole round to :meth:`step` at once,
+several entries per trial.  All updates below are per (trial, agent)
+flat index, so such calls never alias.
+
+The audit subtlety baked in below: the object generator decrements
+``remaining`` *before* the deployment yield, so the completion step
+stores ``rem - 1``, not ``rem``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple, Type
 
 import numpy as np
 
 __all__ = [
-    "Kernel",
     "KERNELS",
-    "register_kernel",
-    "load_kernels",
-    "batch_supported",
+    "KnownKFullKernel",
+    "KnownNFullKernel",
     "bit_cost",
-    "minimal_rotation_index_batch",
     "minimal_period_batch",
+    "minimal_rotation_index_batch",
 ]
 
 
@@ -96,110 +104,203 @@ def minimal_period_batch(rows: np.ndarray) -> np.ndarray:
     return period
 
 
-class Kernel:
-    """One algorithm's transition function over columnar agent state.
+_INIT, _CIRCUIT, _DEPLOY, _DONE = 0, 1, 2, 3
 
-    Subclasses allocate their state columns in ``__init__`` and
-    implement :meth:`step` and :meth:`memory_bits`.  The engine
-    guarantees at most one dispatch entry per trial per call, so
-    fancy-indexed in-place updates on ``t * k + a`` flats never alias.
-    """
 
-    #: matches the registered algorithm's ``halts`` flag (verification).
-    halts = True
-    #: capability flags the engine uses to skip machinery a kernel can
-    #: never exercise.  ``messaging=False`` promises the kernel never
-    #: broadcasts (so inbox drain/wake logic is dead code for it),
-    #: ``suspends=False`` that it never suspends, and
-    #: ``needs_agents_view=False`` that :meth:`step` ignores ``vagents``
-    #: (the engine then passes ``None``).  The conservative defaults are
-    #: correct for any kernel; overriding them is purely a fast path.
-    messaging = True
-    suspends = True
-    needs_agents_view = True
-    #: ``fused_sync=True`` additionally certifies that under an
-    #: all-``sync`` schedule one whole round may be dispatched as a
-    #: single :meth:`step` call with *multiple entries per trial*
-    #: (one per enabled agent).  That is sound only when the kernel's
-    #: dynamics make round entries independent: every action moves or
-    #: halts (so queues stay single-occupancy and the end-of-round
-    #: enabled set is exactly the mover set), no broadcasts, no
-    #: suspends, and token releases only ever happen at the agent's own
-    #: distinct home (INIT), so no entry's node view depends on another
-    #: entry's action.  :meth:`step` must also be alias-free across
-    #: distinct (trial, agent) pairs, not just across trials.
-    fused_sync = False
+class _FullInfoKernel:
+    """Shared state layout and transition of the two Algorithm 1 kernels."""
 
     def __init__(self, trials: int, agent_count: int, ring_size: int) -> None:
         self.B = trials
         self.k = agent_count
         self.n = ring_size
+        flats = trials * agent_count
+        self.phase = np.full(flats, _INIT, dtype=np.int64)
+        self.dis = np.zeros(flats, dtype=np.int64)
+        self.counter = np.zeros(flats, dtype=np.int64)  # j (KF) / moved (NF)
+        self.learned = np.zeros(flats, dtype=np.int64)  # n (KF) / k (NF)
+        self.rank = np.zeros(flats, dtype=np.int64)
+        self.dis_base = np.zeros(flats, dtype=np.int64)
+        self.remaining = np.zeros(flats, dtype=np.int64)
+        self.D = np.zeros((flats, agent_count), dtype=np.int64)
+        self.D_len = np.zeros(flats, dtype=np.int64)
+        self.D_max = np.zeros(flats, dtype=np.int64)
+
+    # -- hooks the two variants specialise -----------------------------
+
+    def _known_constant(self) -> int:
+        raise NotImplementedError
+
+    def _circuit_done(
+        self, flat: np.ndarray, circ: np.ndarray, saw_token: np.ndarray
+    ) -> np.ndarray:
+        """Mask (over the dispatch) of entries completing their circuit."""
+        raise NotImplementedError
+
+    def _learned_batch(self, df: np.ndarray, rows: np.ndarray):
+        """Store the learned quantity; return ``(n, k)`` (either may be
+        a scalar or a per-entry vector, numpy broadcasting does the
+        rest)."""
+        raise NotImplementedError
+
+    def _complete_batch(self, df: np.ndarray) -> None:
+        """Algorithm 1 lines 12-15 for every entry finishing its circuit.
+
+        A finished circuit has recorded exactly ``k`` inter-token
+        distances (there are ``k`` tokens and the walk covers the ring
+        once), so the rows form a dense ``(C, k)`` matrix and the
+        rotation analysis vectorizes.  The arithmetic mirrors
+        ``rotation_rank`` / ``minimal_period`` / ``target_offset``
+        exactly; ``tests/test_batch_kernels.py`` pins the batched
+        helpers against the scalar originals.
+        """
+        rows = self.D[df]
+        rank = minimal_rotation_index_batch(rows)
+        period = minimal_period_batch(rows)
+        n_vec, k = self._learned_batch(df, rows)
+        self.rank[df] = rank
+        base_count = k // period
+        floor_gap = n_vec // k
+        large_gaps = (n_vec % k) // base_count
+        cumulative = np.cumsum(rows, axis=1)
+        dis_base = np.where(
+            rank > 0, cumulative[np.arange(df.size), rank - 1], 0
+        )
+        self.dis_base[df] = dis_base
+        self.remaining[df] = (
+            dis_base + rank * floor_gap + np.minimum(rank, large_gaps)
+        )
+
+    # -- transition and audit ------------------------------------------
 
     def step(
-        self,
-        t_idx: np.ndarray,
-        a_idx: np.ndarray,
-        vtokens: np.ndarray,
-        vagents: np.ndarray,
-        msgs: Dict[int, Tuple[object, ...]],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, object]]]:
+        self, t_idx: np.ndarray, a_idx, vtokens: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance one atomic action for each (t_idx[i], a_idx[i]) pair.
 
-        ``vtokens``/``vagents`` are the view columns (tokens and staying
-        agents at the node, the actor excluded); ``msgs`` maps dispatch
-        positions to the drained inbox tuple, present only for entries
-        that had pending messages.  Returns ``(move, release, halt,
-        suspend, broadcasts)`` — four boolean arrays aligned with the
-        dispatch plus a list of ``(position, payload)`` broadcasts.
+        ``a_idx`` is an agent-id array or one scalar id for every entry;
+        ``vtokens`` is the token count at each entry's node.  Returns
+        the ``(move, release, halt)`` masks aligned with the dispatch.
         """
-        raise NotImplementedError
+        m = t_idx.size
+        flat = t_idx * self.k + a_idx
+        ph = self.phase[flat]
+        move = np.zeros(m, dtype=bool)
+        release = np.zeros(m, dtype=bool)
+        halt = np.zeros(m, dtype=bool)
 
-    def memory_bits(self, t_idx: np.ndarray, a_idx: np.ndarray) -> np.ndarray:
+        init = ph == _INIT
+        if init.any():
+            self.phase[flat[init]] = _CIRCUIT
+            move[init] = True
+            release[init] = True
+
+        circ = ph == _CIRCUIT
+        if circ.any():
+            cf = flat[circ]
+            self.dis[cf] += 1
+            move[circ] = True
+            saw_token = circ & (vtokens > 0)
+            if saw_token.any():
+                tf = flat[saw_token]
+                d_val = self.dis[tf]
+                self.D[tf, self.D_len[tf]] = d_val
+                self.D_len[tf] += 1
+                self.D_max[tf] = np.maximum(self.D_max[tf], d_val)
+                self.dis[tf] = 0
+            done = self._circuit_done(flat, circ, saw_token)
+            if done.any():
+                df = flat[done]
+                self._complete_batch(df)
+                # Generator: `while remaining > 0: remaining -= 1; yield
+                # move` — or the immediate halt when the target is home.
+                walking = self.remaining[df] > 0
+                self.remaining[df[walking]] -= 1
+                self.phase[df] = np.where(walking, _DEPLOY, _DONE)
+                at_home = np.flatnonzero(done)[~walking]
+                move[at_home] = False
+                halt[at_home] = True
+
+        dep = ph == _DEPLOY
+        if dep.any():
+            walking = dep & (self.remaining[flat] > 0)
+            if walking.any():
+                self.remaining[flat[walking]] -= 1
+                move[walking] = True
+            finished = dep & ~walking
+            if finished.any():
+                self.phase[flat[finished]] = _DONE
+                halt[finished] = True
+
+        return move, release, halt
+
+    def memory_bits(self, t_idx: np.ndarray, a_idx) -> np.ndarray:
         """Audited state size in bits for each pair, post-action."""
-        raise NotImplementedError
+        flat = t_idx * self.k + a_idx
+        # One frexp over all scalar counters at once (same arithmetic as
+        # summing bit_cost per column, see bit_cost's exactness note).
+        scalars = np.stack(
+            (
+                self.counter[flat],
+                self.dis[flat],
+                self.learned[flat],
+                self.rank[flat],
+                self.dis_base[flat],
+                self.remaining[flat],
+                self.D_max[flat],
+            )
+        )
+        bits = np.frexp(scalars + 1.0)[1].astype(np.int64)
+        total = bits[:6].sum(axis=0)
+        total += int(bit_cost(np.array([self._known_constant()]))[0])
+        total += np.maximum(1, self.D_len[flat]) * bits[6]
+        return total
+
+
+class KnownKFullKernel(_FullInfoKernel):
+    """Algorithm 1: circuit detected by counting ``k`` token nodes."""
+
+    def _known_constant(self) -> int:
+        return self.k
+
+    def _circuit_done(
+        self, flat: np.ndarray, circ: np.ndarray, saw_token: np.ndarray
+    ) -> np.ndarray:
+        done = np.zeros(flat.size, dtype=bool)
+        if saw_token.any():
+            self.counter[flat[saw_token]] += 1  # j += 1 per token node
+            done[saw_token] = self.counter[flat[saw_token]] == self.k
+        return done
+
+    def _learned_batch(self, df: np.ndarray, rows: np.ndarray):
+        n_vec = rows.sum(axis=1)  # n = sum(D)
+        self.learned[df] = n_vec
+        return n_vec, self.k
+
+
+class KnownNFullKernel(_FullInfoKernel):
+    """Footnote 2: circuit detected by counting ``n`` moves."""
+
+    def _known_constant(self) -> int:
+        return self.n
+
+    def _circuit_done(
+        self, flat: np.ndarray, circ: np.ndarray, saw_token: np.ndarray
+    ) -> np.ndarray:
+        # moved += 1 on every circuit step, token or not.
+        done = np.zeros(flat.size, dtype=bool)
+        cf = flat[circ]
+        self.counter[cf] += 1
+        done[circ] = self.counter[cf] == self.n
+        return done
+
+    def _learned_batch(self, df: np.ndarray, rows: np.ndarray):
+        self.learned[df] = self.k  # k = len(D)
+        return self.n, self.k
 
 
 #: algorithm name -> kernel class; the batch backend's coverage.
-KERNELS: Dict[str, Callable[[int, int, int], Kernel]] = {}
-
-
-def register_kernel(name: str):
-    """Class decorator: register a kernel for a registered algorithm."""
-
-    def decorate(cls):
-        KERNELS[name] = cls
-        return cls
-
-    return decorate
-
-
-def load_kernels() -> None:
-    """Import the kernel modules for their registration side effect.
-
-    Late imports: the kernel modules subclass :class:`Kernel` from this
-    module, so a top-level import here would be circular.
-    """
-    import repro.sim.batch.kernel_full  # noqa: F401
-    import repro.sim.batch.kernel_logspace  # noqa: F401
-    import repro.sim.batch.kernel_unknown  # noqa: F401
-
-
-def batch_supported(spec) -> Optional[str]:
-    """Why ``spec`` cannot run on the batch backend, or ``None`` if it can.
-
-    The batch backend covers the four core algorithms under any
-    registered scheduler.  Specs needing per-agent view logs
-    (``record_views``) or the enabled-set self-check
-    (``validate_enabledness``) stay on the object engine — those knobs
-    are about the object engine's own internals.
-    """
-    load_kernels()
-    if spec.algorithm not in KERNELS:
-        return f"algorithm {spec.algorithm!r} has no batch kernel"
-    if getattr(spec, "links", None) is not None:
-        return "link faults require the object engine"
-    if spec.record_views:
-        return "record_views requires the object engine"
-    if spec.validate_enabledness:
-        return "validate_enabledness requires the object engine"
-    return None
+KERNELS: Dict[str, Type[_FullInfoKernel]] = {
+    "known_k_full": KnownKFullKernel,
+    "known_n_full": KnownNFullKernel,
+}

@@ -1,14 +1,20 @@
 """Spec-level entry point for the batch backend.
 
+:func:`batch_supported` is the one rule for which specs the batch
+backend takes: the two full-information kernels under the ``sync``
+scheduler family, where it beats the object engine at large batch
+sizes.  Every other spec runs on the object engine.
+
 :func:`run_batch` is the columnar counterpart of calling
 :func:`repro.experiments.runner.run_experiment` once per spec: it takes
-a homogeneous list of :class:`~repro.spec.ExperimentSpec` (same
-algorithm, same (n, k), same engine options — one sweep cell), executes
-all of them as a single :class:`~repro.sim.batch.engine.BatchEngine`
-batch, and returns the per-trial :class:`RunResult` objects in input
-order.  Because each trial gets its own placement and its own scheduler
-instance built by the spec itself, the results are byte-identical to
-the serial object-engine runs for the same specs — the property
+a homogeneous list of supported :class:`~repro.spec.ExperimentSpec`
+(same algorithm, same (n, k), same engine options — one sweep cell),
+executes all of them as a single
+:class:`~repro.sim.batch.engine.BatchEngine` batch, and returns the
+per-trial :class:`RunResult` objects in input order.  Because each
+trial gets its own placement and its own scheduler instance built by
+the spec itself, the results are byte-identical to the serial
+object-engine runs for the same specs — the property
 ``validate=True`` spot-checks on a deterministic sample of trials by
 actually running the object engine and comparing archived payloads
 (raising :class:`~repro.errors.BackendMismatch` on any difference).
@@ -16,13 +22,37 @@ actually running the object engine and comparing archived payloads
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import BackendMismatch, ConfigurationError
+from repro.registry import parse_scheduler_spec
 from repro.sim.batch.engine import BatchEngine
-from repro.sim.batch.kernels import batch_supported
+from repro.sim.batch.kernels import KERNELS
 
-__all__ = ["run_batch", "validation_sample"]
+__all__ = ["batch_supported", "run_batch", "validation_sample"]
+
+
+def batch_supported(spec) -> Optional[str]:
+    """Why ``spec`` cannot run on the batch backend, or ``None`` if it can.
+
+    The batch backend covers ``known_k_full`` and ``known_n_full`` under
+    the ``sync`` scheduler family; every other cell is slower batched
+    than on the object engine.  Specs with link faults, per-agent view
+    logs (``record_views``) or the enabled-set self-check
+    (``validate_enabledness``) stay on the object engine too — those
+    knobs are about the object engine's own internals.
+    """
+    if spec.algorithm not in KERNELS:
+        return f"algorithm {spec.algorithm!r} has no batch kernel"
+    if parse_scheduler_spec(spec.scheduler).name != "sync":
+        return f"scheduler {spec.scheduler!r} is not the sync family"
+    if spec.links is not None:
+        return "link faults require the object engine"
+    if spec.record_views:
+        return "record_views requires the object engine"
+    if spec.validate_enabledness:
+        return "validate_enabledness requires the object engine"
+    return None
 
 
 def validation_sample(trials: int, samples: int = 3) -> List[int]:

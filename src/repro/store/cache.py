@@ -14,52 +14,25 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.store.jsonl import RunStore
 
 __all__ = ["cached_run"]
 
 
-def _execute(spec, backend: str):
-    """Run one spec on the chosen backend (batch falls back per-spec).
-
-    The batch backend is byte-identical to the object engine, so the
-    archived record — and its content hash — is the same either way;
-    ``backend`` only changes *how* a miss is computed, never what gets
-    stored.  A spec the batch backend does not cover silently runs on
-    the object engine, mirroring :func:`repro.experiments.sweep
-    .execute_sweep`'s fallback.
-    """
-    from repro.experiments.runner import run_experiment
-
-    if backend == "batch":
-        from repro.sim.batch import batch_supported, run_batch
-
-        if batch_supported(spec) is None:
-            return run_batch([spec])[0]
-    return run_experiment(spec)
-
-
-def cached_run(
-    spec, store: Optional[RunStore] = None, *, backend: str = "object"
-) -> Tuple[object, bool]:
+def cached_run(spec, store: Optional[RunStore] = None) -> Tuple[object, bool]:
     """Run ``spec`` through the store; return ``(result, cache_hit)``.
 
     With ``store=None`` this is exactly ``run_experiment(spec)`` (and
     ``cache_hit`` is always False), so callers can thread an optional
-    store without branching.  ``backend="batch"`` computes cache misses
-    on the columnar engine where it covers the spec (object-engine
-    fallback otherwise); hits are served from the store regardless.
+    store without branching.
     """
-    if backend not in ("object", "batch"):
-        raise ConfigurationError(
-            f"unknown run backend {backend!r} (choose 'object' or 'batch')"
-        )
+    from repro.experiments.runner import run_experiment
+
     if store is not None:
         content_hash = spec.content_hash()
         if store.contains(content_hash):
             return store.get(content_hash).to_run_result(), True
-        result = _execute(spec, backend)
+        result = run_experiment(spec)
         store.put(result.to_record(spec))
         return result, False
-    return _execute(spec, backend), False
+    return run_experiment(spec), False

@@ -10,8 +10,8 @@ experiment:
   specless records derive a hash from the result payload instead,
 * ``result`` — the canonical :class:`~repro.experiments.runner.RunResult`
   payload (:func:`result_to_payload` / :func:`result_from_payload` are
-  the *only* converters in the codebase; ``serialize.result_to_dict``
-  and ``RunResult.to_record`` are both thin wrappers over them),
+  the *only* converters in the codebase; ``serialize.results_to_json``
+  and ``RunResult.to_record`` both call them),
 * ``env`` — an environment fingerprint (interpreter, platform, package
   version) recording where the numbers came from,
 * ``schema_version`` — bumped on any incompatible payload change;

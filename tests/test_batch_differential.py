@@ -2,8 +2,8 @@
 
 The columnar engine (:mod:`repro.sim.batch`) promises *byte identity*
 with the object engine, not statistical agreement.  These tests hold it
-to that across all four core algorithms and all five scheduler
-families, at three strictness levels:
+to that on every cell it supports — both full-information algorithms
+under the ``sync`` scheduler — at three strictness levels:
 
 * **strict** — identical activation logs, identical full
   :class:`Metrics` (every per-agent dict and counter), identical final
@@ -15,6 +15,10 @@ families, at three strictness levels:
 * **failure** — a trial that exceeds its step budget raises the same
   exception type with the same message on both engines.
 
+:func:`batch_supported` is pinned too: it declines every other
+algorithm and every other scheduler family, which is what routes those
+cells to the object engine.
+
 ``validate=True`` (the production sampling gate) is exercised both
 ways: passing on honest runs and raising :class:`BackendMismatch`
 when the oracle is forged to disagree.
@@ -24,21 +28,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import BackendMismatch, SimulationLimitExceeded
+from repro.errors import (
+    BackendMismatch,
+    ConfigurationError,
+    SimulationLimitExceeded,
+)
 from repro.experiments.runner import build_engine, run_experiment
-from repro.sim.batch import BatchEngine, run_batch
+from repro.sim.batch import BatchEngine, batch_supported, run_batch
 from repro.sim.batch.runner import validation_sample
 from repro.spec import ExperimentSpec, PlacementSpec
 from repro.store.records import result_to_payload
 
-ALGORITHMS = ("known_k_full", "known_n_full", "known_k_logspace", "unknown")
+#: the batch backend's cells: these algorithms under the sync family.
+ALGORITHMS = ("known_k_full", "known_n_full")
 
-SCHEDULER_SPECS = (
-    "sync",
+DECLINED_ALGORITHMS = ("known_k_logspace", "unknown")
+
+DECLINED_SCHEDULERS = (
     "random",
+    "random:seed=3",
     "burst:burst=3",
     "chaos:epoch=5",
     "laggard:victims=0,patience=4",
+    "replay:log=0-1-0",
 )
 
 
@@ -86,11 +98,11 @@ def _metrics_tuple(metrics):
     )
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULER_SPECS)
+@pytest.mark.parametrize("n,k", [(24, 6), (40, 8)])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_strict_parity_log_metrics_positions(algorithm, scheduler):
+def test_strict_parity_log_metrics_positions(algorithm, n, k):
     specs = [
-        _spec(algorithm, 24, 6, scheduler, seed=100 + trial)
+        _spec(algorithm, n, k, "sync", seed=100 + trial)
         for trial in range(3)
     ]
     batch = _batch_engine(specs, record_log=True)
@@ -100,46 +112,54 @@ def test_strict_parity_log_metrics_positions(algorithm, scheduler):
         oracle.run()
         assert list(batch.activation_log_for(trial)) == list(
             oracle.activation_log
-        ), f"{algorithm}/{scheduler} trial {trial}: activation logs differ"
+        ), f"{algorithm} trial {trial}: activation logs differ"
         assert _metrics_tuple(batch.metrics_for(trial)) == _metrics_tuple(
             oracle.metrics
-        ), f"{algorithm}/{scheduler} trial {trial}: metrics differ"
+        ), f"{algorithm} trial {trial}: metrics differ"
         assert (
             batch.final_positions_for(trial) == oracle.final_positions()
-        ), f"{algorithm}/{scheduler} trial {trial}: final positions differ"
+        ), f"{algorithm} trial {trial}: final positions differ"
 
 
 @pytest.mark.parametrize("n,k", [(12, 1), (6, 6), (16, 4), (25, 5)])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_payload_parity_including_edge_geometries(algorithm, n, k):
-    specs = [
-        _spec(algorithm, n, k, scheduler, seed=7 + index)
-        for index, scheduler in enumerate(SCHEDULER_SPECS)
-        for _ in range(2)
-    ]
-    # One batch per scheduler family (a batch shares one cell).
-    for start in range(0, len(specs), 2):
-        cell = specs[start : start + 2]
-        results = run_batch(cell)
-        for spec, result in zip(cell, results):
-            assert result_to_payload(result) == result_to_payload(
-                run_experiment(spec)
-            )
+    specs = [_spec(algorithm, n, k, "sync", seed=7 + trial) for trial in range(4)]
+    results = run_batch(specs)
+    for spec, result in zip(specs, results):
+        assert result_to_payload(result) == result_to_payload(run_experiment(spec))
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_failure_parity_step_budget(algorithm):
-    specs = [_spec(algorithm, 12, 4, "random", seed=25, max_steps=10)]
+    # Ten steps under sync on k=4: two fused rounds fit the budget, the
+    # third runs column by column and fails on the exact eleventh action.
+    specs = [
+        _spec(algorithm, 12, 4, "sync", seed=25, max_steps=10),
+        _spec(algorithm, 12, 4, "sync", seed=26),
+    ]
+    batch = _batch_engine(specs, record_log=True)
+    batch.run()
     with pytest.raises(SimulationLimitExceeded) as batch_error:
-        run_batch(specs)
+        batch.result_for(0)
     with pytest.raises(SimulationLimitExceeded) as object_error:
         run_experiment(specs[0])
     assert str(batch_error.value) == str(object_error.value)
+    # The failure quarantines its own trial only; the small budget keeps
+    # the other trial on the per-column path to the end, in lockstep
+    # with the object engine.
+    oracle = build_engine(specs[1])
+    oracle.run()
+    assert list(batch.activation_log_for(1)) == list(oracle.activation_log)
+    assert _metrics_tuple(batch.metrics_for(1)) == _metrics_tuple(oracle.metrics)
+    assert result_to_payload(batch.result_for(1)) == result_to_payload(
+        run_experiment(specs[1])
+    )
 
 
 def test_collect_metrics_off_parity():
     specs = [
-        _spec("known_k_full", 20, 5, "random", seed=s, collect_metrics=False)
+        _spec("known_k_full", 20, 5, "sync", seed=s, collect_metrics=False)
         for s in (1, 2, 3)
     ]
     batch = _batch_engine(specs, record_log=True)
@@ -159,9 +179,7 @@ def test_collect_metrics_off_parity():
 
 def test_memory_audit_interval_parity():
     specs = [
-        _spec(
-            "known_k_logspace", 18, 6, "sync", seed=s, memory_audit_interval=5
-        )
+        _spec("known_n_full", 18, 6, "sync", seed=s, memory_audit_interval=5)
         for s in (4, 5)
     ]
     results = run_batch(specs)
@@ -172,7 +190,7 @@ def test_memory_audit_interval_parity():
 
 
 def test_validate_gate_passes_on_honest_runs():
-    specs = [_spec("unknown", 16, 4, "chaos:epoch=5", seed=s) for s in range(4)]
+    specs = [_spec("known_n_full", 16, 4, "sync", seed=s) for s in range(4)]
     run_batch(specs, validate=True)  # must not raise
 
 
@@ -202,3 +220,32 @@ def test_validation_sample_covers_boundaries():
     assert sample[0] == 0 and sample[-1] == 99 and len(sample) == 3
     # Deterministic: same inputs, same indices, every call.
     assert validation_sample(100, samples=3) == sample
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_batch_supported_takes_full_kernels_under_sync(algorithm):
+    assert batch_supported(_spec(algorithm, 12, 3, "sync", seed=1)) is None
+
+
+@pytest.mark.parametrize("algorithm", DECLINED_ALGORITHMS)
+def test_batch_supported_declines_other_algorithms(algorithm):
+    reason = batch_supported(_spec(algorithm, 12, 3, "sync", seed=1))
+    assert reason is not None and algorithm in reason
+
+
+@pytest.mark.parametrize("scheduler", DECLINED_SCHEDULERS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_batch_supported_declines_non_sync_families(algorithm, scheduler):
+    reason = batch_supported(_spec(algorithm, 12, 3, scheduler, seed=1))
+    assert reason is not None and "sync" in reason
+
+
+def test_run_batch_refuses_declined_specs():
+    with pytest.raises(ConfigurationError, match="not batchable"):
+        run_batch([_spec("known_k_full", 12, 3, "random", seed=1)])
+
+
+def test_batch_engine_refuses_non_sync_schedulers():
+    spec = _spec("known_k_full", 12, 3, "random", seed=1)
+    with pytest.raises(ConfigurationError, match="synchronous"):
+        _batch_engine([spec])

@@ -5,7 +5,7 @@ arithmetic the object agents run — :func:`minimal_rotation_index_batch`
 row-for-row equal to Booth's :func:`minimal_rotation_index`,
 :func:`minimal_period_batch` to the KMP :func:`minimal_period`,
 :func:`bit_cost` to the agent memory-audit bit formula, and the fused
-completion arithmetic in ``kernel_full`` to
+completion arithmetic in the Algorithm 1 kernels to
 :func:`repro.core.targets.target_offset`.  Fuzzed over many rows and
 ring shapes, including forced-periodic rows where the rotation minimum
 is ambiguous and the smallest-index tie-break is what is under test.
@@ -75,7 +75,7 @@ def test_bit_cost_matches_bit_length_formula():
 
 
 def test_completion_arithmetic_matches_target_offset():
-    # The fused deployment arithmetic in kernel_full:
+    # The fused deployment arithmetic in the Algorithm 1 kernels:
     #   remaining = dis_base + rank * (n // k) + min(rank, (n % k) // b)
     # must equal dis_base + target_offset(rank, n, k, base_count).
     rng = random.Random(99)

@@ -1,11 +1,13 @@
-"""The backend knob end-to-end: sweeps, cache, campaign spec, CLI.
+"""The sweep backend knob end-to-end.
 
 The wiring contract: ``backend="batch"`` changes *how* cells are
 computed, never *what* comes out — rows, archived records, content
 hashes and :meth:`RunStore.digest` are all byte-identical to the
-object path.  The hypothesis property at the bottom is the strongest
-form: for arbitrary small sweep specs, the two backends produce stores
-with equal digests (record-for-record identical archives).
+object path.  Only the cells :func:`batch_supported` accepts reach the
+batch engine; every other cell of the grid runs on the object pool.
+The hypothesis property at the bottom is the strongest form: for
+arbitrary small sweep specs, the two backends produce stores with
+equal digests (record-for-record identical archives).
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.batch as batch
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError
 from repro.experiments.sweep import SweepSpec, execute_sweep
 from repro.store import RunStore
-from repro.store.cache import cached_run
 
 
 def _sweep(**overrides) -> SweepSpec:
@@ -93,37 +95,60 @@ def test_batch_backend_progress_counts_every_cell():
     assert seen == [(i, total) for i in range(1, total + 1)]
 
 
-def test_cached_run_backend_batch_same_hash(tmp_path):
-    from repro.experiments.sweep import expand_cells
-
-    spec = expand_cells(_sweep(trials=1))[0].to_experiment_spec()
+def test_parallel_mixed_grid_identical_across_backends(tmp_path):
+    # Full and unknown cells under sync and random: the batch groups run
+    # in the parent while the declined cells go through a 2-process pool.
+    spec = _sweep(schedulers=("sync", "random"))
     object_store = RunStore(str(tmp_path / "object"))
     batch_store = RunStore(str(tmp_path / "batch"))
-    object_result, object_hit = cached_run(spec, object_store)
-    batch_result, batch_hit = cached_run(spec, batch_store, backend="batch")
-    assert (object_hit, batch_hit) == (False, False)
+    object_outcome = execute_sweep(spec, processes=2, store=object_store)
+    batch_outcome = execute_sweep(
+        spec, processes=2, store=batch_store, backend="batch"
+    )
+    assert object_outcome.rows == batch_outcome.rows
     assert object_store.digest() == batch_store.digest()
-    # Second call is a hit regardless of backend.
-    _, hit = cached_run(spec, batch_store, backend="object")
-    assert hit
-    with pytest.raises(ConfigurationError):
-        cached_run(spec, backend="columnar")
 
 
-def test_campaign_spec_backend_field_round_trip_and_hash_stability():
-    sweep = _sweep(trials=1)
-    default = CampaignSpec(kind="sweep", sweep=sweep)
-    explicit = CampaignSpec(kind="sweep", sweep=sweep, backend="object")
-    batch = CampaignSpec(kind="sweep", sweep=sweep, backend="batch")
-    # The default backend must not perturb pre-existing content hashes.
-    assert default.content_hash() == explicit.content_hash()
-    assert "backend" not in default.to_dict()["fleet"]
-    # The backend is a fleet knob: work identity ignores it entirely.
-    assert default.work_hash() == batch.work_hash()
-    assert batch.to_dict()["fleet"]["backend"] == "batch"
-    assert CampaignSpec.from_dict(batch.to_dict()).backend == "batch"
-    with pytest.raises(ConfigurationError):
-        CampaignSpec(kind="sweep", sweep=sweep, backend="columnar")
+def test_only_full_kernels_under_sync_reach_the_batch_engine(monkeypatch):
+    batched = []
+    run_batch = batch.run_batch
+
+    def recording_run_batch(specs, **kwargs):
+        batched.extend((spec.algorithm, spec.scheduler) for spec in specs)
+        return run_batch(specs, **kwargs)
+
+    monkeypatch.setattr(batch, "run_batch", recording_run_batch)
+    spec = _sweep(algorithms=("known_k_full", "known_n_full", "unknown"))
+    outcome = execute_sweep(spec, processes=1, backend="batch")
+    assert outcome.executed == outcome.total
+    # 2 full algorithms x 2 sizes x sync x 2 trials.
+    assert sorted(set(batched)) == [("known_k_full", "sync"), ("known_n_full", "sync")]
+    assert len(batched) == 8
+
+
+#: A campaign spec serialised while campaigns still had a ``backend``
+#: fleet knob, and the work hash its ledger was named by then.
+_LEGACY_CAMPAIGN = (
+    '{"fleet": {"backend": "batch", "backoff_base": 0.5, "backoff_cap": 30.0, '
+    '"lease_ttl": 10.0, "max_retries": 3, "shards": 4, "unit_timeout": 120.0, '
+    '"workers": 3}, "fuzz": null, "kind": "sweep", "sweep": {"algorithms": '
+    '["known_k_full", "unknown"], "base_seed": 5, "grid": [[16, 4], [12, 3]], '
+    '"max_steps": null, "schedulers": ["sync", "random", "burst:burst=3"], '
+    '"trials": 1}}'
+)
+_LEGACY_WORK_HASH = "773eec5271f3c38c8d0e1f1f466d0b55b8ea6e0c081df1eff2381e6d003b830e"
+
+
+def test_legacy_campaign_spec_with_backend_keeps_its_work_hash():
+    spec = CampaignSpec.from_json(_LEGACY_CAMPAIGN)
+    assert spec.work_hash() == _LEGACY_WORK_HASH
+    assert spec.workers == 3
+    assert spec == CampaignSpec(kind="sweep", sweep=_sweep(trials=1), workers=3)
+    assert "backend" not in spec.to_dict()["fleet"]
+    # Campaigns that never set the knob keep their content hash too.
+    assert spec.content_hash() == (
+        "febb91674e57c827e250be000f14636be69993bcf5cac1a76b31c9c15122b8cc"
+    )
 
 
 @settings(max_examples=10, deadline=None)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import ALGORITHMS, build_engine
+from repro.experiments.runner import build_engine
+from repro.registry import algorithm_names
 from repro.ring.configuration import Configuration, LocalConfiguration
 from repro.ring.placement import Placement
 
@@ -23,7 +24,7 @@ def _rotate(placement: Placement, shift: int) -> Placement:
     )
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", algorithm_names())
 def test_two_engines_same_state_equal_and_hash_equal(algorithm):
     placement = Placement(ring_size=8, homes=(0, 3, 5))
     first = build_engine(algorithm, placement)

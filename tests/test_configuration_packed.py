@@ -32,7 +32,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference_impls import reference_canonical
-from repro.experiments.runner import ALGORITHMS, build_engine
+from repro.experiments.runner import build_engine
+from repro.registry import algorithm_names
 from repro.ring.configuration import Configuration, least_rotation, pack_value
 from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
@@ -272,7 +273,7 @@ def _walk_and_compare(
     return len(seen)
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", algorithm_names())
 def test_packed_key_partitions_like_canonical_small(algorithm):
     distinct = _walk_and_compare(algorithm, Placement(6, homes=(0, 2)), limit=600)
     assert distinct > 10
@@ -288,7 +289,7 @@ def test_packed_key_partitions_like_canonical_faulty(algorithm):
 
 
 @pytest.mark.mc
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", algorithm_names())
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (8, 2)])
 def test_packed_key_partitions_like_canonical_grid(algorithm, n, k):
     from repro.mc import all_placements

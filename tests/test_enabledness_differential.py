@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import ALGORITHMS, build_agents
+from repro.experiments.runner import build_agents
+from repro.registry import algorithm_names
 from repro.ring.placement import random_placement
 from repro.sim.engine import Engine
 from repro.sim.scheduler import (
@@ -45,7 +46,7 @@ SCHEDULER_FACTORIES = {
     "ChaosScheduler": lambda: ChaosScheduler(epoch=11, seed=13),
 }
 
-ALL_ALGORITHMS = sorted(ALGORITHMS)
+ALL_ALGORITHMS = algorithm_names()
 
 
 def _engine(algorithm, n, k, placement_seed, scheduler, **kwargs) -> Engine:

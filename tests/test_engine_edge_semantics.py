@@ -22,7 +22,8 @@ import random
 
 import pytest
 
-from repro.experiments.runner import ALGORITHMS, build_agents
+from repro.experiments.runner import build_agents
+from repro.registry import algorithm_names
 from repro.ring.placement import random_placement
 from repro.sim.engine import Engine
 from repro.sim.scheduler import (
@@ -35,7 +36,7 @@ from repro.sim.scheduler import (
 )
 from repro.sim.trace import TraceRecorder
 
-ALL_ALGORITHMS = sorted(ALGORITHMS)
+ALL_ALGORITHMS = algorithm_names()
 
 SCHEDULER_FACTORIES = {
     "SynchronousScheduler": lambda: SynchronousScheduler(),

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.experiments.runner import ALGORITHMS, build_engine
+from repro.experiments.runner import build_engine
+from repro.registry import algorithm_names
 from repro.ring.placement import Placement
 from repro.sim.actions import Action
 from repro.sim.agent import Agent
@@ -50,7 +51,7 @@ def test_view_recording_cannot_start_mid_run():
         engine.agent(0).begin_view_recording()
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", algorithm_names())
 def test_fork_is_independent_and_equivalent(algorithm):
     placement = Placement(ring_size=8, homes=(0, 3, 5))
     engine = build_engine(algorithm, placement, record_views=True)

@@ -29,7 +29,8 @@ from hypothesis.stateful import (
 )
 
 from repro.analysis.verification import audit_configuration, verify_uniform_deployment
-from repro.experiments.runner import ALGORITHMS, build_engine
+from repro.experiments.runner import build_engine
+from repro.registry import algorithm_names, get_algorithm
 from repro.ring.placement import Placement
 
 
@@ -37,7 +38,7 @@ class EngineStateMachine(RuleBasedStateMachine):
     """Drive one engine step by step under an arbitrary schedule."""
 
     @initialize(
-        algorithm=st.sampled_from(sorted(ALGORITHMS)),
+        algorithm=st.sampled_from(algorithm_names()),
         ring_size=st.integers(min_value=4, max_value=9),
         data=st.data(),
     )
@@ -105,7 +106,7 @@ class EngineStateMachine(RuleBasedStateMachine):
             return
         positions = list(self.engine.final_positions().values())
         assert len(set(positions)) == len(positions)
-        _, halts, _ = ALGORITHMS[self.algorithm]
+        halts = get_algorithm(self.algorithm).halts
         report = verify_uniform_deployment(
             self.engine, require_halted=halts, require_suspended=not halts
         )

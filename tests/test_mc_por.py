@@ -24,7 +24,8 @@ from repro.mc import (
 )
 from repro.mc.por import action_node, agents_of_slots, slots_of_agents
 from repro.mc.selftest import wake_race_agents
-from repro.experiments.runner import ALGORITHMS, build_engine
+from repro.experiments.runner import build_engine
+from repro.registry import algorithm_names
 from repro.ring.placement import Placement
 from repro.sim.actions import Action
 from repro.sim.agent import Agent
@@ -97,7 +98,7 @@ def _assert_por_equivalent(reduced, full):
     assert full.por_skipped == 0
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", algorithm_names())
 @pytest.mark.parametrize("placement", [
     Placement(5, homes=(0, 2)),
     Placement(6, homes=(0, 1)),
@@ -195,7 +196,7 @@ def test_truncation_reported_identically_under_por():
 
 
 @pytest.mark.mc
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", algorithm_names())
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (8, 2)])
 def test_por_differential_full_grid(algorithm, n, k):
     # Raw placements (no rotation dedup): the gate covers every initial

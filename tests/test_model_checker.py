@@ -25,7 +25,7 @@ from repro.mc import (
 )
 from repro.mc.selftest import wake_race_agents
 from repro.analysis.verification import verify_uniform_deployment
-from repro.experiments.runner import ALGORITHMS
+from repro.registry import algorithm_names
 from repro.ring.placement import Placement
 from repro.sim.actions import Action
 from repro.sim.agent import Agent
@@ -51,7 +51,7 @@ BUG_K = 3
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", algorithm_names())
 def test_small_instance_exhausts_clean(algorithm):
     placement = Placement(ring_size=5, homes=(0, 2))
     result = check_interleavings(algorithm, placement)
@@ -274,7 +274,7 @@ NECKLACE_COUNTS = {(6, 2): 3, (6, 3): 4, (8, 2): 4}
 
 
 @pytest.mark.mc
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", algorithm_names())
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (8, 2)])
 def test_exhaustive_grid_all_placements_zero_violations(algorithm, n, k):
     results = exhaust_placements(algorithm, n, k)

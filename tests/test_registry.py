@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import ALGORITHMS, build_engine
+from repro.experiments.runner import build_engine
 from repro.registry import (
     SchedulerSpec,
     algorithm_names,
@@ -221,73 +221,6 @@ class TestSpecStrings:
             assert info.description == ""
         finally:
             del _SCHEDULERS["undocumented_test_scheduler"]
-
-
-class TestAlgorithmsCompatView:
-    def test_reads_mirror_the_registry(self):
-        assert set(ALGORITHMS) == set(algorithm_names())
-        factory, halts, description = ALGORITHMS["known_k_full"]
-        assert halts is True and "Algorithm 1" in description
-        assert factory(4, 0).k == 4
-
-    def test_selftest_entries_are_hidden(self):
-        assert "wake_race" not in ALGORITHMS
-        with pytest.raises(KeyError):
-            ALGORITHMS["wake_race"]
-
-    def test_unknown_key_raises_keyerror(self):
-        with pytest.raises(KeyError):
-            ALGORITHMS["nope"]
-        assert "nope" not in ALGORITHMS
-
-    def test_mutation_warns_and_forwards_to_registry(self):
-        from repro.core.unknown import UnknownKAgent
-
-        with pytest.warns(DeprecationWarning):
-            ALGORITHMS["compat_test"] = (
-                lambda k, n: UnknownKAgent(),
-                False,
-                "legacy-registered",
-            )
-        try:
-            assert get_algorithm("compat_test").halts is False
-            assert ALGORITHMS["compat_test"][2] == "legacy-registered"
-        finally:
-            with pytest.warns(DeprecationWarning):
-                del ALGORITHMS["compat_test"]
-        assert "compat_test" not in ALGORITHMS
-
-    def test_bad_legacy_tuple_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                ALGORITHMS["compat_test"] = "not a tuple"
-
-
-class TestDeprecatedSweepAliases:
-    def test_make_scheduler_warns_and_delegates(self):
-        from repro.experiments.sweep import make_scheduler
-
-        with pytest.warns(DeprecationWarning):
-            scheduler = make_scheduler("laggard", 3)
-        assert scheduler.describe() == "LaggardScheduler(laggards=[0], patience=100)"
-
-    def test_scheduler_specs_view_builds_through_registry(self):
-        from repro.experiments.sweep import SCHEDULER_SPECS
-
-        assert set(SCHEDULER_SPECS) == set(scheduler_names())
-        scheduler = SCHEDULER_SPECS["burst"](7)
-        assert scheduler.describe() == "BurstScheduler(burst=40)"
-
-    def test_scheduler_specs_view_keeps_mapping_contract(self):
-        # Legacy membership tests and .get() must see dict semantics,
-        # not a domain error leaking out of the registry parser.
-        from repro.experiments.sweep import SCHEDULER_SPECS
-
-        with pytest.raises(KeyError):
-            SCHEDULER_SPECS["nope"]
-        assert "nope" not in SCHEDULER_SPECS
-        assert SCHEDULER_SPECS.get("nope") is None
-        assert "sync" in SCHEDULER_SPECS
 
 
 class TestRegistryDump:

@@ -12,7 +12,8 @@ from repro.analysis.complexity import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.lower_bound import lower_bound_comparison, quarter_sweep
-from repro.experiments.runner import ALGORITHMS, build_agents, run_experiment
+from repro.experiments.runner import build_agents, run_experiment
+from repro.registry import algorithm_names
 from repro.experiments.table1 import (
     format_rows,
     symmetry_placement,
@@ -24,7 +25,7 @@ from repro.ring.placement import equidistant_placement, quarter_packed_placement
 
 class TestRunner:
     def test_registry_contents(self):
-        assert set(ALGORITHMS) == {
+        assert set(algorithm_names()) == {
             "known_k_full",
             "known_n_full",
             "known_k_logspace",

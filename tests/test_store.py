@@ -386,6 +386,7 @@ class TestSerializeVersionGate:
     def test_serialize_payload_is_the_record_payload(self):
         spec = _spec(seed=71)
         result = run_experiment(spec)
-        from repro.experiments.serialize import result_to_dict
+        from repro.experiments.serialize import results_to_json
 
-        assert result_to_dict(result) == result.to_record(spec).result
+        written = json.loads(results_to_json([result]))["results"][0]
+        assert written == result.to_record(spec).result

@@ -9,13 +9,21 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import build_engine, run_experiment
 from repro.experiments.serialize import (
     load_results,
-    result_from_dict,
-    result_to_dict,
     results_from_json,
     results_to_json,
     save_results,
 )
 from repro.ring.placement import Placement, equidistant_placement
+from repro.store.records import result_from_payload, result_to_payload
+
+#: A format-version-1 results file as written before the run store
+#: existed; it must keep loading unchanged.
+_V1_FILE = """{"format_version": 1, "results": [{"algorithm": "known_k_full",
+"final_positions": [0, 4], "homes": [0, 4], "ideal_time": 9,
+"max_memory_bits": 18, "max_moves": 8, "messages_sent": 0,
+"report": {"agent_count": 2, "failures": [], "gaps": [4, 4], "ok": true,
+"ring_size": 8}, "ring_size": 8, "scheduler": "SynchronousScheduler",
+"total_moves": 16}]}"""
 
 
 class TestTimeline:
@@ -62,7 +70,7 @@ class TestSerialization:
 
     def test_round_trip_dict(self):
         original = self._result()
-        rebuilt = result_from_dict(result_to_dict(original))
+        rebuilt = result_from_payload(result_to_payload(original))
         assert rebuilt == original
 
     def test_round_trip_json(self):
@@ -83,8 +91,12 @@ class TestSerialization:
 
     def test_missing_key_rejected(self):
         with pytest.raises(ConfigurationError):
-            result_from_dict({"algorithm": "known_k_full"})
+            result_from_payload({"algorithm": "known_k_full"})
 
     def test_json_is_stable(self):
         results = [self._result()]
         assert results_to_json(results) == results_to_json(results)
+
+    def test_format_v1_file_still_loads(self):
+        expected = run_experiment("known_k_full", equidistant_placement(8, 2))
+        assert results_from_json(_V1_FILE) == [expected]
