@@ -98,7 +98,9 @@ def _metrics_tuple(metrics):
     )
 
 
-@pytest.mark.parametrize("n,k", [(24, 6), (40, 8)])
+@pytest.mark.parametrize(
+    "n,k", [(12, 1), (6, 6), (24, 6), (40, 8), (33, 11), (64, 16)]
+)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_strict_parity_log_metrics_positions(algorithm, n, k):
     specs = [

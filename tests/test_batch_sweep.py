@@ -126,6 +126,47 @@ def test_only_full_kernels_under_sync_reach_the_batch_engine(monkeypatch):
     assert len(batched) == 8
 
 
+#: Every cell the batch backend used to run and now declines: the
+#: declined algorithms under every family, and the full kernels under
+#: every non-sync family.
+_DECLINED_CELLS = [
+    (algorithm, scheduler)
+    for algorithm in ("known_k_full", "known_n_full", "known_k_logspace", "unknown")
+    for scheduler in (
+        "sync",
+        "random",
+        "burst:burst=3",
+        "chaos:epoch=5",
+        "laggard:victims=0,patience=4",
+    )
+    if not (algorithm.endswith("_full") and scheduler == "sync")
+]
+
+
+@pytest.mark.parametrize("algorithm,scheduler", _DECLINED_CELLS)
+def test_declined_cell_runs_on_object_engine_with_identical_store(
+    tmp_path, monkeypatch, algorithm, scheduler
+):
+    def refusing_run_batch(specs, **kwargs):
+        raise AssertionError(f"{algorithm} under {scheduler} reached run_batch")
+
+    spec = _sweep(
+        algorithms=(algorithm,),
+        grid=((16, 4), (6, 6)),
+        schedulers=(scheduler,),
+    )
+    object_store = RunStore(str(tmp_path / "object"))
+    object_outcome = execute_sweep(spec, processes=1, store=object_store)
+    monkeypatch.setattr(batch, "run_batch", refusing_run_batch)
+    batch_store = RunStore(str(tmp_path / "batch"))
+    batch_outcome = execute_sweep(
+        spec, processes=1, store=batch_store, backend="batch"
+    )
+    assert batch_outcome.executed == batch_outcome.total == 4
+    assert object_outcome.rows == batch_outcome.rows
+    assert object_store.digest() == batch_store.digest()
+
+
 #: A campaign spec serialised while campaigns still had a ``backend``
 #: fleet knob, and the work hash its ledger was named by then.
 _LEGACY_CAMPAIGN = (
