@@ -44,7 +44,6 @@ serial run's.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import signal
 import time

@@ -538,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "process-parallel exploration: placements fan across a pool "
             "on a grid, a single configuration uses the wave-synchronous "
-            "frontier driver (results are identical to --jobs 1)"
+            "frontier driver (same counters as --jobs 1, but livelock "
+            "cycles are not checked)"
         ),
     )
     mc_parser.add_argument(
@@ -556,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="DIR",
         help=(
             "spill the frontier + visited memo to DIR/mc/<check-hash>/ "
-            "every wave so a killed check can be resumed"
+            "every wave so a killed check can be resumed (frontier driver: "
+            "livelock cycles are not checked)"
         ),
     )
     mc_parser.add_argument(
@@ -1149,9 +1151,15 @@ def _command_mc(args: argparse.Namespace) -> int:
     if not args.json:
         faulty = f" under link faults ({links.describe()})" if links else ""
         print(f"model checking {algorithm} on n={n} k={k}: {scope}{faulty}")
-    if args.store is not None:
-        # Spilled (and optionally parallel) frontier exploration; one
+    if args.store is not None or (args.jobs > 1 and len(placements) == 1):
+        # Frontier exploration, parallel and/or spilled; with --store one
         # resumable journal per placement, keyed by check-spec hash.
+        print(
+            "note: --store and --jobs N on one configuration run the "
+            "breadth-first frontier driver, which does not detect livelock "
+            "cycles (liveness: not checked)",
+            file=sys.stderr,
+        )
         results = [
             check_frontier(
                 algorithm,
@@ -1164,14 +1172,13 @@ def _command_mc(args: argparse.Namespace) -> int:
             )
             for placement in placements
         ]
-    elif args.jobs > 1 and len(placements) == 1:
-        results = [
-            check_frontier(
-                algorithm, placements[0], jobs=args.jobs,
-                progress=progress, **limits,
-            )
-        ]
     elif args.jobs > 1:
+        if progress is not None:
+            print(
+                "note: --progress is a per-search view; with --jobs > 1 the "
+                "placements run in separate processes, so it is not shown",
+                file=sys.stderr,
+            )
         results = check_placements_pool(
             algorithm, placements, jobs=args.jobs, **limits
         )
@@ -1219,6 +1226,7 @@ def _command_mc(args: argparse.Namespace) -> int:
                 "terminal": result.terminals,
                 "max_depth": result.max_depth,
                 "exhausted": result.complete,
+                "liveness": result.liveness,
                 "violations": len(result.violations),
             }
         )
@@ -1241,10 +1249,17 @@ def _command_mc(args: argparse.Namespace) -> int:
     if not complete:
         print("\nsearch truncated (depth/state limit hit): bounded check only")
         return 1
-    print(
-        "\nno violations: every fair schedule of every checked configuration "
-        f"deploys uniformly (exhaustive at n={n}, k={k})"
-    )
+    if all(result.liveness == "checked" for result in results):
+        print(
+            "\nno violations: every fair schedule of every checked configuration "
+            f"deploys uniformly (exhaustive at n={n}, k={k})"
+        )
+    else:
+        print(
+            "\nno violations: every quiescent state reachable from every "
+            "checked configuration is a uniform deployment (exhaustive at "
+            f"n={n}, k={k}); livelock cycles were not checked"
+        )
     return 0
 
 

@@ -8,15 +8,17 @@ enabled-agent choice from an initial configuration via DFS over forked
 engine states, memoising visited states on the rotation- and
 relabelling-canonical :class:`~repro.ring.configuration.Configuration`,
 checking safety properties on every edge and uniform deployment on
-every terminal state, and emitting any violating path as a replayable
-schedule.
+every terminal state, detecting livelock cycles, and emitting any
+violating path as a replayable schedule.
 
 Entry points: :func:`check_interleavings` (one placement),
 :func:`exhaust_placements` (all placements of an ``(n, k)``, optionally
 fanned across a process pool), :func:`check_frontier` (wave-synchronous
 parallel exploration with an optional disk-spilled, resumable
-frontier), :func:`replay_counterexample` (deterministic reproduction),
-and the ``repro mc`` CLI command.
+frontier; it does not detect livelock cycles), :func:`replay_counterexample`
+(deterministic reproduction), and the ``repro mc`` CLI command.  Every
+:class:`MCResult` states ``liveness`` — ``"checked"`` from the DFS,
+``"not checked"`` from the frontier.
 
 Exploration applies the sleep-set partial-order reduction of
 :mod:`repro.mc.por` by default: redundant interleavings of commuting
@@ -24,10 +26,11 @@ agent actions (distinct action nodes) are pruned without losing any
 reachable state, so verdicts and terminal sets match full expansion
 while the executed-transition count roughly halves.
 
-The property oracles are shared beyond the exhaustive search:
-:class:`~repro.mc.oracle.PropertyOracle` bundles one instance's suites
-for any driver, :func:`~repro.mc.oracle.drive_schedule` replays a
-schedule under them with ReplayScheduler semantics, and
+The drivers share one core: :class:`~repro.mc.oracle.PropertyOracle`
+resolves each instance's property suites, builds its engines and runs
+every property check, for both search drivers, the replayer and any
+other driver; :func:`~repro.mc.oracle.drive_schedule` replays a
+schedule under it with ReplayScheduler semantics, and
 :func:`~repro.mc.shrink.shrink_schedule` delta-debugs a violating
 schedule to a 1-minimal reproduction — the machinery the
 coverage-guided fuzzer (:mod:`repro.fuzz`) builds on.
@@ -49,7 +52,7 @@ from repro.mc.oracle import (
     drive_schedule,
 )
 from repro.mc.parallel import check_frontier, check_placements_pool
-from repro.mc.por import action_node, conflict, sleep_after
+from repro.mc.por import action_node, conflict, revisit, sleep_after
 from repro.mc.properties import (
     EnabledSetConsistency,
     FifoLinkIntegrity,
@@ -85,6 +88,7 @@ __all__ = [
     "drive_schedule",
     "exhaust_placements",
     "replay_counterexample",
+    "revisit",
     "sleep_after",
     "resolve_terminal",
     "shrink_schedule",

@@ -7,9 +7,11 @@ branch on a copy-on-branch engine fork.  Visited states are memoised on
 the canonical :class:`~repro.ring.configuration.Configuration` (states
 equal up to ring rotation and agent relabelling are explored once —
 sound, because the engine's transition relation is equivariant under
-both symmetries).  Safety properties run on every edge, terminal
-properties on every quiescent state, and a back-edge onto the current
-DFS path is reported as a livelock cycle.
+both symmetries).  The instance's :class:`~repro.mc.oracle.PropertyOracle`
+checks safety properties on every edge and terminal properties on every
+quiescent state, and a back-edge onto the current DFS path is reported
+as a livelock cycle — which is why only this driver's results say
+``liveness="checked"``.
 
 Because the search is exhaustive, a clean result at one size is a
 *proof* of the paper's claim at that size: no fair asynchronous schedule
@@ -21,33 +23,22 @@ Every violation is emitted as a :class:`Counterexample` whose
 ``schedule`` is the exact activation prefix from the initial state —
 feed it to :class:`repro.sim.scheduler.ReplayScheduler` (or
 :func:`replay_counterexample`) to reproduce the violation
-deterministically, event for event.
+deterministically, event for event.  :class:`MCResult` is the one result
+type of every driver, with its JSON codec (``to_dict``/``from_dict``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.mc.por import agents_of_slots, sleep_after, slots_of_agents
-from repro.mc.properties import (
-    SafetyProperty,
-    TerminalProperty,
-    default_safety_properties,
-    resolve_terminal,
-)
+from repro.mc.oracle import AgentsFactory, PropertyOracle, Violation
+from repro.mc.por import agents_of_slots, revisit, sleep_after, slots_of_agents
+from repro.mc.properties import SafetyProperty, TerminalProperty
 from repro.mc.state import Frame, SearchStats, capture_pre_state
 from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
-from repro.sim.agent import Agent
 from repro.sim.engine import Engine
 
 __all__ = [
@@ -59,7 +50,8 @@ __all__ = [
     "replay_counterexample",
 ]
 
-AgentsFactory = Callable[[], Sequence[Agent]]
+#: Transitions between two ``progress`` callbacks of the DFS.
+PROGRESS_EVERY = 5000
 
 
 @dataclass(frozen=True)
@@ -80,6 +72,20 @@ class Counterexample:
     kind: str
     property_name: str
     message: str
+
+    @classmethod
+    def of(
+        cls, oracle: PropertyOracle, violation: Violation, schedule: Sequence[int]
+    ) -> "Counterexample":
+        """``violation`` of ``oracle``'s instance, reached by ``schedule``."""
+        return cls(
+            algorithm=oracle.algorithm,
+            placement=oracle.placement,
+            schedule=tuple(schedule),
+            kind=violation.kind,
+            property_name=violation.property_name,
+            message=violation.message,
+        )
 
     def describe(self) -> str:
         return (
@@ -104,7 +110,9 @@ class MCResult:
     proved redundant and never executed; ``memo_bytes`` approximates the
     peak visited-memo footprint; ``terminal_keys`` are the canonical
     keys (hex) of every quiescent state reached — the differential POR
-    gate compares them against full expansion.
+    gate compares them against full expansion.  ``liveness`` says
+    whether livelock cycles were searched for: ``"checked"`` by the DFS,
+    ``"not checked"`` by the breadth-first frontier driver.
     """
 
     algorithm: str
@@ -119,6 +127,39 @@ class MCResult:
     por_skipped: int = 0
     memo_bytes: int = 0
     terminal_keys: Tuple[str, ...] = ()
+    liveness: str = "checked"
+
+    @classmethod
+    def from_search(
+        cls,
+        oracle: PropertyOracle,
+        stats: SearchStats,
+        visited: dict,
+        violations: Sequence[Counterexample],
+        terminal_keys: Sequence[str],
+        *,
+        complete: bool,
+        stop_at_first: bool,
+        liveness: str,
+    ) -> "MCResult":
+        """The result of a finished search (every driver builds it here)."""
+        stats.memo_bytes = sum(16 + 8 * len(slots) for slots in visited.values())
+        return cls(
+            algorithm=oracle.algorithm,
+            placement=oracle.placement,
+            explored=stats.explored,
+            transitions=stats.transitions,
+            deduped=stats.deduped,
+            terminals=stats.terminals,
+            max_depth=stats.max_depth,
+            # Stopping at the first violation leaves the space unexhausted.
+            complete=complete and not (stop_at_first and violations),
+            violations=tuple(violations),
+            por_skipped=stats.por_skipped,
+            memo_bytes=stats.memo_bytes,
+            terminal_keys=tuple(sorted(terminal_keys)),
+            liveness=liveness,
+        )
 
     @property
     def ok(self) -> bool:
@@ -140,7 +181,7 @@ class MCResult:
             f"{self.explored} states, {self.transitions} transitions, "
             f"{self.deduped} deduped, {self.por_skipped} por-skipped, "
             f"{self.terminals} terminal, "
-            f"max depth {self.max_depth} -> {verdict}"
+            f"max depth {self.max_depth}, liveness {self.liveness} -> {verdict}"
         )
 
     def to_dict(self) -> dict:
@@ -154,6 +195,7 @@ class MCResult:
             "verdict": self.verdict,
             "ok": self.ok,
             "complete": self.complete,
+            "liveness": self.liveness,
             "explored": self.explored,
             "transitions": self.transitions,
             "deduped": self.deduped,
@@ -173,37 +215,49 @@ class MCResult:
             ],
         }
 
+    @classmethod
+    def from_dict(cls, record: dict) -> "MCResult":
+        """Inverse of :meth:`to_dict` (a spilled ``result.json``).
+
+        Only the frontier driver spills results, and records written
+        before the ``liveness`` field existed load as ``"not checked"``.
+        """
+        placement = Placement(
+            ring_size=record["placement"]["ring_size"],
+            homes=tuple(record["placement"]["homes"]),
+        )
+        return cls(
+            algorithm=record["algorithm"],
+            placement=placement,
+            explored=record["explored"],
+            transitions=record["transitions"],
+            deduped=record["deduped"],
+            terminals=record["terminals"],
+            max_depth=record["max_depth"],
+            complete=record["complete"],
+            violations=tuple(
+                Counterexample(
+                    algorithm=record["algorithm"],
+                    placement=placement,
+                    schedule=tuple(entry["schedule"]),
+                    kind=entry["kind"],
+                    property_name=entry["property"],
+                    message=entry["message"],
+                )
+                for entry in record["violations"]
+            ),
+            por_skipped=record["por_skipped"],
+            memo_bytes=record["memo_bytes"],
+            terminal_keys=tuple(record["terminal_keys"]),
+            liveness=record.get("liveness", "not checked"),
+        )
+
 
 def _cycle_message(depth: int) -> str:
     """The livelock-cycle violation text (shared with the replay check)."""
     return (
         "schedule returns to a state already on its own path "
         f"after {depth} actions"
-    )
-
-
-def _make_engine(
-    algorithm: str,
-    placement: Placement,
-    factory: Optional[AgentsFactory],
-    links: Optional[LinkSpec] = None,
-) -> Engine:
-    if factory is not None:
-        return Engine(
-            placement=placement,
-            agents=list(factory()),
-            collect_metrics=False,
-            record_views=True,
-            links=links,
-        )
-    from repro.experiments.runner import build_engine
-
-    return build_engine(
-        algorithm,
-        placement,
-        collect_metrics=False,
-        record_views=True,
-        links=links,
     )
 
 
@@ -222,7 +276,6 @@ def check_interleavings(
     por: bool = True,
     links: Optional[LinkSpec] = None,
     progress: Optional[Callable[[SearchStats], None]] = None,
-    progress_every: int = 5000,
 ) -> MCResult:
     """Exhaust every fair interleaving from ``placement`` under ``algorithm``.
 
@@ -235,7 +288,8 @@ def check_interleavings(
     the visited-state count; hitting either leaves ``complete=False``
     (the result is then a bounded check, not a proof).  With
     ``stop_at_first=False`` the search records every violation but never
-    explores past a violating state.
+    explores past a violating state.  ``progress`` receives the running
+    :class:`SearchStats` every :data:`PROGRESS_EVERY` transitions.
 
     ``por=True`` (the default) applies the sleep-set partial-order
     reduction of :mod:`repro.mc.por`: redundant interleavings of
@@ -251,21 +305,13 @@ def check_interleavings(
     fault-draw stream (see :mod:`repro.mc.por`), so an active spec
     forces full expansion regardless of ``por``.
     """
-    n, k = placement.ring_size, placement.agent_count
-    if links is not None and not links.active:
-        links = None
-    if links is not None:
-        por = False  # agent moves stop commuting: shared draw stream
-    safety_props: Tuple[SafetyProperty, ...] = tuple(
-        default_safety_properties(n, k, links) if safety is None else safety
+    oracle = PropertyOracle(
+        algorithm, placement, factory=factory, safety=safety, terminal=terminal,
+        require_halted=require_halted, require_suspended=require_suspended, links=links,
     )
-    terminal_props: Tuple[TerminalProperty, ...] = (
-        (resolve_terminal(algorithm, require_halted, require_suspended),)
-        if terminal is None
-        else tuple(terminal)
-    )
-
-    root = _make_engine(algorithm, placement, factory, links)
+    por = por and oracle.links is None  # faults: moves share one draw stream
+    n = placement.ring_size
+    root = oracle.fresh_engine(record_views=True)
     root_key = root.snapshot().canonical_key()
     stats = SearchStats(explored=1)
     # visited maps canonical key -> sleep slots the state was (last)
@@ -275,18 +321,6 @@ def check_interleavings(
     terminal_keys: List[str] = []
     violations: List[Counterexample] = []
     complete = True
-
-    def record(kind: str, name: str, message: str, schedule: Tuple[int, ...]) -> None:
-        violations.append(
-            Counterexample(
-                algorithm=algorithm,
-                placement=placement,
-                schedule=schedule,
-                kind=kind,
-                property_name=name,
-                message=message,
-            )
-        )
 
     stack: List[Frame] = [
         Frame(
@@ -317,78 +351,54 @@ def check_interleavings(
         stats.transitions += 1
         if len(schedule) > stats.max_depth:
             stats.max_depth = len(schedule)
-        if progress is not None and stats.transitions % progress_every == 0:
+        if progress is not None and stats.transitions % PROGRESS_EVERY == 0:
             progress(stats)
 
         snapshot = child.snapshot()
-        broken = False
-        for prop in safety_props:
-            message = prop.check(pre, child, snapshot, agent_id)
-            if message is not None:
-                record("safety", prop.name, message, schedule)
-                broken = True
-                break
-        if broken:
+        violation = oracle.check_step(pre, child, snapshot, agent_id)
+        if violation is None:
+            key = snapshot.canonical_key()
+            if key in on_path:
+                violation = Violation(
+                    "cycle", "livelock-cycle", _cycle_message(len(schedule))
+                )
+        if violation is not None:
+            violations.append(Counterexample.of(oracle, violation, schedule))
             if stop_at_first:
                 break
             continue  # never explore past a violating state
 
-        key = snapshot.canonical_key()
-        if key in on_path:
-            record(
-                "cycle",
-                "livelock-cycle",
-                _cycle_message(len(schedule)),
-                schedule,
-            )
-            if stop_at_first:
-                break
-            continue
+        sleep_slots = slots_of_agents(snapshot, child_sleep)
         stored = visited.get(key)
         if stored is not None:
-            sleep_slots = slots_of_agents(snapshot, child_sleep)
-            if stored <= sleep_slots:
-                # Everything the first visit slept through is slept here
-                # too — the revisit adds nothing.  Pure memo hit.
-                stats.deduped += 1
-                frame.slept.add(agent_id)
-                continue
-            # Revisit under a smaller sleep set: transitions the stored
-            # visit slept through are no longer covered on this path.
-            # Re-expand exactly the difference (stored sets shrink
-            # monotonically, so this terminates).
-            reopen = stored - sleep_slots
-            visited[key] = stored & sleep_slots
             stats.deduped += 1
-            reopen_agents = sorted(agents_of_slots(snapshot, reopen))
-            enabled = child.enabled_agents()
-            stack.append(
-                Frame(
-                    engine=child,
-                    key=key,
-                    schedule=schedule,
-                    choices=list(reversed(reopen_agents)),
-                    slept=set(enabled) - set(reopen_agents),
-                )
-            )
-            on_path.add(key)
             frame.slept.add(agent_id)
+            reopened = revisit(stored, sleep_slots)
+            if reopened is not None:
+                reopen, visited[key] = reopened
+                choices = sorted(agents_of_slots(snapshot, reopen))
+                stack.append(
+                    Frame(
+                        engine=child,
+                        key=key,
+                        schedule=schedule,
+                        choices=list(reversed(choices)),
+                        slept=set(child.enabled_agents()) - set(choices),
+                    )
+                )
+                on_path.add(key)
             continue
-        sleep_slots = slots_of_agents(snapshot, child_sleep)
         visited[key] = sleep_slots
         stats.explored += 1
 
         if child.quiescent:
             stats.terminals += 1
             terminal_keys.append(key.hex())
-            for prop in terminal_props:
-                message = prop.check(child, snapshot)
-                if message is not None:
-                    record("terminal", prop.name, message, schedule)
-                    broken = True
+            violation = oracle.check_terminal(child, snapshot)
+            if violation is not None:
+                violations.append(Counterexample.of(oracle, violation, schedule))
+                if stop_at_first:
                     break
-            if broken and stop_at_first:
-                break
             frame.slept.add(agent_id)
             continue
         if depth_limit is not None and len(schedule) >= depth_limit:
@@ -400,11 +410,8 @@ def check_interleavings(
             break
 
         enabled = child.enabled_agents()
-        if child_sleep:
-            choices = [a for a in enabled if a not in child_sleep]
-            stats.por_skipped += len(enabled) - len(choices)
-        else:
-            choices = list(enabled)
+        choices = [a for a in enabled if a not in child_sleep]
+        stats.por_skipped += len(enabled) - len(choices)
         stack.append(
             Frame(
                 engine=child,
@@ -417,23 +424,9 @@ def check_interleavings(
         on_path.add(key)
         frame.slept.add(agent_id)
 
-    if stop_at_first and violations:
-        complete = False  # the search stopped early by design
-
-    stats.memo_bytes = sum(16 + 8 * len(slots) for slots in visited.values())
-    return MCResult(
-        algorithm=algorithm,
-        placement=placement,
-        explored=stats.explored,
-        transitions=stats.transitions,
-        deduped=stats.deduped,
-        terminals=stats.terminals,
-        max_depth=stats.max_depth,
-        complete=complete,
-        violations=tuple(violations),
-        por_skipped=stats.por_skipped,
-        memo_bytes=stats.memo_bytes,
-        terminal_keys=tuple(sorted(terminal_keys)),
+    return MCResult.from_search(
+        oracle, stats, visited, violations, terminal_keys,
+        complete=complete, stop_at_first=stop_at_first, liveness="checked",
     )
 
 
@@ -510,28 +503,34 @@ def replay_counterexample(
     Rebuilds a fresh engine for the counterexample's algorithm and
     placement, executes the recorded schedule step by step, and runs
     the same property suite along the way.  Returns the final engine
-    and every violation message observed — a deterministic replay of
-    the original search's finding (the test suite asserts the original
+    and every violation message observed — every failing property on
+    every step, not only the first — a deterministic replay of the
+    original search's finding (the test suite asserts the original
     message is reproduced verbatim).  A counterexample found under a
     :class:`~repro.ring.faults.LinkSpec` must be replayed under the
     same ``links`` value — the schedule's link-actor entries only exist
     on a faulty engine.
     """
-    placement = counterexample.placement
-    n, k = placement.ring_size, placement.agent_count
-    if links is not None and not links.active:
-        links = None
-    safety_props = tuple(
-        default_safety_properties(n, k, links) if safety is None else safety
+    oracle = PropertyOracle(
+        counterexample.algorithm,
+        counterexample.placement,
+        factory=factory,
+        safety=safety,
+        # Only a terminal counterexample consults the terminal suite, so
+        # the other kinds replay without a resolvable terminal requirement.
+        terminal=terminal if counterexample.kind == "terminal" else (),
+        require_halted=require_halted,
+        require_suspended=require_suspended,
+        links=links,
     )
-    engine = _make_engine(counterexample.algorithm, placement, factory, links)
+    engine = oracle.fresh_engine(record_views=True)
     messages: List[str] = []
     path_keys = {engine.snapshot().canonical_key()}
     for agent_id in counterexample.schedule:
         pre = capture_pre_state(engine)
         engine.step(agent_id)
         snapshot = engine.snapshot()
-        for prop in safety_props:
+        for prop in oracle.safety:
             message = prop.check(pre, engine, snapshot, agent_id)
             if message is not None:
                 messages.append(message)
@@ -542,19 +541,9 @@ def replay_counterexample(
         # strictly smaller than the number of path positions.
         if len(path_keys) <= len(counterexample.schedule):
             messages.append(_cycle_message(len(counterexample.schedule)))
-    if counterexample.kind == "terminal":
-        terminal_props: Tuple[TerminalProperty, ...] = (
-            (
-                resolve_terminal(
-                    counterexample.algorithm, require_halted, require_suspended
-                ),
-            )
-            if terminal is None
-            else tuple(terminal)
-        )
-        snapshot = engine.snapshot()
-        for prop in terminal_props:
-            message = prop.check(engine, snapshot)
-            if message is not None:
-                messages.append(message)
+    snapshot = engine.snapshot()
+    for prop in oracle.terminal:
+        message = prop.check(engine, snapshot)
+        if message is not None:
+            messages.append(message)
     return engine, messages

@@ -3,16 +3,20 @@
 The exhaustive checker, the counterexample replayer and the schedule
 fuzzer all need the same thing: "run this instance one atomic action at
 a time and tell me the moment a property breaks".  This module factors
-that out of :mod:`repro.mc.checker` so randomized drivers get exactly
-the oracles the exhaustive search uses:
+that out of :mod:`repro.mc.checker`: the depth-first
+``check_interleavings``, the breadth-first ``check_frontier``, the
+counterexample replayer and the randomized drivers all take their
+property suites and engines from here, so every driver checks exactly
+the same oracles:
 
 * :class:`Violation` — one property failure, as plain data (kind,
   property name, message) without the schedule attached, so drivers can
   pair it with whatever execution context they hold,
 * :class:`PropertyOracle` — the safety + terminal property suites of
-  one ``(algorithm, placement)`` instance, with engine construction
-  (including the ``factory`` injection hook the self-tests use) and a
-  cached ``record_views=True`` root engine for cheap
+  one ``(algorithm, placement)`` instance (the only place the default
+  suites are resolved), with engine construction (including the
+  ``factory`` injection hook the self-tests use) and a cached
+  ``record_views=True`` root engine for cheap
   :meth:`~repro.sim.engine.Engine.fork`-based replays,
 * :func:`drive_schedule` — replay a recorded schedule with exactly
   :class:`~repro.sim.scheduler.ReplayScheduler` semantics (disabled
@@ -50,7 +54,7 @@ AgentsFactory = Callable[[], Sequence[Agent]]
 class Violation:
     """One property failure observed by an oracle-checked driver."""
 
-    kind: str  # "safety" or "terminal"
+    kind: str  # "safety", "terminal" or (from the DFS) "cycle"
     property_name: str
     message: str
 

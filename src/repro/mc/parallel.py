@@ -17,9 +17,15 @@ Two orthogonal parallelisation axes over :mod:`repro.mc.checker`:
   verdict deterministic *and invariant in* ``jobs``: the ``--jobs 2``
   run reports the same numbers as ``--jobs 1`` (pinned by tests).
 
+Both drivers share everything but the search loop: the instance's
+:class:`~repro.mc.oracle.PropertyOracle` builds their engines and runs
+their property checks, :func:`repro.mc.por.revisit` is their sleep-set
+revisit rule and :meth:`~repro.mc.checker.MCResult.from_search` builds
+their results.
+
 Engines cannot cross process boundaries (agent protocols are live
 generators), so workers rebuild states by replaying the item's
-activation schedule on a per-process root engine — the same
+activation schedule on a fork of the oracle's root engine — the same
 view-replay mechanism :meth:`Engine.fork` uses in-process.  That costs
 ``O(depth)`` steps per expanded state, the price of a frontier that
 can also be spilled to disk and resumed (:mod:`repro.mc.frontier`):
@@ -29,8 +35,9 @@ cumulative stats.
 
 The breadth-first driver retains every guarantee of the DFS *except*
 livelock-cycle detection (there is no DFS path to find a back-edge
-onto); the four paper algorithms and the selftest bug are cycle-free,
-and the serial DFS remains the default for plain ``repro mc``.
+onto), so its results say ``liveness="not checked"``; the four paper
+algorithms and the selftest bug are cycle-free, and the serial DFS
+remains the default for plain ``repro mc``.
 """
 
 from __future__ import annotations
@@ -38,25 +45,14 @@ from __future__ import annotations
 import multiprocessing
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.mc.checker import (
-    AgentsFactory,
-    Counterexample,
-    MCResult,
-    _make_engine,
-    check_interleavings,
-)
+from repro.mc.checker import Counterexample, MCResult, check_interleavings
 from repro.mc.frontier import FrontierItem, FrontierSpill, ResumeState, check_spec
-from repro.mc.por import agents_of_slots, sleep_after, slots_of_agents
-from repro.mc.properties import (
-    SafetyProperty,
-    TerminalProperty,
-    default_safety_properties,
-    resolve_terminal,
-)
+from repro.mc.oracle import AgentsFactory, PropertyOracle, Violation
+from repro.mc.por import agents_of_slots, revisit, sleep_after, slots_of_agents
+from repro.mc.properties import SafetyProperty, TerminalProperty
 from repro.mc.state import SearchStats, capture_pre_state
 from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
-from repro.sim.engine import Engine
 
 __all__ = ["check_frontier", "check_placements_pool"]
 
@@ -107,94 +103,72 @@ def check_placements_pool(
 
 #: Child record produced by a worker: (canonical key, schedule, sleep
 #: slots, quiescent flag, terminal violation or None).
-_Child = Tuple[bytes, Tuple[int, ...], frozenset, bool, Optional[Tuple[str, str]]]
+_Child = Tuple[bytes, Tuple[int, ...], frozenset, bool, Optional[Violation]]
+
+
+def _journal_violation(violation: Violation, schedule: Tuple[int, ...]) -> dict:
+    """A violation as its ``{"t": "x"}`` journal record."""
+    return {
+        "t": "x",
+        "kind": violation.kind,
+        "name": violation.property_name,
+        "msg": violation.message,
+        "sch": list(schedule),
+    }
 
 
 class _FrontierWorker:
-    """Per-process expansion state: a pristine root engine + properties."""
+    """Per-process expansion state: the instance's oracle + POR mode."""
 
-    def __init__(
-        self,
-        root: Engine,
-        safety_props: Tuple[SafetyProperty, ...],
-        terminal_props: Tuple[TerminalProperty, ...],
-        por: bool,
-        ring_size: int,
-    ) -> None:
-        self.root = root
-        self.safety = safety_props
-        self.terminal = terminal_props
+    def __init__(self, oracle: PropertyOracle, por: bool) -> None:
+        self.oracle = oracle
         self.por = por
-        self.ring_size = ring_size
-
-    def _rebuild(self, schedule: Tuple[int, ...]) -> Engine:
-        engine = self.root.fork()
-        for agent_id in schedule:
-            engine.step(agent_id)
-        return engine
 
     def expand(
         self, item: FrontierItem
     ) -> Tuple[int, int, List[_Child], List[dict]]:
         """Expand one frontier state; return (transitions, por_skipped,
         children, violations)."""
-        engine = self._rebuild(item.schedule)
+        engine = self.oracle.fork_root()
+        for agent_id in item.schedule:
+            engine.step(agent_id)
         enabled = engine.enabled_agents()
         snapshot = engine.snapshot()
-        layout = snapshot.packed_layout()[1]
         if item.restrict is not None:
-            targets = sorted(layout[slot] for slot in item.restrict)
+            targets = sorted(agents_of_slots(snapshot, item.restrict))
             slept = set(enabled) - set(targets)
             por_skipped = 0
         else:
-            sleeping = {layout[slot] for slot in item.sleep}
-            targets = [a for a in enabled if a not in sleeping]
-            slept = set(sleeping)
+            slept = agents_of_slots(snapshot, item.sleep)
+            targets = [a for a in enabled if a not in slept]
             por_skipped = len(enabled) - len(targets)
-        transitions = 0
         children: List[_Child] = []
         violations: List[dict] = []
         for index, agent_id in enumerate(targets):
             child = engine.fork() if index < len(targets) - 1 else engine
             if self.por and slept:
-                child_sleep = sleep_after(child, slept, agent_id, self.ring_size)
+                child_sleep = sleep_after(
+                    child, slept, agent_id, self.oracle.placement.ring_size
+                )
             else:
                 child_sleep = set()
             pre = capture_pre_state(child)
             child.step(agent_id)
-            transitions += 1
             schedule = item.schedule + (agent_id,)
             child_snapshot = child.snapshot()
-            broken = False
-            for prop in self.safety:
-                message = prop.check(pre, child, child_snapshot, agent_id)
-                if message is not None:
-                    violations.append(
-                        {
-                            "t": "x",
-                            "kind": "safety",
-                            "name": prop.name,
-                            "msg": message,
-                            "sch": list(schedule),
-                        }
-                    )
-                    broken = True
-                    break
-            if broken:
+            violation = self.oracle.check_step(pre, child, child_snapshot, agent_id)
+            if violation is not None:
+                violations.append(_journal_violation(violation, schedule))
                 continue  # never explore past a violating state
             key = child_snapshot.canonical_key()
             sleep_slots = slots_of_agents(child_snapshot, child_sleep)
             quiescent = child.quiescent
-            term: Optional[Tuple[str, str]] = None
+            term = None
             if quiescent:
-                for prop in self.terminal:
-                    message = prop.check(child, child_snapshot)
-                    if message is not None:
-                        term = (prop.name, message)
-                        break
+                term = self.oracle.check_terminal(child, child_snapshot)
             children.append((key, schedule, sleep_slots, quiescent, term))
             slept.add(agent_id)
-        return transitions, por_skipped, children, violations
+        return len(targets), por_skipped, children, violations
 
 
 _WORKER: Optional[_FrontierWorker] = None
@@ -203,28 +177,31 @@ _WORKER: Optional[_FrontierWorker] = None
 def _init_frontier_worker(
     algorithm: str,
     placement: Placement,
+    safety: Tuple[SafetyProperty, ...],
+    terminal: Tuple[TerminalProperty, ...],
+    links: Optional[LinkSpec],
     por: bool,
-    safety_props: Tuple[SafetyProperty, ...],
-    terminal_props: Tuple[TerminalProperty, ...],
-    links: Optional[LinkSpec] = None,
 ) -> None:
     global _WORKER
-    root = _make_engine(algorithm, placement, None, links)
-    _WORKER = _FrontierWorker(
-        root, safety_props, terminal_props, por, placement.ring_size
+    oracle = PropertyOracle(
+        algorithm, placement, safety=safety, terminal=terminal, links=links
     )
+    _WORKER = _FrontierWorker(oracle, por)
 
 
 def _expand_batch(
-    items: List[FrontierItem],
+    items: List[FrontierItem], worker: Optional[_FrontierWorker] = None
 ) -> Tuple[int, int, List[_Child], List[dict]]:
-    assert _WORKER is not None
+    """Expand one owner bucket, in a pool process or (given ``worker``)
+    in process."""
+    worker = worker or _WORKER
+    assert worker is not None
     transitions = 0
     por_skipped = 0
     children: List[_Child] = []
     violations: List[dict] = []
     for item in items:
-        t, p, c, v = _WORKER.expand(item)
+        t, p, c, v = worker.expand(item)
         transitions += t
         por_skipped += p
         children.extend(c)
@@ -258,12 +235,13 @@ def check_frontier(
     """Breadth-first, optionally parallel and disk-spilled exploration.
 
     Semantics match :func:`check_interleavings` (same properties, same
-    POR, same verdicts) except that livelock cycles are not detected
-    and ``stop_at_first`` stops at wave granularity.  ``jobs > 1``
-    requires a registered ``algorithm`` name; ``store_root`` spills
-    every wave to ``<store_root>/mc/<check-hash>/`` and ``resume=True``
-    continues a previously killed run (a completed run's stored result
-    is returned directly).  ``links`` behaves as in
+    POR, same verdicts) except that livelock cycles are not detected —
+    the result says ``liveness="not checked"`` — and ``stop_at_first``
+    stops at wave granularity.  ``jobs > 1`` requires a registered
+    ``algorithm`` name; ``store_root`` spills every wave to
+    ``<store_root>/mc/<check-hash>/`` and ``resume=True`` continues a
+    previously killed run (a completed run's stored result is returned
+    directly).  ``links`` behaves as in
     :func:`check_interleavings`: fault-aware properties, link-actor
     branches, and sleep sets forced off (see :mod:`repro.mc.por`); the
     wave-merge discipline keeps the verdict ``jobs``-invariant on
@@ -274,19 +252,11 @@ def check_frontier(
             "check_frontier(jobs>1) needs a registered algorithm name; "
             "agent factories do not cross process boundaries"
         )
-    n, k = placement.ring_size, placement.agent_count
-    if links is not None and not links.active:
-        links = None
-    if links is not None:
-        por = False  # agent moves stop commuting: shared draw stream
-    safety_props: Tuple[SafetyProperty, ...] = tuple(
-        default_safety_properties(n, k, links) if safety is None else safety
+    oracle = PropertyOracle(
+        algorithm, placement, factory=factory, safety=safety, terminal=terminal,
+        require_halted=require_halted, require_suspended=require_suspended, links=links,
     )
-    terminal_props: Tuple[TerminalProperty, ...] = (
-        (resolve_terminal(algorithm, require_halted, require_suspended),)
-        if terminal is None
-        else tuple(terminal)
-    )
+    por = por and oracle.links is None  # faults: moves share one draw stream
 
     spill: Optional[FrontierSpill] = None
     resumed: Optional[ResumeState] = None
@@ -298,26 +268,16 @@ def check_frontier(
             depth_limit=depth_limit,
             max_states=max_states,
             stop_at_first=stop_at_first,
-            safety_props=safety_props,
-            terminal_props=terminal_props,
-            links=links,
+            safety_props=oracle.safety,
+            terminal_props=oracle.terminal,
+            links=oracle.links,
         )
         spill = FrontierSpill(store_root, spec)
         if resume:
             stored = spill.load_result()
             if stored is not None:
-                return _result_from_dict(algorithm, placement, stored)
+                return MCResult.from_dict(stored)
             resumed = spill.resume_state()
-
-    def record_violation(entry: dict) -> Counterexample:
-        return Counterexample(
-            algorithm=algorithm,
-            placement=placement,
-            schedule=tuple(entry["sch"]),
-            kind=entry["kind"],
-            property_name=entry["name"],
-            message=entry["msg"],
-        )
 
     if resumed is not None:
         wave = resumed.wave
@@ -331,8 +291,7 @@ def check_frontier(
             # explore further, just finalise the stored state.
             frontier = []
     else:
-        root = _make_engine(algorithm, placement, factory, links)
-        root_key = root.snapshot().canonical_key()
+        root_key = oracle.fork_root().snapshot().canonical_key()
         wave = 0
         visited = {root_key: frozenset()}
         frontier = [FrontierItem(key=root_key, schedule=())]
@@ -347,7 +306,7 @@ def check_frontier(
 
     complete = not stats.truncated
     pool = None
-    local_worker: Optional[_FrontierWorker] = None
+    worker = _FrontierWorker(oracle, por)  # expands in process when jobs == 1
     if jobs > 1:
         pool = multiprocessing.Pool(
             processes=jobs,
@@ -355,19 +314,11 @@ def check_frontier(
             initargs=(
                 algorithm,
                 placement,
+                oracle.safety,
+                oracle.terminal,
+                oracle.links,
                 por,
-                safety_props,
-                terminal_props,
-                links,
             ),
-        )
-    else:
-        local_worker = _FrontierWorker(
-            _make_engine(algorithm, placement, factory, links),
-            safety_props,
-            terminal_props,
-            por,
-            n,
         )
 
     try:
@@ -384,7 +335,7 @@ def check_frontier(
             if pool is not None:
                 parts = pool.map(_expand_batch, occupied)
             else:
-                parts = [_expand_batch_local(local_worker, b) for b in occupied]
+                parts = [_expand_batch(bucket, worker) for bucket in occupied]
 
             wave_violations: List[dict] = []
             children: List[_Child] = []
@@ -404,24 +355,20 @@ def check_frontier(
                     stats.max_depth = len(schedule)
                 stored = visited.get(key)
                 if stored is not None:
-                    if stored <= sleep_slots:
-                        stats.deduped += 1
-                        continue
-                    # Sleep-set revisit rule: re-expand exactly what the
-                    # stored visit slept through but this path does not.
-                    reopen = stored - sleep_slots
-                    merged = stored & sleep_slots
-                    visited[key] = merged
-                    visited_delta.append((key, merged))
                     stats.deduped += 1
-                    next_frontier.append(
-                        FrontierItem(
-                            key=key,
-                            schedule=schedule,
-                            sleep=merged,
-                            restrict=tuple(sorted(reopen)),
+                    reopened = revisit(stored, sleep_slots)
+                    if reopened is not None:
+                        reopen, merged = reopened
+                        visited[key] = merged
+                        visited_delta.append((key, merged))
+                        next_frontier.append(
+                            FrontierItem(
+                                key=key,
+                                schedule=schedule,
+                                sleep=merged,
+                                restrict=tuple(sorted(reopen)),
+                            )
                         )
-                    )
                     continue
                 visited[key] = sleep_slots
                 visited_delta.append((key, sleep_slots))
@@ -430,15 +377,7 @@ def check_frontier(
                     stats.terminals += 1
                     wave_terminal_keys.append(key.hex())
                     if term is not None:
-                        wave_violations.append(
-                            {
-                                "t": "x",
-                                "kind": "terminal",
-                                "name": term[0],
-                                "msg": term[1],
-                                "sch": list(schedule),
-                            }
-                        )
+                        wave_violations.append(_journal_violation(term, schedule))
                     continue
                 if depth_limit is not None and len(schedule) >= depth_limit:
                     stats.truncated += 1
@@ -476,72 +415,16 @@ def check_frontier(
             pool.close()
             pool.join()
 
-    violations = tuple(record_violation(entry) for entry in violation_records)
-    if stop_at_first and violations:
-        complete = False
-    stats.memo_bytes = sum(16 + 8 * len(slots) for slots in visited.values())
-    result = MCResult(
-        algorithm=algorithm,
-        placement=placement,
-        explored=stats.explored,
-        transitions=stats.transitions,
-        deduped=stats.deduped,
-        terminals=stats.terminals,
-        max_depth=stats.max_depth,
-        complete=complete,
-        violations=violations,
-        por_skipped=stats.por_skipped,
-        memo_bytes=stats.memo_bytes,
-        terminal_keys=tuple(sorted(terminal_keys)),
+    violations = [
+        Counterexample.of(
+            oracle, Violation(entry["kind"], entry["name"], entry["msg"]), entry["sch"]
+        )
+        for entry in violation_records
+    ]
+    result = MCResult.from_search(
+        oracle, stats, visited, violations, terminal_keys,
+        complete=complete, stop_at_first=stop_at_first, liveness="not checked",
     )
     if spill is not None:
         spill.finish(result.to_dict())
     return result
-
-
-def _expand_batch_local(
-    worker: Optional[_FrontierWorker], items: List[FrontierItem]
-) -> Tuple[int, int, List[_Child], List[dict]]:
-    assert worker is not None
-    transitions = 0
-    por_skipped = 0
-    children: List[_Child] = []
-    violations: List[dict] = []
-    for item in items:
-        t, p, c, v = worker.expand(item)
-        transitions += t
-        por_skipped += p
-        children.extend(c)
-        violations.extend(v)
-    return transitions, por_skipped, children, violations
-
-
-def _result_from_dict(
-    algorithm: str, placement: Placement, stored: dict
-) -> MCResult:
-    """Rebuild an :class:`MCResult` from a spilled ``result.json``."""
-    violations = tuple(
-        Counterexample(
-            algorithm=algorithm,
-            placement=placement,
-            schedule=tuple(entry["schedule"]),
-            kind=entry["kind"],
-            property_name=entry["property"],
-            message=entry["message"],
-        )
-        for entry in stored.get("violations", [])
-    )
-    return MCResult(
-        algorithm=algorithm,
-        placement=placement,
-        explored=stored["explored"],
-        transitions=stored["transitions"],
-        deduped=stored["deduped"],
-        terminals=stored["terminals"],
-        max_depth=stored["max_depth"],
-        complete=stored["complete"],
-        violations=violations,
-        por_skipped=stored.get("por_skipped", 0),
-        memo_bytes=stored.get("memo_bytes", 0),
-        terminal_keys=tuple(stored.get("terminal_keys", ())),
-    )

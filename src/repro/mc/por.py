@@ -56,8 +56,9 @@ Sleep sets are stored per visited state in *canonical slot* coordinates
 (:meth:`repro.ring.configuration.Configuration.packed_layout`) so they
 survive the agent-relabelling quotient of the memo table; a revisit
 whose inherited sleep set is not a superset of the stored one re-expands
-exactly the difference (the standard sleep-set revisit rule — stored
-sets shrink monotonically, so the search terminates).
+exactly the difference (the standard sleep-set revisit rule, :func:`revisit`,
+which both drivers call — stored sets shrink monotonically, so the
+search terminates).
 
 Link faults: the new action class, and why the reduction stands down
 --------------------------------------------------------------------
@@ -89,7 +90,7 @@ invariant yet order-insensitive; nothing of the sort is attempted here.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Set
+from typing import AbstractSet, Iterable, Optional, Set, Tuple
 
 from repro.ring.configuration import Configuration
 from repro.sim.engine import Engine
@@ -97,6 +98,7 @@ from repro.sim.engine import Engine
 __all__ = [
     "action_node",
     "conflict",
+    "revisit",
     "sleep_after",
     "slots_of_agents",
     "agents_of_slots",
@@ -164,3 +166,19 @@ def agents_of_slots(snapshot: Configuration, slots: Iterable[int]) -> Set[int]:
     """Map canonical slots back to this snapshot's concrete agent ids."""
     layout = snapshot.packed_layout()[1]
     return {layout[slot] for slot in slots}
+
+
+def revisit(
+    stored: frozenset, sleep_slots: frozenset
+) -> Optional[Tuple[frozenset, frozenset]]:
+    """The sleep-set revisit rule for a state already in the memo.
+
+    ``stored`` are the slots the state was last explored under and
+    ``sleep_slots`` those the new path arrives with.  Returns ``None``
+    when everything the stored visit slept through is slept here too (a
+    pure memo hit), else ``(reopen, merged)``: the slots to re-expand
+    and the smaller set to store in their place.
+    """
+    if stored <= sleep_slots:
+        return None
+    return stored - sleep_slots, stored & sleep_slots

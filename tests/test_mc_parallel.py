@@ -36,7 +36,7 @@ from repro.mc import (
     replay_counterexample,
 )
 from repro.mc.frontier import FrontierSpill
-from repro.mc.properties import default_safety_properties, resolve_terminal
+from repro.mc.oracle import PropertyOracle
 from repro.mc.selftest import wake_race_agents
 from repro.ring.placement import Placement
 
@@ -45,7 +45,7 @@ BUG_PLACEMENT = Placement(ring_size=8, homes=(0, 1, 3))
 
 
 def _spill_for(store: Path, algorithm: str, placement: Placement) -> FrontierSpill:
-    n, k = placement.ring_size, placement.agent_count
+    oracle = PropertyOracle(algorithm, placement)
     spec = check_spec(
         algorithm,
         placement,
@@ -53,8 +53,8 @@ def _spill_for(store: Path, algorithm: str, placement: Placement) -> FrontierSpi
         depth_limit=None,
         max_states=None,
         stop_at_first=True,
-        safety_props=tuple(default_safety_properties(n, k)),
-        terminal_props=(resolve_terminal(algorithm, None, None),),
+        safety_props=oracle.safety,
+        terminal_props=oracle.terminal,
     )
     return FrontierSpill(str(store), spec)
 
@@ -253,6 +253,47 @@ def test_resumed_violation_is_not_reexplored(tmp_path):
         resume=True,
     )
     assert again.to_dict() == found.to_dict()
+
+
+#: A ``result.json`` exactly as a spill wrote it before results carried a
+#: ``liveness`` field (``repro mc --algorithm wake_race --n 8 --distances
+#: 1,2,5 --store DIR``), and the check hash naming its directory.
+_OLD_RESULT_HASH = "fe8edc56be075aed226ebed6443859ba89dba1b9c78e3e32668465ebb3bb51a2"
+_OLD_RESULT = {
+    "algorithm": "wake_race", "complete": False, "deduped": 0,
+    "explored": 499, "max_depth": 55, "memo_bytes": 12864, "ok": False,
+    "placement": {"homes": [0, 1, 3], "ring_size": 8}, "por_skipped": 606,
+    "terminal_keys": ["0d5f76cee5618775aa8a2ca0a18ca888"], "terminals": 1,
+    "transitions": 498, "verdict": "violation",
+    "violations": [
+        {
+            "kind": "terminal",
+            "message": "NOT UNIFORM: n=8 k=3 gaps=() (two agents share a node)",
+            "property": "uniform-terminal",
+            "schedule": [
+                0, 1, 0, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2,
+                1, 0, 2, 1, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 2, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 1,
+            ],
+        }
+    ],
+}
+
+
+def test_resume_short_circuits_on_a_result_without_liveness(tmp_path, capsys):
+    from repro.cli import main
+
+    directory = tmp_path / "mc" / _OLD_RESULT_HASH
+    directory.mkdir(parents=True)
+    (directory / "result.json").write_text(json.dumps(_OLD_RESULT), encoding="utf-8")
+    code = main(
+        ["mc", "--algorithm", "wake_race", "--n", "8", "--distances", "1,2,5",
+         "--store", str(tmp_path), "--resume", "--json"]
+    )
+    assert code == 1  # the stored violation, not a fresh search
+    (cell,) = json.loads(capsys.readouterr().out)["results"]
+    assert cell == dict(_OLD_RESULT, liveness="not checked")
+    assert sorted(path.name for path in directory.iterdir()) == ["result.json"]
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.mc import (
     replay_counterexample,
     sleep_after,
 )
-from repro.mc.por import action_node, agents_of_slots, slots_of_agents
+from repro.mc.por import action_node, agents_of_slots, revisit, slots_of_agents
 from repro.mc.selftest import wake_race_agents
 from repro.experiments.runner import build_engine
 from repro.registry import algorithm_names
@@ -77,6 +77,17 @@ def test_sleep_slot_round_trip():
     slots = slots_of_agents(snapshot, agents)
     assert agents_of_slots(snapshot, slots) == agents
     assert slots_of_agents(snapshot, ()) == frozenset()
+
+
+def test_revisit_reopens_exactly_what_the_stored_visit_slept():
+    stored = frozenset({1, 2})
+    # Everything slept before is slept now too: a pure memo hit.
+    assert revisit(stored, frozenset({1, 2})) is None
+    assert revisit(stored, frozenset({0, 1, 2})) is None
+    assert revisit(frozenset(), frozenset()) is None
+    # A smaller sleep set reopens the difference and stores the meet.
+    assert revisit(stored, frozenset({2, 3})) == (frozenset({1}), frozenset({2}))
+    assert revisit(stored, frozenset()) == (stored, frozenset())
 
 
 # ----------------------------------------------------------------------

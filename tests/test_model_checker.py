@@ -12,13 +12,16 @@ Two layers:
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 from repro.mc import (
+    MCResult,
     MemoryBound,
     all_placements,
+    check_frontier,
     check_interleavings,
     exhaust_placements,
     replay_counterexample,
@@ -247,6 +250,52 @@ def test_cycle_detection_flags_livelock_and_replays():
         violation, factory=lambda: [_ForeverSpinner()]
     )
     assert violation.message in messages
+    assert result.liveness == "checked"
+
+
+def test_frontier_misses_the_livelock_and_says_so():
+    # The breadth-first driver has no DFS path to find a back-edge on:
+    # the same instance comes back "ok", and the result must say that
+    # liveness was not checked.
+    kwargs = dict(
+        factory=lambda: [_ForeverSpinner()],
+        require_halted=True,
+        require_suspended=False,
+    )
+    placement = Placement(ring_size=4, homes=(0,))
+    result = check_frontier("forever_spinner", placement, **kwargs)
+    assert result.ok
+    assert result.liveness == "not checked"
+    assert "liveness not checked" in result.describe()
+    assert result.to_dict()["liveness"] == "not checked"
+    dfs = check_interleavings("forever_spinner", placement, **kwargs)
+    assert dfs.verdict == "violation" and dfs.violations[0].kind == "cycle"
+
+
+@pytest.mark.parametrize(
+    "algorithm,placement,kwargs",
+    [
+        ("known_k_full", Placement(6, homes=(0, 3)), {}),
+        ("wake_race", BUG_PLACEMENT, {"stop_at_first": False}),
+        (
+            "forever_spinner",
+            Placement(4, homes=(0,)),
+            {
+                "factory": lambda: [_ForeverSpinner()],
+                "require_halted": True,
+                "require_suspended": False,
+            },
+        ),
+    ],
+    ids=["ok", "violation", "cycle"],
+)
+def test_result_round_trips_through_dict(algorithm, placement, kwargs):
+    for result in (
+        check_interleavings(algorithm, placement, **kwargs),
+        check_frontier(algorithm, placement, **kwargs),
+    ):
+        assert MCResult.from_dict(result.to_dict()) == result
+        assert MCResult.from_dict(json.loads(json.dumps(result.to_dict()))) == result
 
 
 def test_memory_bound_property_fires_and_replays():
