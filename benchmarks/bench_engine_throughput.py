@@ -145,3 +145,33 @@ def test_throughput_sweep_grid(benchmark):
         "Engine throughput - sweep grid (4 cells)",
         [f"cells: {len(rows)}", f"wall: {seconds:.3f}s"],
     )
+
+
+def test_fork_cost_at_depth(benchmark):
+    # The model checker's copy-on-branch primitive.  A fork copies the
+    # agents' fields, so its cost follows n and k, not the run length.
+    n, k, depth, forks = 64, 6, 1536, 100
+    placement = random_placement(n, k, random.Random(22))
+    engine = build_engine("unknown", placement, collect_metrics=False)
+    while engine.steps < depth:
+        engine.step(engine.enabled_agents()[0])
+    per_fork = []
+
+    def runner():
+        start = time.perf_counter()
+        for _ in range(forks):
+            engine.fork()
+        per_fork.append((time.perf_counter() - start) / forks)
+
+    benchmark(runner)
+    micros = min(per_fork) * 1e6
+    record_case(f"engine fork unknown n={n} k={k} depth={depth}", {
+        "algorithm": "unknown",
+        "n": n,
+        "k": k,
+        "depth": depth,
+        "us_per_fork": round(micros, 1),
+    })
+    report_lines("Engine fork - unknown n=64 k=6 after 1536 steps",
+                 [f"{micros:,.1f} us per fork (best round)"])
+    assert engine.fork().snapshot() == engine.snapshot()

@@ -25,13 +25,16 @@ from __future__ import annotations
 from repro.analysis.sequences import minimal_period, rotation_rank
 from repro.errors import ConfigurationError
 from repro.sim.actions import Action, NodeView
-from repro.sim.agent import Agent, AgentProtocol
+from repro.sim.agent import Agent
 
 __all__ = ["RendezvousAgent"]
 
 
 class RendezvousAgent(Agent):
     """Deterministic rendezvous-or-detect agent with knowledge of k."""
+
+    SCALARS = ("dis", "gathered", "j", "k", "remaining", "symmetric")
+    SEQUENCES = ("D",)
 
     def __init__(self, agent_count: int) -> None:
         super().__init__()
@@ -44,35 +47,43 @@ class RendezvousAgent(Agent):
         self.gathered = None  # True: reached the unique meeting point
         self.symmetric = None  # True: detected an unbreakable symmetry
         self.remaining = None
-        self.declare("k", "j", "dis", "gathered", "symmetric", "remaining")
-        self.declare_sequence("D")
 
-    def protocol(self, first_view: NodeView) -> AgentProtocol:
-        self.j = 0
-        self.dis = 0
-        self.D = []
-        view = yield Action.move_forward(release_token=True)
-        while True:
+    def transition(self, view: NodeView) -> Action:
+        stage = self.stage
+        if stage == "circuit":
             self.dis += 1
             if view.tokens > 0:
                 self.D.append(self.dis)
                 self.dis = 0
                 self.j += 1
                 if self.j == self.k:
-                    break
-            view = yield Action.move_forward()
+                    return self._meet_or_detect()
+            return Action.move_forward()
+        if stage == "walk":
+            return self._walk()
+        if stage == "start":
+            self.j = 0
+            self.dis = 0
+            self.D = []
+            self.stage = "circuit"
+            return Action.move_forward(release_token=True)
+
+    def _meet_or_detect(self) -> Action:
         if minimal_period(self.D) < self.k:
             # Symmetric configuration: rendezvous is unsolvable; detect
             # and stop at home (the honest behaviour of a deterministic
             # algorithm that must not run forever).
             self.symmetric = True
             self.gathered = False
-            yield Action.halt_here()
-            return
+            return Action.halt_here()
         self.symmetric = False
         self.remaining = sum(self.D[: rotation_rank(self.D)])
-        while self.remaining > 0:
+        self.stage = "walk"
+        return self._walk()
+
+    def _walk(self) -> Action:
+        if self.remaining > 0:
             self.remaining -= 1
-            view = yield Action.move_forward()
+            return Action.move_forward()
         self.gathered = True
-        yield Action.halt_here()
+        return Action.halt_here()

@@ -28,9 +28,35 @@ from repro.core.targets import target_offset
 from repro.errors import ConfigurationError
 from repro.registry import register_algorithm
 from repro.sim.actions import Action, NodeView
-from repro.sim.agent import Agent, AgentProtocol
+from repro.sim.agent import Agent
 
 __all__ = ["KnownKFullAgent"]
+
+
+class FullDeployment(Agent):
+    """Algorithm 1's deployment phase, shared with the footnote-2 variant.
+
+    Subclasses run the selection circuit, fill ``D``, ``k`` and ``n``,
+    and call :meth:`_deploy` in the atomic action that completes it.
+    """
+
+    def _deploy(self) -> Action:
+        # Base nodes are the homes whose rotation of D is minimal; their
+        # count b equals the symmetry degree of D, and rank < k/b.
+        self.rank = rotation_rank(self.D)
+        base_count = self.k // minimal_period(self.D)
+        self.dis_base = sum(self.D[: self.rank])
+        self.remaining = self.dis_base + target_offset(
+            self.rank, self.n, self.k, base_count
+        )
+        self.stage = "deploy"
+        return self._walk()
+
+    def _walk(self) -> Action:
+        if self.remaining > 0:
+            self.remaining -= 1
+            return Action.move_forward()
+        return Action.halt_here()
 
 
 @register_algorithm(
@@ -43,8 +69,11 @@ __all__ = ["KnownKFullAgent"]
     table1_row="Algorithm 1",
     description="Algorithm 1: knowledge of k, O(k log n) memory, O(n) time",
 )
-class KnownKFullAgent(Agent):
+class KnownKFullAgent(FullDeployment):
     """The Algorithm 1 agent.  ``agent_count`` is the known ``k``."""
+
+    SCALARS = ("dis", "dis_base", "j", "k", "n", "rank", "remaining")
+    SEQUENCES = ("D",)
 
     def __init__(self, agent_count: int) -> None:
         super().__init__()
@@ -59,39 +88,26 @@ class KnownKFullAgent(Agent):
         self.rank = None  # base-node rank (Algorithm 1, line 14)
         self.dis_base = None  # hops from home to base node
         self.remaining = None  # hops left to the target node
-        self.declare("k", "j", "dis", "n", "rank", "dis_base", "remaining")
-        self.declare_sequence("D")
 
-    def protocol(self, first_view: NodeView) -> AgentProtocol:
-        # --- selection phase (Algorithm 1, lines 1-10) ---------------
-        self.j = 0
-        self.dis = 0
-        self.D = []
-        # First atomic action at the home node: release the token and
-        # start the circuit.  The initial-buffer rule guarantees we act
-        # at our home before anyone else visits it.
-        view = yield Action.move_forward(release_token=True)
-        while True:
+    def transition(self, view: NodeView) -> Action:
+        stage = self.stage
+        if stage == "circuit":  # selection phase (Algorithm 1, lines 1-10)
             self.dis += 1
             if view.tokens > 0:
                 self.D.append(self.dis)
                 self.dis = 0
                 self.j += 1
-                if self.j == self.k:
-                    break  # back at the home node: circuit complete
-            view = yield Action.move_forward()
-        self.n = sum(self.D)
-
-        # --- deployment phase (Algorithm 1, lines 12-18) --------------
-        # Base nodes are the homes whose rotation of D is minimal; their
-        # count b equals the symmetry degree of D, and rank < k/b.
-        self.rank = rotation_rank(self.D)
-        base_count = self.k // minimal_period(self.D)
-        self.dis_base = sum(self.D[: self.rank])
-        self.remaining = self.dis_base + target_offset(
-            self.rank, self.n, self.k, base_count
-        )
-        while self.remaining > 0:
-            self.remaining -= 1
-            view = yield Action.move_forward()
-        yield Action.halt_here()
+                if self.j == self.k:  # back at the home node: circuit complete
+                    self.n = sum(self.D)
+                    return self._deploy()  # Algorithm 1, lines 12-18
+            return Action.move_forward()
+        if stage == "deploy":
+            return self._walk()
+        if stage == "start":
+            # Release the token and start the circuit.  The initial-buffer
+            # rule guarantees we act at our home before anyone visits it.
+            self.j = 0
+            self.dis = 0
+            self.D = []
+            self.stage = "circuit"
+            return Action.move_forward(release_token=True)

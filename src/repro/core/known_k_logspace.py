@@ -37,7 +37,7 @@ from repro.core.targets import hop_to_next_target
 from repro.errors import ConfigurationError
 from repro.registry import register_algorithm
 from repro.sim.actions import Action, NodeView
-from repro.sim.agent import Agent, AgentProtocol
+from repro.sim.agent import Agent
 
 __all__ = ["KnownKLogSpaceAgent"]
 
@@ -54,6 +54,12 @@ __all__ = ["KnownKLogSpaceAgent"]
 )
 class KnownKLogSpaceAgent(Agent):
     """The Algorithms 2+3 agent.  ``agent_count`` is the known ``k``."""
+
+    SCALARS = (
+        "b", "hops", "id_d", "id_f", "identical", "is_leader", "k", "min_id",
+        "n", "next_d", "next_f", "phase", "seg_d", "seg_f", "seg_index", "t",
+        "t_base", "target_index", "tokens_seen",
+    )
 
     def __init__(self, agent_count: int) -> None:
         super().__init__()
@@ -80,41 +86,10 @@ class KnownKLogSpaceAgent(Agent):
         self.b = None  # follower: number of base nodes
         self.target_index = None  # follower: index within base segment
         self.hops = None  # follower: hops left to the next target
-        self.declare(
-            "k",
-            "phase",
-            "identical",
-            "min_id",
-            "id_d",
-            "id_f",
-            "next_d",
-            "next_f",
-            "seg_d",
-            "seg_f",
-            "seg_index",
-            "tokens_seen",
-            "n",
-            "is_leader",
-            "t",
-            "t_base",
-            "b",
-            "target_index",
-            "hops",
-        )
 
-    # ------------------------------------------------------------------
-    # Protocol
-    # ------------------------------------------------------------------
-
-    def protocol(self, first_view: NodeView) -> AgentProtocol:
-        self.phase = 0
-        self.n = 0
-        # First atomic action: release the token at home and depart.
-        # Sub-phase boundaries also depart within a single atomic action,
-        # so an active agent's home is empty whenever another active
-        # agent passes it (the classification invariant).
-        view = yield Action.move_forward(release_token=True)
-        while True:  # one iteration per sub-phase (Algorithm 2, lines 4-18)
+    def transition(self, view: NodeView) -> Action:
+        stage = self.stage
+        if stage == "subphase":  # Algorithm 2, lines 4-18: one sub-phase
             self.phase += 1
             self.identical = True
             self.min_id = True
@@ -122,39 +97,38 @@ class KnownKLogSpaceAgent(Agent):
             self.seg_d = 0
             self.seg_f = 0
             self.tokens_seen = 0
-            sole_active = False
-            while True:  # one circuit of the ring
-                self.seg_d += 1
-                if self.phase == 1:
-                    self.n += 1  # learn n during the first circuit
-                if view.tokens > 0:
-                    self.tokens_seen += 1
-                    at_home = self.tokens_seen == self.k
-                    if view.agents_present > 0 and not at_home:
-                        self.seg_f += 1  # a follower staying at its home
-                    else:
-                        self._close_segment(at_home)
-                        if at_home and self.seg_index == 1:
-                            sole_active = True  # no other active node met
-                        if at_home:
-                            break
-                view = yield Action.move_forward()
-            # Decision at home, still inside the arrival's atomic action.
-            if sole_active or self.identical:
-                self.is_leader = True
-                break
-            own = (self.id_d, self.id_f)
-            if not self.min_id or own == (self.next_d, self.next_f):
-                self.is_leader = False
-                break
-            # Stay active: depart for the next sub-phase immediately
-            # (same atomic action as the home arrival).
-            view = yield Action.move_forward()
-
-        if self.is_leader:
-            yield from self._leader_deployment()
-        else:
-            yield from self._follower_deployment()
+            self.stage = stage = "circuit"
+        if stage == "circuit":  # one circuit of the ring
+            self.seg_d += 1
+            if self.phase == 1:
+                self.n += 1  # learn n during the first circuit
+            if view.tokens > 0:
+                self.tokens_seen += 1
+                at_home = self.tokens_seen == self.k
+                if view.agents_present > 0 and not at_home:
+                    self.seg_f += 1  # a follower staying at its home
+                else:
+                    self._close_segment(at_home)
+                    if at_home:  # seg_index 1: met no other active node
+                        return self._decide(sole_active=self.seg_index == 1)
+            return Action.move_forward()
+        if stage == "leader":
+            return self._lead(view)
+        if stage == "wait":
+            return self._await_leader(view)
+        if stage == "to_base":
+            return self._to_base(view)
+        if stage == "hop":
+            return self._hop(view)
+        if stage == "start":
+            self.phase = 0
+            self.n = 0
+            # Release the token at home and depart.  Sub-phase boundaries
+            # also depart within a single atomic action, so an active
+            # agent's home is empty whenever another active agent passes
+            # it (the classification invariant).
+            self.stage = "subphase"
+            return Action.move_forward(release_token=True)
 
     # ------------------------------------------------------------------
     # Selection helpers
@@ -177,62 +151,82 @@ class KnownKLogSpaceAgent(Agent):
         self.seg_d = 0
         self.seg_f = 0
 
+    def _decide(self, sole_active: bool) -> Action:
+        """The decision at home, inside the arrival's atomic action."""
+        if sole_active or self.identical:
+            self.is_leader = True
+            self.t = 0  # below id_f + 1: a leader always leaves home
+            self.stage = "leader"
+            return Action.move_forward()
+        own = (self.id_d, self.id_f)
+        if not self.min_id or own == (self.next_d, self.next_f):
+            self.is_leader = False
+            self.stage = "wait"  # suspended, message-wakeable, at home
+            return Action.suspend_here()
+        # Stay active: depart for the next sub-phase immediately (same
+        # atomic action as the home arrival).
+        self.stage = "subphase"
+        return Action.move_forward()
+
     # ------------------------------------------------------------------
     # Deployment: leader (Algorithm 3, lines 2-12)
     # ------------------------------------------------------------------
 
-    def _leader_deployment(self) -> AgentProtocol:
-        self.t = 0
+    def _lead(self, view: NodeView) -> Action:
         pending = None
-        while True:
-            if self.t == self.id_f + 1:
-                # Arrived at the next base node: this is the target.
-                yield Action.halt_here()
-                return
-            view = yield Action.move_forward(broadcast=pending)
-            pending = None
-            if view.tokens > 0:
-                self.t += 1
-                if self.t <= self.id_f:
-                    # A follower home: notify in the same atomic action
-                    # as the departure (broadcast happens before moving).
-                    pending = LeaderNotice(
-                        t_base=self.id_f - (self.t - 1), f_num=self.id_f
-                    )
+        if view.tokens > 0:
+            self.t += 1
+            if self.t <= self.id_f:
+                # A follower home: notify in the same atomic action as
+                # the departure (broadcast happens before moving).
+                pending = LeaderNotice(
+                    t_base=self.id_f - (self.t - 1), f_num=self.id_f
+                )
+        if self.t == self.id_f + 1:
+            # Arrived at the next base node: this is the target.
+            return Action.halt_here()
+        return Action.move_forward(broadcast=pending)
 
     # ------------------------------------------------------------------
     # Deployment: follower (Algorithm 3, lines 15-21)
     # ------------------------------------------------------------------
 
-    def _follower_deployment(self) -> AgentProtocol:
-        # Wait (suspended, message-wakeable) at home for the leader.
-        notice = None
-        while notice is None:
-            view = yield Action.suspend_here()
-            for message in view.messages:
-                if isinstance(message, LeaderNotice):
-                    notice = message
-                    break
-        self.t_base = notice.t_base
-        self.b = self.k // (notice.f_num + 1)
-        # Walk to the nearest base node: observe t_base token nodes.
-        self.tokens_seen = 0
-        while self.tokens_seen < self.t_base:
-            view = yield Action.move_forward()
-            if view.tokens > 0:
-                self.tokens_seen += 1
+    def _await_leader(self, view: NodeView) -> Action:
+        for message in view.messages:
+            if isinstance(message, LeaderNotice):
+                self.t_base = message.t_base
+                self.b = self.k // (message.f_num + 1)
+                self.tokens_seen = 0
+                self.stage = "to_base"
+                return self._toward_base(view)
+        return Action.suspend_here()
+
+    def _to_base(self, view: NodeView) -> Action:
+        """One step of the walk to the nearest base: observe ``t_base`` tokens."""
+        if view.tokens > 0:
+            self.tokens_seen += 1
+        return self._toward_base(view)
+
+    def _toward_base(self, view: NodeView) -> Action:
+        if self.tokens_seen < self.t_base:
+            return Action.move_forward()
         # Hop from target to target until a vacant one is found.  The
         # arrival, the vacancy check and the halt (or the departure)
         # form one atomic action, so two followers can never tie.
         self.target_index = 0
-        while True:
-            step, self.target_index = hop_to_next_target(
-                self.target_index, self.n, self.k, self.b
-            )
-            self.hops = step
-            while self.hops > 0:
-                self.hops -= 1
-                view = yield Action.move_forward()
-            if view.agents_present == 0:
-                yield Action.halt_here()
-                return
+        return self._next_target(view)
+
+    def _next_target(self, view: NodeView) -> Action:
+        self.hops, self.target_index = hop_to_next_target(
+            self.target_index, self.n, self.k, self.b
+        )
+        self.stage = "hop"
+        return self._hop(view)
+
+    def _hop(self, view: NodeView) -> Action:
+        if self.hops > 0:
+            self.hops -= 1
+            return Action.move_forward()
+        if view.agents_present == 0:
+            return Action.halt_here()
+        return self._next_target(view)

@@ -12,12 +12,10 @@ Complexities match Result 1: O(k log n) memory, O(n) time, O(kn) moves.
 
 from __future__ import annotations
 
-from repro.analysis.sequences import minimal_period, rotation_rank
-from repro.core.targets import target_offset
+from repro.core.known_k_full import FullDeployment
 from repro.errors import ConfigurationError
 from repro.registry import register_algorithm
 from repro.sim.actions import Action, NodeView
-from repro.sim.agent import Agent, AgentProtocol
 
 __all__ = ["KnownNFullAgent"]
 
@@ -32,8 +30,11 @@ __all__ = ["KnownNFullAgent"]
     table1_row="Algorithm 1 (footnote 2)",
     description="Algorithm 1 variant (footnote 2): knowledge of n instead of k",
 )
-class KnownNFullAgent(Agent):
+class KnownNFullAgent(FullDeployment):
     """The footnote-2 agent: ``ring_size`` is the known ``n``."""
+
+    SCALARS = ("dis", "dis_base", "k", "moved", "n", "rank", "remaining")
+    SEQUENCES = ("D",)
 
     def __init__(self, ring_size: int) -> None:
         super().__init__()
@@ -47,34 +48,24 @@ class KnownNFullAgent(Agent):
         self.rank = None
         self.dis_base = None
         self.remaining = None
-        self.declare("n", "k", "moved", "dis", "rank", "dis_base", "remaining")
-        self.declare_sequence("D")
 
-    def protocol(self, first_view: NodeView) -> AgentProtocol:
-        # --- selection phase: one circuit, detected by n moves --------
-        self.moved = 0
-        self.dis = 0
-        self.D = []
-        view = yield Action.move_forward(release_token=True)
-        while True:
+    def transition(self, view: NodeView) -> Action:
+        stage = self.stage
+        if stage == "circuit":  # selection phase: one circuit of n moves
             self.moved += 1
             self.dis += 1
             if view.tokens > 0:
                 self.D.append(self.dis)
                 self.dis = 0
-            if self.moved == self.n:
-                break  # back at the home node
-            view = yield Action.move_forward()
-        self.k = len(self.D)
-
-        # --- deployment phase: identical to Algorithm 1 ----------------
-        self.rank = rotation_rank(self.D)
-        base_count = self.k // minimal_period(self.D)
-        self.dis_base = sum(self.D[: self.rank])
-        self.remaining = self.dis_base + target_offset(
-            self.rank, self.n, self.k, base_count
-        )
-        while self.remaining > 0:
-            self.remaining -= 1
-            view = yield Action.move_forward()
-        yield Action.halt_here()
+            if self.moved == self.n:  # back at the home node
+                self.k = len(self.D)
+                return self._deploy()  # identical to Algorithm 1
+            return Action.move_forward()
+        if stage == "deploy":
+            return self._walk()
+        if stage == "start":
+            self.moved = 0
+            self.dis = 0
+            self.D = []
+            self.stage = "circuit"
+            return Action.move_forward(release_token=True)

@@ -49,7 +49,7 @@ from repro.core.messages import PatrolInfo
 from repro.core.targets import target_offset
 from repro.registry import register_algorithm
 from repro.sim.actions import Action, NodeView
-from repro.sim.agent import Agent, AgentProtocol
+from repro.sim.agent import Agent
 
 __all__ = ["UnknownKAgent"]
 
@@ -67,6 +67,9 @@ __all__ = ["UnknownKAgent"]
 class UnknownKAgent(Agent):
     """The Algorithms 4-6 agent: no knowledge of k or n."""
 
+    SCALARS = ("dis", "dis_base", "k_est", "n_est", "nodes", "rank", "remaining")
+    SEQUENCES = ("D",)
+
     def __init__(self) -> None:
         super().__init__()
         # Paper-level state (audited by memory_bits):
@@ -78,19 +81,10 @@ class UnknownKAgent(Agent):
         self.rank = None  # base-node rank within the estimated block
         self.dis_base = None  # hops from (virtual) home to the base node
         self.remaining = None  # hops left in the current walk
-        self.declare("dis", "n_est", "k_est", "nodes", "rank", "dis_base", "remaining")
-        self.declare_sequence("D")
 
-    # ------------------------------------------------------------------
-    # Protocol
-    # ------------------------------------------------------------------
-
-    def protocol(self, first_view: NodeView) -> AgentProtocol:
-        # --- estimating phase (Algorithm 4) ---------------------------
-        self.D = []
-        self.dis = 0
-        view = yield Action.move_forward(release_token=True)
-        while True:
+    def transition(self, view: NodeView) -> Action:
+        stage = self.stage
+        if stage == "estimate":  # estimating phase (Algorithm 4)
             self.dis += 1
             if view.tokens > 0:
                 self.D.append(self.dis)
@@ -99,48 +93,71 @@ class UnknownKAgent(Agent):
                     self.k_est = len(self.D) // 4
                     self.n_est = sum(self.D[: self.k_est])
                     self.nodes = 4 * self.n_est
-                    break
-            view = yield Action.move_forward()
-
-        # --- patrolling phase (Algorithm 5) ---------------------------
-        # A broadcast decided after arriving at a node is carried by the
-        # *next* yielded action, which executes at that same node — one
-        # atomic action: arrive, observe, send, leave.
-        pending: Optional[PatrolInfo] = None
-        while self.nodes < 12 * self.n_est:
-            view = yield Action.move_forward(broadcast=pending)
+                    self.stage = "patrol"
+                    return self._patrol(None)
+            return Action.move_forward()
+        if stage == "patrol":  # patrolling phase (Algorithm 5)
             self.nodes += 1
-            pending = self._patrol_info() if view.agents_present > 0 else None
-
-        # --- deployment phase (Algorithm 6), repeated after resumes ----
-        while True:
-            block = self.D[: self.k_est]
-            self.rank = rotation_rank(block)
-            self.dis_base = sum(block[: self.rank])
-            self.remaining = self.dis_base + target_offset(
-                self.rank, self.n_est, self.k_est, base_count=1
+            return self._patrol(
+                self._patrol_info() if view.agents_present > 0 else None
             )
-            while self.remaining > 0:
-                view = yield Action.move_forward(broadcast=pending)
-                pending = None
-                self.remaining -= 1
-                self.nodes += 1
+        if stage == "approach":
+            self.remaining -= 1
+            self.nodes += 1
+            return self._approach(None)
+        if stage == "catch_up":
+            self.nodes += 1
+            return self._catch_up()
+        if stage == "suspended":
+            adopted = self._best_trigger(view.messages)
+            if adopted is None:
+                return Action.suspend_here()
+            self._adopt(*adopted)
+            return self._catch_up()
+        if stage == "start":
+            self.D = []
+            self.dis = 0
+            self.stage = "estimate"
+            return Action.move_forward(release_token=True)
 
-            # Suspend at the (estimated) target node; flush any last
-            # patrol message in the same atomic action.
-            adopted: Optional[Tuple[PatrolInfo, int]] = None
-            while adopted is None:
-                view = yield Action.suspend_here(broadcast=pending)
-                pending = None
-                adopted = self._best_trigger(view.messages)
-            info, alignment = adopted
-            self._adopt(info, alignment)
+    # ------------------------------------------------------------------
+    # Phase transitions
+    # ------------------------------------------------------------------
 
-            # Catch up to 12 n' total moves under the adopted estimate
-            # (always a positive count: nodes <= 14 n_old <= 7 n_new).
-            while self.nodes < 12 * self.n_est:
-                view = yield Action.move_forward()
-                self.nodes += 1
+    def _patrol(self, pending: Optional[PatrolInfo]) -> Action:
+        # A broadcast decided after arriving at a node is carried by the
+        # action that leaves it — one atomic action: arrive, observe,
+        # send, leave.
+        if self.nodes < 12 * self.n_est:
+            return Action.move_forward(broadcast=pending)
+        return self._deploy(pending)
+
+    def _deploy(self, pending: Optional[PatrolInfo]) -> Action:
+        """Deployment phase (Algorithm 6), entered again after resumes."""
+        block = self.D[: self.k_est]
+        self.rank = rotation_rank(block)
+        self.dis_base = sum(block[: self.rank])
+        self.remaining = self.dis_base + target_offset(
+            self.rank, self.n_est, self.k_est, base_count=1
+        )
+        return self._approach(pending)
+
+    def _approach(self, pending: Optional[PatrolInfo]) -> Action:
+        if self.remaining > 0:
+            self.stage = "approach"
+            return Action.move_forward(broadcast=pending)
+        # Suspend at the (estimated) target node; flush any last patrol
+        # message in the same atomic action.
+        self.stage = "suspended"
+        return Action.suspend_here(broadcast=pending)
+
+    def _catch_up(self) -> Action:
+        # Catch up to 12 n' total moves under the adopted estimate
+        # (always a positive count: nodes <= 14 n_old <= 7 n_new).
+        if self.nodes < 12 * self.n_est:
+            self.stage = "catch_up"
+            return Action.move_forward()
+        return self._deploy(None)
 
     # ------------------------------------------------------------------
     # Helpers

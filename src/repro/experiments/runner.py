@@ -157,7 +157,6 @@ def build_engine(
     max_steps: Optional[int] = None,
     collect_metrics: bool = True,
     validate_enabledness: bool = False,
-    record_views: bool = False,
     links: Optional[LinkSpec] = None,
 ) -> Engine:
     """Build an engine wired with fresh agents for ``algorithm``.
@@ -171,9 +170,7 @@ def build_engine(
     ``collect_metrics=False`` makes the run a pure-throughput measurement
     (the metrics object stays empty); ``validate_enabledness=True`` runs
     the O(k) enabled-set oracle after every batch as a differential
-    check against the incremental set; ``record_views=True`` logs every
-    agent view so the engine supports copy-on-branch ``fork()`` (the
-    model checker needs this); ``links`` injects a
+    check against the incremental set; ``links`` injects a
     :class:`~repro.ring.faults.LinkSpec` (faulty delivery on every
     link — specs carry their own via ``spec.links``).
     """
@@ -189,7 +186,6 @@ def build_engine(
             max_steps=(max_steps, None),
             collect_metrics=(collect_metrics, True),
             validate_enabledness=(validate_enabledness, False),
-            record_views=(record_views, False),
             links=(links, None),
         )
         algorithm = spec.algorithm
@@ -199,7 +195,6 @@ def build_engine(
         max_steps = spec.max_steps
         collect_metrics = spec.collect_metrics
         validate_enabledness = spec.validate_enabledness
-        record_views = spec.record_views
         links = spec.links
     elif placement is None:
         raise ConfigurationError(
@@ -216,7 +211,6 @@ def build_engine(
         max_steps=max_steps,
         collect_metrics=collect_metrics,
         validate_enabledness=validate_enabledness,
-        record_views=record_views,
         links=links,
     )
 

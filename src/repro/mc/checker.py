@@ -311,7 +311,7 @@ def check_interleavings(
     )
     por = por and oracle.links is None  # faults: moves share one draw stream
     n = placement.ring_size
-    root = oracle.fresh_engine(record_views=True)
+    root = oracle.fresh_engine()
     root_key = root.snapshot().canonical_key()
     stats = SearchStats(explored=1)
     # visited maps canonical key -> sleep slots the state was (last)
@@ -523,7 +523,7 @@ def replay_counterexample(
         require_suspended=require_suspended,
         links=links,
     )
-    engine = oracle.fresh_engine(record_views=True)
+    engine = oracle.fresh_engine()
     messages: List[str] = []
     path_keys = {engine.snapshot().canonical_key()}
     for agent_id in counterexample.schedule:

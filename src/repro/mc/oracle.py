@@ -15,9 +15,8 @@ the same oracles:
 * :class:`PropertyOracle` — the safety + terminal property suites of
   one ``(algorithm, placement)`` instance (the only place the default
   suites are resolved), with engine construction (including the
-  ``factory`` injection hook the self-tests use) and a cached
-  ``record_views=True`` root engine for cheap
-  :meth:`~repro.sim.engine.Engine.fork`-based replays,
+  ``factory`` injection hook the self-tests use) and a cached root
+  engine for cheap :meth:`~repro.sim.engine.Engine.fork`-based replays,
 * :func:`drive_schedule` — replay a recorded schedule with exactly
   :class:`~repro.sim.scheduler.ReplayScheduler` semantics (disabled
   entries skipped permanently, lowest-id enabled fallback after
@@ -116,14 +115,13 @@ class PropertyOracle:
 
     # -- engines -------------------------------------------------------------
 
-    def fresh_engine(self, *, record_views: bool = False) -> Engine:
+    def fresh_engine(self) -> Engine:
         """A brand new engine for this instance (metrics off)."""
         if self._factory is not None:
             return Engine(
                 placement=self.placement,
                 agents=list(self._factory()),
                 collect_metrics=False,
-                record_views=record_views,
                 links=self.links,
             )
         from repro.experiments.runner import build_engine
@@ -132,20 +130,19 @@ class PropertyOracle:
             self.algorithm,
             self.placement,
             collect_metrics=False,
-            record_views=record_views,
             links=self.links,
         )
 
     def fork_root(self) -> Engine:
         """A pristine initial-state engine via copy-on-branch ``fork()``.
 
-        The first call builds (and caches) a ``record_views=True`` root;
-        every call returns an independent fork of it, so replay-heavy
+        The first call builds (and caches) the root engine; every call
+        returns an independent fork of it, so replay-heavy
         callers (the shrinker evaluates hundreds of candidate schedules)
         skip repeated agent construction.
         """
         if self._root is None:
-            self._root = self.fresh_engine(record_views=True)
+            self._root = self.fresh_engine()
         return self._root.fork()
 
     # -- checks --------------------------------------------------------------

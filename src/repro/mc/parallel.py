@@ -23,15 +23,14 @@ their property checks, :func:`repro.mc.por.revisit` is their sleep-set
 revisit rule and :meth:`~repro.mc.checker.MCResult.from_search` builds
 their results.
 
-Engines cannot cross process boundaries (agent protocols are live
-generators), so workers rebuild states by replaying the item's
-activation schedule on a fork of the oracle's root engine — the same
-view-replay mechanism :meth:`Engine.fork` uses in-process.  That costs
-``O(depth)`` steps per expanded state, the price of a frontier that
-can also be spilled to disk and resumed (:mod:`repro.mc.frontier`):
-with ``store_root`` set, every wave is committed to an append-only
-journal and a killed check resumes from the last commit with identical
-cumulative stats.
+Work items carry schedules, not engines: a worker rebuilds each state
+by replaying the item's activation schedule on a fork of the oracle's
+root engine.  That costs ``O(depth)`` steps per expanded state.
+Engines are plain data and could be shipped instead; schedules are
+what the frontier spills to disk and resumes from
+(:mod:`repro.mc.frontier`): with ``store_root`` set, every wave is
+committed to an append-only journal and a killed check resumes from the
+last commit with identical cumulative stats.
 
 The breadth-first driver retains every guarantee of the DFS *except*
 livelock-cycle detection (there is no DFS path to find a back-edge

@@ -33,11 +33,8 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.known_k_logspace import KnownKLogSpaceAgent
-from repro.core.messages import LeaderNotice
-from repro.core.targets import hop_to_next_target
 from repro.registry import register_algorithm
-from repro.sim.actions import Action
-from repro.sim.agent import AgentProtocol
+from repro.sim.actions import Action, NodeView
 
 __all__ = ["WakeRaceAgent", "wake_race_agents"]
 
@@ -59,43 +56,17 @@ __all__ = ["WakeRaceAgent", "wake_race_agents"]
 class WakeRaceAgent(KnownKLogSpaceAgent):
     """Algorithms 2+3 with a schedule-dependent follower bug injected."""
 
-    def _follower_deployment(self) -> AgentProtocol:
-        # Identical to the correct follower (Algorithm 3, lines 15-21)
-        # except for the marked defect in the walk toward the base.
-        notice = None
-        while notice is None:
-            view = yield Action.suspend_here()
-            for message in view.messages:
-                if isinstance(message, LeaderNotice):
-                    notice = message
-                    break
-        self.t_base = notice.t_base
-        self.b = self.k // (notice.f_num + 1)
-        self.tokens_seen = 0
-        while self.tokens_seen < self.t_base:
-            view = yield Action.move_forward()
-            if view.tokens > 0:
+    def _to_base(self, view: NodeView) -> Action:
+        # BUG: "a token node with a staying agent must already be
+        # deployed" — but a staying agent here can only be a woken
+        # follower the scheduler has not yet let depart.  Fires only
+        # when the activation order starves that follower long enough
+        # for this one to catch up.
+        if view.tokens > 0 and view.agents_present > 0:
+            if self.tokens_seen + 1 < self.t_base:
                 self.tokens_seen += 1
-                # BUG: "a token node with a staying agent must already be
-                # deployed" — but a staying agent here can only be a
-                # woken follower the scheduler has not yet let depart.
-                # Fires only when the activation order starves that
-                # follower long enough for this one to catch up.
-                if view.agents_present > 0 and self.tokens_seen < self.t_base:
-                    yield Action.halt_here()
-                    return
-        self.target_index = 0
-        while True:
-            step, self.target_index = hop_to_next_target(
-                self.target_index, self.n, self.k, self.b
-            )
-            self.hops = step
-            while self.hops > 0:
-                self.hops -= 1
-                view = yield Action.move_forward()
-            if view.agents_present == 0:
-                yield Action.halt_here()
-                return
+                return Action.halt_here()
+        return super()._to_base(view)
 
 
 def wake_race_agents(agent_count: int) -> List[WakeRaceAgent]:

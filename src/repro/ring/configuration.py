@@ -193,7 +193,7 @@ class Configuration:
 
     * ``inboxes`` — full undelivered message contents per agent, oldest
       first (``inbox_sizes`` is its lossy projection);
-    * ``started`` — whether each agent's protocol generator has run at
+    * ``started`` — whether each agent's protocol has run at
       least once (a never-started agent is observably different from a
       started agent whose declared state happens to look initial).
 

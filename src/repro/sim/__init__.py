@@ -1,7 +1,7 @@
 """Atomic-action simulation engine, schedulers, metrics and traces."""
 
 from repro.sim.actions import Action, Move, NodeView, Stay
-from repro.sim.agent import Agent, AgentProtocol
+from repro.sim.agent import Agent
 from repro.sim.engine import Engine
 from repro.sim.metrics import Metrics
 from repro.sim.scheduler import (
@@ -21,7 +21,6 @@ __all__ = [
     "NodeView",
     "Stay",
     "Agent",
-    "AgentProtocol",
     "Engine",
     "Metrics",
     "Scheduler",

@@ -1,132 +1,81 @@
 """Agent base class: anonymous state machines with audited memory.
 
-Agents in the model are anonymous state machines.  Writing the paper's
-multi-phase traversal algorithms as explicit transition tables would bury
-their structure, so concrete agents implement :meth:`Agent.protocol` as a
-Python generator: the generator *yields* an :class:`Action` (steps 3-5 of
-an atomic action) and *receives* the next :class:`NodeView` (steps 1-2 of
-the following action).  One ``yield`` therefore corresponds to exactly
-one atomic action, which keeps the code and the paper's pseudocode in
-lockstep.
+Agents in the model are anonymous deterministic state machines, and
+concrete agents are written as exactly that.  An agent's whole state is
+a set of plain instance fields:
 
-Two disciplines keep the simulation faithful:
+* **Paper variables**, named in the class-level tuples
+  :attr:`Agent.SCALARS` and :attr:`Agent.SEQUENCES` (arrays such as the
+  distance sequence ``D``).  :meth:`Agent.memory_bits` audits them
+  after actions, giving the Table 1 memory measurements their meaning,
+  and :meth:`Agent.state_fingerprint` exposes them to the model
+  checker's state keys.
+* **One control field**, :attr:`Agent.stage`: a plain string naming
+  where in its protocol the agent resumes (``None`` until it starts).
 
-* **All algorithm variables live as instance attributes**, never as
-  generator locals, and are registered via :meth:`Agent.declare` /
-  :meth:`Agent.declare_sequence`.  :meth:`memory_bits` then audits the
-  agent's space usage after every action, giving the Table 1 memory
-  measurements their meaning.
-* **Agents never see node identities.**  The engine hands them node
-  views only; home detection, circuit detection etc. must be done the
-  way the paper does it (token counting, knowledge of k, ...).
+One subclass hook, :meth:`Agent.transition`, maps the :class:`NodeView`
+of an atomic action (steps 1-2) to the :class:`Action` it takes (steps
+3-5), dispatching on ``stage`` and updating fields on the way.  Values
+that one action computes and the same action consumes (a pending
+broadcast, a received notice) stay local to the hook; anything that
+lives from one action to the next is a field.
 
-Forking
--------
+The control field is left out of the audit and the fingerprint.  It
+costs O(1) bits, so the memory bounds do not depend on it, and every
+protocol here is written so that its declared variables already pin it
+down: ``tests/test_fingerprint_completeness.py`` explores small cells
+exhaustively and checks that each ``(type, started, fingerprint)`` is
+seen at one stage only, which is what mc memoisation and partial-order
+reduction rely on.
 
-Protocol generators cannot be copied, so a mid-run agent cannot be
-cloned structurally.  Instead the base class supports *replay forking*:
-with view recording enabled (:meth:`Agent.begin_view_recording`, done
-by the engine when built with ``record_views=True``), every
-:class:`NodeView` the agent consumes is logged, and :meth:`Agent.fork`
-rebuilds an equivalent agent by constructing a fresh instance (the
-constructor arguments are captured automatically) and re-feeding it the
-logged views.  Protocols are deterministic functions of their view
-sequence — the model has no agent-local randomness — so the fork lands
-in exactly the same state, generator control point included.  This is
-what makes the model checker's copy-on-branch :meth:`Engine.fork`
-possible.
+Because the state is plain fields, :meth:`Agent.fork` is a field copy
+and any engine can be forked (the model checker's copy-on-branch
+primitive).  ``stage`` must therefore hold a plain value, never a bound
+method, which a copy would leave pointing at the original agent.
+
+Agents never see node identities.  The engine hands them node views
+only; home detection, circuit detection etc. must be done the way the
+paper does it (token counting, knowledge of k, ...).
 """
 
 from __future__ import annotations
 
-import functools
-
-from typing import Dict, Generator, Iterable, List, Optional, Tuple
+from copy import copy
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import ProtocolViolation, SimulationError
 from repro.sim.actions import Action, NodeView
 
-__all__ = ["Agent", "AgentProtocol"]
-
-AgentProtocol = Generator[Action, NodeView, None]
-
-
-def _bits_for_value(value: int) -> int:
-    """Bits to store a bounded non-negative counter with value ``value``.
-
-    ``ceil(log2(value + 2))`` so that 0 still costs one bit and the
-    encoding distinguishes "unset" from "zero".
-    """
-    return max(1, int(value + 1).bit_length())
+__all__ = ["Agent"]
 
 
 class Agent:
     """Base class for all protocol agents.
 
-    Subclasses implement :meth:`protocol` and register their paper-level
-    state variables with :meth:`declare` (scalars) and
-    :meth:`declare_sequence` (arrays such as the distance sequence D).
-    The engine owns the lifecycle: it calls :meth:`start` once, then
-    :meth:`act` once per scheduled atomic action.
+    Subclasses name their paper-level variables in :attr:`SCALARS` and
+    :attr:`SEQUENCES` and implement :meth:`transition`.  The engine owns
+    the lifecycle: it calls :meth:`start` once, then :meth:`act` once
+    per scheduled atomic action.
     """
 
+    #: Scalar paper variables, in sorted order (the fingerprint's order).
+    SCALARS: Tuple[str, ...] = ()
+    #: Sequence-valued paper variables, in sorted order.
+    SEQUENCES: Tuple[str, ...] = ()
+
     def __init__(self) -> None:
-        if not hasattr(self, "_ctor_args"):
-            # Reached only when no subclass __init__ ran first (plain
-            # Agent subclasses without their own constructor).
-            self._ctor_args = ((), {})
-        self._generator: Optional[AgentProtocol] = None
+        self.stage: Optional[str] = None
         self._halted = False
         self._suspended = False
-        self._declared_scalars: Dict[str, None] = {}
-        self._declared_sequences: Dict[str, None] = {}
-        self._view_log: Optional[List[NodeView]] = None
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        # Capture constructor arguments transparently so fork() can
-        # rebuild a fresh instance of any concrete agent.  Only the
-        # outermost __init__ records (set-once): a subclass chaining to
-        # super().__init__ must not overwrite the original call.
-        super().__init_subclass__(**kwargs)
-        if "__init__" not in cls.__dict__:
-            return
-        original = cls.__dict__["__init__"]
+    def transition(self, view: NodeView) -> Action:
+        """Run one atomic action from the current ``stage``.
 
-        @functools.wraps(original)
-        def capturing_init(self, *args, **kw):
-            if not hasattr(self, "_ctor_args"):
-                self._ctor_args = (args, kw)
-            original(self, *args, **kw)
-
-        cls.__init__ = capturing_init
-
-    # ------------------------------------------------------------------
-    # Protocol body — subclasses override
-    # ------------------------------------------------------------------
-
-    def protocol(self, first_view: NodeView) -> AgentProtocol:
-        """Return the generator implementing the agent's algorithm.
-
-        ``first_view`` is the view of the very first atomic action (the
-        agent starting at its home node).  The generator must yield an
-        :class:`Action` per atomic action and may finish (return) only
-        after yielding a halting or suspending action.
+        ``stage`` is ``"start"`` on the very first action (the agent
+        starting at its home node).  Returning a halting or suspending
+        action ends the agent's activity until the engine wakes it.
         """
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # State declarations for memory accounting
-    # ------------------------------------------------------------------
-
-    def declare(self, *names: str) -> None:
-        """Register scalar instance attributes as algorithm state."""
-        for name in names:
-            self._declared_scalars[name] = None
-
-    def declare_sequence(self, *names: str) -> None:
-        """Register sequence-valued instance attributes as algorithm state."""
-        for name in names:
-            self._declared_sequences[name] = None
 
     def memory_bits(self) -> int:
         """Return the current size of the declared algorithm state in bits.
@@ -135,22 +84,22 @@ class Agent:
         cost ``len * bits(max element)``.  ``None`` (unset) costs one bit.
         """
         total = 0
-        for name in self._declared_scalars:
+        for name in self.SCALARS:
             value = getattr(self, name, None)
             if value is None:
                 total += 1
             elif isinstance(value, bool):
                 total += 1
             elif isinstance(value, int):
-                # Inline _bits_for_value: this audit runs every few steps
-                # for every agent, and abs()+call overhead adds up.
+                # ceil(log2(|v| + 2)), at least one bit, inline: this
+                # audit runs every few steps for every agent.
                 bits = (value + 1 if value >= 0 else 1 - value).bit_length()
                 total += bits if bits > 1 else 1
             else:
                 raise SimulationError(
                     f"declared scalar {name!r} has non-integer value {value!r}"
                 )
-        for name in self._declared_sequences:
+        for name in self.SEQUENCES:
             value = getattr(self, name, None)
             if value is None:
                 total += 1
@@ -179,81 +128,45 @@ class Agent:
         """True while the agent is in a suspended state (message-wakeable)."""
         return self._suspended
 
-    def begin_view_recording(self) -> None:
-        """Log every consumed view from now on, enabling :meth:`fork`.
-
-        Must be called before :meth:`start` — a fork replays the full
-        view history from the initial state, so a partial log cannot
-        reconstruct the agent.
-        """
-        if self._view_log is None:
-            if self._generator is not None:
-                raise SimulationError(
-                    "view recording must be enabled before the agent starts"
-                )
-            self._view_log = []
-
-    @property
-    def forkable(self) -> bool:
-        """True when the agent records views and can be forked."""
-        return self._view_log is not None
-
     def fork(self) -> "Agent":
-        """Return an equivalent agent rebuilt by replaying logged views.
+        """Return an independent agent in exactly this state.
 
-        Requires view recording (see module docstring).  The clone is a
-        fresh instance of the same concrete class, constructed with the
-        captured constructor arguments and driven through the identical
-        view sequence, so its declared state, terminal flags and
-        generator control point all match the original's.
+        A copy of every field; declared sequences are copied too, so the
+        clone appending to its ``D`` never touches the original's.  Every
+        other field holds an immutable value.
         """
-        if self._view_log is None:
-            raise SimulationError(
-                "cannot fork an agent without view recording; build the "
-                "engine with record_views=True"
-            )
-        args, kwargs = self._ctor_args
-        fresh = type(self)(*args, **kwargs)
-        fresh.begin_view_recording()
-        views = self._view_log
-        if views:
-            fresh.start(views[0])
-            for view in views[1:]:
-                fresh.act(view)
-        return fresh
+        clone = object.__new__(type(self))
+        fields = clone.__dict__
+        fields.update(self.__dict__)
+        for name in self.SEQUENCES:
+            value = fields.get(name)
+            if value is not None:
+                fields[name] = copy(value)
+        return clone
 
     def start(self, first_view: NodeView) -> Action:
         """Run the first atomic action (the agent starting at its home)."""
-        if self._generator is not None:
+        if self.stage is not None:
             raise SimulationError("agent started twice")
-        if self._view_log is not None:
-            self._view_log.append(first_view)
-        self._generator = self.protocol(first_view)
-        try:
-            action = next(self._generator)
-        except StopIteration:
-            raise ProtocolViolation(
-                "agent protocol finished without yielding a single action"
-            ) from None
-        return self._register(action)
+        self.stage = "start"
+        return self._register(self.transition(first_view))
 
     def act(self, view: NodeView) -> Action:
         """Run one atomic action: deliver ``view``, collect the action."""
-        if self._generator is None:
+        if self.stage is None:
             raise SimulationError("agent activated before start()")
         if self._halted:
             raise SimulationError("halted agent activated")
-        if self._view_log is not None:
-            self._view_log.append(view)
         self._suspended = False
-        try:
-            action = self._generator.send(view)
-        except StopIteration:
-            raise ProtocolViolation(
-                "agent protocol finished without halting or suspending; "
-                "generators must end on a halt/suspend action"
-            ) from None
-        return self._register(action)
+        action = self.transition(view)
+        if not isinstance(action, Action):
+            self._reject(action)
+        # Inline of _register: this runs once per atomic action.
+        if action.halt:
+            self._halted = True
+        elif action.suspend:
+            self._suspended = True
+        return action
 
     def state_fingerprint(self) -> Tuple[object, ...]:
         """Opaque state used for Lemma 1's local-configuration comparison.
@@ -262,12 +175,9 @@ class Agent:
         flags.  Two agents with equal fingerprints are in the same
         algorithm state.
         """
-        scalars = tuple(
-            (name, getattr(self, name, None)) for name in sorted(self._declared_scalars)
-        )
+        scalars = tuple([(name, getattr(self, name, None)) for name in self.SCALARS])
         sequences = tuple(
-            (name, tuple(getattr(self, name, None) or ()))
-            for name in sorted(self._declared_sequences)
+            [(name, tuple(getattr(self, name, None) or ())) for name in self.SEQUENCES]
         )
         return (type(self).__name__, self._halted, self._suspended, scalars, sequences)
 
@@ -277,15 +187,15 @@ class Agent:
 
     def _register(self, action: Action) -> Action:
         if not isinstance(action, Action):
-            raise ProtocolViolation(f"agent yielded {action!r}, not an Action")
+            self._reject(action)
         if action.halt:
             self._halted = True
-            self._close_generator()
-        if action.suspend:
+        elif action.suspend:
             self._suspended = True
         return action
 
-    def _close_generator(self) -> None:
-        if self._generator is not None:
-            self._generator.close()
-            self._generator = None
+    def _reject(self, action: object) -> None:
+        raise ProtocolViolation(
+            f"{type(self).__name__}.transition returned {action!r} in "
+            f"stage {self.stage!r}, not an Action"
+        )

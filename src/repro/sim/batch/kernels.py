@@ -1,12 +1,12 @@
 """Batch kernels for Algorithm 1 (``known_k_full`` / ``known_n_full``).
 
-A *kernel* is one algorithm's protocol generator rewritten as masked
-column updates: where the object engine resumes a Python generator per
-atomic action, a kernel advances an explicit per-(trial, agent) phase
-machine stored in flat ``B * k`` numpy columns.  The translation is
-exact — the action emitted for any (phase, view) pair, and the
-declared-state values visible to the memory audit at the yield point,
-match the object agent bit for bit.  ``tests/test_batch_differential.py``
+A *kernel* is one algorithm's state machine rewritten as masked
+column updates: where the object engine calls one agent's
+``transition`` per atomic action, a kernel advances the same stages for
+every (trial, agent) at once, stored in flat ``B * k`` numpy columns.
+The translation is exact — the action emitted for any (stage, view)
+pair, and the declared-state values visible to the memory audit after
+the action, match the object agent bit for bit.  ``tests/test_batch_differential.py``
 holds both kernels to that standard against the object engine on
 shared seeds.
 
@@ -23,9 +23,9 @@ independent: the engine may pass a whole round to :meth:`step` at once,
 several entries per trial.  All updates below are per (trial, agent)
 flat index, so such calls never alias.
 
-The audit subtlety baked in below: the object generator decrements
-``remaining`` *before* the deployment yield, so the completion step
-stores ``rem - 1``, not ``rem``.
+The audit subtlety baked in below: the object agent decrements
+``remaining`` *before* returning each deployment move, so the
+completion step stores ``rem - 1``, not ``rem``.
 """
 
 from __future__ import annotations

@@ -37,10 +37,9 @@ def batch_supported(spec) -> Optional[str]:
 
     The batch backend covers ``known_k_full`` and ``known_n_full`` under
     the ``sync`` scheduler family; every other cell is slower batched
-    than on the object engine.  Specs with link faults, per-agent view
-    logs (``record_views``) or the enabled-set self-check
-    (``validate_enabledness``) stay on the object engine too — those
-    knobs are about the object engine's own internals.
+    than on the object engine.  Specs with link faults or the
+    enabled-set self-check (``validate_enabledness``) stay on the object
+    engine too — that knob is about the object engine's own internals.
     """
     if spec.algorithm not in KERNELS:
         return f"algorithm {spec.algorithm!r} has no batch kernel"
@@ -48,8 +47,6 @@ def batch_supported(spec) -> Optional[str]:
         return f"scheduler {spec.scheduler!r} is not the sync family"
     if spec.links is not None:
         return "link faults require the object engine"
-    if spec.record_views:
-        return "record_views requires the object engine"
     if spec.validate_enabledness:
         return "validate_enabledness requires the object engine"
     return None

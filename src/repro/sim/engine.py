@@ -7,7 +7,7 @@ action of one agent:
 1. the agent arrives from the incoming link (if queued at the head) or
    is activated in place (if staying),
 2. all pending messages are delivered at once,
-3. the agent computes (its protocol generator runs to the next yield),
+3. the agent computes (its protocol takes one transition),
 4. an optional broadcast is appended to the inboxes of all *other*
    agents staying at the node,
 5. the agent moves forward (entering the tail of the out-link's FIFO
@@ -98,7 +98,6 @@ class Engine:
         memory_audit_interval: int = 16,
         collect_metrics: bool = True,
         validate_enabledness: bool = False,
-        record_views: bool = False,
         links: Optional[LinkSpec] = None,
     ) -> None:
         if len(agents) != placement.agent_count:
@@ -123,10 +122,6 @@ class Engine:
             scheduler = build_scheduler("sync")
         self._scheduler = scheduler
         self._trace = trace
-        self._record_views = record_views
-        if record_views:
-            for agent in self._agents.values():
-                agent.begin_view_recording()
         self._metrics = Metrics()
         self._collect_metrics = collect_metrics
         self._validate = validate_enabledness
@@ -356,10 +351,9 @@ class Engine:
         """Return an independent copy of the full simulation state.
 
         The copy-on-branch primitive of the model checker: the clone
-        owns deep copies of the ring, inboxes and enabled set, and each
-        agent is rebuilt by view replay (:meth:`repro.sim.agent.Agent.fork`),
-        so stepping the clone never disturbs the original.  Requires the
-        engine to have been built with ``record_views=True``.
+        owns deep copies of the ring, inboxes and enabled set, and a
+        field copy of each agent (:meth:`repro.sim.agent.Agent.fork`),
+        so stepping the clone never disturbs the original.
 
         The clone shares the (stateless from its point of view)
         scheduler object but starts with fresh, empty metrics and no
@@ -367,10 +361,6 @@ class Engine:
         accounting.  The activation log and step count carry over, so a
         violating fork's :attr:`activation_log` is directly replayable.
         """
-        if not self._record_views:
-            raise SimulationError(
-                "cannot fork an engine built without record_views=True"
-            )
         clone = Engine.__new__(Engine)
         clone._placement = self._placement
         clone._ring = self._ring.clone()
@@ -386,7 +376,6 @@ class Engine:
         clone._started = dict(self._started)
         clone._scheduler = self._scheduler
         clone._trace = None
-        clone._record_views = True
         clone._metrics = Metrics()
         clone._collect_metrics = self._collect_metrics
         clone._validate = self._validate

@@ -193,7 +193,6 @@ class ExperimentSpec:
     memory_audit_interval: int = 16
     collect_metrics: bool = True
     validate_enabledness: bool = False
-    record_views: bool = False
     links: Optional[LinkSpec] = None
 
     def __post_init__(self) -> None:
@@ -265,7 +264,9 @@ class ExperimentSpec:
                 "memory_audit_interval": self.memory_audit_interval,
                 "collect_metrics": self.collect_metrics,
                 "validate_enabledness": self.validate_enabledness,
-                "record_views": self.record_views,
+                # Constant: the engine no longer has this option, and
+                # the key stays so every content hash stays stable.
+                "record_views": False,
             },
             "limits": {"max_steps": self.max_steps},
         }
@@ -277,7 +278,11 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`; missing sections take the defaults."""
+        """Inverse of :meth:`to_dict`; missing sections take the defaults.
+
+        ``engine.record_views``, a removed option, is accepted with
+        either value and ignored.
+        """
         if not isinstance(data, dict):
             raise ConfigurationError(
                 f"experiment spec must be a dict, got {type(data).__name__}"
@@ -318,7 +323,6 @@ class ExperimentSpec:
             memory_audit_interval=int(engine.get("memory_audit_interval", 16)),
             collect_metrics=bool(engine.get("collect_metrics", True)),
             validate_enabledness=bool(engine.get("validate_enabledness", False)),
-            record_views=bool(engine.get("record_views", False)),
             links=links,
         )
 

@@ -40,27 +40,31 @@ class TestAction:
 
 
 class _Walker(Agent):
-    """Walk ``steps`` hops, optionally releasing a token first, then halt."""
+    """Walk ``steps`` hops, then halt."""
+
+    SCALARS = ("done", "steps")
 
     def __init__(self, steps: int) -> None:
         super().__init__()
         self.steps = steps
         self.done = None
-        self.declare("steps", "done")
+        self.moved = 0
 
-    def protocol(self, first_view):
-        for _ in range(self.steps):
-            yield Action.move_forward()
+    def transition(self, view):
+        if self.moved < self.steps:
+            self.moved += 1
+            return Action.move_forward()
         self.done = True
-        yield Action.halt_here()
+        return Action.halt_here()
 
 
 class _BadFinisher(Agent):
-    """Finishes its generator without halting — a protocol violation."""
+    """Has no transition for its second stage — a protocol violation."""
 
-    def protocol(self, first_view):
-        yield Action.move_forward()
-        # generator returns without halt/suspend
+    def transition(self, view):
+        if self.stage == "start":
+            self.stage = "unhandled"
+            return Action.move_forward()
 
 
 class TestAgentLifecycle:
@@ -95,26 +99,28 @@ class TestAgentLifecycle:
         with pytest.raises(SimulationError):
             agent.act(view)
 
-    def test_generator_return_without_halt_is_violation(self):
+    def test_transition_without_action_is_violation(self):
         agent = _BadFinisher()
         view = NodeView(tokens=0, agents_present=0)
         agent.start(view)
         with pytest.raises(ProtocolViolation):
             agent.act(view)
 
-    def test_non_action_yield_is_violation(self):
+    def test_non_action_return_is_violation(self):
         class Bad(Agent):
-            def protocol(self, first_view):
-                yield "not an action"
+            def transition(self, view):
+                return "not an action"
 
         with pytest.raises(ProtocolViolation):
             Bad().start(NodeView(tokens=0, agents_present=0))
 
     def test_suspend_flag_cleared_on_next_act(self):
         class Suspender(Agent):
-            def protocol(self, first_view):
-                yield Action.suspend_here()
-                yield Action.halt_here()
+            def transition(self, view):
+                if self.stage == "start":
+                    self.stage = "suspended"
+                    return Action.suspend_here()
+                return Action.halt_here()
 
         agent = Suspender()
         view = NodeView(tokens=0, agents_present=0)
@@ -145,13 +151,14 @@ class TestMemoryAccounting:
 
     def test_sequence_bits(self):
         class WithSeq(Agent):
+            SEQUENCES = ("D",)
+
             def __init__(self):
                 super().__init__()
                 self.D = None
-                self.declare_sequence("D")
 
-            def protocol(self, first_view):
-                yield Action.halt_here()
+            def transition(self, view):
+                return Action.halt_here()
 
         agent = WithSeq()
         empty = agent.memory_bits()

@@ -65,7 +65,7 @@ def test_snapshot_orbit_deduplicates_in_a_set():
 def test_distinct_states_never_compare_equal():
     # Walk one execution; every per-step snapshot is a distinct state
     # (the checker proved this execution graph acyclic at this size).
-    engine = build_engine("known_k_full", Placement(6, homes=(0, 2)), record_views=True)
+    engine = build_engine("known_k_full", Placement(6, homes=(0, 2)))
     seen = [engine.snapshot()]
     while not engine.quiescent:
         engine.step(engine.enabled_agents()[0])
@@ -77,7 +77,7 @@ def test_distinct_states_never_compare_equal():
 
 
 def test_diverged_fork_snapshot_differs():
-    engine = build_engine("known_k_full", Placement(6, homes=(0, 3)), record_views=True)
+    engine = build_engine("known_k_full", Placement(6, homes=(0, 3)))
     for _ in range(4):
         engine.step(engine.enabled_agents()[0])
     fork = engine.fork()

@@ -242,7 +242,7 @@ def _walk_and_compare(
 ) -> int:
     """BFS the real state space; assert both keys partition alike."""
     root = build_engine(
-        algorithm, placement, collect_metrics=False, record_views=True, links=links
+        algorithm, placement, collect_metrics=False, links=links
     )
     frontier = deque([root])
     new_by_old: dict = {}
@@ -360,7 +360,7 @@ def test_canonical_key_golden(algorithm, n, homes, links, steps, pick, key, slot
     # last enabled actor) keep the exact key bytes and slot layout of
     # encoding version MC1.
     engine = build_engine(
-        algorithm, Placement(n, homes=homes), record_views=True, links=links
+        algorithm, Placement(n, homes=homes), links=links
     )
     for _ in range(steps):
         engine.step(engine.enabled_agents()[pick])
@@ -375,7 +375,7 @@ def test_canonical_key_golden(algorithm, n, homes, links, steps, pick, key, slot
 
 def test_packed_layout_enumerates_each_agent_once():
     engine = build_engine(
-        "unknown", Placement(8, homes=(0, 3, 5)), record_views=True
+        "unknown", Placement(8, homes=(0, 3, 5))
     )
     for _ in range(12):
         engine.step(engine.enabled_agents()[0])
@@ -389,8 +389,8 @@ def test_packed_layout_slots_relabelling_stable():
     # The slot an agent occupies is a function of the anonymous state:
     # relabelled copies put the corresponding agents at the same slots.
     placement = Placement(6, homes=(0, 2))
-    first = build_engine("known_k_full", placement, record_views=True)
-    second = build_engine("known_k_full", placement, record_views=True)
+    first = build_engine("known_k_full", placement)
+    second = build_engine("known_k_full", placement)
     for engine in (first, second):
         for _ in range(5):
             engine.step(engine.enabled_agents()[0])

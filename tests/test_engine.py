@@ -16,43 +16,49 @@ from repro.sim.trace import TraceEventKind, TraceRecorder
 class Sitter(Agent):
     """Releases its token and halts at home immediately."""
 
-    def protocol(self, first_view):
-        self.saw_tokens = first_view.tokens
-        yield Action.halt_here(broadcast=None)
+    def transition(self, view):
+        self.saw_tokens = view.tokens
+        return Action.halt_here(broadcast=None)
 
 
 class Hopper(Agent):
     """Moves ``hops`` nodes then halts."""
 
+    SCALARS = ("hops",)
+
     def __init__(self, hops: int) -> None:
         super().__init__()
         self.hops = hops
-        self.declare("hops")
+        self.left = hops
 
-    def protocol(self, first_view):
-        for _ in range(self.hops):
-            yield Action.move_forward()
-        yield Action.halt_here()
+    def transition(self, view):
+        if self.left == 0:
+            return Action.halt_here()
+        self.left -= 1
+        return Action.move_forward()
 
 
 class TokenDropper(Agent):
     """Releases a token at home, walks one circuit counting tokens, halts."""
 
+    SCALARS = ("ring_size", "tokens_seen")
+
     def __init__(self, ring_size: int) -> None:
         super().__init__()
         self.ring_size = ring_size
         self.tokens_seen = 0
-        self.declare("ring_size", "tokens_seen")
+        self.moved = 0
 
-    def protocol(self, first_view):
-        view = yield Action.move_forward(release_token=True)
-        for _ in range(self.ring_size - 1):
-            if view.tokens > 0:
-                self.tokens_seen += 1
-            view = yield Action.move_forward()
+    def transition(self, view):
+        if self.stage == "start":
+            self.stage = "circuit"
+            return Action.move_forward(release_token=True)
+        self.moved += 1
         if view.tokens > 0:
             self.tokens_seen += 1
-        yield Action.halt_here()
+        if self.moved == self.ring_size:
+            return Action.halt_here()
+        return Action.move_forward()
 
 
 class Caller(Agent):
@@ -60,13 +66,14 @@ class Caller(Agent):
 
     def __init__(self, hops: int, payload: object) -> None:
         super().__init__()
-        self.hops = hops
+        self.left = hops
         self.payload = payload
 
-    def protocol(self, first_view):
-        for _ in range(self.hops):
-            yield Action.move_forward()
-        yield Action.halt_here(broadcast=self.payload)
+    def transition(self, view):
+        if self.left == 0:
+            return Action.halt_here(broadcast=self.payload)
+        self.left -= 1
+        return Action.move_forward()
 
 
 class Listener(Agent):
@@ -76,20 +83,19 @@ class Listener(Agent):
         super().__init__()
         self.heard = None
 
-    def protocol(self, first_view):
-        view = yield Action.suspend_here()
-        while not view.messages:
-            view = yield Action.suspend_here()
+    def transition(self, view):
+        if self.stage == "start" or not view.messages:
+            self.stage = "listening"
+            return Action.suspend_here()
         self.heard = view.messages
-        yield Action.halt_here()
+        return Action.halt_here()
 
 
 class Spinner(Agent):
     """Moves forever — used to test the step safety cap."""
 
-    def protocol(self, first_view):
-        while True:
-            yield Action.move_forward()
+    def transition(self, view):
+        return Action.move_forward()
 
 
 def test_initial_buffer_rule_first_view_has_no_token():

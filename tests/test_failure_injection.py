@@ -19,35 +19,39 @@ from repro.sim.scheduler import Scheduler
 
 
 class CrashingAgent(Agent):
-    """Raises inside its protocol after a few steps (a buggy algorithm)."""
+    """Raises inside its transition after a few steps (a buggy algorithm)."""
 
     def __init__(self, crash_after: int) -> None:
         super().__init__()
-        self.crash_after = crash_after
+        self.left = crash_after
 
-    def protocol(self, first_view):
-        for _ in range(self.crash_after):
-            yield Action.move_forward()
-        raise RuntimeError("injected agent crash")
+    def transition(self, view):
+        if self.left == 0:
+            raise RuntimeError("injected agent crash")
+        self.left -= 1
+        return Action.move_forward()
 
 
 class NonActionAgent(Agent):
-    def protocol(self, first_view):
-        yield Action.move_forward()
-        yield 42  # not an Action
+    def transition(self, view):
+        if self.stage == "start":
+            self.stage = "bad"
+            return Action.move_forward()
+        return 42  # not an Action
 
 
 class FallthroughAgent(Agent):
-    """Generator returns without halting or suspending."""
+    """A transition with no branch for its stage returns ``None``."""
 
-    def protocol(self, first_view):
-        yield Action.move_forward()
+    def transition(self, view):
+        if self.stage == "start":
+            self.stage = "missing"
+            return Action.move_forward()
 
 
 class SpinnerAgent(Agent):
-    def protocol(self, first_view):
-        while True:
-            yield Action.move_forward()
+    def transition(self, view):
+        return Action.move_forward()
 
 
 class EmptyBatchScheduler(Scheduler):
@@ -74,12 +78,12 @@ class TestAgentFailures:
         with pytest.raises(RuntimeError, match="injected agent crash"):
             engine.run()
 
-    def test_non_action_yield_is_protocol_violation(self):
+    def test_non_action_return_is_protocol_violation(self):
         engine = _engine([NonActionAgent()])
         with pytest.raises(ProtocolViolation):
             engine.run()
 
-    def test_generator_fallthrough_is_protocol_violation(self):
+    def test_transition_fallthrough_is_protocol_violation(self):
         engine = _engine([FallthroughAgent()])
         with pytest.raises(ProtocolViolation):
             engine.run()

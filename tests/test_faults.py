@@ -284,7 +284,6 @@ class TestFaultyEngine:
             "unknown",
             _placement(seed=2),
             build_scheduler("sync"),
-            record_views=True,
             validate_enabledness=True,
             links=LinkSpec(delay=2, dup=1, seed=9),
         )

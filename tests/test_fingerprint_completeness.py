@@ -2,10 +2,10 @@
 
 The model checker memoises on canonical keys built from each agent's
 ``state_fingerprint()``, and the partial-order reducer trusts those keys
-to name the whole global state.  Agents also carry a control point the
-fingerprint leaves out (where in its protocol the agent resumes), so
-that memoisation is sound only if the declared variables already pin
-the control point down.  This test checks exactly that: it explores
+to name the whole global state.  Agents also carry a control field the
+fingerprint leaves out (``stage``: where in its protocol the agent
+resumes), so that memoisation is sound only if the declared variables
+already pin the stage down.  This test checks exactly that: it explores
 every interleaving of small cells without partial-order reduction and
 asserts that each agent's ``(type, started, state_fingerprint())`` is
 seen at one control point only.
@@ -31,15 +31,8 @@ from repro.ring.placement import Placement
 
 
 def _control_point(agent):
-    """Where ``agent`` resumes: the frame chain of its protocol generator."""
-    if agent.halted:
-        return None  # never acts again
-    chain = []
-    generator = agent._generator
-    while generator is not None:
-        chain.append((generator.gi_code.co_name, generator.gi_frame.f_lasti))
-        generator = generator.gi_yieldfrom
-    return tuple(chain)
+    """Where ``agent`` resumes; a halted agent never acts again."""
+    return None if agent.halted else agent.stage
 
 
 def _observe(engine, controls):
@@ -63,7 +56,7 @@ def _observe(engine, controls):
 def _explore(algorithm, placement):
     """Visit every reachable state (no POR); return (states, fingerprints)."""
     controls = {}
-    root = build_engine(algorithm, placement, collect_metrics=False, record_views=True)
+    root = build_engine(algorithm, placement, collect_metrics=False)
     visited = set()
     stack = [root]
     while stack:

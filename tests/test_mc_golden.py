@@ -52,9 +52,8 @@ FIXTURE = Path(__file__).parent / "data" / "mc_golden.json"
 class _Spinner(Agent):
     """Circles the ring forever: a livelock the DFS reports as a cycle."""
 
-    def protocol(self, first_view):
-        while True:
-            yield Action.move_forward()
+    def transition(self, view):
+        return Action.move_forward()
 
 
 def _cells() -> Dict[str, dict]:

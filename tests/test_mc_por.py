@@ -47,7 +47,7 @@ def test_conflict_is_same_action_node_only():
 
 
 def test_action_node_tracks_agent_location():
-    engine = build_engine("unknown", Placement(6, homes=(0, 3)), record_views=True)
+    engine = build_engine("unknown", Placement(6, homes=(0, 3)))
     for agent_id in engine.enabled_agents():
         _, node = engine.ring.locate(agent_id)
         assert action_node(engine, agent_id) == node
@@ -55,7 +55,7 @@ def test_action_node_tracks_agent_location():
 
 
 def test_sleep_after_wakes_conflicting_agents_only():
-    engine = build_engine("unknown", Placement(6, homes=(0, 3)), record_views=True)
+    engine = build_engine("unknown", Placement(6, homes=(0, 3)))
     enabled = engine.enabled_agents()
     assert len(enabled) >= 2
     acting = enabled[0]
@@ -69,7 +69,7 @@ def test_sleep_after_wakes_conflicting_agents_only():
 
 
 def test_sleep_slot_round_trip():
-    engine = build_engine("unknown", Placement(8, homes=(0, 3, 5)), record_views=True)
+    engine = build_engine("unknown", Placement(8, homes=(0, 3, 5)))
     for _ in range(9):
         engine.step(engine.enabled_agents()[0])
     snapshot = engine.snapshot()
@@ -175,9 +175,8 @@ def test_wake_race_still_caught_with_por_frontier():
 class _ForeverSpinner(Agent):
     """Circles the ring forever: a guaranteed livelock cycle."""
 
-    def protocol(self, first_view):
-        while True:
-            yield Action.move_forward()
+    def transition(self, view):
+        return Action.move_forward()
 
 
 def test_cycle_detection_survives_por():

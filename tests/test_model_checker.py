@@ -228,9 +228,8 @@ def test_checker_proves_bug_unreachable_on_other_placements():
 class _ForeverSpinner(Agent):
     """Circles the ring forever: a guaranteed livelock cycle."""
 
-    def protocol(self, first_view):
-        while True:
-            yield Action.move_forward()
+    def transition(self, view):
+        return Action.move_forward()
 
 
 def test_cycle_detection_flags_livelock_and_replays():

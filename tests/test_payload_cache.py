@@ -48,7 +48,6 @@ def _drive(algorithm, scheduler, links=None, seed=0, max_steps=150):
         algorithm,
         placement,
         build_scheduler(scheduler, seed=seed),
-        record_views=True,
         collect_metrics=False,
         links=links,
     )

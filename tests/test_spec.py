@@ -175,7 +175,6 @@ _EXPERIMENT_SPEC = st.builds(
     memory_audit_interval=st.integers(1, 64),
     collect_metrics=st.booleans(),
     validate_enabledness=st.booleans(),
-    record_views=st.booleans(),
 )
 
 
@@ -238,7 +237,6 @@ class TestContentHash:
             base.with_options(memory_audit_interval=1),
             base.with_options(collect_metrics=False),
             base.with_options(validate_enabledness=True),
-            base.with_options(record_views=True),
         ]
         hashes = {spec.content_hash() for spec in variants} | {base.content_hash()}
         assert len(hashes) == len(variants) + 1
@@ -352,13 +350,24 @@ class TestSpecDrivenRuns:
             algorithm="known_k_full",
             placement=PlacementSpec(kind="distances", distances=(3, 5, 4)),
             collect_metrics=False,
-            record_views=True,
             max_steps=50_000,
         )
         engine = spec.build_engine()
         engine.run()
         assert engine.metrics.total_moves == 0  # metrics stayed empty
-        engine.fork()  # record_views=True makes forking legal
+        engine.fork()  # every engine forks
+
+    def test_removed_record_views_option_still_loads(self):
+        # Specs written while the engine had a record_views option load
+        # with either value, hash as false and run identically.
+        spec = self.SPECS[1]
+        payload = spec.to_dict()
+        assert payload["engine"]["record_views"] is False
+        payload["engine"]["record_views"] = True
+        legacy = ExperimentSpec.from_json(json.dumps(payload))
+        assert legacy == spec
+        assert legacy.content_hash() == spec.content_hash()
+        assert legacy.run().row() == spec.run().row()
 
     def test_run_method_delegates(self):
         spec = self.SPECS[1]
