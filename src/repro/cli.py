@@ -487,11 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaust every interleaving of an (n, k) instance",
         description=(
             "Explore ALL enabled-agent choices from each initial "
-            "configuration (DFS with canonical-state memoisation), check "
-            "safety properties on every transition and uniform deployment "
-            "on every terminal state, and print any violation as a "
-            "replayable schedule.  A clean exhaustive run is a proof of "
-            "the paper's claim at this size."
+            "configuration (breadth-first, with canonical-state "
+            "memoisation), check safety properties on every transition, "
+            "uniform deployment on every terminal state and livelock "
+            "cycles in the explored state graph, and print any violation "
+            "as a replayable schedule.  A clean exhaustive run is a proof "
+            "of the paper's claim at this size."
         ),
     )
     mc_parser.add_argument(
@@ -537,9 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help=(
             "process-parallel exploration: placements fan across a pool "
-            "on a grid, a single configuration uses the wave-synchronous "
-            "frontier driver (same counters as --jobs 1, but livelock "
-            "cycles are not checked)"
+            "on a grid, a single configuration expands each wave of the "
+            "search in N worker processes (same results as --jobs 1)"
         ),
     )
     mc_parser.add_argument(
@@ -556,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc_parser.add_argument(
         "--store", default=None, metavar="DIR",
         help=(
-            "spill the frontier + visited memo to DIR/mc/<check-hash>/ "
-            "every wave so a killed check can be resumed (frontier driver: "
-            "livelock cycles are not checked)"
+            "spill the frontier, visited memo and successor edges to "
+            "DIR/mc/<check-hash>/ every wave so a killed check can be "
+            "resumed"
         ),
     )
     mc_parser.add_argument(
@@ -1152,14 +1152,8 @@ def _command_mc(args: argparse.Namespace) -> int:
         faulty = f" under link faults ({links.describe()})" if links else ""
         print(f"model checking {algorithm} on n={n} k={k}: {scope}{faulty}")
     if args.store is not None or (args.jobs > 1 and len(placements) == 1):
-        # Frontier exploration, parallel and/or spilled; with --store one
-        # resumable journal per placement, keyed by check-spec hash.
-        print(
-            "note: --store and --jobs N on one configuration run the "
-            "breadth-first frontier driver, which does not detect livelock "
-            "cycles (liveness: not checked)",
-            file=sys.stderr,
-        )
+        # Parallel waves and/or a spill; with --store one resumable
+        # journal per placement, keyed by check-spec hash.
         results = [
             check_frontier(
                 algorithm,
@@ -1226,7 +1220,6 @@ def _command_mc(args: argparse.Namespace) -> int:
                 "terminal": result.terminals,
                 "max_depth": result.max_depth,
                 "exhausted": result.complete,
-                "liveness": result.liveness,
                 "violations": len(result.violations),
             }
         )
@@ -1249,17 +1242,10 @@ def _command_mc(args: argparse.Namespace) -> int:
     if not complete:
         print("\nsearch truncated (depth/state limit hit): bounded check only")
         return 1
-    if all(result.liveness == "checked" for result in results):
-        print(
-            "\nno violations: every fair schedule of every checked configuration "
-            f"deploys uniformly (exhaustive at n={n}, k={k})"
-        )
-    else:
-        print(
-            "\nno violations: every quiescent state reachable from every "
-            "checked configuration is a uniform deployment (exhaustive at "
-            f"n={n}, k={k}); livelock cycles were not checked"
-        )
+    print(
+        "\nno violations: every fair schedule of every checked configuration "
+        f"deploys uniformly (exhaustive at n={n}, k={k})"
+    )
     return 0
 
 

@@ -4,21 +4,22 @@ The paper's correctness claims quantify over *every* fair asynchronous
 schedule; the experiment suite samples adversarial schedulers, but a
 sample can miss activation-order-specific bugs.  This package closes
 that gap on small instances: :func:`check_interleavings` exhausts every
-enabled-agent choice from an initial configuration via DFS over forked
-engine states, memoising visited states on the rotation- and
-relabelling-canonical :class:`~repro.ring.configuration.Configuration`,
-checking safety properties on every edge and uniform deployment on
-every terminal state, detecting livelock cycles, and emitting any
-violating path as a replayable schedule.
+enabled-agent choice from an initial configuration by a breadth-first
+search over forked engine states, memoising visited states on the
+rotation- and relabelling-canonical
+:class:`~repro.ring.configuration.Configuration`, checking safety
+properties on every edge and uniform deployment on every terminal
+state, detecting livelock cycles in the explored state graph, and
+emitting any violating path as a replayable schedule.
 
-Entry points: :func:`check_interleavings` (one placement),
+Entry points: :func:`check_interleavings` (one placement, in process),
 :func:`exhaust_placements` (all placements of an ``(n, k)``, optionally
-fanned across a process pool), :func:`check_frontier` (wave-synchronous
-parallel exploration with an optional disk-spilled, resumable
-frontier; it does not detect livelock cycles), :func:`replay_counterexample`
-(deterministic reproduction), and the ``repro mc`` CLI command.  Every
-:class:`MCResult` states ``liveness`` — ``"checked"`` from the DFS,
-``"not checked"`` from the frontier.
+fanned across a process pool), :func:`check_frontier` (the same search
+with ``jobs`` worker processes and an optional disk-spilled, resumable
+frontier), :func:`replay_counterexample` (deterministic reproduction),
+and the ``repro mc`` CLI command.  There is one search loop
+(:mod:`repro.mc.parallel`); every entry point runs it, so every
+:class:`MCResult` carries the same guarantees.
 
 Exploration applies the sleep-set partial-order reduction of
 :mod:`repro.mc.por` by default: redundant interleavings of commuting
@@ -26,11 +27,12 @@ agent actions (distinct action nodes) are pruned without losing any
 reachable state, so verdicts and terminal sets match full expansion
 while the executed-transition count roughly halves.
 
-The drivers share one core: :class:`~repro.mc.oracle.PropertyOracle`
-resolves each instance's property suites, builds its engines and runs
-every property check, for both search drivers, the replayer and any
-other driver; :func:`~repro.mc.oracle.drive_schedule` replays a
-schedule under it with ReplayScheduler semantics, and
+The search shares its core with the other drivers:
+:class:`~repro.mc.oracle.PropertyOracle` resolves each instance's
+property suites, builds its engines and runs every property check, for
+the search, the replayer and any other driver;
+:func:`~repro.mc.oracle.drive_schedule` replays a schedule under it
+with ReplayScheduler semantics, and
 :func:`~repro.mc.shrink.shrink_schedule` delta-debugs a violating
 schedule to a 1-minimal reproduction — the machinery the
 coverage-guided fuzzer (:mod:`repro.fuzz`) builds on.
@@ -67,7 +69,7 @@ from repro.mc.properties import (
     resolve_terminal,
 )
 from repro.mc.shrink import shrink_schedule
-from repro.mc.state import Frame, PreState, SearchStats, capture_pre_state
+from repro.mc.state import PreState, SearchStats, capture_pre_state
 
 __all__ = [
     "Counterexample",
@@ -102,7 +104,6 @@ __all__ = [
     "UniformTerminal",
     "default_memory_limit",
     "default_safety_properties",
-    "Frame",
     "PreState",
     "SearchStats",
     "capture_pre_state",

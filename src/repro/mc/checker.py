@@ -1,17 +1,18 @@
 """Exhaustive interleaving exploration with replayable counterexamples.
 
-:func:`check_interleavings` performs a depth-first search over *every*
-enabled-agent choice from one initial configuration: at each reachable
-state it branches on each enabled agent, executing one atomic action per
-branch on a copy-on-branch engine fork.  Visited states are memoised on
-the canonical :class:`~repro.ring.configuration.Configuration` (states
-equal up to ring rotation and agent relabelling are explored once —
-sound, because the engine's transition relation is equivariant under
-both symmetries).  The instance's :class:`~repro.mc.oracle.PropertyOracle`
+:func:`check_interleavings` explores *every* enabled-agent choice from
+one initial configuration: at each reachable state it branches on each
+enabled agent, executing one atomic action per branch on a
+copy-on-branch engine fork.  It is the in-process (``jobs=1``) entry
+point of the one search loop, :func:`repro.mc.parallel.check_frontier`.
+Visited states are memoised on the canonical
+:class:`~repro.ring.configuration.Configuration` (states equal up to
+ring rotation and agent relabelling are explored once — sound, because
+the engine's transition relation is equivariant under both
+symmetries).  The instance's :class:`~repro.mc.oracle.PropertyOracle`
 checks safety properties on every edge and terminal properties on every
-quiescent state, and a back-edge onto the current DFS path is reported
-as a livelock cycle — which is why only this driver's results say
-``liveness="checked"``.
+quiescent state, and a strongly connected component of the explored
+state graph is reported as a livelock cycle.
 
 Because the search is exhaustive, a clean result at one size is a
 *proof* of the paper's claim at that size: no fair asynchronous schedule
@@ -34,9 +35,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mc.oracle import AgentsFactory, PropertyOracle, Violation
-from repro.mc.por import agents_of_slots, revisit, sleep_after, slots_of_agents
+# Unused here, but perfbench's tracer wraps these three in this module's
+# namespace (``vars(module)[attr]``), so they must stay importable from it.
+from repro.mc.por import agents_of_slots, sleep_after, slots_of_agents  # noqa: F401
 from repro.mc.properties import SafetyProperty, TerminalProperty
-from repro.mc.state import Frame, SearchStats, capture_pre_state
+from repro.mc.state import SearchStats, capture_pre_state
 from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
 from repro.sim.engine import Engine
@@ -50,10 +53,6 @@ __all__ = [
     "replay_counterexample",
 ]
 
-#: Transitions between two ``progress`` callbacks of the DFS.
-PROGRESS_EVERY = 5000
-
-
 @dataclass(frozen=True)
 class Counterexample:
     """A violating execution, pinned down to a replayable schedule.
@@ -62,8 +61,9 @@ class Counterexample:
     configuration up to and including the violating action (for
     ``terminal`` violations it runs all the way to quiescence).  The
     kinds are ``safety`` (an edge property failed), ``terminal`` (a
-    quiescent state is not a uniform deployment) and ``cycle`` (the
-    search returned to a state on its own path — a livelock schedule).
+    quiescent state is not a uniform deployment) and ``cycle`` (a
+    livelock lasso: a shortest path into a cycle of the explored state
+    graph, then once around it).
     """
 
     algorithm: str
@@ -110,9 +110,7 @@ class MCResult:
     proved redundant and never executed; ``memo_bytes`` approximates the
     peak visited-memo footprint; ``terminal_keys`` are the canonical
     keys (hex) of every quiescent state reached — the differential POR
-    gate compares them against full expansion.  ``liveness`` says
-    whether livelock cycles were searched for: ``"checked"`` by the DFS,
-    ``"not checked"`` by the breadth-first frontier driver.
+    gate compares them against full expansion.
     """
 
     algorithm: str
@@ -127,7 +125,6 @@ class MCResult:
     por_skipped: int = 0
     memo_bytes: int = 0
     terminal_keys: Tuple[str, ...] = ()
-    liveness: str = "checked"
 
     @classmethod
     def from_search(
@@ -140,7 +137,6 @@ class MCResult:
         *,
         complete: bool,
         stop_at_first: bool,
-        liveness: str,
     ) -> "MCResult":
         """The result of a finished search (every driver builds it here)."""
         stats.memo_bytes = sum(16 + 8 * len(slots) for slots in visited.values())
@@ -158,7 +154,6 @@ class MCResult:
             por_skipped=stats.por_skipped,
             memo_bytes=stats.memo_bytes,
             terminal_keys=tuple(sorted(terminal_keys)),
-            liveness=liveness,
         )
 
     @property
@@ -181,7 +176,7 @@ class MCResult:
             f"{self.explored} states, {self.transitions} transitions, "
             f"{self.deduped} deduped, {self.por_skipped} por-skipped, "
             f"{self.terminals} terminal, "
-            f"max depth {self.max_depth}, liveness {self.liveness} -> {verdict}"
+            f"max depth {self.max_depth} -> {verdict}"
         )
 
     def to_dict(self) -> dict:
@@ -195,7 +190,6 @@ class MCResult:
             "verdict": self.verdict,
             "ok": self.ok,
             "complete": self.complete,
-            "liveness": self.liveness,
             "explored": self.explored,
             "transitions": self.transitions,
             "deduped": self.deduped,
@@ -217,11 +211,7 @@ class MCResult:
 
     @classmethod
     def from_dict(cls, record: dict) -> "MCResult":
-        """Inverse of :meth:`to_dict` (a spilled ``result.json``).
-
-        Only the frontier driver spills results, and records written
-        before the ``liveness`` field existed load as ``"not checked"``.
-        """
+        """Inverse of :meth:`to_dict` (a spilled ``result.json``)."""
         placement = Placement(
             ring_size=record["placement"]["ring_size"],
             homes=tuple(record["placement"]["homes"]),
@@ -249,12 +239,12 @@ class MCResult:
             por_skipped=record["por_skipped"],
             memo_bytes=record["memo_bytes"],
             terminal_keys=tuple(record["terminal_keys"]),
-            liveness=record.get("liveness", "not checked"),
         )
 
 
 def _cycle_message(depth: int) -> str:
-    """The livelock-cycle violation text (shared with the replay check)."""
+    """The livelock-cycle violation text for a lasso of ``depth`` actions
+    (shared with the replay check)."""
     return (
         "schedule returns to a state already on its own path "
         f"after {depth} actions"
@@ -287,9 +277,14 @@ def check_interleavings(
     ``depth_limit`` bounds the schedule prefix length and ``max_states``
     the visited-state count; hitting either leaves ``complete=False``
     (the result is then a bounded check, not a proof).  With
-    ``stop_at_first=False`` the search records every violation but never
+    ``stop_at_first`` (the default) the search stops at the end of the
+    wave that found its first violation.  With
+    ``stop_at_first=False`` it records every violation (one
+    livelock cycle per cyclic strongly connected component) but never
     explores past a violating state.  ``progress`` receives the running
-    :class:`SearchStats` every :data:`PROGRESS_EVERY` transitions.
+    :class:`SearchStats` at the end of each wave in which the transition
+    count crosses a multiple of
+    :data:`~repro.mc.parallel.PROGRESS_EVERY`.
 
     ``por=True`` (the default) applies the sleep-set partial-order
     reduction of :mod:`repro.mc.por`: redundant interleavings of
@@ -305,128 +300,14 @@ def check_interleavings(
     fault-draw stream (see :mod:`repro.mc.por`), so an active spec
     forces full expansion regardless of ``por``.
     """
-    oracle = PropertyOracle(
-        algorithm, placement, factory=factory, safety=safety, terminal=terminal,
-        require_halted=require_halted, require_suspended=require_suspended, links=links,
-    )
-    por = por and oracle.links is None  # faults: moves share one draw stream
-    n = placement.ring_size
-    root = oracle.fresh_engine()
-    root_key = root.snapshot().canonical_key()
-    stats = SearchStats(explored=1)
-    # visited maps canonical key -> sleep slots the state was (last)
-    # explored under; an empty set means it was fully expanded.
-    visited: dict = {root_key: frozenset()}
-    on_path = {root_key}
-    terminal_keys: List[str] = []
-    violations: List[Counterexample] = []
-    complete = True
+    from repro.mc.parallel import check_frontier
 
-    stack: List[Frame] = [
-        Frame(
-            engine=root,
-            key=root_key,
-            schedule=(),
-            choices=list(reversed(root.enabled_agents())),
-        )
-    ]
-
-    while stack:
-        frame = stack[-1]
-        if not frame.choices:
-            on_path.discard(frame.key)
-            stack.pop()
-            continue
-        agent_id = frame.choices.pop()
-        child = frame.take_engine()
-        # Sleep inheritance is decided against the *source* state's agent
-        # locations, so compute it before the child engine steps.
-        if por and frame.slept:
-            child_sleep = sleep_after(child, frame.slept, agent_id, n)
-        else:
-            child_sleep = set()
-        pre = capture_pre_state(child)
-        child.step(agent_id)
-        schedule = frame.schedule + (agent_id,)
-        stats.transitions += 1
-        if len(schedule) > stats.max_depth:
-            stats.max_depth = len(schedule)
-        if progress is not None and stats.transitions % PROGRESS_EVERY == 0:
-            progress(stats)
-
-        snapshot = child.snapshot()
-        violation = oracle.check_step(pre, child, snapshot, agent_id)
-        if violation is None:
-            key = snapshot.canonical_key()
-            if key in on_path:
-                violation = Violation(
-                    "cycle", "livelock-cycle", _cycle_message(len(schedule))
-                )
-        if violation is not None:
-            violations.append(Counterexample.of(oracle, violation, schedule))
-            if stop_at_first:
-                break
-            continue  # never explore past a violating state
-
-        sleep_slots = slots_of_agents(snapshot, child_sleep)
-        stored = visited.get(key)
-        if stored is not None:
-            stats.deduped += 1
-            frame.slept.add(agent_id)
-            reopened = revisit(stored, sleep_slots)
-            if reopened is not None:
-                reopen, visited[key] = reopened
-                choices = sorted(agents_of_slots(snapshot, reopen))
-                stack.append(
-                    Frame(
-                        engine=child,
-                        key=key,
-                        schedule=schedule,
-                        choices=list(reversed(choices)),
-                        slept=set(child.enabled_agents()) - set(choices),
-                    )
-                )
-                on_path.add(key)
-            continue
-        visited[key] = sleep_slots
-        stats.explored += 1
-
-        if child.quiescent:
-            stats.terminals += 1
-            terminal_keys.append(key.hex())
-            violation = oracle.check_terminal(child, snapshot)
-            if violation is not None:
-                violations.append(Counterexample.of(oracle, violation, schedule))
-                if stop_at_first:
-                    break
-            frame.slept.add(agent_id)
-            continue
-        if depth_limit is not None and len(schedule) >= depth_limit:
-            stats.truncated += 1
-            complete = False
-            continue
-        if max_states is not None and stats.explored >= max_states:
-            complete = False
-            break
-
-        enabled = child.enabled_agents()
-        choices = [a for a in enabled if a not in child_sleep]
-        stats.por_skipped += len(enabled) - len(choices)
-        stack.append(
-            Frame(
-                engine=child,
-                key=key,
-                schedule=schedule,
-                choices=list(reversed(choices)),
-                slept=set(child_sleep),
-            )
-        )
-        on_path.add(key)
-        frame.slept.add(agent_id)
-
-    return MCResult.from_search(
-        oracle, stats, visited, violations, terminal_keys,
-        complete=complete, stop_at_first=stop_at_first, liveness="checked",
+    return check_frontier(
+        algorithm, placement, jobs=1, factory=factory,
+        require_halted=require_halted, require_suspended=require_suspended,
+        safety=safety, terminal=terminal, depth_limit=depth_limit,
+        max_states=max_states, stop_at_first=stop_at_first, por=por,
+        links=links, progress=progress,
     )
 
 

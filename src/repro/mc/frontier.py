@@ -2,10 +2,11 @@
 
 A long exhaustive check is a computation worth protecting: hours of
 exploration die with the process on the first OOM kill or pre-emption.
-This module spills the wave-synchronous frontier driver's open frontier
-and visited-key memo to ``<store>/mc/<check-hash>/``, keyed — like the
+This module spills the model checker's open frontier, visited-key memo
+and successor edges to ``<store>/mc/<check-hash>/``, keyed — like the
 RunStore — by a content hash of the *check spec* (algorithm, placement,
-POR mode, limits, terminal requirements, packed-encoding version), so a
+POR mode, limits, terminal requirements, packed-encoding and journal
+versions), so a
 killed ``repro mc --store ... --resume`` continues from the last
 committed wave and finishes with the same verdict and cumulative stats
 as an uninterrupted run (pinned by the kill-resume test).
@@ -18,10 +19,14 @@ Layout
 ``journal.jsonl``
     Append-only wave journal.  Each wave appends a *block*: visited-memo
     deltas (``{"t":"v"}``), terminal-state keys (``{"t":"tk"}``),
-    violations (``{"t":"x"}``), the entire next frontier (``{"t":"i"}``)
-    and finally one commit marker (``{"t":"c"}``) carrying the wave
-    number and cumulative :class:`~repro.mc.state.SearchStats`.  The
-    file is flushed and fsynced once per wave, after the commit marker.
+    violations (``{"t":"x"}``), the wave's new successor edges, one
+    record per source state (``{"t":"e"}``), the entire next frontier
+    (``{"t":"i"}``) and finally one commit marker (``{"t":"c"}``)
+    carrying the wave number and cumulative
+    :class:`~repro.mc.state.SearchStats`.  The file is flushed and
+    fsynced once per wave, after the commit marker.  Frontier items are
+    journaled as schedules: a resumed check rebuilds each reloaded
+    item's engine once from its schedule.
 ``result.json``
     The finished :meth:`~repro.mc.checker.MCResult.to_dict`, written
     atomically (tmp + rename) when the check completes; a resume of a
@@ -41,11 +46,12 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.mc.state import SearchStats
-from repro.ring.configuration import PACKED_ENCODING_VERSION
+from repro.ring.configuration import PACKED_ENCODING_VERSION, Configuration
 from repro.ring.placement import Placement
+from repro.sim.engine import Engine
 
 __all__ = [
     "FrontierItem",
@@ -55,23 +61,37 @@ __all__ = [
     "check_hash",
 ]
 
+#: Version of the ``journal.jsonl`` record set, part of every check
+#: spec.  Version 2 added the successor-edge records (``{"t":"e"}``): a
+#: spill written before them hashes differently and is never resumed as
+#: if its edge set were complete.
+JOURNAL_VERSION = 2
 
-@dataclass(frozen=True)
+
+@dataclass
 class FrontierItem:
     """One open state awaiting expansion.
 
-    ``key`` is the packed canonical key, ``schedule`` an activation
-    prefix that reaches the state (workers replay it from the root),
-    ``sleep`` the canonical sleep slots the state is to be expanded
-    under, and ``restrict`` — when not ``None`` — the exact slots to
-    (re-)expand: the sleep-set revisit rule re-opens only the
-    transitions a previous visit slept through.
+    ``key`` is the packed canonical key, ``schedule`` the activation
+    prefix that reached the state, ``sleep`` the canonical sleep slots
+    the state is to be expanded under, and ``restrict`` — when not
+    ``None`` — the exact slots to (re-)expand: the sleep-set revisit
+    rule re-opens only the transitions a previous visit slept through.
+
+    ``engine`` is a live engine at the state, ``snapshot`` the snapshot
+    already taken of it and ``slept`` the concrete agent ids behind
+    ``sleep``; expansion steps forks of ``engine`` and never replays
+    ``schedule``.  They travel with the item, pickled to and from pool
+    workers, but are not journaled: only the first four fields are.
     """
 
     key: bytes
     schedule: Tuple[int, ...]
     sleep: frozenset = frozenset()
     restrict: Optional[Tuple[int, ...]] = None
+    engine: Optional[Engine] = field(default=None, compare=False, repr=False)
+    snapshot: Optional[Configuration] = field(default=None, compare=False, repr=False)
+    slept: frozenset = field(default=frozenset(), compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -102,6 +122,7 @@ class ResumeState:
     stats: SearchStats
     violations: List[dict] = field(default_factory=list)
     terminal_keys: List[str] = field(default_factory=list)
+    edges: Set[Tuple[bytes, bytes]] = field(default_factory=set)
 
 
 def check_spec(
@@ -119,8 +140,8 @@ def check_spec(
     """The canonical, JSON-stable description of one check.
 
     Everything that changes the *meaning* of the exploration is in here
-    (including the packed-encoding version — a format bump must never
-    resume an old spill); runtime knobs like ``jobs`` are not, so a
+    (including the packed-encoding and journal versions — a format bump
+    must never resume an old spill); runtime knobs like ``jobs`` are not, so a
     check can resume under a different worker count.  ``links`` (a
     :class:`~repro.ring.faults.LinkSpec`, serialised) is emitted only
     when active, so every reliable check keeps its historical hash.
@@ -139,6 +160,7 @@ def check_spec(
 
     spec = {
         "encoding": PACKED_ENCODING_VERSION,
+        "journal": JOURNAL_VERSION,
         "algorithm": algorithm,
         "ring_size": placement.ring_size,
         "homes": list(placement.homes),
@@ -220,10 +242,12 @@ class FrontierSpill:
         visited: Dict[bytes, frozenset] = {}
         violations: List[dict] = []
         terminal_keys: List[str] = []
+        edges: Set[Tuple[bytes, bytes]] = set()
         block_visited: List[Tuple[bytes, frozenset]] = []
         block_items: List[FrontierItem] = []
         block_violations: List[dict] = []
         block_terminal: List[str] = []
+        block_edges: List[dict] = []
         with path.open("r", encoding="utf-8") as handle:
             for line in handle:
                 if not line.endswith("\n"):
@@ -243,9 +267,14 @@ class FrontierSpill:
                     block_violations.append(record)
                 elif kind == "tk":
                     block_terminal.append(record["k"])
+                elif kind == "e":
+                    block_edges.append(record)
                 elif kind == "c":
                     for key, slots in block_visited:
                         visited[key] = slots
+                    for entry in block_edges:
+                        source = bytes.fromhex(entry["k"])
+                        edges.update((source, bytes.fromhex(dst)) for dst in entry["d"])
                     violations.extend(block_violations)
                     terminal_keys.extend(block_terminal)
                     state = ResumeState(
@@ -255,11 +284,13 @@ class FrontierSpill:
                         stats=_stats_from_json(record["stats"]),
                         violations=violations,
                         terminal_keys=terminal_keys,
+                        edges=edges,
                     )
                     block_visited = []
                     block_items = []
                     block_violations = []
                     block_terminal = []
+                    block_edges = []
         return state
 
     def start_fresh(self) -> None:
@@ -288,9 +319,14 @@ class FrontierSpill:
         frontier: List[FrontierItem],
         violations: List[dict],
         terminal_keys: List[str],
+        edges: Dict[bytes, List[bytes]],
         stats: SearchStats,
     ) -> None:
-        """Append one wave block and fsync it behind a commit marker."""
+        """Append one wave block and fsync it behind a commit marker.
+
+        ``edges`` maps each source state to the successors first
+        recorded for it in this wave.
+        """
         handle = self._handle()
         lines: List[str] = []
         for key, slots in visited_delta:
@@ -304,6 +340,13 @@ class FrontierSpill:
             lines.append(json.dumps({"t": "tk", "k": key_hex}, separators=(",", ":")))
         for violation in violations:
             lines.append(json.dumps(violation, separators=(",", ":")))
+        for source, targets in edges.items():
+            lines.append(
+                json.dumps(
+                    {"t": "e", "k": source.hex(), "d": [key.hex() for key in targets]},
+                    separators=(",", ":"),
+                )
+            )
         for item in frontier:
             lines.append(json.dumps(item.to_json(), separators=(",", ":")))
         lines.append(

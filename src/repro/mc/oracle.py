@@ -3,11 +3,10 @@
 The exhaustive checker, the counterexample replayer and the schedule
 fuzzer all need the same thing: "run this instance one atomic action at
 a time and tell me the moment a property breaks".  This module factors
-that out of :mod:`repro.mc.checker`: the depth-first
-``check_interleavings``, the breadth-first ``check_frontier``, the
-counterexample replayer and the randomized drivers all take their
-property suites and engines from here, so every driver checks exactly
-the same oracles:
+that out of :mod:`repro.mc.checker`: the exhaustive search
+(``check_interleavings`` / ``check_frontier``), the counterexample
+replayer and the randomized drivers all take their property suites and
+engines from here, so every driver checks exactly the same oracles:
 
 * :class:`Violation` — one property failure, as plain data (kind,
   property name, message) without the schedule attached, so drivers can
@@ -53,7 +52,7 @@ AgentsFactory = Callable[[], Sequence[Agent]]
 class Violation:
     """One property failure observed by an oracle-checked driver."""
 
-    kind: str  # "safety", "terminal" or (from the DFS) "cycle"
+    kind: str  # "safety", "terminal" or (from the exhaustive search) "cycle"
     property_name: str
     message: str
 

@@ -1,50 +1,64 @@
-"""Parallel model checking: wave-synchronous frontier + placement pool.
+"""The model checker's one search loop, and the placement pool.
 
-Two orthogonal parallelisation axes over :mod:`repro.mc.checker`:
+* :func:`check_frontier` — a wave-synchronous (lockstep) breadth-first
+  search, and the only one: :func:`repro.mc.checker.check_interleavings`
+  is this loop at ``jobs=1``.  Each wave, the open frontier is
+  partitioned by *memo ownership* — a state's owner shard is
+  ``int(key) % jobs``, so exactly one shard ever stores a given
+  canonical key — and the per-owner buckets are expanded by
+  :func:`_expand_batch`, in process at ``jobs=1`` and by a process pool
+  otherwise.  The master merges children in globally sorted
+  ``(key, schedule)`` order, which makes every counter, every
+  counterexample and the final verdict deterministic *and invariant
+  in* ``jobs`` (pinned by tests).
 
 * :func:`check_placements_pool` — the embarrassingly parallel axis:
   whole placements of an ``(n, k)`` grid fan across a process pool,
-  each worker running the ordinary serial DFS.  Results keep placement
+  each worker running the search at ``jobs=1``.  Results keep placement
   order, so the output is byte-identical to the serial grid.
 
-* :func:`check_frontier` — intra-placement parallelism: a
-  wave-synchronous (lockstep) breadth-first driver.  Each wave, the
-  open frontier is partitioned by *memo ownership* — a state's owner
-  shard is ``int(key) % jobs``, so exactly one shard ever stores a
-  given canonical key — and the per-owner buckets are expanded by a
-  process pool.  The master merges children in globally sorted
-  ``(key, schedule)`` order, which makes every counter and the final
-  verdict deterministic *and invariant in* ``jobs``: the ``--jobs 2``
-  run reports the same numbers as ``--jobs 1`` (pinned by tests).
+Expansion never replays.  Each :class:`~repro.mc.frontier.FrontierItem`
+carries a live engine at its state, the snapshot already taken of it
+and its concrete sleep set; a worker steps forks of that engine, and
+its children come back carrying their own.  At ``jobs=1`` the engines
+stay in process; at ``jobs > 1`` they are pickled with the items, both
+ways.  With ``store_root`` set every wave is committed to an
+append-only journal (:mod:`repro.mc.frontier`) that records items as
+schedules, so ``resume=True`` rebuilds each reloaded item's engine once
+by replaying its schedule, and a killed check finishes with identical
+cumulative stats.
 
-Both drivers share everything but the search loop: the instance's
-:class:`~repro.mc.oracle.PropertyOracle` builds their engines and runs
-their property checks, :func:`repro.mc.por.revisit` is their sleep-set
+Livelock cycles are searched after the loop, over the explored graph.
+The merge records every successor edge between explored, non-violating
+states as a pair of canonical keys (and journals it); an iterative
+strongly-connected-component pass (Tarjan 1972) over the non-terminal
+states finds the cycles, and each is reported as a lasso schedule: a
+shortest key path from the root into the cycle, then once around it,
+walked from a fresh root engine by taking the lowest enabled actor
+whose child has the next key (one exists by equivariance).  Under POR
+the explored graph is the sleep-set-reduced one (see
+:mod:`repro.mc.por`).
+
+Everything but the loop is shared: the instance's
+:class:`~repro.mc.oracle.PropertyOracle` builds the engines and runs
+the property checks, :func:`repro.mc.por.revisit` is the sleep-set
 revisit rule and :meth:`~repro.mc.checker.MCResult.from_search` builds
-their results.
-
-Work items carry schedules, not engines: a worker rebuilds each state
-by replaying the item's activation schedule on a fork of the oracle's
-root engine.  That costs ``O(depth)`` steps per expanded state.
-Engines are plain data and could be shipped instead; schedules are
-what the frontier spills to disk and resumes from
-(:mod:`repro.mc.frontier`): with ``store_root`` set, every wave is
-committed to an append-only journal and a killed check resumes from the
-last commit with identical cumulative stats.
-
-The breadth-first driver retains every guarantee of the DFS *except*
-livelock-cycle detection (there is no DFS path to find a back-edge
-onto), so its results say ``liveness="not checked"``; the four paper
-algorithms and the selftest bug are cycle-free, and the serial DFS
-remains the default for plain ``repro mc``.
+the result.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.mc.checker import Counterexample, MCResult, check_interleavings
+from repro.mc.checker import (
+    Counterexample,
+    MCResult,
+    _cycle_message,
+    check_interleavings,
+)
 from repro.mc.frontier import FrontierItem, FrontierSpill, ResumeState, check_spec
 from repro.mc.oracle import AgentsFactory, PropertyOracle, Violation
 from repro.mc.por import agents_of_slots, revisit, sleep_after, slots_of_agents
@@ -54,6 +68,10 @@ from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
 
 __all__ = ["check_frontier", "check_placements_pool"]
+
+#: ``progress`` is called at the end of each wave in which the
+#: transition count crosses a multiple of this.
+PROGRESS_EVERY = 5000
 
 
 # ----------------------------------------------------------------------
@@ -100,9 +118,16 @@ def check_placements_pool(
 # Wave-synchronous frontier driver
 # ----------------------------------------------------------------------
 
-#: Child record produced by a worker: (canonical key, schedule, sleep
-#: slots, quiescent flag, terminal violation or None).
-_Child = Tuple[bytes, Tuple[int, ...], frozenset, bool, Optional[Violation]]
+
+class _Child(NamedTuple):
+    """One successor produced by a worker: the item to merge (engine
+    attached), the canonical key of the state it was reached from, and
+    whether it is quiescent with its terminal violation, if any."""
+
+    item: FrontierItem
+    parent: bytes
+    quiescent: bool
+    term: Optional[Violation]
 
 
 def _journal_violation(violation: Violation, schedule: Tuple[int, ...]) -> dict:
@@ -126,25 +151,24 @@ class _FrontierWorker:
     def expand(
         self, item: FrontierItem
     ) -> Tuple[int, int, List[_Child], List[dict]]:
-        """Expand one frontier state; return (transitions, por_skipped,
-        children, violations)."""
-        engine = self.oracle.fork_root()
-        for agent_id in item.schedule:
-            engine.step(agent_id)
+        """Expand one frontier state from its live engine; return
+        (transitions, por_skipped, children, violations)."""
+        engine = item.engine
         enabled = engine.enabled_agents()
-        snapshot = engine.snapshot()
         if item.restrict is not None:
-            targets = sorted(agents_of_slots(snapshot, item.restrict))
+            targets = sorted(agents_of_slots(item.snapshot, item.restrict))
             slept = set(enabled) - set(targets)
             por_skipped = 0
         else:
-            slept = agents_of_slots(snapshot, item.sleep)
+            slept = set(item.slept)
             targets = [a for a in enabled if a not in slept]
             por_skipped = len(enabled) - len(targets)
         children: List[_Child] = []
         violations: List[dict] = []
         for index, agent_id in enumerate(targets):
             child = engine.fork() if index < len(targets) - 1 else engine
+            # Sleep inheritance is decided against the *source* state's
+            # agent locations, so compute it before the child steps.
             if self.por and slept:
                 child_sleep = sleep_after(
                     child, slept, agent_id, self.oracle.placement.ring_size
@@ -159,13 +183,19 @@ class _FrontierWorker:
             if violation is not None:
                 violations.append(_journal_violation(violation, schedule))
                 continue  # never explore past a violating state
-            key = child_snapshot.canonical_key()
-            sleep_slots = slots_of_agents(child_snapshot, child_sleep)
             quiescent = child.quiescent
             term = None
             if quiescent:
                 term = self.oracle.check_terminal(child, child_snapshot)
-            children.append((key, schedule, sleep_slots, quiescent, term))
+            successor = FrontierItem(
+                key=child_snapshot.canonical_key(),
+                schedule=schedule,
+                sleep=slots_of_agents(child_snapshot, child_sleep),
+                engine=child,
+                snapshot=child_snapshot,
+                slept=frozenset(child_sleep),
+            )
+            children.append(_Child(successor, item.key, quiescent, term))
             slept.add(agent_id)
         return len(targets), por_skipped, children, violations
 
@@ -212,6 +242,151 @@ def _owner(key: bytes, jobs: int) -> int:
     return int.from_bytes(key[:8], "big") % jobs
 
 
+def _restore(oracle: PropertyOracle, item: FrontierItem) -> FrontierItem:
+    """Attach a live engine to a journaled item by replaying its schedule
+    (resume only: a running search hands engines on)."""
+    engine = oracle.fork_root()
+    for agent_id in item.schedule:
+        engine.step(agent_id)
+    snapshot = engine.snapshot()
+    return replace(
+        item,
+        engine=engine,
+        snapshot=snapshot,
+        slept=frozenset(agents_of_slots(snapshot, item.sleep)),
+    )
+
+
+# ----------------------------------------------------------------------
+# Livelock cycles in the explored graph
+# ----------------------------------------------------------------------
+
+
+def _cyclic_components(edges: Dict[bytes, List[bytes]]) -> List[Set[bytes]]:
+    """The strongly connected components of ``edges`` that hold a cycle.
+
+    Tarjan's algorithm with an explicit stack, so deep state graphs do
+    not hit the recursion limit.  A component holds a cycle when it has
+    two or more states, or one state with a self-loop.
+    """
+    index: Dict[bytes, int] = {}
+    low: Dict[bytes, int] = {}
+    stack: List[bytes] = []
+    on_stack: Set[bytes] = set()
+    components: List[Set[bytes]] = []
+    for start in edges:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        stack.append(start)
+        on_stack.add(start)
+        work = [(start, iter(edges[start]))]
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in index:
+                    index[successor] = low[successor] = len(index)
+                    stack.append(successor)
+                    on_stack.add(successor)
+                    work.append((successor, iter(edges.get(successor, ()))))
+                    break
+                if successor in on_stack:
+                    low[node] = min(low[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    if len(component) > 1 or node in edges.get(node, ()):
+                        components.append(component)
+    return components
+
+
+def _bfs_tree(
+    edges: Dict[bytes, List[bytes]], start: bytes, within: Optional[Set[bytes]] = None
+) -> Dict[bytes, Optional[bytes]]:
+    """Breadth-first parent pointers from ``start`` (optionally only
+    through ``within``), in discovery order: nearest states first."""
+    parents: Dict[bytes, Optional[bytes]] = {start: None}
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        for successor in edges.get(key, ()):
+            if successor not in parents and (within is None or successor in within):
+                parents[successor] = key
+                queue.append(successor)
+    return parents
+
+
+def _path_to(parents: Dict[bytes, Optional[bytes]], key: bytes) -> List[bytes]:
+    """The tree path from the root of ``parents`` to ``key``."""
+    path = [key]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path[::-1]
+
+
+def _livelock_lassos(
+    edges: Dict[bytes, List[bytes]], root: bytes, first_only: bool
+) -> List[List[bytes]]:
+    """One key lasso per cyclic component, nearest component first.
+
+    ``edges`` lists each state's successors in sorted order.  A lasso is
+    a shortest key path from ``root`` to the component's first state in
+    breadth-first order, then a shortest cycle from that state back to
+    itself inside the component.
+    """
+    components = _cyclic_components(edges)
+    if not components:
+        return []
+    component_of = {key: i for i, members in enumerate(components) for key in members}
+    tree = _bfs_tree(edges, root)
+    lassos: List[List[bytes]] = []
+    seen: Set[int] = set()
+    for entry in tree:
+        found = component_of.get(entry)
+        if found is None or found in seen:
+            continue
+        seen.add(found)
+        inside = _bfs_tree(edges, entry, components[found])
+        last = next(key for key in inside if entry in edges[key])
+        lassos.append(_path_to(tree, entry) + _path_to(inside, last)[1:] + [entry])
+        if first_only:
+            break
+    return lassos
+
+
+def _lasso_schedule(oracle: PropertyOracle, keys: List[bytes]) -> Tuple[int, ...]:
+    """Walk a key path from a fresh root engine; return its schedule.
+
+    Each step takes the lowest enabled actor whose child has the next
+    canonical key.  The edge was recorded from some engine at the same
+    canonical state, so by equivariance one of this engine's actors
+    reaches it too.
+    """
+    engine = oracle.fork_root()
+    schedule: List[int] = []
+    for target in keys[1:]:
+        for actor in engine.enabled_agents():
+            child = engine.fork()
+            child.step(actor)
+            if child.snapshot().canonical_key() == target:
+                break
+        else:
+            raise AssertionError("no enabled actor reaches a recorded successor")
+        engine = child
+        schedule.append(actor)
+    return tuple(schedule)
+
+
 def check_frontier(
     algorithm: str,
     placement: Placement,
@@ -233,18 +408,20 @@ def check_frontier(
 ) -> MCResult:
     """Breadth-first, optionally parallel and disk-spilled exploration.
 
-    Semantics match :func:`check_interleavings` (same properties, same
-    POR, same verdicts) except that livelock cycles are not detected —
-    the result says ``liveness="not checked"`` — and ``stop_at_first``
-    stops at wave granularity.  ``jobs > 1`` requires a registered
-    ``algorithm`` name; ``store_root`` spills every wave to
-    ``<store_root>/mc/<check-hash>/`` and ``resume=True`` continues a
-    previously killed run (a completed run's stored result is returned
-    directly).  ``links`` behaves as in
-    :func:`check_interleavings`: fault-aware properties, link-actor
-    branches, and sleep sets forced off (see :mod:`repro.mc.por`); the
-    wave-merge discipline keeps the verdict ``jobs``-invariant on
-    faulty instances exactly as on reliable ones.
+    The options are those of :func:`~repro.mc.checker.check_interleavings`
+    (which calls this with ``jobs=1``); ``stop_at_first`` stops at wave
+    granularity.  ``jobs > 1`` requires a registered ``algorithm`` name;
+    ``store_root`` spills every wave to ``<store_root>/mc/<check-hash>/``
+    and ``resume=True`` continues a previously killed run (a completed
+    run's stored result is returned directly).  ``links`` brings
+    fault-aware properties, link-actor branches and sleep sets forced
+    off (see :mod:`repro.mc.por`); the wave-merge discipline keeps the
+    verdict ``jobs``-invariant on faulty instances exactly as on
+    reliable ones.
+
+    Livelock cycles are reported after the search unless it already
+    stopped at a violation: one lasso under ``stop_at_first``, else one
+    per cyclic strongly connected component of the explored graph.
     """
     if jobs > 1 and factory is not None:
         raise ValueError(
@@ -278,29 +455,36 @@ def check_frontier(
                 return MCResult.from_dict(stored)
             resumed = spill.resume_state()
 
+    root = oracle.fork_root()
+    root_snapshot = root.snapshot()
+    root_key = root_snapshot.canonical_key()
     if resumed is not None:
         wave = resumed.wave
         visited = resumed.visited
-        frontier = resumed.frontier
         stats = resumed.stats
         violation_records = list(resumed.violations)
         terminal_keys = list(resumed.terminal_keys)
+        edges = resumed.edges
         if violation_records and stop_at_first:
             # The killed run had already found its violation; don't
             # explore further, just finalise the stored state.
             frontier = []
+        else:
+            frontier = [_restore(oracle, item) for item in resumed.frontier]
     else:
-        root_key = oracle.fork_root().snapshot().canonical_key()
         wave = 0
         visited = {root_key: frozenset()}
-        frontier = [FrontierItem(key=root_key, schedule=())]
+        frontier = [
+            FrontierItem(key=root_key, schedule=(), engine=root, snapshot=root_snapshot)
+        ]
         stats = SearchStats(explored=1)
         violation_records = []
         terminal_keys = []
+        edges = set()
         if spill is not None:
             spill.start_fresh()
             spill.append_wave(
-                0, [(root_key, frozenset())], frontier, [], [], stats
+                0, [(root_key, frozenset())], frontier, [], [], {}, stats
             )
 
     complete = not stats.truncated
@@ -325,6 +509,7 @@ def check_frontier(
             if max_states is not None and stats.explored >= max_states:
                 complete = False
                 break
+            transitions_before = stats.transitions
             buckets: List[List[FrontierItem]] = [[] for _ in range(max(jobs, 1))]
             for item in frontier:
                 buckets[_owner(item.key, max(jobs, 1))].append(item)
@@ -343,34 +528,42 @@ def check_frontier(
                 stats.por_skipped += por_skipped
                 children.extend(part_children)
                 wave_violations.extend(part_violations)
-            children.sort(key=lambda child: (child[0], child[1]))
+            children.sort(key=lambda child: (child.item.key, child.item.schedule))
 
             wave_terminal_keys: List[str] = []
+            wave_edges: Dict[bytes, List[bytes]] = {}
             visited_delta: List[Tuple[bytes, frozenset]] = []
             next_frontier: List[FrontierItem] = []
             hit_max_states = False
-            for key, schedule, sleep_slots, quiescent, term in children:
+            for item, parent, quiescent, term in children:
+                key = item.key
+                schedule = item.schedule
                 if len(schedule) > stats.max_depth:
                     stats.max_depth = len(schedule)
+                # A quiescent state is on no cycle: its edges are not kept.
+                edge = (parent, key)
+                if not quiescent and edge not in edges:
+                    edges.add(edge)
+                    wave_edges.setdefault(parent, []).append(key)
                 stored = visited.get(key)
                 if stored is not None:
                     stats.deduped += 1
-                    reopened = revisit(stored, sleep_slots)
-                    if reopened is not None:
-                        reopen, merged = reopened
-                        visited[key] = merged
-                        visited_delta.append((key, merged))
-                        next_frontier.append(
-                            FrontierItem(
-                                key=key,
-                                schedule=schedule,
-                                sleep=merged,
-                                restrict=tuple(sorted(reopen)),
-                            )
-                        )
+                    reopened = revisit(stored, item.sleep)
+                    if reopened is None:
+                        continue
+                    if depth_limit is not None and len(schedule) >= depth_limit:
+                        stats.truncated += 1  # re-expanding would pass the limit
+                        complete = False
+                        continue
+                    reopen, merged = reopened
+                    visited[key] = merged
+                    visited_delta.append((key, merged))
+                    next_frontier.append(
+                        replace(item, sleep=merged, restrict=tuple(sorted(reopen)))
+                    )
                     continue
-                visited[key] = sleep_slots
-                visited_delta.append((key, sleep_slots))
+                visited[key] = item.sleep
+                visited_delta.append((key, item.sleep))
                 stats.explored += 1
                 if quiescent:
                     stats.terminals += 1
@@ -385,9 +578,7 @@ def check_frontier(
                 if max_states is not None and stats.explored >= max_states:
                     hit_max_states = True
                     break
-                next_frontier.append(
-                    FrontierItem(key=key, schedule=schedule, sleep=sleep_slots)
-                )
+                next_frontier.append(item)
 
             terminal_keys.extend(wave_terminal_keys)
             violation_records.extend(wave_violations)
@@ -399,10 +590,15 @@ def check_frontier(
                     next_frontier,
                     wave_violations,
                     wave_terminal_keys,
+                    wave_edges,
                     stats,
                 )
             frontier = next_frontier
-            if progress is not None:
+            if (
+                progress is not None
+                and stats.transitions // PROGRESS_EVERY
+                > transitions_before // PROGRESS_EVERY
+            ):
                 progress(stats)
             if hit_max_states:
                 complete = False
@@ -420,9 +616,19 @@ def check_frontier(
         )
         for entry in violation_records
     ]
+    # Without a memo hit every recorded edge found a new state: the
+    # explored graph is then a tree, with no cycle to look for.
+    if stats.deduped and not (violations and stop_at_first):
+        successors: Dict[bytes, List[bytes]] = {}
+        for source, target in sorted(edges):
+            successors.setdefault(source, []).append(target)
+        for keys in _livelock_lassos(successors, root_key, first_only=stop_at_first):
+            schedule = _lasso_schedule(oracle, keys)
+            cycle = Violation("cycle", "livelock-cycle", _cycle_message(len(schedule)))
+            violations.append(Counterexample.of(oracle, cycle, schedule))
     result = MCResult.from_search(
         oracle, stats, visited, violations, terminal_keys,
-        complete=complete, stop_at_first=stop_at_first, liveness="not checked",
+        complete=complete, stop_at_first=stop_at_first,
     )
     if spill is not None:
         spill.finish(result.to_dict())

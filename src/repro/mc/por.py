@@ -57,8 +57,24 @@ Sleep sets are stored per visited state in *canonical slot* coordinates
 survive the agent-relabelling quotient of the memo table; a revisit
 whose inherited sleep set is not a superset of the stored one re-expands
 exactly the difference (the standard sleep-set revisit rule, :func:`revisit`,
-which both drivers call — stored sets shrink monotonically, so the
+which the search calls — stored sets shrink monotonically, so the
 search terminates).
+
+Livelock cycles: the decision
+-----------------------------
+
+Cycles are searched in the *explored* graph: every transition the
+search executed between explored, non-violating states.  Under POR that
+is the sleep-set-reduced graph; under ``--no-por`` it is the full state
+graph.  Sleep sets preserve every reachable state, not every cycle: a
+cycle of the full graph whose closing transitions were all slept is not
+in the reduced graph (the cycle proviso of Godefroid 1996, *Partial-Order
+Methods for the Verification of Concurrent Systems*, ch. 6, is what a
+reduction needs to keep them, and none is applied here).  A depth-first
+search that looks for back-edges among the transitions it executes
+gives the same guarantee.  A verdict that must cover every
+cycle of the full graph is a ``--no-por`` run; the tests check that a
+two-agent livelock is reported either way.
 
 Link faults: the new action class, and why the reduction stands down
 --------------------------------------------------------------------

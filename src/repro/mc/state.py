@@ -10,19 +10,17 @@ the small value objects that exploration threads through:
   (token vector + queue contents) that edge-level safety properties
   compare against the post-transition engine,
 * :class:`SearchStats` — the exploration counters reported to the user
-  (explored / transitions / deduped / terminals / max depth),
-* :class:`Frame` — one depth-first stack entry: a live engine, the
-  schedule prefix that reached it and the untried enabled choices.
+  (explored / transitions / deduped / terminals / max depth).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.sim.engine import Engine
 
-__all__ = ["PreState", "SearchStats", "Frame", "capture_pre_state"]
+__all__ = ["PreState", "SearchStats", "capture_pre_state"]
 
 
 @dataclass(frozen=True)
@@ -79,36 +77,3 @@ class SearchStats:
             f"{self.deduped} deduped, {self.por_skipped} por-skipped, "
             f"{self.terminals} terminal, max depth {self.max_depth}"
         )
-
-
-@dataclass
-class Frame:
-    """One DFS stack level: a state plus its unexplored outgoing edges.
-
-    ``engine`` is a live engine *at* this state.  It is consumed (moved
-    into the child instead of forked) when the last untried choice is
-    taken — the copy-on-branch optimisation that saves one fork per
-    fully-expanded state.  ``key`` is the state's canonical key (packed
-    blake2b digest, used to maintain the on-path set for cycle
-    detection) and ``schedule`` the activation prefix that first reached
-    it.  ``slept`` is the sleep set of the partial-order reduction:
-    agents (by concrete id) whose transition from this state is already
-    covered elsewhere — inherited sleepers plus the siblings whose
-    subtrees completed before the current choice.
-    """
-
-    engine: Optional[Engine]
-    key: Union[bytes, Tuple[object, ...]]
-    schedule: Tuple[int, ...]
-    choices: List[int] = field(default_factory=list)
-    slept: Set[int] = field(default_factory=set)
-
-    def take_engine(self) -> Engine:
-        """Fork the frame's engine, or move it out on the last choice."""
-        if self.engine is None:
-            raise RuntimeError("frame engine already consumed")
-        if self.choices:
-            return self.engine.fork()
-        engine = self.engine
-        self.engine = None
-        return engine

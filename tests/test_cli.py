@@ -271,31 +271,29 @@ class TestMcCommand:
         assert "1 configuration from spec" in output
         assert "no violations" in output
 
-    def test_mc_says_which_driver_checked_liveness(self, capsys):
+    def test_mc_jobs_and_store_change_no_result(self, capsys, tmp_path):
         args = ["mc", "--algorithm", "unknown", "--distances", "2,4", "--json"]
-        assert main(args) == 0
-        captured = capsys.readouterr()
-        (dfs,) = json.loads(captured.out)["results"]
-        assert dfs["liveness"] == "checked"
-        assert "note:" not in captured.err
-        assert main(args + ["--jobs", "2"]) == 0
-        captured = capsys.readouterr()
-        (frontier,) = json.loads(captured.out)["results"]
-        assert frontier["liveness"] == "not checked"
-        assert "livelock cycles (liveness: not checked)" in captured.err
-        dfs.pop("liveness"), frontier.pop("liveness")
-        assert frontier == dfs
+        documents = []
+        for extra in ([], ["--jobs", "2"], ["--store", str(tmp_path)]):
+            assert main(args + extra) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""  # one search: nothing to qualify
+            documents.append(json.loads(captured.out))
+        results = [document["results"] for document in documents]
+        assert results[0] == results[1] == results[2]
+        assert "liveness" not in results[0][0]
 
-    def test_mc_frontier_qualifies_the_closing_line(self, capsys, tmp_path):
+    def test_mc_spilled_closing_line_is_the_full_claim(self, capsys, tmp_path):
         code = main(
             ["mc", "--algorithm", "unknown", "--distances", "2,4",
              "--store", str(tmp_path)]
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "not checked" in captured.out  # the table's liveness column
-        assert "livelock cycles were not checked" in captured.out
-        assert "liveness: not checked" in captured.err
+        assert "every fair schedule of every checked configuration deploys" in (
+            captured.out
+        )
+        assert "liveness" not in captured.out
 
     def test_mc_grid_pool_notes_dropped_progress(self, capsys):
         code = main(["mc", "--n", "6", "--k", "2", "--jobs", "2", "--progress"])

@@ -11,7 +11,7 @@ import pytest
 from repro.baselines.rendezvous import RendezvousAgent
 from repro.errors import SimulationError
 from repro.experiments.runner import build_engine
-from repro.mc import check_interleavings
+from repro.mc import check_frontier
 from repro.mc.selftest import wake_race_agents
 from repro.registry import algorithm_names, build_scheduler
 from repro.ring.placement import Placement
@@ -149,9 +149,11 @@ def test_engine_pickles_mid_run(algorithm):
     assert clone.final_positions() == engine.final_positions()
 
 
-def test_dfs_runs_each_agent_step_exactly_once(monkeypatch):
-    # Forks copy fields, so the checker never replays a view: every
-    # Agent.start/act call is one engine step the search executed.
+@pytest.mark.parametrize("spilled", [False, True], ids=["in-memory", "spilled"])
+def test_search_runs_each_agent_step_exactly_once(monkeypatch, tmp_path, spilled):
+    # Forks copy fields and frontier items carry live engines, so the
+    # checker never replays a view or a schedule: every Agent.start/act
+    # call is one engine step, and every engine step one transition.
     calls = []
     steps = []
     for owner, name, log in (
@@ -164,7 +166,8 @@ def test_dfs_runs_each_agent_step_exactly_once(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(owner, name, counted)
-    result = check_interleavings("unknown", Placement(6, homes=(0, 2)))
+    store = str(tmp_path) if spilled else None
+    result = check_frontier("unknown", Placement(6, homes=(0, 2)), store_root=store)
     assert result.ok and result.transitions > 100
     assert len(calls) == len(steps) == result.transitions
 

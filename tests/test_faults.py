@@ -438,14 +438,14 @@ class TestFaultyModelChecking:
     def test_frontier_agrees_with_dfs(self):
         placement = self._placement()
         links = LinkSpec(delay=1, seed=0)
-        dfs = check_interleavings(
+        serial = check_interleavings(
             "unknown", placement, por=False, stop_at_first=False, links=links
         )
-        bfs = check_frontier(
+        frontier = check_frontier(
             "unknown", placement, jobs=1, stop_at_first=False, links=links
         )
-        assert dfs.verdict == bfs.verdict
-        assert dfs.explored == bfs.explored
+        assert serial.verdict == frontier.verdict
+        assert serial.explored == frontier.explored
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Golden counters for every mc driver, pinned byte for byte.
+"""Golden counters for every way of running the mc search, pinned byte
+for byte.
 
-Each cell below is checked by the depth-first ``check_interleavings``,
-by ``check_frontier`` at ``jobs=1`` and ``jobs=2``, and by a spilled
-frontier run whose journal is cut back to half its committed waves and
-resumed.  For each run the test compares, against
-``tests/data/mc_golden.json``:
+Each cell below is checked in process by ``check_interleavings`` (the
+search at ``jobs=1``, recorded as ``frontier_j1``), by
+``check_frontier`` at ``jobs=2``, and by a spilled run whose journal is
+cut back to half its committed waves and resumed.  For each run the
+test compares, against ``tests/data/mc_golden.json``:
 
 * the counters ``(verdict, explored, transitions, deduped, por_skipped,
   terminals, max_depth, complete)``,
@@ -14,9 +15,12 @@ resumed.  For each run the test compares, against
 * for spilled runs, the check hash and SHA-256 digests of ``meta.json``
   and ``journal.jsonl`` (the resumed journal must equal the clean one).
 
-The fixture was written by the drivers before they were rebuilt on the
-shared :class:`~repro.mc.oracle.PropertyOracle`; any drift in
-exploration order, memo handling, POR or the spill format shows up here.
+The fixture was first written before the search was rebuilt on the
+shared :class:`~repro.mc.oracle.PropertyOracle`, and kept through the
+removal of the depth-first driver: only the spill digests (the journal
+gained successor edges and a version) and the spinner's livelock, now
+found by the cycle pass, changed.  Any drift in exploration order, memo
+handling, POR, cycle search or the spill format shows up here.
 Regenerate it only for an intended change of those::
 
     PYTHONPATH=src python tests/test_mc_golden.py
@@ -50,7 +54,7 @@ FIXTURE = Path(__file__).parent / "data" / "mc_golden.json"
 
 
 class _Spinner(Agent):
-    """Circles the ring forever: a livelock the DFS reports as a cycle."""
+    """Circles the ring forever: a livelock reported as a cycle."""
 
     def transition(self, view):
         return Action.move_forward()
@@ -158,12 +162,11 @@ def _run(cell: dict, driver: str, store: Optional[Path] = None) -> dict:
         for key in ("factory", "links", "require_halted", "require_suspended")
         if key in cell
     }
-    if driver == "dfs":
+    if driver == "frontier_j1":
         result = check_interleavings(algorithm, placement, **cell)
         return _summary(result, replay_kwargs)
-    if driver in ("frontier_j1", "frontier_j2"):
-        jobs = 1 if driver == "frontier_j1" else 2
-        result = check_frontier(algorithm, placement, jobs=jobs, **cell)
+    if driver == "frontier_j2":
+        result = check_frontier(algorithm, placement, jobs=2, **cell)
         return _summary(result, replay_kwargs)
     assert driver == "frontier_resumed" and store is not None
     clean = check_frontier(algorithm, placement, store_root=str(store), **cell)
@@ -179,8 +182,8 @@ def _run(cell: dict, driver: str, store: Optional[Path] = None) -> dict:
 
 def _drivers(cell: dict):
     if "factory" in cell:
-        return ("dfs", "frontier_j1")  # factories do not cross processes
-    return ("dfs", "frontier_j1", "frontier_j2", "frontier_resumed")
+        return ("frontier_j1",)  # factories do not cross processes
+    return ("frontier_j1", "frontier_j2", "frontier_resumed")
 
 
 CASES = [(name, driver) for name, cell in CELLS.items() for driver in _drivers(cell)]
@@ -211,13 +214,12 @@ def test_driver_matches_golden(golden, tmp_path, name, driver):
 def test_pinned_counters_in_fixture(golden):
     # The two cells quoted in the docs, spelled out so the fixture cannot
     # drift silently together with the drivers.
-    for driver in ("dfs", "frontier_j1"):
-        assert golden[f"unknown-9-0.3.6/{driver}"]["counters"] == [
-            "ok", 666, 1538, 873, 796, 1, 111, True,
-        ]
-        assert golden[f"known_k_full-6-0.2-delay1/{driver}"]["counters"][1:7] == [
-            183, 321, 139, 0, 1, 29,
-        ]
+    assert golden["unknown-9-0.3.6/frontier_j1"]["counters"] == [
+        "ok", 666, 1538, 873, 796, 1, 111, True,
+    ]
+    assert golden["known_k_full-6-0.2-delay1/frontier_j1"]["counters"][1:7] == [
+        183, 321, 139, 0, 1, 29,
+    ]
 
 
 def _record() -> str:

@@ -1,12 +1,12 @@
-"""Parallel frontier driver and disk spill: parity, resume, SIGKILL.
+"""The wave-synchronous search in parallel and spilled: parity, resume,
+progress cadence, journal versioning, SIGKILL.
 
-The wave-synchronous driver advertises three strong guarantees, each
-pinned here:
+The search advertises three strong guarantees, each pinned here:
 
-* **Serial parity** — ``check_frontier(jobs=1)`` matches the DFS of
-  ``check_interleavings`` on every cumulative counter and on the
-  terminal-state key set.
-* **Jobs invariance** — ``jobs=2`` reports numbers byte-identical to
+* **Entry-point parity** — ``check_frontier(jobs=1)`` and
+  ``check_interleavings`` are the same search and report identical
+  results.
+* **Jobs invariance** — ``jobs=2`` reports results byte-identical to
   ``jobs=1`` (the merge order is globally sorted, not arrival order).
 * **Resumability** — a spilled check killed at an arbitrary point (a
   torn journal tail, or a real ``SIGKILL`` of the CLI process mid-run)
@@ -35,7 +35,8 @@ from repro.mc import (
     exhaust_placements,
     replay_counterexample,
 )
-from repro.mc.frontier import FrontierSpill
+import repro.mc.parallel as parallel
+from repro.mc.frontier import JOURNAL_VERSION, FrontierSpill
 from repro.mc.oracle import PropertyOracle
 from repro.mc.selftest import wake_race_agents
 from repro.ring.placement import Placement
@@ -60,18 +61,15 @@ def _spill_for(store: Path, algorithm: str, placement: Placement) -> FrontierSpi
 
 
 # ----------------------------------------------------------------------
-# Parity with the serial DFS, and jobs invariance
+# Entry-point parity, and jobs invariance
 # ----------------------------------------------------------------------
 
 
-def test_frontier_matches_serial_dfs():
+def test_frontier_matches_check_interleavings():
     serial = check_interleavings("unknown", PLACEMENT)
     frontier = check_frontier("unknown", PLACEMENT, jobs=1)
     assert frontier.ok and serial.ok
-    assert frontier.explored == serial.explored
-    assert frontier.terminals == serial.terminals
-    assert frontier.terminal_keys == serial.terminal_keys
-    assert frontier.max_depth == serial.max_depth
+    assert frontier.to_dict() == serial.to_dict()
 
 
 def test_frontier_stats_invariant_in_jobs():
@@ -255,45 +253,77 @@ def test_resumed_violation_is_not_reexplored(tmp_path):
     assert again.to_dict() == found.to_dict()
 
 
-#: A ``result.json`` exactly as a spill wrote it before results carried a
-#: ``liveness`` field (``repro mc --algorithm wake_race --n 8 --distances
-#: 1,2,5 --store DIR``), and the check hash naming its directory.
-_OLD_RESULT_HASH = "fe8edc56be075aed226ebed6443859ba89dba1b9c78e3e32668465ebb3bb51a2"
-_OLD_RESULT = {
-    "algorithm": "wake_race", "complete": False, "deduped": 0,
-    "explored": 499, "max_depth": 55, "memo_bytes": 12864, "ok": False,
-    "placement": {"homes": [0, 1, 3], "ring_size": 8}, "por_skipped": 606,
-    "terminal_keys": ["0d5f76cee5618775aa8a2ca0a18ca888"], "terminals": 1,
-    "transitions": 498, "verdict": "violation",
-    "violations": [
-        {
-            "kind": "terminal",
-            "message": "NOT UNIFORM: n=8 k=3 gaps=() (two agents share a node)",
-            "property": "uniform-terminal",
-            "schedule": [
-                0, 1, 0, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2,
-                1, 0, 2, 1, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                0, 2, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 1,
-            ],
-        }
-    ],
-}
+#: The check hash of ``repro mc --algorithm wake_race --n 8 --distances
+#: 1,2,5`` before the journal was versioned (and before it held edges).
+_UNVERSIONED_HASH = "fe8edc56be075aed226ebed6443859ba89dba1b9c78e3e32668465ebb3bb51a2"
 
 
-def test_resume_short_circuits_on_a_result_without_liveness(tmp_path, capsys):
+def test_check_spec_carries_the_journal_version():
+    spill = _spill_for(Path("unused"), "wake_race", BUG_PLACEMENT)
+    assert spill.spec["journal"] == JOURNAL_VERSION == 2
+    unversioned = {key: value for key, value in spill.spec.items() if key != "journal"}
+    assert check_hash(unversioned) == _UNVERSIONED_HASH
+    assert spill.hash != _UNVERSIONED_HASH
+
+
+def test_unversioned_spill_is_never_resumed(tmp_path, capsys):
+    # A spill written before the journal held edges: its journal and
+    # stored result must not stand in for a search with a cycle pass.
     from repro.cli import main
 
-    directory = tmp_path / "mc" / _OLD_RESULT_HASH
-    directory.mkdir(parents=True)
-    (directory / "result.json").write_text(json.dumps(_OLD_RESULT), encoding="utf-8")
+    old = tmp_path / "mc" / _UNVERSIONED_HASH
+    old.mkdir(parents=True)
+    (old / "result.json").write_text('{"stale": true}', encoding="utf-8")
+    (old / "journal.jsonl").write_text('{"t":"c","w":0}\n', encoding="utf-8")
     code = main(
         ["mc", "--algorithm", "wake_race", "--n", "8", "--distances", "1,2,5",
          "--store", str(tmp_path), "--resume", "--json"]
     )
-    assert code == 1  # the stored violation, not a fresh search
+    assert code == 1  # the race, found by a fresh search
     (cell,) = json.loads(capsys.readouterr().out)["results"]
-    assert cell == dict(_OLD_RESULT, liveness="not checked")
-    assert sorted(path.name for path in directory.iterdir()) == ["result.json"]
+    assert cell["verdict"] == "violation" and cell["explored"] == 499
+    assert sorted(path.name for path in old.iterdir()) == [
+        "journal.jsonl", "result.json",
+    ]
+    spill = _spill_for(tmp_path, "wake_race", BUG_PLACEMENT)
+    assert (tmp_path / "mc" / spill.hash / "result.json").exists()
+
+
+# ----------------------------------------------------------------------
+# Progress cadence
+# ----------------------------------------------------------------------
+
+
+def _wave_transitions(store: Path) -> list:
+    """Cumulative transitions at each committed wave of a spill."""
+    (journal,) = (store / "mc").glob("*/journal.jsonl")
+    return [
+        json.loads(line)["stats"]["transitions"]
+        for line in journal.read_text(encoding="utf-8").splitlines()
+        if line.startswith('{"t":"c"')
+    ]
+
+
+@pytest.mark.parametrize("mode", ["jobs1", "jobs2", "spilled"])
+def test_progress_fires_once_per_crossed_multiple(tmp_path, monkeypatch, mode):
+    # One cadence everywhere: at the end of each wave in which the
+    # transition count crosses a multiple of PROGRESS_EVERY.  The waves'
+    # cumulative counts come from a spill's commit markers.
+    monkeypatch.setattr(parallel, "PROGRESS_EVERY", 100)
+    check_frontier("unknown", PLACEMENT, store_root=str(tmp_path / "waves"))
+    waves = _wave_transitions(tmp_path / "waves")
+    expected = [t for before, t in zip(waves, waves[1:]) if t // 100 > before // 100]
+    seen = []
+    result = check_frontier(
+        "unknown",
+        PLACEMENT,
+        jobs=2 if mode == "jobs2" else 1,
+        store_root=str(tmp_path / "run") if mode == "spilled" else None,
+        progress=lambda stats: seen.append(stats.transitions),
+    )
+    assert seen == expected
+    assert len(seen) == result.transitions // 100 >= 8  # not once per wave
+    assert len(waves) > 100
 
 
 # ----------------------------------------------------------------------

@@ -249,26 +249,22 @@ def test_cycle_detection_flags_livelock_and_replays():
         violation, factory=lambda: [_ForeverSpinner()]
     )
     assert violation.message in messages
-    assert result.liveness == "checked"
+    assert violation.schedule == (0, 0)  # into the cycle, then once around
 
 
-def test_frontier_misses_the_livelock_and_says_so():
-    # The breadth-first driver has no DFS path to find a back-edge on:
-    # the same instance comes back "ok", and the result must say that
-    # liveness was not checked.
+def test_spilled_search_finds_the_same_livelock(tmp_path):
     kwargs = dict(
         factory=lambda: [_ForeverSpinner()],
         require_halted=True,
         require_suspended=False,
     )
     placement = Placement(ring_size=4, homes=(0,))
-    result = check_frontier("forever_spinner", placement, **kwargs)
-    assert result.ok
-    assert result.liveness == "not checked"
-    assert "liveness not checked" in result.describe()
-    assert result.to_dict()["liveness"] == "not checked"
-    dfs = check_interleavings("forever_spinner", placement, **kwargs)
-    assert dfs.verdict == "violation" and dfs.violations[0].kind == "cycle"
+    spilled = check_frontier(
+        "forever_spinner", placement, store_root=str(tmp_path), **kwargs
+    )
+    in_memory = check_interleavings("forever_spinner", placement, **kwargs)
+    assert spilled.verdict == "violation"
+    assert spilled.to_dict() == in_memory.to_dict()
 
 
 @pytest.mark.parametrize(
