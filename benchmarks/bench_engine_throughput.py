@@ -175,3 +175,41 @@ def test_fork_cost_at_depth(benchmark):
     report_lines("Engine fork - unknown n=64 k=6 after 1536 steps",
                  [f"{micros:,.1f} us per fork (best round)"])
     assert engine.fork().snapshot() == engine.snapshot()
+
+
+def test_fuzz_actions(benchmark):
+    # Per-step verification cost: the fuzzer runs the full safety suite
+    # and builds one canonical key after every atomic action.  The
+    # campaign is perfbench's core fuzz unit (`unknown` n=32 k=4).
+    from repro.fuzz import FuzzSpec, fuzz
+    from repro.spec import PlacementSpec
+
+    spec = FuzzSpec(
+        algorithm="unknown",
+        placement=PlacementSpec(kind="random", ring_size=32, agent_count=4, seed=1),
+        budget=10,
+        seed=1,
+        placements=1,
+    )
+    runs = []
+
+    def runner():
+        start = time.perf_counter()
+        outcome = fuzz(spec)
+        runs.append((outcome, time.perf_counter() - start))
+
+    benchmark.pedantic(runner, rounds=3, iterations=1)
+    outcome, seconds = min(runs, key=lambda run: run[1])
+    assert not outcome.failures and outcome.steps > 0
+    rate = outcome.steps / seconds
+    record_case("fuzz unknown n=32 k=4 budget=10", {
+        "algorithm": "unknown",
+        "n": 32,
+        "k": 4,
+        "runs": outcome.runs,
+        "steps": outcome.steps,
+        "best_seconds": round(seconds, 6),
+        "steps_per_second": round(rate),
+    })
+    report_lines("Fuzz campaign - unknown n=32 k=4, budget 10 (best of 3)",
+                 [f"{outcome.steps} checked actions", f"{rate:,.0f} actions/s"])

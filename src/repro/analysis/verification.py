@@ -56,23 +56,27 @@ def audit_configuration(
     per-state safety property and by the stateful property tests.
     """
     failures: List[str] = []
+    # Agent id -> (place, node); formatted only when a failure names it.
     seen: dict = {}
-    for node, agents in configuration.staying.items():
-        for agent_id in agents:
+    staying = configuration.staying
+    queues = configuration.queues
+    # ``filter`` skips the empty places at C speed, in the mapping's order.
+    for node in filter(staying.__getitem__, staying):
+        for agent_id in staying[node]:
             if agent_id in seen:
                 failures.append(
-                    f"agent {agent_id} at node {node} and {seen[agent_id]}"
+                    f"agent {agent_id} at node {node} and {_place(seen[agent_id])}"
                 )
-            seen[agent_id] = f"staying at {node}"
-    for node, queue in configuration.queues.items():
-        for agent_id in queue:
+            seen[agent_id] = ("staying at", node)
+    for node in filter(queues.__getitem__, queues):
+        for agent_id in queues[node]:
             if agent_id < 0:
                 continue  # phantom duplicate: anonymous, not an agent
             if agent_id in seen:
                 failures.append(
-                    f"agent {agent_id} queued toward {node} and {seen[agent_id]}"
+                    f"agent {agent_id} queued toward {node} and {_place(seen[agent_id])}"
                 )
-            seen[agent_id] = f"queued toward {node}"
+            seen[agent_id] = ("queued toward", node)
     if configuration.faults is not None:
         buffers, lost, _ordinal, loss_used, _dup_used = configuration.faults
         for node, buffer in enumerate(buffers):
@@ -82,9 +86,9 @@ def audit_configuration(
                 if payload in seen:
                     failures.append(
                         f"agent {payload} buffered toward {node} "
-                        f"and {seen[payload]}"
+                        f"and {_place(seen[payload])}"
                     )
-                seen[payload] = f"buffered toward {node}"
+                seen[payload] = ("buffered toward", node)
                 if remaining < 0:
                     failures.append(
                         f"negative remaining delay for agent {payload}"
@@ -92,22 +96,24 @@ def audit_configuration(
         for agent_id in lost:
             if agent_id in seen:
                 failures.append(
-                    f"agent {agent_id} lost in transit and {seen[agent_id]}"
+                    f"agent {agent_id} lost in transit and {_place(seen[agent_id])}"
                 )
-            seen[agent_id] = "lost in transit"
+            seen[agent_id] = ("lost in transit", None)
         if len(lost) != loss_used:
             failures.append(
                 f"{len(lost)} agents lost but loss budget shows {loss_used} spent"
             )
-    missing = sorted(set(configuration.agent_states) - set(seen))
-    if missing:
-        failures.append(f"agents {missing} are nowhere on the ring")
-    unknown = sorted(set(seen) - set(configuration.agent_states))
-    if unknown:
-        failures.append(f"unknown agent ids {unknown} on the ring")
-    if any(tokens < 0 for tokens in configuration.tokens):
+    if seen.keys() != configuration.agent_states.keys():
+        missing = sorted(set(configuration.agent_states) - set(seen))
+        if missing:
+            failures.append(f"agents {missing} are nowhere on the ring")
+        unknown = sorted(set(seen) - set(configuration.agent_states))
+        if unknown:
+            failures.append(f"unknown agent ids {unknown} on the ring")
+    if configuration.tokens and min(configuration.tokens) < 0:
         failures.append(f"negative token count in {configuration.tokens}")
-    if any(size < 0 for size in configuration.inbox_sizes.values()):
+    sizes = configuration.inbox_sizes.values()
+    if sizes and min(sizes) < 0:
         failures.append("negative inbox size")
     if configuration.inboxes is not None:
         for agent_id, inbox in configuration.inboxes.items():
@@ -118,6 +124,12 @@ def audit_configuration(
                     f"{len(inbox)} messages recorded"
                 )
     return failures
+
+
+def _place(where: Tuple[str, object]) -> str:
+    """One :func:`audit_configuration` place as its failure-message text."""
+    place, node = where
+    return place if node is None else f"{place} {node}"
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ maps and deterministic campaigns stay deterministic.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
 from repro.sim.engine import Engine
 
@@ -91,6 +91,9 @@ class CoverageMap:
     def __init__(self) -> None:
         self._states: Set[int] = set()
         self._patterns: Set[int] = set()
+        # Pattern -> coverage_key(pattern): a campaign meets few distinct
+        # patterns, each thousands of times.
+        self._pattern_keys: Dict[Tuple[object, ...], int] = {}
 
     # -- observation ---------------------------------------------------------
 
@@ -109,7 +112,10 @@ class CoverageMap:
         if state_key not in self._states:
             self._states.add(state_key)
             gain += 1
-        pattern_key = coverage_key(enabled_pattern(engine))
+        pattern = enabled_pattern(engine)
+        pattern_key = self._pattern_keys.get(pattern)
+        if pattern_key is None:
+            pattern_key = self._pattern_keys[pattern] = coverage_key(pattern)
         if pattern_key not in self._patterns:
             self._patterns.add(pattern_key)
             gain += 1

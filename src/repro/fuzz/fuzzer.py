@@ -53,7 +53,6 @@ from repro.fuzz.mutate import mutate_schedule, splice
 from repro.fuzz.spec import FuzzSpec
 from repro.mc.oracle import PropertyOracle, Violation, drive_schedule
 from repro.mc.shrink import shrink_schedule
-from repro.mc.state import capture_pre_state
 from repro.registry import build_scheduler
 from repro.ring.placement import Placement
 from repro.sim.scheduler import Scheduler
@@ -183,11 +182,14 @@ class ScheduleFuzzer:
         last_novel_step = 0
         violation: Optional[Violation] = None
         quiesced = False
+        # The pre-state of every step is the snapshot taken after the
+        # previous one; this first one is never observed for coverage.
+        snapshot = engine.snapshot()
         while steps < cap:
             enabled = engine.enabled_agents()
             if not enabled:
                 quiesced = True
-                violation = oracle.check_terminal(engine, engine.snapshot())
+                violation = oracle.check_terminal(engine, snapshot)
                 break
             agent: Optional[int] = None
             if scheduler is not None:
@@ -208,10 +210,9 @@ class ScheduleFuzzer:
                         break
             if agent is None:
                 agent = run_rng.choice(enabled)
-            pre = capture_pre_state(engine)
             engine.step(agent)
             steps += 1
-            snapshot = engine.snapshot()
+            pre, snapshot = snapshot, engine.snapshot()
             violation = oracle.check_step(pre, engine, snapshot, agent)
             if violation is not None:
                 break

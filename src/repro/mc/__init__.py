@@ -69,7 +69,7 @@ from repro.mc.properties import (
     resolve_terminal,
 )
 from repro.mc.shrink import shrink_schedule
-from repro.mc.state import PreState, SearchStats, capture_pre_state
+from repro.mc.state import SearchStats
 
 __all__ = [
     "Counterexample",
@@ -104,7 +104,5 @@ __all__ = [
     "UniformTerminal",
     "default_memory_limit",
     "default_safety_properties",
-    "PreState",
     "SearchStats",
-    "capture_pre_state",
 ]

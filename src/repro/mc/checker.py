@@ -39,7 +39,7 @@ from repro.mc.oracle import AgentsFactory, PropertyOracle, Violation
 # namespace (``vars(module)[attr]``), so they must stay importable from it.
 from repro.mc.por import agents_of_slots, sleep_after, slots_of_agents  # noqa: F401
 from repro.mc.properties import SafetyProperty, TerminalProperty
-from repro.mc.state import SearchStats, capture_pre_state
+from repro.mc.state import SearchStats
 from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
 from repro.sim.engine import Engine
@@ -406,11 +406,11 @@ def replay_counterexample(
     )
     engine = oracle.fresh_engine()
     messages: List[str] = []
-    path_keys = {engine.snapshot().canonical_key()}
+    snapshot = engine.snapshot()
+    path_keys = {snapshot.canonical_key()}
     for agent_id in counterexample.schedule:
-        pre = capture_pre_state(engine)
         engine.step(agent_id)
-        snapshot = engine.snapshot()
+        pre, snapshot = snapshot, engine.snapshot()
         for prop in oracle.safety:
             message = prop.check(pre, engine, snapshot, agent_id)
             if message is not None:
@@ -422,7 +422,6 @@ def replay_counterexample(
         # strictly smaller than the number of path positions.
         if len(path_keys) <= len(counterexample.schedule):
             messages.append(_cycle_message(len(counterexample.schedule)))
-    snapshot = engine.snapshot()
     for prop in oracle.terminal:
         message = prop.check(engine, snapshot)
         if message is not None:

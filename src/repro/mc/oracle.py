@@ -37,7 +37,6 @@ from repro.mc.properties import (
     default_safety_properties,
     resolve_terminal,
 )
-from repro.mc.state import capture_pre_state
 from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
 from repro.sim.agent import Agent
@@ -208,11 +207,12 @@ def drive_schedule(
     executed: List[int] = []
     violation: Optional[Violation] = None
     quiesced = False
+    snapshot = engine.snapshot()
     while len(executed) < max_steps:
         enabled = engine.enabled_agents()
         if not enabled:
             quiesced = True
-            violation = oracle.check_terminal(engine, engine.snapshot())
+            violation = oracle.check_terminal(engine, snapshot)
             break
         agent: Optional[int] = None
         while cursor < len(schedule):
@@ -223,10 +223,10 @@ def drive_schedule(
                 break
         if agent is None:
             agent = enabled[0]
-        pre = capture_pre_state(engine)
         engine.step(agent)
         executed.append(agent)
-        violation = oracle.check_step(pre, engine, engine.snapshot(), agent)
+        pre, snapshot = snapshot, engine.snapshot()
+        violation = oracle.check_step(pre, engine, snapshot, agent)
         if violation is not None:
             break
     return ReplayOutcome(

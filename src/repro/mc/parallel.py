@@ -63,7 +63,7 @@ from repro.mc.frontier import FrontierItem, FrontierSpill, ResumeState, check_sp
 from repro.mc.oracle import AgentsFactory, PropertyOracle, Violation
 from repro.mc.por import agents_of_slots, revisit, sleep_after, slots_of_agents
 from repro.mc.properties import SafetyProperty, TerminalProperty
-from repro.mc.state import SearchStats, capture_pre_state
+from repro.mc.state import SearchStats
 from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
 
@@ -175,11 +175,12 @@ class _FrontierWorker:
                 )
             else:
                 child_sleep = set()
-            pre = capture_pre_state(child)
             child.step(agent_id)
             schedule = item.schedule + (agent_id,)
             child_snapshot = child.snapshot()
-            violation = self.oracle.check_step(pre, child, child_snapshot, agent_id)
+            violation = self.oracle.check_step(
+                item.snapshot, child, child_snapshot, agent_id
+            )
             if violation is not None:
                 violations.append(_journal_violation(violation, schedule))
                 continue  # never explore past a violating state

@@ -4,9 +4,12 @@ Two property shapes:
 
 * :class:`SafetyProperty` — checked on every *edge* of the state graph
   (after every atomic action, at every depth).  Receives the
-  pre-transition :class:`~repro.mc.state.PreState`, the post-transition
+  pre-transition snapshot (the :class:`~repro.ring.configuration.Configuration`
+  the driver already took of the source state), the post-transition
   engine + snapshot and the acting agent, and returns ``None`` (holds)
-  or a human-readable violation message.
+  or a human-readable violation message.  Properties that compare the
+  two states read both sides from the snapshots, never from the live
+  ring, so one step of verification copies no ring structure twice.
 * :class:`TerminalProperty` — checked on every *quiescent* state the
   search reaches.  Because the checker explores every enabled choice at
   every state, the set of terminal states it visits is exactly the set
@@ -34,7 +37,6 @@ from typing import Optional, Tuple
 
 from repro.analysis.verification import audit_configuration, verify_uniform_deployment
 from repro.errors import ConfigurationError, SimulationError
-from repro.mc.state import PreState
 from repro.ring.configuration import Configuration
 from repro.ring.faults import PHANTOM, LinkSpec
 from repro.sim.engine import Engine
@@ -62,12 +64,16 @@ class SafetyProperty:
 
     def check(
         self,
-        pre: PreState,
+        pre: Configuration,
         engine: Engine,
         snapshot: Configuration,
         acted: int,
     ) -> Optional[str]:
-        """Return ``None`` when the property holds, else a description."""
+        """Return ``None`` when the property holds, else a description.
+
+        ``pre`` is the snapshot of the state before ``acted``'s action,
+        ``snapshot`` the one after it; ``engine`` is in the after state.
+        """
         raise NotImplementedError
 
 
@@ -115,11 +121,14 @@ class FifoLinkIntegrity(SafetyProperty):
     name = "fifo-link-integrity"
 
     def check(self, pre, engine, snapshot, acted):
-        ring = engine.ring
-        faulty = ring.faults is not None
-        for node in range(ring.size):
-            before = pre.queues[node]
-            after = ring.queue_contents(node)
+        queues = snapshot.queues
+        pre_queues = pre.queues
+        if queues == pre_queues:
+            return None
+        faulty = engine.ring.faults is not None
+        for node in range(snapshot.ring_size):
+            before = pre_queues[node]
+            after = queues[node]
             if after == before:
                 continue
             if acted < 0:
@@ -163,7 +172,9 @@ class TokenMonotonicity(SafetyProperty):
     name = "token-monotonicity"
 
     def check(self, pre, engine, snapshot, acted):
-        after = engine.ring.token_counts
+        after = snapshot.tokens
+        if after == pre.tokens:
+            return None
         if any(now < was for was, now in zip(pre.tokens, after)):
             return f"token count decreased: {pre.tokens} -> {after}"
         if sum(after) - sum(pre.tokens) > 1:

@@ -4,45 +4,20 @@ The checker explores the directed graph whose vertices are engine
 states (quotiented by the ring-rotation / agent-relabelling symmetry of
 :meth:`repro.ring.configuration.Configuration.canonical_key`) and whose
 edges are single atomic actions of enabled agents.  This module holds
-the small value objects that exploration threads through:
+:class:`SearchStats`, the exploration counters reported to the user
+(explored / transitions / deduped / terminals / max depth).
 
-* :class:`PreState` — the lightweight pre-transition observation
-  (token vector + queue contents) that edge-level safety properties
-  compare against the post-transition engine,
-* :class:`SearchStats` — the exploration counters reported to the user
-  (explored / transitions / deduped / terminals / max depth).
+Edge-level safety properties need no state of their own here: they
+compare the snapshot of the source state, which every driver already
+holds (the frontier item's snapshot, or the previous step's), with the
+snapshot of the destination (see :mod:`repro.mc.properties`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
-from repro.sim.engine import Engine
-
-__all__ = ["PreState", "SearchStats", "capture_pre_state"]
-
-
-@dataclass(frozen=True)
-class PreState:
-    """What edge properties need to know about the source state.
-
-    Kept deliberately tiny — it is captured once per explored edge —
-    and read-only: ``tokens`` is the node token vector, ``queues`` the
-    per-node link queue contents (head first).
-    """
-
-    tokens: Tuple[int, ...]
-    queues: Tuple[Tuple[int, ...], ...]
-
-
-def capture_pre_state(engine: Engine) -> PreState:
-    """Snapshot the transition-relevant passive state of ``engine``."""
-    ring = engine.ring
-    return PreState(
-        tokens=ring.token_counts,
-        queues=tuple(ring.queue_contents(node) for node in range(ring.size)),
-    )
+__all__ = ["SearchStats"]
 
 
 @dataclass

@@ -27,9 +27,12 @@ configurations deduplicates the whole symmetry orbit — exactly what the
 model checker's visited-state memo and the fuzzer's coverage map need.
 
 Engine snapshots carry the per-agent payload bytes precomputed
-(``payload_bytes``): the engine re-packs only the agents whose payload
-changed since its previous snapshot, so encoding a state costs the
-agents that acted (or received a broadcast), not all ``k``.
+(``payload_bytes``) through :func:`encode_payload`, which memoises the
+bytes of each distinct payload process-wide.  Payloads repeat far more
+often than global states do (a search or a fuzz campaign revisits the
+same few hundred agent states across thousands of configurations), so
+encoding a state costs ``k`` dictionary lookups and a :func:`pack_value`
+only for payloads not seen recently.
 
 Link-fault state
 ----------------
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Configuration",
@@ -126,11 +129,42 @@ def pack_value(value: object, out: bytearray) -> None:
         out += raw
 
 
+#: Most payloads :func:`encode_payload` remembers; the memo is emptied
+#: when it is full.  The pinned mc cell meets 377 distinct payloads and
+#: perfbench's core fuzz campaign 1,643; the cap bounds what a
+#: long-running process keeps.
+_PAYLOAD_MEMO_CAP = 2048
+_PAYLOAD_MEMO: Dict[Tuple[object, object, object], bytes] = {}
+
+
 def encode_payload(payload: Tuple[object, object, object]) -> bytes:
-    """The packed bytes of one agent payload ``(started, state, inbox)``."""
+    """The packed bytes of one agent payload ``(started, state, inbox)``.
+
+    Memoised process-wide on the payload itself, so the memo is exact
+    only where ``==`` is as fine as :func:`pack_value`.  Among the
+    value types agent fields and messages hold, one pair breaks that:
+    ``True == 1`` and ``False == 0`` hash alike but pack as ``T`` /
+    ``F`` versus ``I1;`` / ``I0;``.  The rule that
+    keeps the memo exact is therefore: no agent field and no message
+    field may hold a ``bool`` in one state and an ``int`` in another
+    (``tests/test_fingerprint_completeness.py`` checks it on every
+    reachable state of its cells).  Unhashable payloads (list-valued
+    fields) are packed without the memo.
+    """
+    try:
+        return _PAYLOAD_MEMO[payload]
+    except KeyError:
+        hashable = True
+    except TypeError:
+        hashable = False
     out = bytearray()
     pack_value(payload, out)
-    return bytes(out)
+    encoded = bytes(out)
+    if hashable:
+        if len(_PAYLOAD_MEMO) >= _PAYLOAD_MEMO_CAP:
+            _PAYLOAD_MEMO.clear()
+        _PAYLOAD_MEMO[payload] = encoded
+    return encoded
 
 
 def least_rotation(items: Sequence[object]) -> int:

@@ -111,9 +111,10 @@ class Engine:
         self._homes: Dict[int, int] = dict(enumerate(placement.homes))
         self._inboxes: Dict[int, List[object]] = {i: [] for i in self._agents}
         self._started: Dict[int, bool] = {i: False for i in self._agents}
-        # Agent id -> (payload, packed bytes) at the last snapshot; see
-        # snapshot().
-        self._payload_cache: Dict[int, Tuple[Tuple[object, ...], bytes]] = {}
+        # Agent id -> state fingerprint at activation-log length
+        # ``_fingerprinted``; see snapshot().
+        self._fingerprints: Dict[int, Tuple[object, ...]] = {}
+        self._fingerprinted = 0
         if scheduler is None:
             # Late import: the registry lazily imports the algorithm
             # modules, which themselves import this module.
@@ -391,7 +392,8 @@ class Engine:
         clone._faults = fast.faults
         clone._size = self._size
         clone._enabled = set(self._enabled)
-        clone._payload_cache = dict(self._payload_cache)
+        clone._fingerprints = dict(self._fingerprints)
+        clone._fingerprinted = self._fingerprinted
         return clone
 
     def snapshot(self) -> Configuration:
@@ -403,30 +405,30 @@ class Engine:
         identifies the global state exactly — the model checker's
         memoisation key and the fuzzer's coverage key.
 
-        It also carries each agent's packed payload bytes.  An agent
-        whose ``(started, fingerprint, inbox)`` payload equals the one
-        seen at the previous snapshot of this engine (or of the engine
-        it was forked from) reuses those bytes; only the agents that
-        acted or received a broadcast since are packed afresh.
+        It also carries each agent's packed payload bytes, looked up in
+        the process-wide payload memo of :func:`encode_payload`.  An
+        agent's declared fields change only when it acts, so only the
+        agents in the activation log since the previous snapshot (of
+        this engine or of the engine it was forked from) are
+        fingerprinted again; the others keep their fingerprint.
         """
-        agent_states = {}
+        fingerprints = self._fingerprints
+        log = self._activation_log
+        stale = set(log[self._fingerprinted:]) if fingerprints else self._agents
+        for agent_id in stale:
+            if agent_id >= 0:  # link actors have negative ids
+                fingerprints[agent_id] = self._agents[agent_id].state_fingerprint()
+        self._fingerprinted = len(log)
+        agent_states = dict(fingerprints)
         inboxes = {}
         payload_bytes = {}
-        cache = self._payload_cache
         started = self._started
-        for agent_id, agent in self._agents.items():
-            state = agent.state_fingerprint()
-            inbox = tuple(self._inboxes[agent_id])
-            payload = (started[agent_id], state, inbox)
-            cached = cache.get(agent_id)
-            if cached is not None and cached[0] == payload:
-                encoded = cached[1]
-            else:
-                encoded = encode_payload(payload)
-                cache[agent_id] = (payload, encoded)
-            agent_states[agent_id] = state
+        for agent_id, inbox in self._inboxes.items():
+            inbox = tuple(inbox)
             inboxes[agent_id] = inbox
-            payload_bytes[agent_id] = encoded
+            payload_bytes[agent_id] = encode_payload(
+                (started[agent_id], fingerprints[agent_id], inbox)
+            )
         return Configuration(
             ring_size=self._size,
             agent_states=agent_states,

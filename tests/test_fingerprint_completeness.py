@@ -16,6 +16,15 @@ key-level map would report conflicts that are not there.  Exploration
 itself dedupes on the canonical key of the snapshot with every agent's
 control point folded into its state, so two states merge only when they
 agree on control points as well.
+
+The same exploration checks the rule that keeps the payload memo of
+:func:`repro.ring.configuration.encode_payload` exact.  The memo keys on
+``==``, under which ``True == 1`` and ``False == 0`` (with equal hashes),
+while :func:`~repro.ring.configuration.pack_value` encodes them apart.
+So no declared agent field and no message field may hold a ``bool`` in
+one reachable state and an ``int`` in another; the test records the
+value kinds of each ``(agent type, field)`` and ``(message class,
+field)`` over every state it visits.
 """
 
 from __future__ import annotations
@@ -35,9 +44,34 @@ def _control_point(agent):
     return None if agent.halted else agent.stage
 
 
-def _observe(engine, controls):
+def _kinds(value):
+    """The kinds (``bool`` / ``int``) of the numbers in ``value``."""
+    if isinstance(value, bool):
+        return {bool}
+    if isinstance(value, int):
+        return {int}
+    if isinstance(value, (tuple, list)):
+        return set().union(*map(_kinds, value))
+    return set()
+
+
+def _record_kinds(snapshot, kinds):
+    """Add the number kinds of every declared field and message field."""
+    for agent_id, fingerprint in snapshot.agent_states.items():
+        agent_type, _halted, _suspended, scalars, sequences = fingerprint
+        for name, value in scalars + sequences:
+            kinds.setdefault((agent_type, name), set()).update(_kinds(value))
+        for message in snapshot.inboxes[agent_id]:
+            for f in dataclasses.fields(message):
+                kinds.setdefault((type(message).__name__, f.name), set()).update(
+                    _kinds(getattr(message, f.name))
+                )
+
+
+def _observe(engine, controls, kinds):
     """Record every agent's control point; return the exploration key."""
     snapshot = engine.snapshot()
+    _record_kinds(snapshot, kinds)
     augmented = {}
     for agent_id, fingerprint in snapshot.agent_states.items():
         agent = engine.agent(agent_id)
@@ -54,14 +88,19 @@ def _observe(engine, controls):
 
 
 def _explore(algorithm, placement):
-    """Visit every reachable state (no POR); return (states, fingerprints)."""
+    """Visit every reachable state (no POR); return (states, fingerprints).
+
+    Fails when a field mixes ``bool`` and ``int`` values across the
+    visited states.
+    """
     controls = {}
+    kinds = {}
     root = build_engine(algorithm, placement, collect_metrics=False)
     visited = set()
     stack = [root]
     while stack:
         engine = stack.pop()
-        key = _observe(engine, controls)
+        key = _observe(engine, controls, kinds)
         if key in visited:
             continue
         visited.add(key)
@@ -69,6 +108,9 @@ def _explore(algorithm, placement):
             child = engine.fork()
             child.step(actor)
             stack.append(child)
+    mixed = sorted(field for field, seen in kinds.items() if seen >= {bool, int})
+    assert not mixed, f"fields holding both bool and int values: {mixed}"
+    assert any(kinds.values()), "no numeric field observed"
     return len(visited), len(controls)
 
 
