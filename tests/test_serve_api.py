@@ -14,8 +14,11 @@ import time
 
 import pytest
 
+from repro.campaign import CampaignSpec
+from repro.cli import main
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import SweepSpec
+from repro.fuzz import FuzzSpec
 from repro.serve import JobManager, ServeApi
 from repro.spec import ExperimentSpec, PlacementSpec
 from repro.store import RunStore
@@ -39,6 +42,34 @@ def _sweep() -> SweepSpec:
         schedulers=("sync",),
         trials=2,
         base_seed=0,
+    )
+
+
+def _fuzz() -> FuzzSpec:
+    """wake_race on random n=16 k=4: the budget finds its defect."""
+    return FuzzSpec(
+        algorithm="wake_race",
+        placement=PlacementSpec(
+            kind="random", ring_size=16, agent_count=4, seed=0
+        ),
+        budget=300,
+        seed=0,
+        placements=4,
+    )
+
+
+def _campaign() -> CampaignSpec:
+    """A one-worker sweep campaign over 4 cells."""
+    return CampaignSpec(
+        kind="sweep",
+        sweep=SweepSpec(
+            algorithms=("known_k_full",),
+            grid=((12, 3), (16, 4)),
+            schedulers=("sync",),
+            trials=2,
+            base_seed=0,
+        ),
+        workers=1,
     )
 
 
@@ -255,3 +286,112 @@ class TestJobEndpoints:
         finished = _wait_for(api, job["id"])
         assert finished["state"] == "failed"
         assert "no_such_algorithm" in finished["error"]
+
+
+class TestJobOutputsPinned:
+    """The final ``progress``/``result`` of each job kind, byte for byte
+    where the outcome is deterministic, and the key sets otherwise.
+    Job ids hash the spec, so they are pinned too."""
+
+    def test_experiment_job(self, api):
+        spec = _spec(seed=1)
+        status, job = _submit(api, "experiment", spec.to_dict())
+        assert job["id"] == f"job-0001-{spec.content_hash()[:12]}"
+        done = _wait_for(api, job["id"])
+        assert done["state"] == "completed"
+        assert done["progress"] == {"executed": 1, "cached": 0}
+        assert done["result"] == {
+            "content_hash": spec.content_hash(),
+            "cached": False,
+            "row": run_experiment(spec).row(),
+        }
+
+    def test_sweep_job(self, api, tmp_path, capsys):
+        status, job = _submit(api, "sweep", _sweep().to_dict())
+        assert job["id"] == "job-0001-f098297a7858"
+        assert job["spec_hash"] == (
+            "f098297a7858ef678c1d864aa39f2802756421b06cf6bedb176515bb9d312c98"
+        )
+        done = _wait_for(api, job["id"])
+        assert done["progress"] == {
+            "done": 2, "total": 2, "executed": 2, "cached": 0,
+        }
+        assert done["result"] == {
+            "summary": "2 cells: 2 executed, 0 cached",
+            "total": 2,
+            "executed": 2,
+            "cached": 0,
+        }
+        # The HTTP sweep digests identically to the same psweep.
+        baseline = str(tmp_path / "psweep")
+        assert main(
+            ["psweep", "--algorithms", "known_k_full", "--grid", "12x3",
+             "--schedulers", "sync", "--trials", "2", "--store", baseline]
+        ) == 0
+        capsys.readouterr()
+        status, digest = api.handle("GET", "/v1/store/digest")
+        assert digest["digest"] == RunStore(baseline).digest()
+
+    def test_fuzz_job_archives_what_repro_fuzz_archives(
+        self, api, tmp_path, capsys
+    ):
+        spec = _fuzz()
+        status, job = _submit(api, "fuzz", spec.to_dict())
+        assert status == 202
+        assert job["id"] == f"job-0001-{spec.content_hash()[:12]}"
+        done = _wait_for(api, job["id"])
+        assert done["state"] == "completed", done
+        assert set(done["progress"]) == {
+            "runs", "budget", "states", "patterns", "failures",
+        }
+        assert set(done["result"]) == {
+            "summary", "runs", "steps", "states", "patterns", "complete",
+            "failures",
+        }
+        assert done["progress"]["budget"] == 300
+        assert done["progress"]["failures"] == 1
+        assert done["result"]["failures"]
+
+        spec_file = tmp_path / "fuzz.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+        local = tmp_path / "local"
+        assert main(
+            ["fuzz", "--spec", str(spec_file), "--store", str(local)]
+        ) == 1
+        capsys.readouterr()
+        archived = sorted(
+            path.stem for path in (local / "failures").glob("*.json")
+        )
+        assert sorted(done["result"]["failures"]) == archived
+        status, listing = api.handle("GET", "/v1/failures")
+        assert listing["failures"] == archived
+
+    def test_campaign_job_digests_like_repro_campaign(
+        self, api, tmp_path, capsys
+    ):
+        spec = _campaign()
+        status, job = _submit(api, "campaign", spec.to_dict())
+        assert status == 202
+        assert job["id"] == f"job-0001-{spec.content_hash()[:12]}"
+        done = _wait_for(api, job["id"], timeout=120.0)
+        assert done["state"] == "completed", done
+        assert set(done["progress"]) == {
+            "events", "completed", "cached", "total", "quarantined",
+        }
+        assert set(done["result"]) == {
+            "summary", "total", "completed", "cached", "quarantined",
+            "failures", "exit_code",
+        }
+        assert done["result"]["total"] == 4
+        assert done["result"]["completed"] == 4
+        assert done["result"]["exit_code"] == 0
+
+        local = str(tmp_path / "local")
+        assert main(
+            ["campaign", "--algorithms", "known_k_full",
+             "--grid", "12x3,16x4", "--schedulers", "sync", "--trials", "2",
+             "--workers", "1", "--store", local]
+        ) == 0
+        capsys.readouterr()
+        status, digest = api.handle("GET", "/v1/store/digest")
+        assert digest["digest"] == RunStore(local).digest()
