@@ -58,14 +58,15 @@ import argparse
 import json
 import random
 import sys
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.render import render_gaps, render_positions
 from repro.errors import CampaignInterrupted, ReproError
 from repro.experiments.impossibility import demonstrate_impossibility
 from repro.experiments.lower_bound import quarter_sweep
-from repro.experiments.runner import run_experiment
 from repro.experiments.table1 import format_rows, symmetry_sweep, table1_sweep
+from repro.jobs import KINDS
 from repro.registry import algorithm_names, get_algorithm, registry_dump
 from repro.ring.placement import placement_from_distances, random_placement
 from repro.spec import ExperimentSpec, PlacementSpec
@@ -783,10 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default="http://127.0.0.1:8765",
         help="service base URL (default %(default)s)",
     )
-    submit_parser.add_argument(
-        "--kind", required=True,
-        choices=("experiment", "sweep", "fuzz", "campaign"),
-    )
+    submit_parser.add_argument("--kind", required=True, choices=tuple(KINDS))
     submit_parser.add_argument(
         "--spec", required=True, metavar="PATH",
         help="JSON spec file of the given kind",
@@ -873,17 +871,13 @@ def _command_run(args: argparse.Namespace) -> int:
     print(f"configuration: {placement.describe()}")
     if args.render:
         print("  before:", render_positions(placement.ring_size, placement.homes))
+    result, job = KINDS["experiment"].run(spec, {}, store_root=args.store)
     if args.store:
-        from repro.store import RunStore, cached_run
-
-        result, hit = cached_run(spec, RunStore(args.store))
-        short = spec.content_hash()[:16]
-        if hit:
+        short = job["content_hash"][:16]
+        if job["cached"]:
             print(f"cache hit: archived run {short} (0 simulations executed)")
         else:
             print(f"archived run {short} to {args.store}")
-    else:
-        result = run_experiment(spec)
     if args.render:
         print("  after :", render_positions(placement.ring_size, result.final_positions))
         print(" ", render_gaps(placement.ring_size, result.final_positions))
@@ -937,13 +931,24 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 0 if all(result.ok for result in results) else 1
 
 
-def _command_psweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import (
-        SweepSpec,
-        execute_sweep,
-        rows_to_json,
-        summarize_rows,
+def _sweep_spec(args: argparse.Namespace, **extra):
+    """The SweepSpec that psweep/campaign grid flags denote."""
+    from repro.experiments.sweep import SweepSpec
+
+    return SweepSpec(
+        algorithms=tuple(
+            name.strip() for name in args.algorithms.split(",") if name.strip()
+        ),
+        grid=tuple(args.grid),
+        schedulers=tuple(_parse_scheduler_list(args.schedulers)),
+        trials=args.trials,
+        base_seed=args.seed,
+        **extra,
     )
+
+
+def _command_psweep(args: argparse.Namespace) -> int:
+    from repro.experiments.sweep import rows_to_json, summarize_rows
 
     _require_positive_workers(args.jobs, "--jobs")
     if args.validate_backend and args.backend != "batch":
@@ -957,28 +962,11 @@ def _command_psweep(args: argparse.Namespace) -> int:
             "and therefore requires --store DIR"
         )
     resume = True if args.resume is None else args.resume
-    spec = SweepSpec(
-        algorithms=tuple(
-            name.strip() for name in args.algorithms.split(",") if name.strip()
-        ),
-        grid=tuple(args.grid),
-        schedulers=tuple(_parse_scheduler_list(args.schedulers)),
-        trials=args.trials,
-        base_seed=args.seed,
-        links=args.links,
-    )
-    store = None
-    if args.store:
-        from repro.store import RunStore
-
-        store = RunStore(args.store)
+    spec = _sweep_spec(args, links=args.links)
+    options = {"processes": args.jobs, "resume": resume, "backend": args.backend}
     try:
-        outcome = execute_sweep(
-            spec,
-            processes=args.jobs,
-            store=store,
-            resume=resume,
-            backend=args.backend,
+        outcome, _ = KINDS["sweep"].run(
+            spec, options, store_root=args.store,
             validate_backend=args.validate_backend,
         )
     except CampaignInterrupted as interrupt:
@@ -999,10 +987,12 @@ def _command_psweep(args: argparse.Namespace) -> int:
     print(f"{len(rows)} cells "
           f"({len(spec.algorithms)} algorithms x {len(spec.grid)} sizes x "
           f"{len(spec.schedulers)} schedulers x {spec.trials} trials)")
-    if store is not None:
+    if args.store:
+        from repro.store import RunStore
+
         print(
             f"store: {outcome.executed} executed, {outcome.cached} cached "
-            f"({args.store}, {len(store)} records)"
+            f"({args.store}, {len(RunStore(args.store))} records)"
         )
     print(format_rows(summarize_rows(rows) if args.summary else rows))
     if args.json:
@@ -1095,12 +1085,7 @@ def _command_timeline(args: argparse.Namespace) -> int:
 
 
 def _command_mc(args: argparse.Namespace) -> int:
-    from repro.mc import (
-        all_placements,
-        check_frontier,
-        check_interleavings,
-        check_placements_pool,
-    )
+    from repro.mc import all_placements, check_frontier, check_placements_pool
 
     if args.jobs < 1:
         raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
@@ -1151,22 +1136,7 @@ def _command_mc(args: argparse.Namespace) -> int:
     if not args.json:
         faulty = f" under link faults ({links.describe()})" if links else ""
         print(f"model checking {algorithm} on n={n} k={k}: {scope}{faulty}")
-    if args.store is not None or (args.jobs > 1 and len(placements) == 1):
-        # Parallel waves and/or a spill; with --store one resumable
-        # journal per placement, keyed by check-spec hash.
-        results = [
-            check_frontier(
-                algorithm,
-                placement,
-                jobs=args.jobs,
-                store_root=args.store,
-                resume=args.resume,
-                progress=progress,
-                **limits,
-            )
-            for placement in placements
-        ]
-    elif args.jobs > 1:
+    if args.jobs > 1 and len(placements) > 1 and args.store is None:
         if progress is not None:
             print(
                 "note: --progress is a per-search view; with --jobs > 1 the "
@@ -1177,8 +1147,13 @@ def _command_mc(args: argparse.Namespace) -> int:
             algorithm, placements, jobs=args.jobs, **limits
         )
     else:
+        # One breadth-first search per placement: parallel waves with
+        # --jobs > 1, and a resumable journal per placement with --store.
         results = [
-            check_interleavings(algorithm, placement, progress=progress, **limits)
+            check_frontier(
+                algorithm, placement, jobs=args.jobs, store_root=args.store,
+                resume=args.resume, progress=progress, **limits,
+            )
             for placement in placements
         ]
 
@@ -1251,7 +1226,7 @@ def _command_mc(args: argparse.Namespace) -> int:
 
 def _command_fuzz(args: argparse.Namespace) -> int:
     from repro.analysis.fuzzing import coverage_growth_rows, describe_growth
-    from repro.fuzz import FuzzSpec, fuzz_parallel
+    from repro.fuzz import FuzzSpec
 
     _require_positive_workers(args.jobs, "--jobs")
     if args.spec:
@@ -1278,55 +1253,33 @@ def _command_fuzz(args: argparse.Namespace) -> int:
             corpus_size=args.corpus,
             links=args.links,
         )
-    progress = None
-    if args.progress:
-        progress = lambda run, budget, coverage: print(  # noqa: E731
-            f"  ... run {run}/{budget}: {coverage}", file=sys.stderr
-        )
     print(
         f"fuzzing {spec.algorithm} ({spec.placements} placement(s), "
         f"budget {spec.budget} runs, campaign {spec.content_hash()[:16]})"
     )
-    if args.jobs > 1:
-        if args.progress:
-            print(
-                "note: --progress and the coverage-growth table are "
-                "per-campaign views; with --jobs > 1 the budget is "
-                "sharded into independent campaigns, so neither is shown",
-                file=sys.stderr,
-            )
-        try:
-            outcome = fuzz_parallel(
-                spec, args.jobs, keep_going=args.keep_going,
-                shrink=not args.no_shrink,
-            )
-        except CampaignInterrupted as interrupt:
-            print(f"\ninterrupted: {interrupt}")
-            partial = interrupt.outcome
-            if partial is not None:
-                print(f"progress: {partial.describe()}")
-                if args.store and partial.failures:
-                    from repro.store import RunStore
-
-                    archive = RunStore(args.store).failures
-                    for failure in partial.failures:
-                        path = archive.put(
-                            failure.content_hash, failure.to_dict()
-                        )
-                        print(
-                            f"archived failure "
-                            f"{failure.content_hash[:16]} -> {path}"
-                        )
-            if interrupt.resume_hint:
-                print(f"resume: {interrupt.resume_hint}")
-            return 130
-    else:
-        from repro.fuzz import ScheduleFuzzer
-
-        outcome = ScheduleFuzzer(
-            spec, keep_going=args.keep_going, shrink=not args.no_shrink,
-            progress=progress,
-        ).run()
+    if args.jobs > 1 and args.progress:
+        print(
+            "note: --progress and the coverage-growth table are "
+            "per-campaign views; with --jobs > 1 the budget is "
+            "sharded into independent campaigns, so neither is shown",
+            file=sys.stderr,
+        )
+    options = {"jobs": args.jobs, "keep_going": args.keep_going,
+               "shrink": not args.no_shrink}
+    try:
+        outcome, _ = KINDS["fuzz"].run(
+            spec, options, store_root=args.store,
+            progress=_print_fuzz_progress if args.progress else None,
+        )
+    except CampaignInterrupted as interrupt:
+        print(f"\ninterrupted: {interrupt}")
+        partial = interrupt.outcome
+        if partial is not None:
+            print(f"progress: {partial.describe()}")
+            _print_archived(args.store, partial.failures)
+        if interrupt.resume_hint:
+            print(f"resume: {interrupt.resume_hint}")
+        return 130
     print(outcome.describe())
     if outcome.history:
         print()
@@ -1348,13 +1301,7 @@ def _command_fuzz(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}")
-    if args.store:
-        from repro.store import RunStore
-
-        archive = RunStore(args.store).failures
-        for failure in outcome.failures:
-            path = archive.put(failure.content_hash, failure.to_dict())
-            print(f"archived failure {failure.content_hash[:16]} -> {path}")
+    _print_archived(args.store, outcome.failures)
     if outcome.failures:
         print(f"\n{len(outcome.failures)} FAILURE(S):")
         for failure in outcome.failures:
@@ -1368,60 +1315,62 @@ def _command_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_fuzz_progress(update) -> None:
+    if "coverage" in update:  # the final counters are not printed
+        print(
+            f"  ... run {update['runs']}/{update['budget']}: "
+            f"{update['coverage']}",
+            file=sys.stderr,
+        )
+
+
+def _print_archived(store: Optional[str], failures) -> None:
+    """One line per failure the fuzz body archived under ``store``."""
+    if store:
+        for failure in failures:
+            path = Path(store, "failures", f"{failure.content_hash}.json")
+            print(f"archived failure {failure.content_hash[:16]} -> {path}")
+
+
+def _print_campaign_event(update) -> None:
+    if "last_event" in update:  # the final counters are not printed
+        print(f"  {update['last_event']}")
+
+
 def _command_campaign(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignSpec, parse_chaos_spec, run_campaign
+    from repro.campaign import CampaignSpec, parse_chaos_spec
 
     _require_positive_workers(args.workers, "--workers")
     _require_positive_workers(args.shards, "--shards")
+    fleet = {
+        "workers": args.workers,
+        "lease_ttl": args.lease_ttl,
+        "unit_timeout": args.unit_timeout,
+        "max_retries": args.max_retries,
+        "backoff_base": args.backoff_base,
+    }
     if args.spec:
         spec = CampaignSpec.load(args.spec)
     elif args.fuzz_spec:
         from repro.fuzz import FuzzSpec
 
         spec = CampaignSpec(
-            kind="fuzz",
-            fuzz=FuzzSpec.load(args.fuzz_spec),
-            workers=args.workers,
-            lease_ttl=args.lease_ttl,
-            unit_timeout=args.unit_timeout,
-            max_retries=args.max_retries,
-            backoff_base=args.backoff_base,
-            shards=args.shards,
+            kind="fuzz", fuzz=FuzzSpec.load(args.fuzz_spec),
+            shards=args.shards, **fleet,
         )
     else:
-        from repro.experiments.sweep import SweepSpec
-
-        sweep = SweepSpec(
-            algorithms=tuple(
-                name.strip()
-                for name in args.algorithms.split(",")
-                if name.strip()
-            ),
-            grid=tuple(args.grid),
-            schedulers=tuple(_parse_scheduler_list(args.schedulers)),
-            trials=args.trials,
-            base_seed=args.seed,
-            max_steps=args.max_steps,
-        )
-        spec = CampaignSpec(
-            kind="sweep",
-            sweep=sweep,
-            workers=args.workers,
-            lease_ttl=args.lease_ttl,
-            unit_timeout=args.unit_timeout,
-            max_retries=args.max_retries,
-            backoff_base=args.backoff_base,
-        )
+        sweep = _sweep_spec(args, max_steps=args.max_steps)
+        spec = CampaignSpec(kind="sweep", sweep=sweep, **fleet)
     chaos = parse_chaos_spec(args.chaos) if args.chaos else None
     print(f"campaign {spec.content_hash()[:16]}: {spec.describe()}")
     if chaos:
         print(f"fault injection: {chaos.describe()}")
-    outcome = run_campaign(
+    outcome, _ = KINDS["campaign"].run(
         spec,
-        args.store,
+        {"resume": args.resume},
+        store_root=args.store,
+        progress=_print_campaign_event,
         chaos=chaos,
-        resume=args.resume,
-        progress=lambda text: print(f"  {text}"),
         install_signal_handlers=True,
     )
     print(outcome.describe())

@@ -221,6 +221,14 @@ class SweepSpec:
             links=None if links_data is None else LinkSpec.from_dict(links_data),
         )
 
+    def content_hash(self) -> str:
+        """SHA-256 hex digest of the canonical JSON form of :meth:`to_dict`
+        (the identity ``repro serve`` gives a sweep job)."""
+        canonical = json.dumps(
+            self.to_dict(), sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
 
 def expand_cells(spec: SweepSpec) -> List[SweepCell]:
     """Flatten the spec into cells in canonical (stable) order."""

@@ -490,6 +490,7 @@ def fuzz_parallel(
     *,
     keep_going: bool = False,
     shrink: bool = True,
+    progress: Optional[ProgressFn] = None,
 ) -> FuzzOutcome:
     """Shard ``spec``'s budget across ``jobs`` worker processes.
 
@@ -505,10 +506,15 @@ def fuzz_parallel(
     the outcome merged from every shard that *did* finish (flagged
     ``complete=False``), so the CLI can archive partial failures and
     report honest coverage instead of dumping a traceback.
+
+    At ``jobs=1`` this is :func:`fuzz` in process, and ``progress``
+    receives its per-run counters; shards report no progress.
     """
     jobs = max(1, jobs)
     if jobs == 1:
-        return fuzz(spec, keep_going=keep_going, shrink=shrink)
+        return fuzz(
+            spec, keep_going=keep_going, shrink=shrink, progress=progress
+        )
     shards = [
         (index, shard.to_dict(), keep_going, shrink)
         for index, shard in enumerate(shard_specs(spec, jobs))

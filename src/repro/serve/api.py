@@ -290,29 +290,6 @@ class ServeApi:
 
     # -- job endpoints -------------------------------------------------------
 
-    def _parse_spec(self, kind: str, data: Dict[str, object]):
-        if kind == "experiment":
-            from repro.spec import ExperimentSpec
-
-            return ExperimentSpec.from_dict(data)
-        if kind == "sweep":
-            from repro.experiments.sweep import SweepSpec
-
-            return SweepSpec.from_dict(data)
-        if kind == "fuzz":
-            from repro.fuzz import FuzzSpec
-
-            return FuzzSpec.from_dict(data)
-        if kind == "campaign":
-            from repro.campaign import CampaignSpec
-
-            return CampaignSpec.from_dict(data)
-        raise _ApiError(
-            400, "bad_request",
-            f"unknown job kind {kind!r} (expected experiment, sweep, "
-            f"fuzz or campaign)",
-        )
-
     def _submit(self, body: Optional[bytes]) -> Tuple[int, Dict[str, object]]:
         if not body:
             raise _ApiError(
@@ -342,10 +319,11 @@ class ServeApi:
             raise _ApiError(
                 400, "bad_request", "'options' must be a JSON object"
             )
+        from repro.jobs import get_kind
+
+        spec_class = get_kind(kind).spec_class()
         try:
-            spec = self._parse_spec(kind, spec_data)
-        except _ApiError:
-            raise
+            spec = spec_class.from_dict(spec_data)
         except (ReproError, KeyError, TypeError, ValueError) as error:
             # Spec constructors raise ConfigurationError for semantic
             # problems, but a structurally malformed dict can surface
