@@ -1513,6 +1513,11 @@ def _command_submit(args: argparse.Namespace) -> int:
         spec = json.load(handle)
     options = {}
     if args.processes is not None:
+        if "processes" not in KINDS[args.kind].options:
+            raise ReproError(
+                f"--processes sets the 'processes' option, which {args.kind} "
+                f"jobs do not take"
+            )
         _require_positive_workers(args.processes, "--processes")
         options["processes"] = args.processes
     client = ServeClient(args.url)

@@ -20,14 +20,26 @@ loads no simulation, fuzzing or campaign code before a job needs it.
 from __future__ import annotations
 
 import importlib
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import CampaignInterrupted, ConfigurationError
 
-__all__ = ["KINDS", "Kind", "Option", "get_kind"]
+__all__ = ["KINDS", "Kind", "Option", "OptionError", "get_kind"]
 
 Progress = Optional[Callable[[Dict[str, object]], None]]
+
+_JSON_TYPE = {bool: "boolean", int: "integer", str: "string"}
+
+
+class OptionError(ConfigurationError):
+    """A job option the kind does not accept; ``option`` names it."""
+
+    def __init__(self, option: str, message: str) -> None:
+        super().__init__(message)
+        self.option = option
+
 
 @dataclass(frozen=True)
 class Option:
@@ -38,6 +50,18 @@ class Option:
     default: object
     choices: Tuple[str, ...] = ()
     workers: bool = False
+
+    def check(self, name: str, value: object) -> object:
+        cap = os.cpu_count() or 1
+        if type(value) is not self.type:  # JSON true is not the integer 1
+            wanted = f"a JSON {_JSON_TYPE[self.type]}"
+        elif self.choices and value not in self.choices:
+            wanted = f"one of {', '.join(self.choices)}"
+        elif self.workers and not 1 <= value <= cap:
+            wanted = f"between 1 and {cap} (the host's CPU count)"
+        else:
+            return value
+        raise OptionError(name, f"option {name!r} must be {wanted}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +79,16 @@ class Kind:
         return getattr(importlib.import_module(module), name)
 
     def check_options(self, options: Mapping[str, object]) -> Dict[str, object]:
-        """``options`` completed with the defaults."""
+        """``options`` validated and completed with the defaults."""
+        unknown = sorted(set(options) - set(self.options))
+        if unknown:
+            raise OptionError(
+                unknown[0], f"unknown option {unknown[0]!r} for {self.name} "
+                f"jobs (accepted: {', '.join(self.options) or 'none'})",
+            )
         return {
-            name: options.get(name, option.default)
+            name: option.check(name, options[name]) if name in options
+            else option.default
             for name, option in self.options.items()
         }
 

@@ -319,7 +319,7 @@ class ServeApi:
             raise _ApiError(
                 400, "bad_request", "'options' must be a JSON object"
             )
-        from repro.jobs import get_kind
+        from repro.jobs import OptionError, get_kind
 
         spec_class = get_kind(kind).spec_class()
         try:
@@ -333,7 +333,12 @@ class ServeApi:
                 400, "bad_request",
                 f"invalid {kind} spec: {type(error).__name__}: {error}",
             ) from None
-        job = self.jobs.submit(kind, spec, options)
+        try:
+            job = self.jobs.submit(kind, spec, options)
+        except OptionError as error:
+            raise _ApiError(
+                400, "bad_request", str(error), option=error.option
+            ) from None
         return 202, job.to_dict()
 
     def _jobs(self) -> Tuple[int, Dict[str, object]]:

@@ -269,10 +269,55 @@ class TestJobEndpoints:
                 "'options' must be a JSON object",
             ),
         ]
+        # Options are checked against the kind's declared ones before a
+        # job exists: the 400 names the offending option.
+        sweep, fuzz = _sweep().to_dict(), _fuzz().to_dict()
+        option_cases = [
+            ("sweep", sweep, {"resume": "false"}, "resume", "JSON boolean"),
+            ("sweep", sweep, {"processes": "two"}, "processes",
+             "JSON integer"),
+            ("sweep", sweep, {"processes": True}, "processes",
+             "JSON integer"),
+            ("sweep", sweep, {"processes": 0}, "processes", "between 1 and"),
+            ("sweep", sweep, {"processes": 10**6}, "processes",
+             "between 1 and"),
+            ("sweep", sweep, {"backend": "gpu"}, "backend",
+             "one of object, batch"),
+            ("sweep", sweep, {"jobs": 4}, "jobs", "unknown option 'jobs'"),
+            ("fuzz", fuzz, {"processes": 2}, "processes",
+             "unknown option 'processes' for fuzz jobs"),
+            ("fuzz", fuzz, {"jobs": 10**6}, "jobs", "between 1 and"),
+            ("fuzz", fuzz, {"shrink": 0}, "shrink", "JSON boolean"),
+            ("campaign", _campaign().to_dict(), {"resume": None}, "resume",
+             "JSON boolean"),
+            ("experiment", _spec().to_dict(), {"resume": True}, "resume",
+             "(accepted: none)"),
+        ]
         for body, needle in cases:
             status, payload = api.handle("POST", "/v1/jobs", body=body)
             assert status == 400, (body, payload)
             assert needle in payload["error"]["message"], (body, payload)
+        for kind, spec, options, option, needle in option_cases:
+            status, payload = _submit(api, kind, spec, options)
+            assert status == 400, (options, payload)
+            assert payload["error"]["code"] == "bad_request", payload
+            assert payload["error"]["option"] == option, payload
+            assert needle in payload["error"]["message"], (options, payload)
+        # Nothing reached the queue, so no pool was ever sized.
+        assert api.handle("GET", "/v1/jobs")[1]["total"] == 0
+
+    def test_valid_options_are_completed_with_defaults(self, api):
+        status, job = _submit(api, "sweep", _sweep().to_dict(),
+                              {"resume": False})
+        assert status == 202
+        assert api.jobs.get(job["id"]).options == {
+            "processes": 1, "resume": False, "backend": "object",
+        }
+        assert _wait_for(api, job["id"])["state"] == "completed"
+        # resume=False really re-executes an archived sweep.
+        status, job = _submit(api, "sweep", _sweep().to_dict(),
+                              {"resume": False})
+        assert _wait_for(api, job["id"])["result"]["executed"] == 2
 
     def test_failed_job_reports_its_error(self, api):
         # A structurally valid sweep whose algorithm does not exist

@@ -183,3 +183,16 @@ class TestCliAgainstDaemon:
         assert code != 0
         err = capsys.readouterr().err
         assert "invalid sweep spec" in err
+
+    def test_submit_processes_only_for_kinds_that_take_it(
+        self, tmp_path, capsys
+    ):
+        # Refused before any request: the URL is never contacted.
+        spec_path = tmp_path / "fuzz.json"
+        spec_path.write_text("{}")
+        code = main([
+            "submit", "--url", "http://127.0.0.1:9", "--kind", "fuzz",
+            "--spec", str(spec_path), "--processes", "4",
+        ])
+        assert code == 2
+        assert "fuzz jobs do not take" in capsys.readouterr().err
