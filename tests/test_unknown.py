@@ -271,3 +271,58 @@ class TestPeriodicConvergenceProperty:
             from repro.analysis.verification import verify_uniform_deployment
 
             assert verify_uniform_deployment(engine, require_suspended=True).ok
+
+
+class TestWrongEstimatePath:
+    """Algorithm 5's ``PatrolInfo`` reaching a prematurely suspended
+    agent, and Algorithm 6's adoption.  Four equal consecutive gaps
+    shorter than k make an agent estimate too small a ring; the routine
+    grids (k <= 3) never build that."""
+
+    DISTANCES = (1, 1, 1, 1, 4)
+
+    @staticmethod
+    def _count(monkeypatch, *names):
+        from repro.core.unknown import UnknownKAgent
+
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(UnknownKAgent, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(UnknownKAgent, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "scheduler", ["sync", "random", "burst", "chaos", "laggard"]
+    )
+    def test_single_run_patrols_and_adopts(self, monkeypatch, scheduler):
+        from repro.spec import ExperimentSpec, PlacementSpec
+
+        calls = self._count(monkeypatch, "_patrol_info", "_adopt")
+        spec = ExperimentSpec(
+            algorithm=ALGO,
+            placement=PlacementSpec(
+                kind="distances", distances=self.DISTANCES
+            ),
+            scheduler=scheduler,
+        )
+        result = run_experiment(spec)
+        assert result.ok and result.row()["uniform"]
+        assert calls["_patrol_info"] >= 1
+        assert calls["_adopt"] >= 1
+
+    @pytest.mark.mc
+    def test_exhaustive_check_covers_patrol_info(self, monkeypatch):
+        from repro.mc import check_interleavings
+
+        calls = self._count(monkeypatch, "_patrol_info")
+        result = check_interleavings(
+            ALGO, placement_from_distances((1, 1, 1, 1, 2))
+        )
+        assert result.complete and result.ok
+        assert result.explored == 192_128
+        assert calls["_patrol_info"] > 0
