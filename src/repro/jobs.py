@@ -94,6 +94,7 @@ class Kind:
 
 
 def get_kind(name: str) -> Kind:
+    """The kind called ``name``; an unknown name is a ConfigurationError."""
     if name not in KINDS:
         *others, last = KINDS
         raise ConfigurationError(

@@ -6,7 +6,8 @@ and serves everything over a versioned JSON API instead:
 
 * :class:`~repro.serve.jobs.JobManager` — in-process execution of
   submitted ExperimentSpec/SweepSpec/FuzzSpec/CampaignSpec payloads on
-  worker threads, with live progress counters,
+  worker threads, through the CLI's own job bodies
+  (:data:`repro.jobs.KINDS`), with live progress counters,
 * :class:`~repro.serve.api.ServeApi` — the socket-free route layer
   (``/v1/jobs``, ``/v1/runs``, ``/v1/failures``, ``/v1/registry``,
   ``/v1/store/digest``); unit-testable without binding a port,
