@@ -1,18 +1,17 @@
-"""Model-checker throughput: POR reduction and parallel frontier.
+"""Model-checker throughput: POR reduction, memo footprint and the
+spilled search.
 
-The exhaustive checker's scaling story after the packed-encoding + POR
-+ parallel rebuild, in three measurements on a pinned n=10, k=3 cell
-(the largest instance the verification ladder reports as exhaustively
-verified):
+Three measurements on a pinned n=10, k=3 cell (the largest instance the
+verification ladder reports as exhaustively verified):
 
 * serial full expansion vs sleep-set POR — the asserted >=2x win: POR
   executes fewer than half the transitions while reaching the identical
   state set, so states/second of *verification* roughly doubles;
-* the wave-synchronous frontier driver at ``--jobs`` — recorded, and
-  asserted only when the host actually has spare cores (a 1-CPU CI
-  runner cannot speed up by forking, but the POR ratio above already
-  carries the PR's >=2x acceptance bar there);
-* the memo footprint of the packed encoding at that size.
+* the memo footprint of the packed encoding at that size;
+* the same search spilled to a resumable journal (``repro mc --store``)
+  against the in-memory one, with the journal's size and the time to
+  replay it (``resume_state``).  The journal records frontier items as
+  parent-index deltas, so its size is asserted to stay O(states).
 
 Results merge into ``BENCH_engine.json`` so the verified-instance
 ceiling and the reduction ratio are tracked PR over PR.
@@ -20,10 +19,12 @@ ceiling and the reduction ratio are tracked PR over PR.
 
 from __future__ import annotations
 
-import os
+import json
+import tempfile
 import time
+from pathlib import Path
 
-from repro.mc import check_frontier, check_interleavings
+from repro.mc import FrontierSpill, check_frontier, check_interleavings
 from repro.ring.placement import Placement
 
 from benchmarks.conftest import record_case, report_lines
@@ -127,48 +128,57 @@ def test_max_verified_instance_and_memo_footprint(benchmark):
     )
 
 
-def test_parallel_frontier_jobs(benchmark):
-    jobs = min(4, os.cpu_count() or 1)
+#: The pinned cell's journal held 4,744,998 bytes while it recorded
+#: every frontier item's full schedule; as parent-index deltas it is
+#: ~1.8 MB.
+_MAX_JOURNAL_BYTES = 2_000_000
 
+
+def test_spilled_frontier_journal(benchmark):
     def run_both():
         start = time.perf_counter()
-        serial = check_frontier(_ALGORITHM, _PLACEMENT, jobs=1)
-        serial_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel = check_frontier(_ALGORITHM, _PLACEMENT, jobs=jobs)
-        parallel_seconds = time.perf_counter() - start
-        return serial, parallel, serial_seconds, parallel_seconds
+        memory = check_frontier(_ALGORITHM, _PLACEMENT)
+        memory_seconds = time.perf_counter() - start
+        with tempfile.TemporaryDirectory() as root:
+            start = time.perf_counter()
+            spilled = check_frontier(_ALGORITHM, _PLACEMENT, store_root=root)
+            spill_seconds = time.perf_counter() - start
+            (journal,) = Path(root, "mc").glob("*/journal.jsonl")
+            journal_bytes = journal.stat().st_size
+            meta = json.loads((journal.parent / "meta.json").read_text())
+            spill = FrontierSpill(root, meta["spec"])
+            start = time.perf_counter()
+            state = spill.resume_state()
+            replay_seconds = time.perf_counter() - start
+        return (memory, spilled, state, memory_seconds, spill_seconds,
+                replay_seconds, journal_bytes)
 
-    serial, parallel, serial_seconds, parallel_seconds = benchmark(run_both)
+    (memory, spilled, state, memory_seconds, spill_seconds, replay_seconds,
+     journal_bytes) = benchmark(run_both)
 
-    # Jobs invariance is the frontier driver's core guarantee.
-    assert parallel.to_dict() == serial.to_dict()
-    speedup = serial_seconds / parallel_seconds
-    if (os.cpu_count() or 1) >= 2 and jobs >= 2:
-        # With real cores available the fan-out must pay for its
-        # serialisation overhead; on a 1-CPU host the POR benchmark
-        # above carries the PR's >=2x acceptance requirement instead.
-        assert speedup >= 1.2, (
-            f"--jobs {jobs} slower than serial on a "
-            f"{os.cpu_count()}-core host ({speedup:.2f}x)"
-        )
+    assert spilled.to_dict() == memory.to_dict()
+    assert state is not None and state.stats.explored == spilled.explored
+    assert journal_bytes <= _MAX_JOURNAL_BYTES, (
+        f"journal of the pinned cell grew to {journal_bytes:,} bytes"
+    )
 
-    record_case(f"mc frontier {_ALGORITHM} n=10 k=3 jobs={jobs}", {
+    record_case(f"mc spill {_ALGORITHM} n=10 k=3", {
         "algorithm": _ALGORITHM,
         "n": _PLACEMENT.ring_size,
         "k": _PLACEMENT.agent_count,
-        "jobs": jobs,
-        "states": parallel.explored,
-        "serial_seconds": round(serial_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "parallel_speedup": round(speedup, 2),
-        "states_per_second_parallel": round(parallel.explored / parallel_seconds),
+        "states": spilled.explored,
+        "memory_seconds": round(memory_seconds, 6),
+        "spill_seconds": round(spill_seconds, 6),
+        "states_per_second_memory": round(memory.explored / memory_seconds),
+        "states_per_second_spill": round(spilled.explored / spill_seconds),
+        "journal_bytes": journal_bytes,
+        "resume_state_seconds": round(replay_seconds, 6),
     })
     report_lines(
-        f"Model checker - frontier driver (jobs={jobs}, "
-        f"{os.cpu_count()} host cpu(s))",
+        "Model checker - spilled search (pinned n=10 k=3 cell)",
         [
-            f"serial {serial_seconds:.2f}s vs jobs={jobs} "
-            f"{parallel_seconds:.2f}s ({speedup:.2f}x); stats identical",
+            f"in memory {memory_seconds:.2f}s, spilled {spill_seconds:.2f}s; "
+            f"journal {journal_bytes:,} bytes, replayed in "
+            f"{replay_seconds:.2f}s",
         ],
     )

@@ -538,9 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help=(
-            "process-parallel exploration: placements fan across a pool "
-            "on a grid, a single configuration expands each wave of the "
-            "search in N worker processes (same results as --jobs 1)"
+            "placements of a grid fan across a pool of N processes; one "
+            "search always runs in one process (same results as --jobs 1)"
         ),
     )
     mc_parser.add_argument(
@@ -965,7 +964,7 @@ def _command_psweep(args: argparse.Namespace) -> int:
     spec = _sweep_spec(args, links=args.links)
     options = {"processes": args.jobs, "resume": resume, "backend": args.backend}
     try:
-        outcome, _ = KINDS["sweep"].run(
+        outcome, result = KINDS["sweep"].run(
             spec, options, store_root=args.store,
             validate_backend=args.validate_backend,
         )
@@ -988,11 +987,9 @@ def _command_psweep(args: argparse.Namespace) -> int:
           f"({len(spec.algorithms)} algorithms x {len(spec.grid)} sizes x "
           f"{len(spec.schedulers)} schedulers x {spec.trials} trials)")
     if args.store:
-        from repro.store import RunStore
-
         print(
             f"store: {outcome.executed} executed, {outcome.cached} cached "
-            f"({args.store}, {len(RunStore(args.store))} records)"
+            f"({args.store}, {result['records']} records)"
         )
     print(format_rows(summarize_rows(rows) if args.summary else rows))
     if args.json:
@@ -1147,8 +1144,8 @@ def _command_mc(args: argparse.Namespace) -> int:
             algorithm, placements, jobs=args.jobs, **limits
         )
     else:
-        # One breadth-first search per placement: parallel waves with
-        # --jobs > 1, and a resumable journal per placement with --store.
+        # One breadth-first search per placement, in this process, with
+        # a resumable journal per placement under --store.
         results = [
             check_frontier(
                 algorithm, placement, jobs=args.jobs, store_root=args.store,

@@ -144,8 +144,9 @@ def sweep_job(
         def on_progress(done: int, pending: int) -> None:
             progress({"done": done, "pending": pending, "total": total})
 
+    store = _open_store(store_root)
     outcome = execute_sweep(
-        spec, processes=options["processes"], store=_open_store(store_root),
+        spec, processes=options["processes"], store=store,
         resume=options["resume"], progress=on_progress,
         backend=options["backend"], validate_backend=validate_backend,
     )
@@ -154,7 +155,11 @@ def sweep_job(
         "cached": outcome.cached,
     }
     _publish(progress, {"done": outcome.executed, **counts})
-    return outcome, {"summary": outcome.describe(), **counts}
+    result = {"summary": outcome.describe(), **counts}
+    if store is not None:
+        store.refresh()  # records other writers archived meanwhile count too
+        result["records"] = len(store)
+    return outcome, result
 
 
 def _archive_failures(store_root: Optional[str], outcome) -> List[str]:

@@ -15,9 +15,9 @@ emitting any violating path as a replayable schedule.
 Entry points: :func:`check_interleavings` (one placement, in process),
 :func:`exhaust_placements` (all placements of an ``(n, k)``, optionally
 fanned across a process pool), :func:`check_frontier` (the same search
-with ``jobs`` worker processes and an optional disk-spilled, resumable
-frontier), :func:`replay_counterexample` (deterministic reproduction),
-and the ``repro mc`` CLI command.  There is one search loop
+with an optional disk-spilled, resumable frontier; one search never
+leaves its process), :func:`replay_counterexample` (deterministic
+reproduction), and the ``repro mc`` CLI command.  There is one search loop
 (:mod:`repro.mc.parallel`); every entry point runs it, so every
 :class:`MCResult` carries the same guarantees.
 

@@ -24,9 +24,12 @@ Layout
     (``{"t":"i"}``) and finally one commit marker (``{"t":"c"}``)
     carrying the wave number and cumulative
     :class:`~repro.mc.state.SearchStats`.  The file is flushed and
-    fsynced once per wave, after the commit marker.  Frontier items are
-    journaled as schedules: a resumed check rebuilds each reloaded
-    item's engine once from its schedule.
+    fsynced once per wave, after the commit marker.  A frontier item is
+    journaled as a delta: ``p``, the index of the item it was expanded
+    from in the previous committed wave's frontier (-1 for the root),
+    and ``a``, the agent that acted.  Replay rebuilds the schedules wave
+    by wave, keeping only the last committed wave's, and a resumed check
+    rebuilds each reloaded item's engine once from its schedule.
 ``result.json``
     The finished :meth:`~repro.mc.checker.MCResult.to_dict`, written
     atomically (tmp + rename) when the check completes; a resume of a
@@ -64,8 +67,15 @@ __all__ = [
 #: Version of the ``journal.jsonl`` record set, part of every check
 #: spec.  Version 2 added the successor-edge records (``{"t":"e"}``): a
 #: spill written before them hashes differently and is never resumed as
-#: if its edge set were complete.
-JOURNAL_VERSION = 2
+#: if its edge set were complete.  Version 3 journals frontier items as
+#: parent-index deltas (``p``, ``a``) instead of full schedules.
+JOURNAL_VERSION = 3
+
+
+def _ints(values) -> str:
+    """A sequence of ints as a compact JSON array (``json.dumps`` with
+    ``separators=(",", ":")`` writes the same bytes, slower)."""
+    return "[" + ",".join(map(str, values)) + "]"
 
 
 @dataclass
@@ -81,8 +91,10 @@ class FrontierItem:
     ``engine`` is a live engine at the state, ``snapshot`` the snapshot
     already taken of it and ``slept`` the concrete agent ids behind
     ``sleep``; expansion steps forks of ``engine`` and never replays
-    ``schedule``.  They travel with the item, pickled to and from pool
-    workers, but are not journaled: only the first four fields are.
+    ``schedule``.  They live only in memory and are not journaled.
+    ``parent`` is the position, in the previous wave's frontier, of the
+    item this one was expanded from (-1 for the root); the journal
+    records it with the acting agent in place of ``schedule``.
     """
 
     key: bytes
@@ -92,23 +104,30 @@ class FrontierItem:
     engine: Optional[Engine] = field(default=None, compare=False, repr=False)
     snapshot: Optional[Configuration] = field(default=None, compare=False, repr=False)
     slept: frozenset = field(default=frozenset(), compare=False)
+    parent: int = field(default=-1, compare=False)
 
-    def to_json(self) -> dict:
-        return {
-            "t": "i",
-            "k": self.key.hex(),
-            "sch": list(self.schedule),
-            "s": sorted(self.sleep),
-            "r": None if self.restrict is None else list(self.restrict),
-        }
+    def journal_line(self) -> str:
+        """The item's ``{"t":"i"}`` record, as compact JSON."""
+        action = self.schedule[-1] if self.schedule else "null"
+        restrict = "null" if self.restrict is None else _ints(self.restrict)
+        return (
+            f'{{"t":"i","k":"{self.key.hex()}","p":{self.parent},"a":{action},'
+            f'"s":{_ints(sorted(self.sleep))},"r":{restrict}}}'
+        )
 
     @classmethod
-    def from_json(cls, record: dict) -> "FrontierItem":
+    def from_json(
+        cls, record: dict, schedules: List[Tuple[int, ...]]
+    ) -> "FrontierItem":
+        """Rebuild an item whose parent is ``schedules[p]``: the
+        schedules of the previous committed wave's frontier."""
+        parent = record["p"]
         return cls(
             key=bytes.fromhex(record["k"]),
-            schedule=tuple(record["sch"]),
+            schedule=() if parent < 0 else schedules[parent] + (record["a"],),
             sleep=frozenset(record["s"]),
             restrict=None if record["r"] is None else tuple(record["r"]),
+            parent=parent,
         )
 
 
@@ -243,6 +262,7 @@ class FrontierSpill:
         violations: List[dict] = []
         terminal_keys: List[str] = []
         edges: Set[Tuple[bytes, bytes]] = set()
+        schedules: List[Tuple[int, ...]] = []  # the last committed frontier's
         block_visited: List[Tuple[bytes, frozenset]] = []
         block_items: List[FrontierItem] = []
         block_violations: List[dict] = []
@@ -262,7 +282,7 @@ class FrontierSpill:
                         (bytes.fromhex(record["k"]), frozenset(record["s"]))
                     )
                 elif kind == "i":
-                    block_items.append(FrontierItem.from_json(record))
+                    block_items.append(FrontierItem.from_json(record, schedules))
                 elif kind == "x":
                     block_violations.append(record)
                 elif kind == "tk":
@@ -277,6 +297,7 @@ class FrontierSpill:
                         edges.update((source, bytes.fromhex(dst)) for dst in entry["d"])
                     violations.extend(block_violations)
                     terminal_keys.extend(block_terminal)
+                    schedules = [item.schedule for item in block_items]
                     state = ResumeState(
                         wave=record["w"],
                         visited=visited,
@@ -328,27 +349,17 @@ class FrontierSpill:
         recorded for it in this wave.
         """
         handle = self._handle()
-        lines: List[str] = []
-        for key, slots in visited_delta:
-            lines.append(
-                json.dumps(
-                    {"t": "v", "k": key.hex(), "s": sorted(slots)},
-                    separators=(",", ":"),
-                )
-            )
-        for key_hex in terminal_keys:
-            lines.append(json.dumps({"t": "tk", "k": key_hex}, separators=(",", ":")))
+        lines: List[str] = [
+            f'{{"t":"v","k":"{key.hex()}","s":{_ints(sorted(slots))}}}'
+            for key, slots in visited_delta
+        ]
+        lines.extend(f'{{"t":"tk","k":"{key_hex}"}}' for key_hex in terminal_keys)
         for violation in violations:
             lines.append(json.dumps(violation, separators=(",", ":")))
         for source, targets in edges.items():
-            lines.append(
-                json.dumps(
-                    {"t": "e", "k": source.hex(), "d": [key.hex() for key in targets]},
-                    separators=(",", ":"),
-                )
-            )
-        for item in frontier:
-            lines.append(json.dumps(item.to_json(), separators=(",", ":")))
+            successors = ",".join(f'"{key.hex()}"' for key in targets)
+            lines.append(f'{{"t":"e","k":"{source.hex()}","d":[{successors}]}}')
+        lines.extend(item.journal_line() for item in frontier)
         lines.append(
             json.dumps(
                 {"t": "c", "w": wave, "stats": _stats_to_json(stats)},

@@ -2,15 +2,12 @@
 
 * :func:`check_frontier` — a wave-synchronous (lockstep) breadth-first
   search, and the only one: :func:`repro.mc.checker.check_interleavings`
-  is this loop at ``jobs=1``.  Each wave, the open frontier is
-  partitioned by *memo ownership* — a state's owner shard is
-  ``int(key) % jobs``, so exactly one shard ever stores a given
-  canonical key — and the per-owner buckets are expanded by
-  :func:`_expand_batch`, in process at ``jobs=1`` and by a process pool
-  otherwise.  The master merges children in globally sorted
-  ``(key, schedule)`` order, which makes every counter, every
-  counterexample and the final verdict deterministic *and invariant
-  in* ``jobs`` (pinned by tests).
+  is this loop at ``jobs=1``.  Each wave, the open frontier is expanded
+  in process by :func:`_expand_batch`, and the children are merged in
+  globally sorted ``(key, schedule)`` order, which makes every counter,
+  every counterexample and the final verdict deterministic.  One search
+  never leaves its process: ``jobs`` has no effect on it (pinned by
+  tests).
 
 * :func:`check_placements_pool` — the embarrassingly parallel axis:
   whole placements of an ``(n, k)`` grid fan across a process pool,
@@ -19,13 +16,13 @@
 
 Expansion never replays.  Each :class:`~repro.mc.frontier.FrontierItem`
 carries a live engine at its state, the snapshot already taken of it
-and its concrete sleep set; a worker steps forks of that engine, and
-its children come back carrying their own.  At ``jobs=1`` the engines
-stay in process; at ``jobs > 1`` they are pickled with the items, both
-ways.  With ``store_root`` set every wave is committed to an
-append-only journal (:mod:`repro.mc.frontier`) that records items as
-schedules, so ``resume=True`` rebuilds each reloaded item's engine once
-by replaying its schedule, and a killed check finishes with identical
+and its concrete sleep set; expansion steps forks of that engine, and
+its children carry their own.  With ``store_root`` set every wave is
+committed to an append-only journal (:mod:`repro.mc.frontier`) that
+records each open item as its parent's index in the previous wave's
+frontier plus the acting agent, so ``resume=True`` rebuilds the
+schedules wave by wave and each reloaded item's engine once by
+replaying its schedule, and a killed check finishes with identical
 cumulative stats.
 
 Livelock cycles are searched after the loop, over the explored graph.
@@ -120,7 +117,7 @@ def check_placements_pool(
 
 
 class _Child(NamedTuple):
-    """One successor produced by a worker: the item to merge (engine
+    """One successor of an expanded state: the item to merge (engine
     attached), the canonical key of the state it was reached from, and
     whether it is quiescent with its terminal violation, if any."""
 
@@ -141,18 +138,18 @@ def _journal_violation(violation: Violation, schedule: Tuple[int, ...]) -> dict:
     }
 
 
-class _FrontierWorker:
-    """Per-process expansion state: the instance's oracle + POR mode."""
+class _Expander:
+    """Expansion state of one search: the instance's oracle + POR mode."""
 
     def __init__(self, oracle: PropertyOracle, por: bool) -> None:
         self.oracle = oracle
         self.por = por
 
     def expand(
-        self, item: FrontierItem
+        self, item: FrontierItem, position: int
     ) -> Tuple[int, int, List[_Child], List[dict]]:
-        """Expand one frontier state from its live engine; return
-        (transitions, por_skipped, children, violations)."""
+        """Expand the frontier state at ``position`` from its live
+        engine; return (transitions, por_skipped, children, violations)."""
         engine = item.engine
         enabled = engine.enabled_agents()
         if item.restrict is not None:
@@ -195,52 +192,29 @@ class _FrontierWorker:
                 engine=child,
                 snapshot=child_snapshot,
                 slept=frozenset(child_sleep),
+                parent=position,
             )
             children.append(_Child(successor, item.key, quiescent, term))
             slept.add(agent_id)
         return len(targets), por_skipped, children, violations
 
 
-_WORKER: Optional[_FrontierWorker] = None
-
-
-def _init_frontier_worker(
-    algorithm: str,
-    placement: Placement,
-    safety: Tuple[SafetyProperty, ...],
-    terminal: Tuple[TerminalProperty, ...],
-    links: Optional[LinkSpec],
-    por: bool,
-) -> None:
-    global _WORKER
-    oracle = PropertyOracle(
-        algorithm, placement, safety=safety, terminal=terminal, links=links
-    )
-    _WORKER = _FrontierWorker(oracle, por)
-
-
 def _expand_batch(
-    items: List[FrontierItem], worker: Optional[_FrontierWorker] = None
+    items: List[FrontierItem], expander: _Expander
 ) -> Tuple[int, int, List[_Child], List[dict]]:
-    """Expand one owner bucket, in a pool process or (given ``worker``)
-    in process."""
-    worker = worker or _WORKER
-    assert worker is not None
+    """Expand one wave's frontier, in order: each child records its
+    parent's position in ``items`` (its journal ``p``)."""
     transitions = 0
     por_skipped = 0
     children: List[_Child] = []
     violations: List[dict] = []
-    for item in items:
-        t, p, c, v = worker.expand(item)
+    for position, item in enumerate(items):
+        t, p, c, v = expander.expand(item, position)
         transitions += t
         por_skipped += p
         children.extend(c)
         violations.extend(v)
     return transitions, por_skipped, children, violations
-
-
-def _owner(key: bytes, jobs: int) -> int:
-    return int.from_bytes(key[:8], "big") % jobs
 
 
 def _restore(oracle: PropertyOracle, item: FrontierItem) -> FrontierItem:
@@ -407,28 +381,27 @@ def check_frontier(
     links: Optional[LinkSpec] = None,
     progress: Optional[Callable[[SearchStats], None]] = None,
 ) -> MCResult:
-    """Breadth-first, optionally parallel and disk-spilled exploration.
+    """Breadth-first, optionally disk-spilled exploration.
 
     The options are those of :func:`~repro.mc.checker.check_interleavings`
     (which calls this with ``jobs=1``); ``stop_at_first`` stops at wave
-    granularity.  ``jobs > 1`` requires a registered ``algorithm`` name;
-    ``store_root`` spills every wave to ``<store_root>/mc/<check-hash>/``
-    and ``resume=True`` continues a previously killed run (a completed
-    run's stored result is returned directly).  ``links`` brings
-    fault-aware properties, link-actor branches and sleep sets forced
-    off (see :mod:`repro.mc.por`); the wave-merge discipline keeps the
-    verdict ``jobs``-invariant on faulty instances exactly as on
-    reliable ones.
+    granularity.  ``store_root`` spills every wave to
+    ``<store_root>/mc/<check-hash>/`` and ``resume=True`` continues a
+    previously killed run (a completed run's stored result is returned
+    directly).  ``links`` brings fault-aware properties, link-actor
+    branches and sleep sets forced off (see :mod:`repro.mc.por`).
+
+    ``jobs`` (at least 1) governs only placement fan-out
+    (:func:`check_placements_pool`): one search always runs in this
+    process, so every ``jobs`` returns the same result, and a
+    ``factory`` is accepted at any value.
 
     Livelock cycles are reported after the search unless it already
     stopped at a violation: one lasso under ``stop_at_first``, else one
     per cyclic strongly connected component of the explored graph.
     """
-    if jobs > 1 and factory is not None:
-        raise ValueError(
-            "check_frontier(jobs>1) needs a registered algorithm name; "
-            "agent factories do not cross process boundaries"
-        )
+    if jobs < 1:
+        raise ValueError(f"check_frontier needs jobs >= 1, got {jobs}")
     oracle = PropertyOracle(
         algorithm, placement, factory=factory, safety=safety, terminal=terminal,
         require_halted=require_halted, require_suspended=require_suspended, links=links,
@@ -489,127 +462,97 @@ def check_frontier(
             )
 
     complete = not stats.truncated
-    pool = None
-    worker = _FrontierWorker(oracle, por)  # expands in process when jobs == 1
-    if jobs > 1:
-        pool = multiprocessing.Pool(
-            processes=jobs,
-            initializer=_init_frontier_worker,
-            initargs=(
-                algorithm,
-                placement,
-                oracle.safety,
-                oracle.terminal,
-                oracle.links,
-                por,
-            ),
+    expander = _Expander(oracle, por)
+    # The frontier is in (key, schedule) order: the merge below builds
+    # it in that order, and it is journaled and resumed in it.  An
+    # item's position is therefore also its journal index.
+    while frontier:
+        if max_states is not None and stats.explored >= max_states:
+            complete = False
+            break
+        transitions_before = stats.transitions
+        transitions, por_skipped, children, wave_violations = _expand_batch(
+            frontier, expander
         )
+        stats.transitions += transitions
+        stats.por_skipped += por_skipped
+        children.sort(key=lambda child: (child.item.key, child.item.schedule))
 
-    try:
-        while frontier:
-            if max_states is not None and stats.explored >= max_states:
-                complete = False
-                break
-            transitions_before = stats.transitions
-            buckets: List[List[FrontierItem]] = [[] for _ in range(max(jobs, 1))]
-            for item in frontier:
-                buckets[_owner(item.key, max(jobs, 1))].append(item)
-            for bucket in buckets:
-                bucket.sort(key=lambda item: (item.key, item.schedule))
-            occupied = [bucket for bucket in buckets if bucket]
-            if pool is not None:
-                parts = pool.map(_expand_batch, occupied)
-            else:
-                parts = [_expand_batch(bucket, worker) for bucket in occupied]
-
-            wave_violations: List[dict] = []
-            children: List[_Child] = []
-            for transitions, por_skipped, part_children, part_violations in parts:
-                stats.transitions += transitions
-                stats.por_skipped += por_skipped
-                children.extend(part_children)
-                wave_violations.extend(part_violations)
-            children.sort(key=lambda child: (child.item.key, child.item.schedule))
-
-            wave_terminal_keys: List[str] = []
-            wave_edges: Dict[bytes, List[bytes]] = {}
-            visited_delta: List[Tuple[bytes, frozenset]] = []
-            next_frontier: List[FrontierItem] = []
-            hit_max_states = False
-            for item, parent, quiescent, term in children:
-                key = item.key
-                schedule = item.schedule
-                if len(schedule) > stats.max_depth:
-                    stats.max_depth = len(schedule)
-                # A quiescent state is on no cycle: its edges are not kept.
-                edge = (parent, key)
-                if not quiescent and edge not in edges:
-                    edges.add(edge)
-                    wave_edges.setdefault(parent, []).append(key)
-                stored = visited.get(key)
-                if stored is not None:
-                    stats.deduped += 1
-                    reopened = revisit(stored, item.sleep)
-                    if reopened is None:
-                        continue
-                    if depth_limit is not None and len(schedule) >= depth_limit:
-                        stats.truncated += 1  # re-expanding would pass the limit
-                        complete = False
-                        continue
-                    reopen, merged = reopened
-                    visited[key] = merged
-                    visited_delta.append((key, merged))
-                    next_frontier.append(
-                        replace(item, sleep=merged, restrict=tuple(sorted(reopen)))
-                    )
-                    continue
-                visited[key] = item.sleep
-                visited_delta.append((key, item.sleep))
-                stats.explored += 1
-                if quiescent:
-                    stats.terminals += 1
-                    wave_terminal_keys.append(key.hex())
-                    if term is not None:
-                        wave_violations.append(_journal_violation(term, schedule))
+        wave_terminal_keys: List[str] = []
+        wave_edges: Dict[bytes, List[bytes]] = {}
+        visited_delta: List[Tuple[bytes, frozenset]] = []
+        next_frontier: List[FrontierItem] = []
+        hit_max_states = False
+        for item, parent, quiescent, term in children:
+            key = item.key
+            schedule = item.schedule
+            if len(schedule) > stats.max_depth:
+                stats.max_depth = len(schedule)
+            # A quiescent state is on no cycle: its edges are not kept.
+            edge = (parent, key)
+            if not quiescent and edge not in edges:
+                edges.add(edge)
+                wave_edges.setdefault(parent, []).append(key)
+            stored = visited.get(key)
+            if stored is not None:
+                stats.deduped += 1
+                reopened = revisit(stored, item.sleep)
+                if reopened is None:
                     continue
                 if depth_limit is not None and len(schedule) >= depth_limit:
-                    stats.truncated += 1
+                    stats.truncated += 1  # re-expanding would pass the limit
                     complete = False
                     continue
-                if max_states is not None and stats.explored >= max_states:
-                    hit_max_states = True
-                    break
-                next_frontier.append(item)
-
-            terminal_keys.extend(wave_terminal_keys)
-            violation_records.extend(wave_violations)
-            wave += 1
-            if spill is not None:
-                spill.append_wave(
-                    wave,
-                    visited_delta,
-                    next_frontier,
-                    wave_violations,
-                    wave_terminal_keys,
-                    wave_edges,
-                    stats,
+                reopen, merged = reopened
+                visited[key] = merged
+                visited_delta.append((key, merged))
+                next_frontier.append(
+                    replace(item, sleep=merged, restrict=tuple(sorted(reopen)))
                 )
-            frontier = next_frontier
-            if (
-                progress is not None
-                and stats.transitions // PROGRESS_EVERY
-                > transitions_before // PROGRESS_EVERY
-            ):
-                progress(stats)
-            if hit_max_states:
+                continue
+            visited[key] = item.sleep
+            visited_delta.append((key, item.sleep))
+            stats.explored += 1
+            if quiescent:
+                stats.terminals += 1
+                wave_terminal_keys.append(key.hex())
+                if term is not None:
+                    wave_violations.append(_journal_violation(term, schedule))
+                continue
+            if depth_limit is not None and len(schedule) >= depth_limit:
+                stats.truncated += 1
                 complete = False
+                continue
+            if max_states is not None and stats.explored >= max_states:
+                hit_max_states = True
                 break
-            if wave_violations and stop_at_first:
-                break
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+            next_frontier.append(item)
+
+        terminal_keys.extend(wave_terminal_keys)
+        violation_records.extend(wave_violations)
+        wave += 1
+        if spill is not None:
+            spill.append_wave(
+                wave,
+                visited_delta,
+                next_frontier,
+                wave_violations,
+                wave_terminal_keys,
+                wave_edges,
+                stats,
+            )
+        frontier = next_frontier
+        if (
+            progress is not None
+            and stats.transitions // PROGRESS_EVERY
+            > transitions_before // PROGRESS_EVERY
+        ):
+            progress(stats)
+        if hit_max_states:
+            complete = False
+            break
+        if wave_violations and stop_at_first:
+            break
 
     violations = [
         Counterexample.of(

@@ -70,7 +70,6 @@ __all__ = [
     "register_scheduler",
     "registry_dump",
     "scheduler_names",
-    "unregister_algorithm",
 ]
 
 T = TypeVar("T")
@@ -270,14 +269,6 @@ def register_algorithm_info(info: AlgorithmInfo, *, replace: bool = False) -> No
             f"algorithm {info.name!r} is already registered"
         )
     _ALGORITHMS[info.name] = info
-
-
-def unregister_algorithm(name: str) -> None:
-    """Remove a registered algorithm (back-compat mutation path)."""
-    _ensure_builtins()
-    if name not in _ALGORITHMS:
-        raise ConfigurationError(f"algorithm {name!r} is not registered")
-    del _ALGORITHMS[name]
 
 
 def register_algorithm(

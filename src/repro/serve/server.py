@@ -15,6 +15,7 @@ job workers open their own handles on the same root.
 from __future__ import annotations
 
 import json
+import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -126,7 +127,8 @@ class ServeDaemon:
         return f"http://{host}:{port}"
 
     def serve_forever(self) -> None:
-        """Block serving requests until KeyboardInterrupt/SIGTERM."""
+        """Block serving requests until :meth:`shutdown` is called from
+        another thread (or a KeyboardInterrupt), then close."""
         try:
             self._server.serve_forever()
         finally:
@@ -139,8 +141,12 @@ class ServeDaemon:
         )
         self._thread.start()
 
-    def stop(self) -> None:
+    def shutdown(self) -> None:
+        """Make a running :meth:`serve_forever` return; blocks until it does."""
         self._server.shutdown()
+
+    def stop(self) -> None:
+        self.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -160,7 +166,15 @@ def serve_forever(
     quiet: bool = False,
     announce=print,
 ) -> int:
-    """CLI foreground entry: bind, announce the address, serve until ^C."""
+    """CLI foreground entry: bind, announce the address, serve until
+    SIGINT or SIGTERM.
+
+    The handlers are installed even where SIGINT was ignored at start (a
+    background job of a non-interactive shell).  Each stops the server
+    from another thread, since ``shutdown`` waits for the serving loop
+    this thread runs; the daemon then closes its job manager.  The
+    previous handlers are restored on return.
+    """
     daemon = ServeDaemon(
         store_root, host=host, port=port, workers=workers, quiet=quiet
     )
@@ -169,8 +183,21 @@ def serve_forever(
         f"repro serve: store {daemon.store.root} "
         f"({len(daemon.store)} records) on http://{host_}:{port_}"
     )
+    stopping = threading.Event()
+
+    def _on_signal(signum, frame):
+        if not stopping.is_set():
+            stopping.set()
+            threading.Thread(target=daemon.shutdown, daemon=True).start()
+
+    previous = {
+        signum: signal.signal(signum, _on_signal)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
         daemon.serve_forever()
-    except KeyboardInterrupt:
-        announce("repro serve: shutting down")
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+    announce("repro serve: shutting down")
     return 0

@@ -18,7 +18,8 @@ test compares, against ``tests/data/mc_golden.json``:
 The fixture was first written before the search was rebuilt on the
 shared :class:`~repro.mc.oracle.PropertyOracle`, and kept through the
 removal of the depth-first driver: only the spill digests (the journal
-gained successor edges and a version) and the spinner's livelock, now
+gained successor edges and a version, then journal version 3 recorded
+frontier items as parent-index deltas) and the spinner's livelock, now
 found by the cycle pass, changed.  Any drift in exploration order, memo
 handling, POR, cycle search or the spill format shows up here.
 Regenerate it only for an intended change of those::
@@ -182,7 +183,7 @@ def _run(cell: dict, driver: str, store: Optional[Path] = None) -> dict:
 
 def _drivers(cell: dict):
     if "factory" in cell:
-        return ("frontier_j1",)  # factories do not cross processes
+        return ("frontier_j1",)  # a factory-built instance is pinned in process
     return ("frontier_j1", "frontier_j2", "frontier_resumed")
 
 

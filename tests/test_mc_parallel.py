@@ -1,17 +1,21 @@
-"""The wave-synchronous search in parallel and spilled: parity, resume,
-progress cadence, journal versioning, SIGKILL.
+"""The wave-synchronous search, in memory and spilled: parity, resume,
+the delta journal, progress cadence, journal versioning, SIGKILL.
 
 The search advertises three strong guarantees, each pinned here:
 
 * **Entry-point parity** — ``check_frontier(jobs=1)`` and
   ``check_interleavings`` are the same search and report identical
   results.
-* **Jobs invariance** — ``jobs=2`` reports results byte-identical to
-  ``jobs=1`` (the merge order is globally sorted, not arrival order).
+* **One process per search** — ``jobs`` fans out only whole placements
+  (``check_placements_pool``).  ``check_frontier(jobs=2)`` starts no
+  process and reports results byte-identical to ``jobs=1``, agent
+  factories included.
 * **Resumability** — a spilled check killed at an arbitrary point (a
   torn journal tail, or a real ``SIGKILL`` of the CLI process mid-run)
   resumes from the last committed wave and finishes with the *same*
-  verdict and cumulative stats as an uninterrupted run.
+  verdict and cumulative stats as an uninterrupted run.  The journal
+  records each open item as its parent's index plus the acting agent,
+  and replay rebuilds every wave's frontier exactly.
 """
 
 from __future__ import annotations
@@ -94,14 +98,40 @@ def test_frontier_respects_max_states():
     assert result.explored <= 50 + 1
 
 
-def test_frontier_rejects_factory_with_jobs():
-    with pytest.raises(ValueError):
+def test_frontier_factory_at_jobs_2_matches_jobs_1():
+    # Nothing crosses a process, so a factory is fine at any jobs.
+    runs = [
         check_frontier(
             "wake_race(known_k_logspace)",
             BUG_PLACEMENT,
-            jobs=2,
+            jobs=jobs,
             factory=lambda: wake_race_agents(3),
+            require_halted=False,
+            require_suspended=True,
         )
+        for jobs in (1, 2)
+    ]
+    assert runs[0].violations
+    assert runs[1].to_dict() == runs[0].to_dict()
+
+
+def test_frontier_at_jobs_2_starts_no_process(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("check_frontier started a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
+    result = check_frontier("unknown", PLACEMENT, jobs=2)
+    assert result.ok and result.to_dict() == check_frontier(
+        "unknown", PLACEMENT, jobs=1
+    ).to_dict()
+
+
+def test_frontier_rejects_jobs_below_one():
+    with pytest.raises(ValueError, match="jobs >= 1"):
+        check_frontier("unknown", PLACEMENT, jobs=0)
 
 
 def test_wake_race_found_by_parallel_frontier_and_replays():
@@ -260,7 +290,7 @@ _UNVERSIONED_HASH = "fe8edc56be075aed226ebed6443859ba89dba1b9c78e3e32668465ebb3b
 
 def test_check_spec_carries_the_journal_version():
     spill = _spill_for(Path("unused"), "wake_race", BUG_PLACEMENT)
-    assert spill.spec["journal"] == JOURNAL_VERSION == 2
+    assert spill.spec["journal"] == JOURNAL_VERSION == 3
     unversioned = {key: value for key, value in spill.spec.items() if key != "journal"}
     assert check_hash(unversioned) == _UNVERSIONED_HASH
     assert spill.hash != _UNVERSIONED_HASH
@@ -287,6 +317,87 @@ def test_unversioned_spill_is_never_resumed(tmp_path, capsys):
     ]
     spill = _spill_for(tmp_path, "wake_race", BUG_PLACEMENT)
     assert (tmp_path / "mc" / spill.hash / "result.json").exists()
+
+
+# ----------------------------------------------------------------------
+# The delta journal: frontier items as (parent index, acting agent)
+# ----------------------------------------------------------------------
+
+#: A cell whose search re-opens states: some of its frontier items
+#: carry a ``restrict`` set from the sleep-set revisit rule.
+REOPEN_ALGORITHM = "known_k_logspace"
+REOPEN_PLACEMENT = Placement(ring_size=6, homes=(0, 3))
+
+
+def _item_fields(items) -> list:
+    return [(item.key, item.schedule, item.sleep, item.restrict) for item in items]
+
+
+def test_resumed_frontier_equals_the_search_at_every_wave(tmp_path, monkeypatch):
+    waves = []
+    append_wave = FrontierSpill.append_wave
+
+    def recording(spill, wave, visited_delta, frontier, *rest):
+        waves.append(_item_fields(frontier))
+        append_wave(spill, wave, visited_delta, frontier, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FrontierSpill, "append_wave", recording)
+        check_frontier(
+            REOPEN_ALGORITHM, REOPEN_PLACEMENT, store_root=str(tmp_path / "clean")
+        )
+    assert any(fields[3] is not None for wave in waves for fields in wave)
+
+    spill = _spill_for(tmp_path / "clean", REOPEN_ALGORITHM, REOPEN_PLACEMENT)
+    journal = spill.directory / "journal.jsonl"
+    lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    items = [record for record in records if record["t"] == "i"]
+    assert items and not any("sch" in record for record in items)
+    commits = [i for i, record in enumerate(records) if record["t"] == "c"]
+    assert len(commits) == len(waves)
+    for wave, end in enumerate(commits):
+        cut = _spill_for(tmp_path / f"cut-{wave}", REOPEN_ALGORITHM, REOPEN_PLACEMENT)
+        cut.directory.mkdir(parents=True)
+        (cut.directory / "journal.jsonl").write_text(
+            "".join(lines[: end + 1]), encoding="utf-8"
+        )
+        state = cut.resume_state()
+        assert state.wave == wave
+        assert _item_fields(state.frontier) == waves[wave], f"wave {wave}"
+
+
+def test_version_2_spill_is_never_resumed(tmp_path):
+    # Version 2 journaled full schedules; its spec hashes differently,
+    # so neither its journal nor its stored result is picked up.
+    current = _spill_for(tmp_path, "unknown", PLACEMENT)
+    old = FrontierSpill(str(tmp_path), dict(current.spec, journal=2))
+    assert old.hash != current.hash
+    old.start_fresh()
+    root = PropertyOracle("unknown", PLACEMENT).fork_root().snapshot()
+    key = root.canonical_key().hex()
+    stats = dict.fromkeys(
+        ("transitions", "deduped", "terminals", "max_depth", "truncated", "por_skipped"),
+        0,
+    )
+    (old.directory / "journal.jsonl").write_text(
+        f'{{"t":"v","k":"{key}","s":[]}}\n'
+        f'{{"t":"i","k":"{key}","sch":[],"s":[],"r":null}}\n'
+        + json.dumps({"t": "c", "w": 0, "stats": dict(stats, explored=1)})
+        + "\n",
+        encoding="utf-8",
+    )
+    (old.directory / "result.json").write_text('{"stale": true}', encoding="utf-8")
+    before = sorted((path.name, path.read_bytes()) for path in old.directory.iterdir())
+
+    resumed = check_frontier(
+        "unknown", PLACEMENT, store_root=str(tmp_path), resume=True
+    )
+    assert resumed.to_dict() == check_frontier("unknown", PLACEMENT).to_dict()
+    assert sorted(
+        (path.name, path.read_bytes()) for path in old.directory.iterdir()
+    ) == before
+    assert (current.directory / "result.json").exists()
 
 
 # ----------------------------------------------------------------------

@@ -366,6 +366,7 @@ class TestJobOutputsPinned:
             "total": 2,
             "executed": 2,
             "cached": 0,
+            "records": 2,
         }
         # The HTTP sweep digests identically to the same psweep.
         baseline = str(tmp_path / "psweep")

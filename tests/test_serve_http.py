@@ -11,6 +11,11 @@ here at both the library level and the CLI level.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +201,41 @@ class TestCliAgainstDaemon:
         ])
         assert code == 2
         assert "fuzz jobs do not take" in capsys.readouterr().err
+
+
+class TestForegroundShutdown:
+    """``repro serve`` stops cleanly on SIGINT and SIGTERM, even when it
+    starts with SIGINT ignored, as a background job of a
+    non-interactive shell does."""
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_signal_stops_a_daemon_started_with_sigint_ignored(
+        self, tmp_path, signum
+    ):
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--store",
+             str(tmp_path / "store"), "--port", "0", "--quiet"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            banner = process.stdout.readline()
+            assert "repro serve: store" in banner, banner
+            url = banner.rsplit(" ", 1)[1].strip()
+            assert ServeClient(url, timeout=10.0).health()["status"] == "ok"
+            process.send_signal(signum)
+            out, _ = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, out
+        assert "repro serve: shutting down" in out
