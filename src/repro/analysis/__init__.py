@@ -1,4 +1,10 @@
-"""Analysis toolkit: sequences, verification, invariants, coverage, viz."""
+"""Analysis toolkit: sequences, verification, coverage, viz.
+
+The per-action model rules (FIFO links, token monotonicity and the
+structural audit) live in one place, the property oracle of
+:mod:`repro.mc.properties`, which ``repro mc``, ``repro fuzz`` and the
+tests' schedule replays all run.
+"""
 
 from repro.analysis.chart import bar_chart, scaling_chart
 from repro.analysis.complexity import (
@@ -13,7 +19,6 @@ from repro.analysis.coverage import (
     simulate_sweep,
     worst_service_gap,
 )
-from repro.analysis.invariants import InvariantReport, check_all
 from repro.analysis.render import render_configuration, render_gaps, render_positions
 from repro.analysis.timeline import Timeline, record_timeline
 
@@ -41,11 +46,9 @@ from repro.analysis.verification import (
 )
 
 __all__ = [
-    "InvariantReport",
     "Timeline",
     "bar_chart",
     "bound_ratio_spread",
-    "check_all",
     "configuration_distance_sequence",
     "is_bounded_by",
     "loglog_slope",

@@ -538,8 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help=(
-            "placements of a grid fan across a pool of N processes; one "
-            "search always runs in one process (same results as --jobs 1)"
+            "placements of a grid fan across a pool of N processes, with "
+            "or without --store (one journal per placement); one search "
+            "always runs in one process (same results as --jobs 1)"
         ),
     )
     mc_parser.add_argument(
@@ -1082,7 +1083,7 @@ def _command_timeline(args: argparse.Namespace) -> int:
 
 
 def _command_mc(args: argparse.Namespace) -> int:
-    from repro.mc import all_placements, check_frontier, check_placements_pool
+    from repro.mc import all_placements, check_placements
 
     if args.jobs < 1:
         raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
@@ -1123,36 +1124,21 @@ def _command_mc(args: argparse.Namespace) -> int:
         links = None
     if links is not None:
         por = False  # the reduction is unsound under faults (repro.mc.por)
-    limits = {
-        "depth_limit": args.depth_limit,
-        "max_states": args.max_states,
-        "stop_at_first": not args.keep_going,
-        "por": por,
-        "links": links,
-    }
     if not args.json:
         faulty = f" under link faults ({links.describe()})" if links else ""
         print(f"model checking {algorithm} on n={n} k={k}: {scope}{faulty}")
-    if args.jobs > 1 and len(placements) > 1 and args.store is None:
-        if progress is not None:
-            print(
-                "note: --progress is a per-search view; with --jobs > 1 the "
-                "placements run in separate processes, so it is not shown",
-                file=sys.stderr,
-            )
-        results = check_placements_pool(
-            algorithm, placements, jobs=args.jobs, **limits
+    if progress is not None and args.jobs > 1 and len(placements) > 1:
+        print(
+            "note: --progress is a per-search view; with --jobs > 1 the "
+            "placements run in separate processes, so it is not shown",
+            file=sys.stderr,
         )
-    else:
-        # One breadth-first search per placement, in this process, with
-        # a resumable journal per placement under --store.
-        results = [
-            check_frontier(
-                algorithm, placement, jobs=args.jobs, store_root=args.store,
-                resume=args.resume, progress=progress, **limits,
-            )
-            for placement in placements
-        ]
+    results = check_placements(
+        algorithm, placements, jobs=args.jobs, store_root=args.store,
+        resume=args.resume, progress=progress, depth_limit=args.depth_limit,
+        max_states=args.max_states, stop_at_first=not args.keep_going,
+        por=por, links=links,
+    )
 
     violations = [v for result in results for v in result.violations]
     complete = all(result.complete for result in results)

@@ -13,13 +13,16 @@ state, detecting livelock cycles in the explored state graph, and
 emitting any violating path as a replayable schedule.
 
 Entry points: :func:`check_interleavings` (one placement, in process),
-:func:`exhaust_placements` (all placements of an ``(n, k)``, optionally
-fanned across a process pool), :func:`check_frontier` (the same search
-with an optional disk-spilled, resumable frontier; one search never
-leaves its process), :func:`replay_counterexample` (deterministic
-reproduction), and the ``repro mc`` CLI command.  There is one search loop
-(:mod:`repro.mc.parallel`); every entry point runs it, so every
-:class:`MCResult` carries the same guarantees.
+:func:`exhaust_placements` (all placements of an ``(n, k)``),
+:func:`check_frontier` (the search itself, whose docstring lists every
+option, including the disk-spilled, resumable frontier of
+``store_root``), :func:`check_placements` (the one placement fan-out:
+serial at ``jobs=1``, else one process pool, spilled or not),
+:func:`replay_counterexample` (deterministic reproduction), and the
+``repro mc`` CLI command.  There is one search loop
+(:mod:`repro.mc.parallel`) and one search never leaves its process;
+every entry point runs that loop, so every :class:`MCResult` carries
+the same guarantees.
 
 Exploration applies the sleep-set partial-order reduction of
 :mod:`repro.mc.por` by default: redundant interleavings of commuting
@@ -53,7 +56,7 @@ from repro.mc.oracle import (
     Violation,
     drive_schedule,
 )
-from repro.mc.parallel import check_frontier, check_placements_pool
+from repro.mc.parallel import check_frontier, check_placements
 from repro.mc.por import action_node, conflict, revisit, sleep_after
 from repro.mc.properties import (
     EnabledSetConsistency,
@@ -84,7 +87,7 @@ __all__ = [
     "check_frontier",
     "check_hash",
     "check_interleavings",
-    "check_placements_pool",
+    "check_placements",
     "check_spec",
     "conflict",
     "drive_schedule",

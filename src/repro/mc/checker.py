@@ -3,8 +3,10 @@
 :func:`check_interleavings` explores *every* enabled-agent choice from
 one initial configuration: at each reachable state it branches on each
 enabled agent, executing one atomic action per branch on a
-copy-on-branch engine fork.  It is the in-process (``jobs=1``) entry
-point of the one search loop, :func:`repro.mc.parallel.check_frontier`.
+copy-on-branch engine fork.  It is the in-process entry point of the
+one search loop, :func:`repro.mc.parallel.check_frontier`, and
+:func:`exhaust_placements` runs a whole ``(n, k)`` grid through the one
+placement fan-out, :func:`repro.mc.parallel.check_placements`.
 Visited states are memoised on the canonical
 :class:`~repro.ring.configuration.Configuration` (states equal up to
 ring rotation and agent relabelling are explored once — sound, because
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.mc.oracle import AgentsFactory, PropertyOracle, Violation
 # Unused here, but perfbench's tracer wraps these three in this module's
@@ -251,64 +253,16 @@ def _cycle_message(depth: int) -> str:
     )
 
 
-def check_interleavings(
-    algorithm: str,
-    placement: Placement,
-    *,
-    factory: Optional[AgentsFactory] = None,
-    require_halted: Optional[bool] = None,
-    require_suspended: Optional[bool] = None,
-    safety: Optional[Sequence[SafetyProperty]] = None,
-    terminal: Optional[Sequence[TerminalProperty]] = None,
-    depth_limit: Optional[int] = None,
-    max_states: Optional[int] = None,
-    stop_at_first: bool = True,
-    por: bool = True,
-    links: Optional[LinkSpec] = None,
-    progress: Optional[Callable[[SearchStats], None]] = None,
-) -> MCResult:
+def check_interleavings(algorithm: str, placement: Placement, **options) -> MCResult:
     """Exhaust every fair interleaving from ``placement`` under ``algorithm``.
 
-    ``factory`` overrides agent construction (used to inject broken
-    variants); ``algorithm`` then only labels the result, and the
-    terminal requirement must be derivable (registered name) or given
-    explicitly via ``require_halted`` / ``require_suspended``.
-
-    ``depth_limit`` bounds the schedule prefix length and ``max_states``
-    the visited-state count; hitting either leaves ``complete=False``
-    (the result is then a bounded check, not a proof).  With
-    ``stop_at_first`` (the default) the search stops at the end of the
-    wave that found its first violation.  With
-    ``stop_at_first=False`` it records every violation (one
-    livelock cycle per cyclic strongly connected component) but never
-    explores past a violating state.  ``progress`` receives the running
-    :class:`SearchStats` at the end of each wave in which the transition
-    count crosses a multiple of
-    :data:`~repro.mc.parallel.PROGRESS_EVERY`.
-
-    ``por=True`` (the default) applies the sleep-set partial-order
-    reduction of :mod:`repro.mc.por`: redundant interleavings of
-    commuting agent actions are pruned *without* losing any reachable
-    state, so verdicts, explored-state counts and terminal-state sets
-    are identical to full expansion while the executed-transition count
-    drops.  ``por=False`` restores plain full expansion.
-
-    ``links`` injects a :class:`~repro.ring.faults.LinkSpec`: the state
-    graph gains link-actor branches (delayed deliveries, phantom
-    consumption) and the default safety suite switches to its
-    fault-aware variants.  Sleep sets are unsound under the shared
-    fault-draw stream (see :mod:`repro.mc.por`), so an active spec
-    forces full expansion regardless of ``por``.
+    The in-process entry point of the one search loop: it returns
+    :func:`~repro.mc.parallel.check_frontier` with the same ``options``,
+    which are documented there.
     """
     from repro.mc.parallel import check_frontier
 
-    return check_frontier(
-        algorithm, placement, jobs=1, factory=factory,
-        require_halted=require_halted, require_suspended=require_suspended,
-        safety=safety, terminal=terminal, depth_limit=depth_limit,
-        max_states=max_states, stop_at_first=stop_at_first, por=por,
-        links=links, progress=progress,
-    )
+    return check_frontier(algorithm, placement, **options)
 
 
 def all_placements(
@@ -347,26 +301,20 @@ def exhaust_placements(
     *,
     dedupe_rotations: bool = True,
     jobs: int = 1,
-    **kwargs,
+    **options,
 ) -> List[MCResult]:
-    """Run :func:`check_interleavings` on every placement of ``(n, k)``.
+    """Check every placement of ``(n, k)`` (see :func:`all_placements`).
 
-    ``jobs > 1`` fans whole placements across a process pool (results
-    keep placement order, so the output is identical to the serial run);
-    it requires a registered ``algorithm`` name — ``factory`` callables
-    and ``progress`` hooks do not cross process boundaries.
+    This is :func:`~repro.mc.parallel.check_placements` over the grid:
+    ``jobs > 1`` fans whole placements across one process pool, with
+    results in placement order and identical to the serial run.
     """
+    from repro.mc.parallel import check_placements
+
     placements = list(
         all_placements(ring_size, agent_count, dedupe_rotations=dedupe_rotations)
     )
-    if jobs > 1:
-        from repro.mc.parallel import check_placements_pool
-
-        return check_placements_pool(algorithm, placements, jobs=jobs, **kwargs)
-    return [
-        check_interleavings(algorithm, placement, **kwargs)
-        for placement in placements
-    ]
+    return check_placements(algorithm, placements, jobs=jobs, **options)
 
 
 def replay_counterexample(

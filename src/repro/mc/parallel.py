@@ -1,18 +1,18 @@
-"""The model checker's one search loop, and the placement pool.
+"""The model checker's one search loop, and its one placement fan-out.
 
 * :func:`check_frontier` — a wave-synchronous (lockstep) breadth-first
   search, and the only one: :func:`repro.mc.checker.check_interleavings`
-  is this loop at ``jobs=1``.  Each wave, the open frontier is expanded
-  in process by :func:`_expand_batch`, and the children are merged in
-  globally sorted ``(key, schedule)`` order, which makes every counter,
-  every counterexample and the final verdict deterministic.  One search
-  never leaves its process: ``jobs`` has no effect on it (pinned by
-  tests).
+  forwards to it.  Each wave, the open frontier is expanded in process
+  by :func:`_expand_batch`, and the children are merged in globally
+  sorted ``(key, schedule)`` order, which makes every counter, every
+  counterexample and the final verdict deterministic.  One search never
+  leaves its process: ``jobs`` has no effect on it (pinned by tests).
 
-* :func:`check_placements_pool` — the embarrassingly parallel axis:
-  whole placements of an ``(n, k)`` grid fan across a process pool,
-  each worker running the search at ``jobs=1``.  Results keep placement
-  order, so the output is byte-identical to the serial grid.
+* :func:`check_placements` — every grid goes through it
+  (:func:`repro.mc.checker.exhaust_placements` and ``repro mc``): one
+  search per placement, serially at ``jobs=1``, else whole placements
+  fan across one process pool.  Results keep placement order, so the
+  output is identical at every ``jobs``, spilled or not.
 
 Expansion never replays.  Each :class:`~repro.mc.frontier.FrontierItem`
 carries a live engine at its state, the snapshot already taken of it
@@ -50,12 +50,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.mc.checker import (
-    Counterexample,
-    MCResult,
-    _cycle_message,
-    check_interleavings,
-)
+from repro.mc.checker import Counterexample, MCResult, _cycle_message
 from repro.mc.frontier import FrontierItem, FrontierSpill, ResumeState, check_spec
 from repro.mc.oracle import AgentsFactory, PropertyOracle, Violation
 from repro.mc.por import agents_of_slots, revisit, sleep_after, slots_of_agents
@@ -64,7 +59,7 @@ from repro.mc.state import SearchStats
 from repro.ring.faults import LinkSpec
 from repro.ring.placement import Placement
 
-__all__ = ["check_frontier", "check_placements_pool"]
+__all__ = ["check_frontier", "check_placements"]
 
 #: ``progress`` is called at the end of each wave in which the
 #: transition count crosses a multiple of this.
@@ -72,41 +67,51 @@ PROGRESS_EVERY = 5000
 
 
 # ----------------------------------------------------------------------
-# Placement-level pool (grids)
+# Placements of a grid: serially, or on one pool
 # ----------------------------------------------------------------------
 
 
 def _check_placement_task(payload: tuple) -> MCResult:
-    algorithm, placement, kwargs = payload
-    return check_interleavings(algorithm, placement, **kwargs)
+    algorithm, placement, options = payload
+    return check_frontier(algorithm, placement, **options)
 
 
-def check_placements_pool(
+def check_placements(
     algorithm: str,
     placements: Sequence[Placement],
     *,
-    jobs: int,
-    **kwargs,
+    jobs: int = 1,
+    **options,
 ) -> List[MCResult]:
-    """Fan whole placements across a process pool, preserving order.
+    """Run :func:`check_frontier` on each placement, in placement order.
 
-    Requires a registered ``algorithm`` name: ``factory`` callables and
-    ``progress`` hooks cannot cross process boundaries.
+    With ``jobs == 1`` or a single placement the searches run one after
+    another in this process; otherwise whole placements fan across one
+    pool of ``min(jobs, len(placements))`` processes.  Each placement is
+    one search either way, so every ``jobs`` returns the same results.
+
+    ``options`` are :func:`check_frontier`'s: with ``store_root`` each
+    placement journals to its own ``<store_root>/mc/<check-hash>/`` and
+    ``resume`` applies to each.  ``progress`` is called on the serial
+    path only.  A ``factory`` is refused at ``jobs > 1``: a callable
+    does not cross process boundaries, so a pool needs a registered
+    ``algorithm`` name.
     """
-    if kwargs.get("factory") is not None:
+    if jobs < 1:
+        raise ValueError(f"check_placements needs jobs >= 1, got {jobs}")
+    if jobs > 1 and options.get("factory") is not None:
         raise ValueError(
-            "check_placements_pool needs a registered algorithm name; "
+            "check_placements needs a registered algorithm name at jobs > 1; "
             "agent factories do not cross process boundaries"
         )
-    kwargs.pop("factory", None)
-    kwargs.pop("progress", None)
     placements = list(placements)
-    if jobs <= 1 or len(placements) <= 1:
+    if jobs == 1 or len(placements) <= 1:
         return [
-            check_interleavings(algorithm, placement, **kwargs)
+            check_frontier(algorithm, placement, **options)
             for placement in placements
         ]
-    payloads = [(algorithm, placement, kwargs) for placement in placements]
+    options.pop("progress", None)
+    payloads = [(algorithm, placement, options) for placement in placements]
     with multiprocessing.Pool(processes=min(jobs, len(placements))) as pool:
         return pool.map(_check_placement_task, payloads)
 
@@ -381,24 +386,49 @@ def check_frontier(
     links: Optional[LinkSpec] = None,
     progress: Optional[Callable[[SearchStats], None]] = None,
 ) -> MCResult:
-    """Breadth-first, optionally disk-spilled exploration.
+    """Exhaust every fair interleaving from ``placement`` under ``algorithm``.
 
-    The options are those of :func:`~repro.mc.checker.check_interleavings`
-    (which calls this with ``jobs=1``); ``stop_at_first`` stops at wave
-    granularity.  ``store_root`` spills every wave to
-    ``<store_root>/mc/<check-hash>/`` and ``resume=True`` continues a
-    previously killed run (a completed run's stored result is returned
-    directly).  ``links`` brings fault-aware properties, link-actor
-    branches and sleep sets forced off (see :mod:`repro.mc.por`).
+    ``factory`` overrides agent construction (used to inject broken
+    variants); ``algorithm`` then only labels the result, and the
+    terminal requirement must be derivable (registered name) or given
+    explicitly via ``require_halted`` / ``require_suspended``.
+    ``safety`` and ``terminal`` replace the default property suites.
+
+    ``depth_limit`` bounds the schedule prefix length and ``max_states``
+    the visited-state count; hitting either leaves ``complete=False``
+    (the result is then a bounded check, not a proof).  With
+    ``stop_at_first`` (the default) the search stops at the end of the
+    wave that found its first violation.  With ``stop_at_first=False``
+    it records every violation but never explores past a violating
+    state.  Livelock cycles are reported after the search unless it
+    already stopped at a violation: one lasso under ``stop_at_first``,
+    else one per cyclic strongly connected component of the explored
+    graph.  ``progress`` receives the running :class:`SearchStats` at
+    the end of each wave in which the transition count crosses a
+    multiple of :data:`PROGRESS_EVERY`.
+
+    ``por=True`` (the default) applies the sleep-set partial-order
+    reduction of :mod:`repro.mc.por`: redundant interleavings of
+    commuting agent actions are pruned *without* losing any reachable
+    state, so verdicts, explored-state counts and terminal-state sets
+    are identical to full expansion while the executed-transition count
+    drops.  ``por=False`` restores plain full expansion.
+
+    ``links`` injects a :class:`~repro.ring.faults.LinkSpec`: the state
+    graph gains link-actor branches (delayed deliveries, phantom
+    consumption) and the default safety suite switches to its
+    fault-aware variants.  Sleep sets are unsound under the shared
+    fault-draw stream (see :mod:`repro.mc.por`), so an active spec
+    forces full expansion regardless of ``por``.
+
+    ``store_root`` spills every wave to ``<store_root>/mc/<check-hash>/``
+    and ``resume=True`` continues a previously killed run (a completed
+    run's stored result is returned directly).
 
     ``jobs`` (at least 1) governs only placement fan-out
-    (:func:`check_placements_pool`): one search always runs in this
-    process, so every ``jobs`` returns the same result, and a
-    ``factory`` is accepted at any value.
-
-    Livelock cycles are reported after the search unless it already
-    stopped at a violation: one lasso under ``stop_at_first``, else one
-    per cyclic strongly connected component of the explored graph.
+    (:func:`check_placements`): one search always runs in this process,
+    so every ``jobs`` returns the same result, and a ``factory`` is
+    accepted at any value.
     """
     if jobs < 1:
         raise ValueError(f"check_frontier needs jobs >= 1, got {jobs}")

@@ -2,9 +2,10 @@
 
 A :class:`TraceRecorder` attached to the engine receives one
 :class:`TraceEvent` per atomic action plus lifecycle events (token
-releases, broadcasts, halts, suspensions).  Property-based tests replay
-traces to assert the model invariants (FIFO no-overtaking, token
-monotonicity, stayers-only visibility); examples pretty-print them.
+releases, broadcasts, halts, suspensions).  Tests read traces for
+event-level facts and examples pretty-print them.  The model rules
+themselves (FIFO no-overtaking, token monotonicity) are checked on
+snapshots by the property oracle (:mod:`repro.mc.properties`).
 """
 
 from __future__ import annotations

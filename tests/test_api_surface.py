@@ -13,7 +13,6 @@ MODULES = [
     "repro.analysis.chart",
     "repro.analysis.complexity",
     "repro.analysis.coverage",
-    "repro.analysis.invariants",
     "repro.analysis.render",
     "repro.analysis.sequences",
     "repro.analysis.timeline",
@@ -38,6 +37,8 @@ MODULES = [
     "repro.spec",
     "repro.mc",
     "repro.mc.checker",
+    "repro.mc.oracle",
+    "repro.mc.parallel",
     "repro.mc.properties",
     "repro.mc.selftest",
     "repro.mc.state",

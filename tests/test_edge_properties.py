@@ -41,10 +41,18 @@ def _engine(faulty):
 EMPTY = ((), (), (), ())
 ZERO = (0, 0, 0, 0)
 
-# (acted, pre queues, post queues, faulty ring, expected message)
+# (acted, pre queues, post queues, faulty ring, expected message).  At
+# the start every agent waits in the queue into its home node, the
+# paper's initial buffer, so a "home buffer" is an ordinary queue.
 FIFO_EDGES = {
     "unchanged": (0, EMPTY, EMPTY, False, None),
     "tail-enter": (0, EMPTY, ((), (0,), (), ()), False, None),
+    "tail-enter-behind-home-buffer": (1, ((), (0,), (), ()), ((), (0, 1), (), ()), False, None),
+    "enter-ahead-of-home-buffer": (
+        1, ((), (0,), (), ()), ((), (1, 0), (), ()), False,
+        "queue into node 1 changed (0,) -> (1, 0) by agent 1: "
+        "not a head-leave/tail-enter",
+    ),
     "head-leave": (1, ((), (1, 2), (), ()), ((), (2,), (), ()), False, None),
     "leave-and-enter": (1, ((), (1, 2), (), ()), ((), (2,), (1,), ()), False, None),
     "head-leave-then-tail-enter": (1, ((), (1, 2), (), ()), ((), (2, 1), (), ()), False, None),

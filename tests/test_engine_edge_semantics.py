@@ -1,6 +1,6 @@
 """Edge semantics of the engine's drivers and observation fast paths.
 
-Two contracts pinned here:
+Three contracts pinned here:
 
 * **Driver boundaries** (``run_rounds`` / ``run_until``): what happens
   with zero rounds, with a predicate already true at entry, and on an
@@ -14,6 +14,10 @@ Two contracts pinned here:
   every algorithm and scheduler family.  ``pending_messages()``, the
   snapshot-free message count run verification uses, must equal the
   snapshot's count.
+* **Activation guards**: an activation is one atomic action (arrival
+  and move/settle resolve together inside ``Engine.step``), and a
+  halted agent never acts again.  ``Engine.step`` refuses an agent
+  that is not enabled, and ``Agent.act`` refuses a halted agent.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ import random
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.experiments.runner import build_agents
 from repro.registry import algorithm_names
 from repro.ring.placement import random_placement
+from repro.sim.actions import NodeView
 from repro.sim.engine import Engine
 from repro.sim.scheduler import (
     BurstScheduler,
@@ -205,3 +211,25 @@ def test_pending_messages_agrees_with_snapshot(algorithm):
         seen_pending = seen_pending or pending > 0
     if algorithm == "known_k_logspace":
         assert seen_pending  # leader notices sit in follower inboxes
+
+
+# -- activation guards -------------------------------------------------------
+
+
+def test_step_refuses_a_halted_agent():
+    engine = _engine("known_k_full", 20, 4, 1, SynchronousScheduler())
+    engine.run()
+    assert engine.agent(0).halted
+    log = engine.activation_log
+    with pytest.raises(SimulationError, match="agent 0 is not enabled"):
+        engine.step(0)
+    assert engine.activation_log == log  # nothing ran
+
+
+def test_halted_agent_refuses_to_act():
+    engine = _engine("known_k_full", 20, 4, 1, SynchronousScheduler())
+    engine.run()
+    agent = engine.agent(0)
+    assert agent.halted
+    with pytest.raises(SimulationError, match="halted agent activated"):
+        agent.act(NodeView(tokens=1, agents_present=0))

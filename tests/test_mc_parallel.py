@@ -7,9 +7,9 @@ The search advertises three strong guarantees, each pinned here:
   ``check_interleavings`` are the same search and report identical
   results.
 * **One process per search** — ``jobs`` fans out only whole placements
-  (``check_placements_pool``).  ``check_frontier(jobs=2)`` starts no
-  process and reports results byte-identical to ``jobs=1``, agent
-  factories included.
+  (``check_placements``, spilled or not).  ``check_frontier(jobs=2)``
+  starts no process and reports results byte-identical to ``jobs=1``,
+  agent factories included.
 * **Resumability** — a spilled check killed at an arbitrary point (a
   torn journal tail, or a real ``SIGKILL`` of the CLI process mid-run)
   resumes from the last committed wave and finishes with the *same*
@@ -31,10 +31,11 @@ from pathlib import Path
 import pytest
 
 from repro.mc import (
+    all_placements,
     check_frontier,
     check_hash,
     check_interleavings,
-    check_placements_pool,
+    check_placements,
     check_spec,
     exhaust_placements,
     replay_counterexample,
@@ -132,6 +133,8 @@ def test_frontier_at_jobs_2_starts_no_process(monkeypatch):
 def test_frontier_rejects_jobs_below_one():
     with pytest.raises(ValueError, match="jobs >= 1"):
         check_frontier("unknown", PLACEMENT, jobs=0)
+    with pytest.raises(ValueError, match="jobs >= 1"):
+        check_placements("unknown", [PLACEMENT], jobs=0)
 
 
 def test_wake_race_found_by_parallel_frontier_and_replays():
@@ -165,14 +168,63 @@ def test_placement_pool_matches_serial_grid():
     assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
 
 
-def test_placement_pool_rejects_factory():
-    with pytest.raises(ValueError):
-        check_placements_pool(
-            "unknown",
-            [PLACEMENT],
-            jobs=2,
-            factory=lambda: wake_race_agents(2),
+def test_check_placements_rejects_factory_at_jobs_above_one():
+    with pytest.raises(ValueError, match="registered algorithm name"):
+        check_placements(
+            "unknown", [PLACEMENT], jobs=2, factory=lambda: wake_race_agents(2)
         )
+    (result,) = check_placements(
+        "wake_race(known_k_logspace)",
+        [BUG_PLACEMENT],
+        factory=lambda: wake_race_agents(3),
+        require_halted=False,
+        require_suspended=True,
+    )
+    assert result.violations  # a factory is fine in this process
+
+
+def test_spilled_grid_pool_matches_serial_and_resumes(tmp_path, monkeypatch):
+    import multiprocessing
+
+    placements = list(all_placements(6, 2))
+    assert len(placements) >= 2
+    serial = check_placements("known_k_logspace", placements)
+    pools = []
+    pool = multiprocessing.Pool
+    monkeypatch.setattr(
+        multiprocessing, "Pool",
+        lambda processes: pools.append(processes) or pool(processes),
+    )
+    store = tmp_path / "store"
+    pooled = check_placements(
+        "known_k_logspace", placements, jobs=2, store_root=str(store)
+    )
+    assert pools == [2]  # a spilled grid fans out too
+    assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+    journals = sorted((store / "mc").glob("*/journal.jsonl"))
+    assert len(journals) == len(placements)
+    assert len(list((store / "mc").glob("*/result.json"))) == len(placements)
+    sizes = [journal.stat().st_size for journal in journals]
+    resumed = check_placements(
+        "known_k_logspace", placements, jobs=2, store_root=str(store), resume=True
+    )
+    assert [r.to_dict() for r in resumed] == [r.to_dict() for r in serial]
+    assert [journal.stat().st_size for journal in journals] == sizes
+
+
+@pytest.mark.parametrize(
+    "jobs,placements",
+    [(1, [PLACEMENT, Placement(8, homes=(0, 2))]), (2, [PLACEMENT])],
+    ids=["jobs1-grid", "jobs2-one-placement"],
+)
+def test_check_placements_reports_progress_in_process(monkeypatch, jobs, placements):
+    monkeypatch.setattr(parallel, "PROGRESS_EVERY", 100)
+    seen = []
+    results = check_placements(
+        "unknown", placements, jobs=jobs,
+        progress=lambda stats: seen.append(stats.transitions),
+    )
+    assert len(seen) == sum(result.transitions // 100 for result in results) >= 8
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ These are the library's strongest correctness evidence: random initial
 configurations x random fair schedules must always reach uniform
 deployment, and the execution traces must respect the model invariants
 of DESIGN.md Section 5 (FIFO no-overtaking, token monotonicity,
-stayers-only visibility).
+stayers-only visibility).  The per-action rules are checked by replaying
+each run's activation log under the property oracle, the same checks
+``repro mc`` and ``repro fuzz`` run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.runner import build_engine, run_experiment
-from repro.ring.placement import Placement
+from repro.mc.oracle import PropertyOracle, drive_schedule
+from repro.ring.placement import Placement, random_placement
 from repro.sim.scheduler import (
     BurstScheduler,
     ChaosScheduler,
@@ -105,6 +108,43 @@ def test_no_overtaking_in_traces(algorithm, placement, seed):
         assert agent_id in arrivals_by_node.get(node, []), (
             f"agent {agent_id} ended at node {node} without an arrival event"
         )
+
+
+def _assert_oracle_replay_holds(algorithm, placement, engine):
+    """Replay a finished run's activation log under the property oracle.
+
+    Every safety property holds after every action (FIFO link order and
+    at most one token per action among them), the terminal properties
+    hold at quiescence, and exactly ``k`` tokens lie on the ring there:
+    with the one-per-action rule, that is one release per agent.
+    """
+    log = engine.activation_log
+    oracle = PropertyOracle(algorithm, placement)
+    replayed = oracle.fresh_engine()
+    outcome = drive_schedule(oracle, log, max_steps=len(log) + 1, engine=replayed)
+    where = f"{algorithm} on {placement.describe()}"
+    assert outcome.executed == log, where
+    assert outcome.ok, f"{where}: {outcome.violation}"
+    assert sum(replayed.snapshot().tokens) == placement.agent_count, where
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_oracle_accepts_replayed_run(algorithm):
+    placement = Placement(ring_size=20, homes=(0, 3, 9, 14))
+    engine = build_engine(algorithm, placement)
+    engine.run()
+    _assert_oracle_replay_holds(algorithm, placement, engine)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_oracle_accepts_replayed_random_schedules(seed):
+    rng = random.Random(seed)
+    placement = random_placement(rng.randint(6, 24), rng.randint(2, 5), rng)
+    algorithm = rng.choice(ALGORITHMS)
+    engine = build_engine(algorithm, placement, scheduler=RandomScheduler(seed))
+    engine.run()
+    _assert_oracle_replay_holds(algorithm, placement, engine)
 
 
 @given(placement=placements(max_n=30), seed=st.integers(0, 999))
