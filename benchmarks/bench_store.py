@@ -9,6 +9,11 @@ to leave on by default:
   resume path should collapse to hash lookups and JSONL reads, turning
   O(cells) compute into O(new cells).
 
+A third question decides whether the archive can be served: how fast
+does an index answer filtered counts and pages (at ~50k records), and
+what does one ``GET /v1/runs`` cost a closed-loop client of
+``repro serve``, split between ``ServeApi.handle`` and the HTTP shell.
+
 Results merge into ``BENCH_engine.json`` next to the engine-throughput
 cases, so the store's overhead trajectory is tracked PR over PR.
 """
@@ -16,11 +21,17 @@ cases, so the store's overhead trajectory is tracked PR over PR.
 from __future__ import annotations
 
 import json
+import os
+import random
+import statistics
 import time
+import urllib.parse
+from http.client import HTTPConnection
 from pathlib import Path
 
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import SweepSpec, execute_sweep, expand_cells
+from repro.serve.server import ServeDaemon
 from repro.spec import ExperimentSpec, PlacementSpec
 from repro.store import RunRecord, RunStore
 
@@ -233,5 +244,165 @@ def test_indexed_open_and_lookup_vs_scan(benchmark, tmp_path_factory):
             f"scan backend (open+get): {scan_seconds:.3f}s",
             f"sqlite index (open+get): {indexed_seconds:.4f}s",
             f"speedup: {speedup:.0f}x",
+        ],
+    )
+
+
+def test_indexed_filtered_count_and_page(benchmark, tmp_path_factory):
+    # The /v1/runs question at scale: a filtered count plus one page deep
+    # into the matches.  ``first_seconds`` is a freshly opened handle
+    # (the index resolves the view's winners once); ``mean_seconds``
+    # repeats the question on the same idle handle.
+    root = tmp_path_factory.mktemp("filtered")
+    hashes = _fabricate_shard(root, _INDEX_RECORDS)
+    RunStore(root).close()  # build the index outside the timings
+    filters = {"algorithm": "known_k_full", "uniform": True}
+    offset = _INDEX_RECORDS // 2
+
+    def ask(store):
+        total = store.count(**filters)
+        page = [r.content_hash for r in store.query(
+            limit=50, offset=offset, **filters
+        )]
+        return total, page
+
+    def first_question():
+        start = time.perf_counter()
+        store = RunStore(root)
+        answer = ask(store)
+        elapsed = time.perf_counter() - start
+        store.close()
+        return answer, elapsed
+
+    first_seconds = min(first_question()[1] for _ in range(3))
+    store = RunStore(root)
+
+    def repeated_question():
+        start = time.perf_counter()
+        answer = ask(store)
+        return answer, time.perf_counter() - start
+
+    (total, page), seconds = benchmark(repeated_question)
+    store.close()
+    assert total == _INDEX_RECORDS
+    assert page == hashes[offset:offset + 50]
+    record_case(f"store filtered count+page x{_INDEX_RECORDS}", {
+        "records": _INDEX_RECORDS,
+        "first_seconds": round(first_seconds, 6),
+        "mean_seconds": round(seconds, 6),
+    })
+    report_lines(
+        "Run store - filtered count + page",
+        [
+            f"{_INDEX_RECORDS} records, page of 50 at offset {offset}",
+            f"fresh handle (open+count+page): {first_seconds:.4f}s",
+            f"same idle handle (count+page): {seconds:.4f}s",
+        ],
+    )
+
+
+#: The Table-1 sweep whose 120-record store the service is asked about:
+#: 4 algorithms x {64x4, 256x8} x 5 scheduler families x 3 trials.
+_SERVE_SWEEP = SweepSpec(
+    algorithms=("known_k_full", "known_n_full", "known_k_logspace", "unknown"),
+    grid=((64, 4), (256, 8)),
+    schedulers=("sync", "random", "burst", "chaos", "laggard"),
+    trials=3,
+    base_seed=1,
+)
+_SERVE_REQUESTS = 1000
+
+
+def test_serve_runs_closed_loop(benchmark, tmp_path_factory):
+    # One client, one GET /v1/runs at a time against a ServeDaemon on
+    # the sweep's store; filters, limit and offset are drawn from a
+    # fixed seed.  ``handle_p50_ms`` is the time inside ServeApi.handle,
+    # ``http_p50_ms`` the rest of each request (socket, parsing, JSON).
+    root = tmp_path_factory.mktemp("serve")
+    store = RunStore(root)
+    execute_sweep(_SERVE_SWEEP, processes=min(2, os.cpu_count() or 1),
+                  store=store)
+    space = {
+        "algorithm": [None, *_SERVE_SWEEP.algorithms],
+        "scheduler": [None, *_SERVE_SWEEP.schedulers],
+        "n": [None, *sorted({n for n, _ in _SERVE_SWEEP.grid})],
+        "uniform": [None, True],
+    }
+    rng = random.Random("serve|1")
+    requests = []
+    for _ in range(_SERVE_REQUESTS):
+        key = [rng.choice(values) for values in space.values()]
+        limit, offset = rng.randint(1, 50), rng.randint(0, 40)
+        params = {"limit": limit, "offset": offset}
+        for name, value in zip(space, key):
+            if value is not None:
+                params[name] = "true" if value is True else value
+        expected = store.count(
+            algorithm=key[0], scheduler=key[1], ring_size=key[2],
+            uniform=key[3],
+        )
+        requests.append((
+            "/v1/runs?" + urllib.parse.urlencode(params),
+            expected, min(limit, max(0, expected - offset)),
+        ))
+    store.close()
+
+    daemon = ServeDaemon(str(root), port=0, quiet=True, workers=1)
+    handle = daemon.api.handle
+    handle_seconds = []
+
+    def timed_handle(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return handle(*args, **kwargs)
+        finally:
+            handle_seconds.append(time.perf_counter() - start)
+
+    daemon.api.handle = timed_handle
+    daemon.start()
+    host, port = daemon.address
+
+    def closed_loop():
+        handle_seconds.clear()
+        latencies = []
+        for path, total, page in requests:
+            start = time.perf_counter()
+            connection = HTTPConnection(host, port, timeout=30)
+            connection.request("GET", path)
+            response = connection.getresponse()
+            body = response.read()
+            connection.close()
+            latencies.append(time.perf_counter() - start)
+            payload = json.loads(body)
+            assert response.status == 200, payload
+            assert payload["total"] == total and len(payload["runs"]) == page
+        return latencies
+
+    try:
+        latencies = benchmark.pedantic(closed_loop, rounds=1, iterations=1)
+    finally:
+        daemon.stop()
+    p50_ms = 1000 * statistics.median(latencies)
+    handle_ms = 1000 * statistics.median(handle_seconds)
+    http_ms = 1000 * statistics.median(
+        total - inner for total, inner in zip(latencies, handle_seconds)
+    )
+    rate = len(latencies) / sum(latencies)
+    record_case(f"serve GET /v1/runs x{_SERVE_REQUESTS}", {
+        "records": len(expand_cells(_SERVE_SWEEP)),
+        "requests": len(latencies),
+        "requests_per_second": round(rate),
+        "p50_ms": round(p50_ms, 3),
+        "handle_p50_ms": round(handle_ms, 3),
+        "http_p50_ms": round(http_ms, 3),
+    })
+    report_lines(
+        "Run store - serve GET /v1/runs (closed loop, one client)",
+        [
+            f"{len(latencies)} requests on a "
+            f"{len(expand_cells(_SERVE_SWEEP))}-record sweep store: "
+            f"{rate:,.0f} req/s",
+            f"p50 {p50_ms:.3f} ms = ServeApi.handle {handle_ms:.3f} ms "
+            f"+ HTTP {http_ms:.3f} ms",
         ],
     )

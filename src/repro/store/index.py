@@ -18,14 +18,20 @@ index the shard bytes line by line:
 
 Both backends index **physical lines**, not logical records: a
 ``put(replace=True)`` appends a new line, and the winning line for a
-content hash is resolved at query time as the one with the greatest
-``(stamp, ord)`` — exactly the last-wins rule the in-memory scan has
-always applied.  Keeping every line makes the index append-only like
-the shards themselves, which is what makes *snapshots* trivial: a
-snapshot is nothing but a pinned per-shard byte frontier, and a line
-is visible to it iff the line starts below the frontier.  Appends
-(including replacements) land beyond every existing frontier, so a
-snapshot's answers can never change.
+content hash is the visible one with the greatest ``(stamp, ord)`` —
+exactly the last-wins rule the in-memory scan has always applied.
+Keeping every line makes the index append-only like the shards
+themselves, which is what makes *snapshots* trivial: a snapshot is
+nothing but a pinned per-shard byte frontier, and a line is visible to
+it iff the line starts below the frontier.  Appends (including
+replacements) land beyond every existing frontier, so a snapshot's
+answers can never change.
+
+That is also why the SQLite backend resolves winners once per frontier
+rather than once per question: it materialises the frontier's winners
+into a per-connection table and answers counts, filtered pages, hash
+listings and prefix lookups from it until the frontier moves or the
+index rows change (see :class:`SqliteLineIndex`).
 
 Visibility frontiers are plain ``{shard_name: consumed_bytes}`` dicts;
 ``None`` means "everything indexed so far" (the global view used when
@@ -40,7 +46,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -380,6 +386,19 @@ class SqliteLineIndex:
     shorter shard, schema bump, corrupt database) triggers a full
     rebuild rather than a wrong answer.
 
+    Winners are resolved once per visibility frontier: the first
+    question about a frontier materialises its winning lines (one
+    ordered pass over the visible ``lines``) into the connection's TEMP
+    table ``winners``, keyed by content hash, and every later
+    ``count``, ``count_winners``, ``winners``, ``hashes`` and
+    ``resolve_prefix`` for the same frontier is a plain indexed query on
+    that table.  The table holds one frontier at a time and is rebuilt
+    when asked about another one, or when the rows of ``lines`` may
+    have changed: this connection inserted or reset rows, or ``PRAGMA
+    data_version`` reports a commit by another connection (another
+    handle's tail, rebuild or compaction).  Point lookups
+    (:meth:`winner`) stay single indexed ``SELECT``\\ s on ``lines``.
+
     Thread safety: one connection per index instance, serialised by an
     RLock (``check_same_thread=False`` so server threads share it);
     cross-process safety comes from SQLite's own locking (WAL mode +
@@ -403,6 +422,11 @@ class SqliteLineIndex:
         self._lock = threading.RLock()
         self.torn_tails = 0
         self.corrupt_lines = 0
+        # What temp.winners holds: (rows epoch, frontier key), or None.
+        # The epoch moves whenever the rows of ``lines`` may have changed.
+        self._epoch = 0
+        self._data_version: Optional[int] = None
+        self._winners_key: Optional[Tuple] = None
         try:
             self._conn = self._connect()
             self._ensure_schema()
@@ -475,6 +499,7 @@ class SqliteLineIndex:
 
     def _reset_locked(self) -> None:
         """Drop every derived row (caller holds lock + transaction)."""
+        self._epoch += 1
         self._conn.execute("DELETE FROM lines")
         self._conn.execute("DELETE FROM shards")
         self._conn.execute("DELETE FROM meta")
@@ -576,7 +601,7 @@ class SqliteLineIndex:
         self, shard: str, offset: int, length: int, payload: Dict[str, object]
     ) -> None:
         entry = entry_from_payload(shard, offset, length, payload, 0)
-        self._conn.execute(
+        cursor = self._conn.execute(
             "INSERT OR IGNORE INTO lines(shard, offset, length, content_hash,"
             " algorithm, scheduler, ring_size, agent_count, uniform, stamp)"
             " VALUES(?,?,?,?,?,?,?,?,?,?)",
@@ -593,6 +618,10 @@ class SqliteLineIndex:
                 entry.stamp,
             ),
         )
+        if cursor.rowcount:
+            # A new row can land below an existing frontier (a re-walked
+            # gap) and always lands in the unbounded view.
+            self._epoch += 1
 
     def _advance_locked(self, shard: str, consumed: int) -> None:
         self._conn.execute(
@@ -672,22 +701,65 @@ class SqliteLineIndex:
             ).fetchone()
         return self._entry(row) if row else None
 
-    def _winner_query(
-        self,
-        select: str,
-        frontier: Optional[Dict[str, int]],
+    @staticmethod
+    def _frontier_key(
+        frontier: Optional[Dict[str, int]]
+    ) -> Optional[Tuple[Tuple[str, int], ...]]:
+        if frontier is None:
+            return None
+        return tuple(sorted(
+            (shard, consumed) for shard, consumed in frontier.items()
+            if consumed > 0
+        ))
+
+    def _winners_locked(self, frontier: Optional[Dict[str, int]]) -> None:
+        """Make ``temp.winners`` hold ``frontier``'s winners (lock held).
+
+        Rebuilt only when the frontier differs from the one the table
+        holds or the rows of ``lines`` may have changed since it was
+        filled: this connection bumps ``_epoch`` on every insert and
+        reset, and ``PRAGMA data_version`` moves on any commit by
+        another connection.
+        """
+        version = self._conn.execute("PRAGMA data_version").fetchone()[0]
+        if version != self._data_version:
+            self._data_version = version
+            self._epoch += 1
+        key = (self._epoch, self._frontier_key(frontier))
+        if key == self._winners_key:
+            return
+        clause, params = self._frontier_clause(frontier)
+        with self._conn:
+            self._conn.execute(
+                "CREATE TEMP TABLE IF NOT EXISTS winners ("
+                " content_hash TEXT PRIMARY KEY, shard TEXT, offset INTEGER,"
+                " length INTEGER, algorithm TEXT, scheduler TEXT,"
+                " ring_size INTEGER, agent_count INTEGER, uniform INTEGER,"
+                " stamp INTEGER, ord INTEGER) WITHOUT ROWID"
+            )
+            self._conn.execute("DELETE FROM temp.winners")
+            # Visible lines in ascending (stamp, ord) order, each
+            # replacing any earlier line of its hash: the last one in,
+            # the greatest (stamp, ord), is the winner.
+            self._conn.execute(
+                f"INSERT OR REPLACE INTO temp.winners({self._COLUMNS}) "
+                f"SELECT {self._COLUMNS} FROM lines WHERE {clause} "
+                f"ORDER BY stamp, ord",
+                params,
+            )
+        self._winners_key = key
+
+    @staticmethod
+    def _filter_clause(
         algorithm: Optional[str],
         scheduler: Optional[str],
         ring_size: Optional[int],
         agent_count: Optional[int],
         uniform: Optional[bool],
         hash_prefix: Optional[str],
-        tail_sql: str,
-        tail_params: List[object],
-    ) -> Iterable[Tuple]:
-        clause, params = self._frontier_clause(frontier)
+    ) -> Tuple[str, List[object]]:
         filters = []
-        filter_params: List[object] = []
+        params: List[object] = []
         for field, value in (
             ("algorithm", algorithm),
             ("scheduler", scheduler),
@@ -696,24 +768,28 @@ class SqliteLineIndex:
         ):
             if value is not None:
                 filters.append(f"{field}=?")
-                filter_params.append(value)
+                params.append(value)
         if uniform is not None:
             filters.append("uniform=?")
-            filter_params.append(1 if uniform else 0)
+            params.append(1 if uniform else 0)
         if hash_prefix is not None:
             filters.append("substr(content_hash, 1, ?)=?")
-            filter_params.extend((len(hash_prefix), hash_prefix))
-        where = " AND ".join(filters) if filters else "1"
-        sql = (
-            f"SELECT {select} FROM ("
-            f"  SELECT {self._COLUMNS}, ROW_NUMBER() OVER ("
-            f"    PARTITION BY content_hash ORDER BY stamp DESC, ord DESC"
-            f"  ) AS rn FROM lines WHERE {clause}"
-            f") WHERE rn=1 AND {where} {tail_sql}"
-        )
+            params.extend((len(hash_prefix), hash_prefix))
+        return " AND ".join(filters) if filters else "1", params
+
+    def _select_winners(
+        self,
+        frontier: Optional[Dict[str, int]],
+        select: str,
+        where: str,
+        params: List[object],
+        tail_sql: str = "",
+    ) -> List[Tuple]:
         with self._lock:
+            self._winners_locked(frontier)
             return self._conn.execute(
-                sql, [*params, *filter_params, *tail_params]
+                f"SELECT {select} FROM temp.winners WHERE {where} {tail_sql}",
+                params,
             ).fetchall()
 
     def winners(
@@ -729,29 +805,19 @@ class SqliteLineIndex:
         limit: Optional[int] = None,
         offset: int = 0,
     ) -> List[LineEntry]:
+        where, params = self._filter_clause(
+            algorithm, scheduler, ring_size, agent_count, uniform, hash_prefix
+        )
         tail = "ORDER BY content_hash"
-        tail_params: List[object] = []
         if limit is not None or offset:
             # SQLite requires LIMIT before OFFSET; -1 means unbounded.
             tail += " LIMIT ? OFFSET ?"
-            tail_params = [-1 if limit is None else limit, offset]
-        rows = self._winner_query(
-            self._COLUMNS, frontier, algorithm, scheduler, ring_size,
-            agent_count, uniform, hash_prefix, tail, tail_params,
-        )
+            params += [-1 if limit is None else limit, offset]
+        rows = self._select_winners(frontier, self._COLUMNS, where, params, tail)
         return [self._entry(row) for row in rows]
 
     def count(self, frontier: Optional[Dict[str, int]]) -> int:
-        # One winner exists per distinct visible hash, so counting
-        # winners is counting distinct hashes — no window scan needed.
-        clause, params = self._frontier_clause(frontier)
-        with self._lock:
-            row = self._conn.execute(
-                f"SELECT COUNT(DISTINCT content_hash) FROM lines "
-                f"WHERE {clause}",
-                params,
-            ).fetchone()
-        return int(row[0])
+        return self.count_winners(frontier)
 
     def count_winners(
         self,
@@ -764,34 +830,27 @@ class SqliteLineIndex:
         uniform: Optional[bool] = None,
         hash_prefix: Optional[str] = None,
     ) -> int:
-        """``SELECT COUNT(*)`` over the winners — zero record bytes read."""
-        rows = self._winner_query(
-            "COUNT(*)", frontier, algorithm, scheduler, ring_size,
-            agent_count, uniform, hash_prefix, "", [],
+        """``SELECT COUNT(*)`` over the winners table — no record bytes read."""
+        where, params = self._filter_clause(
+            algorithm, scheduler, ring_size, agent_count, uniform, hash_prefix
         )
-        return int(list(rows)[0][0])
+        return int(self._select_winners(frontier, "COUNT(*)", where, params)[0][0])
 
     def hashes(self, frontier: Optional[Dict[str, int]]) -> List[str]:
-        clause, params = self._frontier_clause(frontier)
-        with self._lock:
-            rows = self._conn.execute(
-                f"SELECT DISTINCT content_hash FROM lines WHERE {clause} "
-                f"ORDER BY content_hash",
-                params,
-            ).fetchall()
+        rows = self._select_winners(
+            frontier, "content_hash", "1", [], "ORDER BY content_hash"
+        )
         return [row[0] for row in rows]
 
     def resolve_prefix(
         self, prefix: str, frontier: Optional[Dict[str, int]]
     ) -> List[str]:
-        clause, params = self._frontier_clause(frontier)
-        with self._lock:
-            rows = self._conn.execute(
-                f"SELECT DISTINCT content_hash FROM lines "
-                f"WHERE substr(content_hash, 1, ?)=? AND {clause} "
-                f"ORDER BY content_hash",
-                [len(prefix), prefix, *params],
-            ).fetchall()
+        where, params = self._filter_clause(
+            None, None, None, None, None, prefix
+        )
+        rows = self._select_winners(
+            frontier, "content_hash", where, params, "ORDER BY content_hash"
+        )
         return [row[0] for row in rows]
 
     def close(self) -> None:

@@ -223,10 +223,10 @@ class _StoreView:
     ) -> int:
         """How many records :meth:`query` would match (no disk reads).
 
-        Counting is pushed into the index backend (``SELECT COUNT(*)``
-        for SQLite): no entry list is materialised and no record bytes
-        are ever read, so counting a million-record store costs one
-        query, not one allocation per match.
+        Counting is pushed into the index backend: for SQLite it is a
+        ``SELECT COUNT(*)`` over the view's winners table, so no entry
+        list is built and no record bytes are read, and repeated counts
+        of an unchanged view never re-resolve winners.
         """
         if all(
             value is None
@@ -395,9 +395,11 @@ class RunStore(_StoreView):
         #: Bumped by :meth:`compact`; snapshots pin the value they were
         #: taken at and refuse to answer once it moves.
         self.generation = 0
-        self._frontier: Dict[str, int] = {}
         self._lock = threading.Lock()
-        self.refresh()
+        # Catch up without refresh()'s counts: opening a store resolves
+        # no winners.
+        self._index.tail(self.root)
+        self._frontier: Dict[str, int] = self._index.frontier()
 
     # -- scanning ------------------------------------------------------------
 
@@ -406,12 +408,17 @@ class RunStore(_StoreView):
 
         Tails only the shard bytes appended since the index last
         looked (O(new bytes), not O(store)) and advances this handle's
-        visibility frontier over them.
+        visibility frontier over them.  Both counts are taken on the
+        index as the tail left it, so a frontier that did not move
+        answers 0 without resolving any winners.
         """
         with self._lock:
-            before = self._index.count(self._frontier)
+            old = self._frontier
             self._index.tail(self.root)
             self._frontier = self._index.frontier()
+            if self._frontier == old:
+                return 0
+            before = self._index.count(old)
             return self._index.count(self._frontier) - before
 
     def snapshot(self) -> StoreSnapshot:

@@ -86,27 +86,42 @@ def test_every_agent_releases_exactly_one_token(algorithm, placement):
 @given(placement=placements(max_n=24), seed=st.integers(0, 999))
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_no_overtaking_in_traces(algorithm, placement, seed):
-    """Arrival order at every node is consistent with FIFO no-overtaking.
+    """Every link is FIFO: agents leave ``v`` in the order they reach ``v+1``.
 
-    We check a necessary trace condition: between two consecutive
-    arrivals of agent X at node v, every *moving* agent positioned
-    between X's previous and current position arrives at v at most
-    once more than X does — simplified here to: per node, arrival
-    counts of any two agents differ by at most the number of laps + 1.
+    An agent that MOVEs out of node ``v`` is in transit on the link
+    ``v -> v+1`` until its next ARRIVE, which must be at ``v+1``.  Per
+    link, the sequence of agents in MOVE order must equal the sequence
+    of those transits' ARRIVE order: any overtaking on a link shows up
+    as two agents swapped.  Initial arrivals (an agent's first ARRIVE
+    at its home queue, with no MOVE before it) are not transits and are
+    left out.  The run is quiescent at the end, so no agent is still in
+    transit and both sequences are complete.
     """
-    trace = TraceRecorder(keep=lambda e: e.kind is TraceEventKind.ARRIVE)
-    engine = build_engine(algorithm, placement, scheduler=RandomScheduler(seed), trace=trace)
+    kinds = (TraceEventKind.ARRIVE, TraceEventKind.MOVE)
+    trace = TraceRecorder(keep=lambda e: e.kind in kinds)
+    engine = build_engine(
+        algorithm, placement, scheduler=RandomScheduler(seed), trace=trace
+    )
     engine.run()
-    arrivals_by_node = {}
+    n = placement.ring_size
+    departures = {node: [] for node in range(n)}  # link v -> v+1, by v
+    arrivals = {node: [] for node in range(n)}
+    in_transit = {}  # agent -> the node its current link leads to
     for event in trace.events:
-        arrivals_by_node.setdefault(event.node, []).append(event.agent_id)
-    # Token monotonicity and single-settlement are checked implicitly by
-    # the engine; here assert each node saw at least one arrival per
-    # agent that ended there.
-    positions = engine.final_positions()
-    for agent_id, node in positions.items():
-        assert agent_id in arrivals_by_node.get(node, []), (
-            f"agent {agent_id} ended at node {node} without an arrival event"
+        if event.kind is TraceEventKind.MOVE:
+            assert event.agent_id not in in_transit, event
+            departures[event.node].append(event.agent_id)
+            in_transit[event.agent_id] = (event.node + 1) % n
+        elif event.agent_id in in_transit:
+            destination = in_transit.pop(event.agent_id)
+            assert event.node == destination, (event, destination)
+            arrivals[(event.node - 1) % n].append(event.agent_id)
+    assert not in_transit, f"agents still on a link at quiescence: {in_transit}"
+    assert any(departures.values())
+    for node in range(n):
+        assert departures[node] == arrivals[node], (
+            f"link {node}->{(node + 1) % n}: agents left in order "
+            f"{departures[node]} but arrived in order {arrivals[node]}"
         )
 
 

@@ -19,8 +19,10 @@ with the source of truth:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -31,7 +33,12 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment
 from repro.spec import ExperimentSpec, PlacementSpec
 from repro.store import RunRecord, RunStore
-from repro.store.index import INDEX_SCHEMA_VERSION, SqliteLineIndex
+from repro.serve import JobManager, ServeApi
+from repro.store.index import (
+    INDEX_SCHEMA_VERSION,
+    MemoryLineIndex,
+    SqliteLineIndex,
+)
 
 
 def _spec(algorithm="known_k_full", seed=1, scheduler="sync", n=18, k=3):
@@ -399,6 +406,311 @@ class TestConcurrentAccess:
         assert len(store) == 60
         store.verify_index()
         _same_view(store, RunStore(root, index="memory"))
+
+
+def _index_answers(index, frontier) -> dict:
+    """Every winners-table question, asked of one backend at ``frontier``.
+
+    Indexing order (``ord``) is backend-private, so it is dropped from
+    the compared entries; everything else must agree exactly.
+    """
+    def strip(entries):
+        return [dataclasses.replace(entry, ord=0) for entry in entries]
+
+    return {
+        "count": index.count(frontier),
+        "hashes": index.hashes(frontier),
+        "winners": strip(index.winners(frontier)),
+        "unknown": index.count_winners(frontier, algorithm="unknown"),
+        "page": strip(index.winners(
+            frontier, algorithm="known_k_full", limit=2, offset=1
+        )),
+        "prefix": index.resolve_prefix("0" * 62, frontier),
+    }
+
+
+def _oracle_answers(root, frontier) -> dict:
+    oracle = MemoryLineIndex()
+    oracle.tail(root)
+    return _index_answers(oracle, frontier)
+
+
+def _put_fakes(store, indexes) -> None:
+    for index in indexes:
+        store.put(_fake_record(
+            index, algorithm=("known_k_full", "unknown")[index % 2]
+        ))
+
+
+def _replacement(index: int) -> RunRecord:
+    record = _fake_record(index, algorithm="unknown")
+    return RunRecord(
+        content_hash=record.content_hash,
+        result=dict(record.result, total_moves=-index),
+        spec=record.spec,
+    )
+
+
+class TestWinnersTable:
+    """The SQLite backend's per-frontier winners table vs the JSONL scan.
+
+    ``SqliteLineIndex`` answers counts, pages, hash listings and prefix
+    lookups from a table of one frontier's winners that it keeps until
+    the frontier moves or the ``lines`` rows change.  Each test moves
+    the ground under a filled table — appends, replacements, another
+    connection's rebuild, compaction, a corrupt database — and checks
+    the table's answers against a fresh :class:`MemoryLineIndex`.
+    """
+
+    def test_pinned_snapshot_keeps_answers_across_appends(self, tmp_path):
+        root = tmp_path / "s"
+        reader = RunStore(root)
+        _put_fakes(reader, range(8))
+        snapshot = reader.snapshot()
+        pinned = snapshot._frontier
+        before = _index_answers(reader._index, pinned)
+        assert before == _oracle_answers(root, pinned)
+        digest = snapshot.digest()
+        listing = [r.content_hash for r in snapshot.query(limit=3, offset=2)]
+
+        writer = RunStore(root)  # another handle, another connection
+        _put_fakes(writer, range(8, 12))
+        writer.put(_replacement(2), replace=True)
+        writer.put(_replacement(5), replace=True)
+        reader.refresh()  # the reader's table moves to the new frontier
+
+        moved = reader._frontier
+        assert moved != pinned
+        assert _index_answers(reader._index, moved) == _oracle_answers(
+            root, moved
+        )
+        assert reader.get(_fake_record(5).content_hash).result[
+            "total_moves"
+        ] == -5
+        # Back to the pinned frontier: the same answers as before.
+        assert _index_answers(reader._index, pinned) == before
+        assert snapshot.digest() == digest
+        assert len(snapshot) == 8
+        assert snapshot.count(algorithm="unknown") == 4
+        assert [
+            r.content_hash for r in snapshot.query(limit=3, offset=2)
+        ] == listing
+
+    def test_newest_stamp_wins_across_shards(self, tmp_path):
+        # The line indexed first (lower ``ord``) can carry the newer
+        # stamp when shards are tailed in name order; stamp ties (lines
+        # written without one) go to the line indexed last.
+        root = tmp_path / "s"
+        root.mkdir()
+        older, newer = _replacement(1).to_dict(), _fake_record(1).to_dict()
+        tied_a, tied_b = _fake_record(2).to_dict(), _replacement(2).to_dict()
+
+        def line(payload, **envelope):
+            return json.dumps(dict(payload, **envelope), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+
+        (root / "shard-a.jsonl").write_text(
+            line(newer, _ts=20) + line(tied_a)
+        )
+        (root / "shard-b.jsonl").write_text(
+            line(older, _ts=10) + line(tied_b)
+        )
+        store = RunStore(root)
+        frontier = store._frontier
+        assert _index_answers(store._index, frontier) == _oracle_answers(
+            root, frontier
+        )
+        assert store.get(newer["content_hash"]).to_dict() == newer
+        assert store.get(tied_b["content_hash"]).to_dict() == tied_b
+        assert store.digest() == RunStore(root, index="memory").digest()
+
+    def test_other_handles_rebuild_index_invalidates_the_table(self, tmp_path):
+        root = tmp_path / "s"
+        reader = RunStore(root)
+        _put_fakes(reader, range(6))
+        frontier = reader._frontier
+        stale = reader._index.winners(frontier)
+
+        RunStore(root).rebuild_index()  # new rows, new ``ord`` values
+
+        fresh = SqliteLineIndex(root)
+        try:
+            expected = fresh.winners(frontier)
+        finally:
+            fresh.close()
+        assert [e.ord for e in expected] != [e.ord for e in stale]
+        assert reader._index.winners(frontier) == expected
+        assert _index_answers(reader._index, frontier) == _oracle_answers(
+            root, frontier
+        )
+
+    def test_other_handles_truncation_rebuild_invalidates_the_table(
+        self, tmp_path
+    ):
+        root = tmp_path / "s"
+        reader = RunStore(root)
+        _put_fakes(reader, range(6))
+        assert len(reader) == 6  # fills the table at the reader's frontier
+        shard = next(root.glob("shard-*.jsonl"))
+        lines = shard.read_bytes().splitlines(keepends=True)
+        shard.write_bytes(b"".join(lines[:4]))  # drop the last two records
+
+        assert len(RunStore(root)) == 4  # this open rebuilds the index
+
+        # The reader never refreshed: its frontier still covers the cut
+        # bytes, but only surviving lines exist below it now.
+        frontier = reader._frontier
+        assert _index_answers(reader._index, frontier) == _oracle_answers(
+            root, frontier
+        )
+        assert len(reader) == 4
+        assert reader.hashes() == [_fake_record(i).content_hash
+                                   for i in range(4)]
+
+    def test_compact_invalidates_the_table(self, tmp_path):
+        root = tmp_path / "s"
+        store = RunStore(root)
+        _put_fakes(store, range(6))
+        for index in (1, 4):
+            store.put(_replacement(index), replace=True)
+        digest = store.digest()  # fills the table before compaction
+        other = RunStore(root)
+        assert len(other) == 6  # a table on another connection too
+
+        assert store.compact() > 0
+        frontier = store._frontier
+        assert _index_answers(store._index, frontier) == _oracle_answers(
+            root, frontier
+        )
+        assert store.digest() == digest
+        other.refresh()
+        assert _index_answers(other._index, other._frontier) == (
+            _oracle_answers(root, other._frontier)
+        )
+        assert other.digest() == digest
+
+    def test_corrupt_database_is_rebuilt_before_the_table(self, tmp_path):
+        root = tmp_path / "s"
+        store = RunStore(root)
+        _put_fakes(store, range(5))
+        store.put(_replacement(3), replace=True)
+        digest = store.digest()
+        store.close()
+        (root / "index.sqlite").write_bytes(b"this is not a database")
+
+        reopened = RunStore(root)
+        frontier = reopened._frontier
+        assert _index_answers(reopened._index, frontier) == _oracle_answers(
+            root, frontier
+        )
+        assert reopened.digest() == digest
+
+    def test_own_writes_invalidate_the_unbounded_view(self, tmp_path):
+        root = tmp_path / "s"
+        store = RunStore(root)
+        _put_fakes(store, range(3))
+        assert store.verify_index() == 3  # fills the table for ``None``
+        _put_fakes(store, range(3, 5))  # rows inserted by this connection
+        assert store.verify_index() == 5
+        index = store._index
+        assert index.count(None) == 5
+        for shard in root.glob("shard-*.jsonl"):
+            shard.unlink()
+        index.tail(root)  # every recorded shard vanished: reset, no rows
+        assert index.count(None) == 0
+        assert index.hashes(None) == []
+
+    def test_threads_sharing_one_table_keep_their_snapshots(self, tmp_path):
+        # Serve threads share one handle, so one winners table: readers
+        # pinned to different frontiers make it refill on nearly every
+        # question while another handle appends and replaces.  Each
+        # reader must keep getting its own snapshot's answers.
+        root = tmp_path / "s"
+        store = RunStore(root)
+        snapshots = []
+        for step in range(4):
+            _put_fakes(store, range(step * 5, step * 5 + 5))
+            snapshots.append(store.snapshot())
+
+        def answers(snapshot):
+            return (
+                snapshot.hashes(),
+                len(snapshot),
+                snapshot.count(algorithm="unknown"),
+                [r.content_hash for r in snapshot.query(limit=3, offset=1)],
+            )
+
+        expected = [answers(snapshot) for snapshot in snapshots]
+        writer = RunStore(root)
+        errors = []
+        done = threading.Event()
+
+        def read(snapshot, answer) -> None:
+            try:
+                rounds = 0
+                while rounds < 20 or not done.is_set():
+                    assert answers(snapshot) == answer
+                    rounds += 1
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        def write() -> None:
+            try:
+                _put_fakes(writer, range(20, 30))
+                for index in range(0, 20, 3):
+                    writer.put(_replacement(index), replace=True)
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+            finally:
+                done.set()
+
+        threads = [
+            threading.Thread(target=read, args=pair)
+            for pair in zip(snapshots, expected)
+        ]
+        threads.append(threading.Thread(target=write))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        store.refresh()
+        assert _index_answers(store._index, store._frontier) == (
+            _oracle_answers(root, store._frontier)
+        )
+
+    def test_repeated_runs_request_resolves_winners_once(self, tmp_path):
+        root = tmp_path / "s"
+        store = RunStore(root)
+        _put_fakes(store, range(10))
+        jobs = JobManager(str(root), workers=1)
+        try:
+            api = ServeApi(store, jobs)
+            statements = []
+            store._index._conn.set_trace_callback(statements.append)
+            query = {"algorithm": "unknown", "limit": "2", "offset": "1"}
+
+            status, first = api.handle("GET", "/v1/runs", query)
+            assert status == 200 and first["total"] == 5
+            builds = [s for s in statements if s.startswith("INSERT")
+                      and "temp.winners" in s]
+            assert len(builds) == 1, builds
+
+            statements.clear()
+            assert api.handle("GET", "/v1/runs", query) == (200, first)
+            assert statements  # the trace callback is live
+            writes = [s for s in statements if "temp.winners" in s
+                      and not s.startswith("SELECT")]
+            assert not writes, writes
+        finally:
+            store._index._conn.set_trace_callback(None)
+            jobs.shutdown(timeout=2.0)
 
 
 class TestSqliteLineIndexInternals:
