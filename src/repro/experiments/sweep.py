@@ -148,6 +148,8 @@ class SweepSpec:
             parse_scheduler_spec(scheduler)  # full spec strings are allowed
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigurationError("max_steps must be >= 1 when given")
         if self.links is not None:
             if not isinstance(self.links, LinkSpec):
                 raise ConfigurationError(

@@ -204,6 +204,8 @@ class ExperimentSpec:
                 "PlacementSpec.from_placement for concrete placements)"
             )
         object.__setattr__(self, "scheduler", _coerce_scheduler(self.scheduler))
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigurationError("max_steps must be >= 1 when given")
         if self.links is not None:
             if not isinstance(self.links, LinkSpec):
                 raise ConfigurationError(

@@ -67,6 +67,7 @@ def spec_file(tmp_path):
 
 
 COUNT = "error: {flag} must be >= 1 (got 0); omit {flag} to use the default\n"
+MAX_STEPS = "error: max_steps must be >= 1 when given\n"
 PSWEEP_RESUME = (
     "error: --resume/--no-resume controls how archived cells are reused "
     "and therefore requires --store DIR\n"
@@ -94,6 +95,9 @@ REJECTED = [
       "--spec", "SPEC", "--processes", "2"],
      "error: --processes sets the 'processes' option, which fuzz jobs do "
      "not take\n"),
+    (["run", "--n", "6", "--k", "2", "--max-steps", "-1"], MAX_STEPS),
+    (["campaign", "--grid", "6x2", "--max-steps", "0", "--workers", "1",
+      "--store", "STORE"], MAX_STEPS),
 ]
 
 

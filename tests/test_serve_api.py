@@ -268,6 +268,13 @@ class TestJobEndpoints:
                 ).encode(),
                 "'options' must be a JSON object",
             ),
+            (
+                json.dumps(
+                    {"kind": "sweep",
+                     "spec": dict(_sweep().to_dict(), max_steps=0)}
+                ).encode(),
+                "max_steps must be >= 1 when given",
+            ),
         ]
         # Options are checked against the kind's declared ones before a
         # job exists: the 400 names the offending option.

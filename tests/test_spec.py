@@ -83,6 +83,21 @@ class TestExperimentSpecValidation:
         spec = ExperimentSpec.for_placement("unknown", placement)
         assert spec.build_placement() == placement
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_non_positive_max_steps_rejected(self, max_steps):
+        from repro.experiments.sweep import SweepSpec
+
+        with pytest.raises(ConfigurationError, match="max_steps must be >= 1"):
+            ExperimentSpec(
+                algorithm="unknown",
+                placement=PlacementSpec(kind="distances", distances=(3, 5)),
+                max_steps=max_steps,
+            )
+        with pytest.raises(ConfigurationError, match="max_steps must be >= 1"):
+            SweepSpec(
+                algorithms=("unknown",), grid=((6, 2),), max_steps=max_steps
+            )
+
     def test_scheduler_string_canonicalises_on_construction(self):
         spec = ExperimentSpec(
             algorithm="unknown",
