@@ -8,12 +8,12 @@ Commands:
   (``--spec file.json`` runs a serialized experiment spec instead),
 * ``spec``          — emit the :class:`repro.spec.ExperimentSpec` JSON a
   ``run`` command line denotes (pipe it to a file, run it anywhere),
-* ``sweep``         — Table 1 style (n, k) grids with log-log slopes,
-* ``psweep``        — full (algorithm, n, k, scheduler, trial) grids
-  fanned across a process pool with deterministic per-cell seeds
-  (``--store DIR`` archives every cell as it completes and ``--resume``
-  skips cells already archived — a killed sweep picks up where it
-  left off),
+* ``psweep``        — Table 1 grids: full (algorithm, n, k, scheduler,
+  trial) grids fanned across a process pool with deterministic per-cell
+  seeds (``--summary`` aggregates trials and charts moves and ideal time
+  against n with log-log slopes; ``--store DIR`` archives every cell as
+  it completes and ``--resume`` skips cells already archived — a killed
+  sweep picks up where it left off),
 * ``query``         — filter a run store by algorithm / scheduler /
   n / k / hash prefix without executing anything,
 * ``symmetry``      — Result 4 adaptivity sweep over symmetry degrees,
@@ -34,7 +34,15 @@ Commands:
   as poison artifacts, everything journaled for exact resume
   (``--chaos`` injects deterministic worker faults for testing),
 * ``report``        — re-run the experiment suite, emit markdown
-  (``--store DIR`` renders archived runs without re-executing).
+  (``--store DIR`` renders archived runs without re-executing),
+* ``serve``         — the run store behind a versioned HTTP API that
+  also executes submitted jobs; ``submit`` and ``jobs`` are its client.
+
+The job commands (``psweep``, ``fuzz``, ``campaign`` and ``submit``)
+take their option flags from the declarations in
+:data:`repro.jobs.KINDS`, and every flag that sets a spec field takes
+its default from the spec dataclass, so each option and default is
+written once.
 
 Commands that execute experiments accept ``--store DIR``: completed
 runs are archived in a content-addressed run store keyed by the
@@ -55,20 +63,24 @@ exits non-zero if a run unexpectedly fails verification.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import random
+import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.render import render_gaps, render_positions
+from repro.campaign import CampaignSpec
 from repro.errors import CampaignInterrupted, ReproError
 from repro.experiments.impossibility import demonstrate_impossibility
 from repro.experiments.lower_bound import quarter_sweep
-from repro.experiments.table1 import format_rows, symmetry_sweep, table1_sweep
-from repro.jobs import KINDS
+from repro.experiments.sweep import SweepSpec
+from repro.experiments.table1 import format_rows, symmetry_sweep
+from repro.fuzz import FuzzSpec
+from repro.jobs import KINDS, Option
 from repro.registry import algorithm_names, get_algorithm, registry_dump
-from repro.ring.placement import placement_from_distances, random_placement
+from repro.ring.placement import placement_from_distances
 from repro.spec import ExperimentSpec, PlacementSpec
 
 __all__ = ["main", "build_parser"]
@@ -112,21 +124,6 @@ def _parse_links(text: str):
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
-def _add_links_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--links",
-        type=_parse_links,
-        default=None,
-        metavar="SPEC",
-        help=(
-            "link-fault model, e.g. delay=2,loss=1,dup=1,seed=7: each "
-            "forward move may be delayed up to `delay` link ticks, at "
-            "most `loss` agents dropped and `dup` duplicated in total "
-            "(deterministic draws from `seed`; omit for reliable links)"
-        ),
-    )
-
-
 def _parse_scheduler_list(text: str) -> List[str]:
     """Split a CLI scheduler list into individual spec strings.
 
@@ -138,23 +135,124 @@ def _parse_scheduler_list(text: str) -> List[str]:
     return [part.strip() for part in text.split(separator) if part.strip()]
 
 
-def _require_positive_workers(value: Optional[int], flag: str) -> None:
-    """Reject zero/negative worker counts with the usage-error exit (2).
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
-    ``None`` means "use the default" and is fine; an explicit 0 or
-    negative is always a mistake and deserves a one-line diagnosis
-    instead of a pool traceback.
-    """
-    if value is not None and value < 1:
-        raise ReproError(
-            f"{flag} must be >= 1 (got {value}); "
-            f"omit {flag} to use the default"
-        )
+
+def _counted(parser: argparse.ArgumentParser, action: argparse.Action):
+    """Mark ``action`` a process or worker count: :func:`main` rejects a
+    given value below 1 before the command runs."""
+    parser.set_defaults(counts=(*(parser.get_default("counts") or ()), action))
+    return action
+
+
+def _add_field(
+    parser: argparse.ArgumentParser, spec_class: type, field: str,
+    flag: Optional[str] = None, *, count: bool = False, **kwargs,
+) -> None:
+    """A flag that sets ``spec_class.field``, with the field's default."""
+    (default,) = [
+        entry.default for entry in dataclasses.fields(spec_class)
+        if entry.name == field
+    ]
+    kwargs.setdefault("type", type(default))
+    action = parser.add_argument(
+        flag or _flag(field), default=default, **kwargs
+    )
+    if count:
+        _counted(parser, action)
+
+
+#: The help of each job option's flag, by option name.
+_OPTION_HELP = {
+    "processes": (
+        "sweep worker processes (default 1, psweep's the CPU count; 1 "
+        "disables the pool)"
+    ),
+    "resume": (
+        "skip work whose spec hash is already archived (the default; "
+        "--no-resume recomputes everything); psweep needs --store for either"
+    ),
+    "backend": (
+        "sweep execution backend (default object): 'batch' runs the "
+        "known_k_full/known_n_full cells under sync as one vectorized numpy "
+        "batch per cell (byte-identical rows); every other cell runs on "
+        "'object'"
+    ),
+    "jobs": "fuzz worker processes (default 1); the budget is sharded across them",
+    "keep_going": (
+        "spend the whole fuzz budget instead of stopping at the first failure"
+    ),
+    "shrink": (
+        "delta-debug each fuzz violation to a minimal schedule (the default; "
+        "--no-shrink archives the raw violating schedule)"
+    ),
+}
+
+
+def _add_option(
+    parser: argparse.ArgumentParser, name: str, option: Option,
+    flag: Optional[str] = None,
+) -> None:
+    """The flag of job option ``name``.  It defaults to ``None``, "not
+    given", so the kind's declared default applies (see
+    :func:`_job_options`)."""
+    if option.type is bool:
+        kwargs = {"action": argparse.BooleanOptionalAction}
+    else:
+        kwargs = {"type": option.type, "choices": option.choices or None,
+                  "metavar": "N" if option.type is int else None}
+    action = parser.add_argument(
+        flag or _flag(name), dest=name, default=None,
+        help=_OPTION_HELP[name], **kwargs,
+    )
+    if option.workers:
+        _counted(parser, action)
+
+
+def _add_options(
+    parser: argparse.ArgumentParser, kind: str, **flags: str
+) -> None:
+    """One flag per option of job kind ``kind``; ``flags`` respells some."""
+    for name, option in KINDS[kind].options.items():
+        _add_option(parser, name, option, flags.get(name))
+
+
+def _submit_options() -> Dict[str, Option]:
+    """Every job option of every kind."""
+    return {
+        name: option for kind in KINDS.values()
+        for name, option in kind.options.items()
+    }
+
+
+def _job_options(
+    args: argparse.Namespace, kind: str, **defaults: object
+) -> Dict[str, object]:
+    """The options of ``kind`` that the command line gave, completed
+    with ``defaults`` and then the declared ones."""
+    given = {
+        name: getattr(args, name) for name in KINDS[kind].options
+        if getattr(args, name) is not None
+    }
+    return KINDS[kind].check_options({**defaults, **given})
+
+
+def _add_links(parser: argparse.ArgumentParser, spec_class: type) -> None:
+    _add_field(
+        parser, spec_class, "links", type=_parse_links, metavar="SPEC",
+        help=(
+            "link-fault model, e.g. delay=2,loss=1,dup=1,seed=7: each forward "
+            "move may be delayed up to `delay` link ticks, at most `loss` "
+            "agents dropped and `dup` duplicated in total (deterministic "
+            "draws from `seed`; omit for reliable links)"
+        ),
+    )
 
 
 def _placement_spec(args: argparse.Namespace) -> PlacementSpec:
     """The placement a run-style command line denotes."""
-    if getattr(args, "distances", None):
+    if args.distances:
         return PlacementSpec(kind="distances", distances=tuple(args.distances))
     return PlacementSpec(
         kind="random", ring_size=args.n, agent_count=args.k, seed=args.seed
@@ -168,9 +266,21 @@ def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
         placement=_placement_spec(args),
         scheduler=args.scheduler,
         scheduler_seed=args.scheduler_seed,
-        max_steps=getattr(args, "max_steps", None),
-        links=getattr(args, "links", None),
+        max_steps=args.max_steps,
+        links=args.links,
     )
+
+
+def _add_placement_arguments(
+    parser: argparse.ArgumentParser, n: int, k: int, *, seed: bool = True,
+    distances: str = "explicit distance sequence (overrides --n/--k/--seed)",
+) -> None:
+    """The flags :func:`_placement_spec` reads (``--seed`` may come later)."""
+    parser.add_argument("--n", type=int, default=n, help="ring size")
+    parser.add_argument("--k", type=int, default=k, help="agent count")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="placement seed")
+    parser.add_argument("--distances", type=_parse_ints, help=distances)
 
 
 def _add_run_style_arguments(parser: argparse.ArgumentParser) -> None:
@@ -178,32 +288,65 @@ def _add_run_style_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--algorithm", default="known_k_full", choices=algorithm_names()
     )
-    parser.add_argument("--n", type=int, default=60, help="ring size")
-    parser.add_argument("--k", type=int, default=6, help="agent count")
-    parser.add_argument("--seed", type=int, default=0, help="placement seed")
-    parser.add_argument(
-        "--distances",
-        type=_parse_ints,
-        default=None,
-        help="explicit distance sequence (overrides --n/--k/--seed)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        default="sync",
+    _add_placement_arguments(parser, 60, 6)
+    _add_field(
+        parser, ExperimentSpec, "scheduler",
         help=(
             "scheduler spec string, e.g. sync, random:seed=7, "
             "laggard:victims=0-2,patience=5 (see `repro list --json`)"
         ),
     )
-    parser.add_argument(
-        "--scheduler-seed", type=int, default=0,
+    _add_field(
+        parser, ExperimentSpec, "scheduler_seed",
         help="context seed for seed parameters the spec leaves unset",
     )
-    parser.add_argument(
-        "--max-steps", type=int, default=None,
+    _add_field(
+        parser, ExperimentSpec, "max_steps", type=int,
         help="abort the run after this many atomic actions",
     )
-    _add_links_argument(parser)
+    _add_links(parser, ExperimentSpec)
+
+
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    """The grid flags of ``psweep`` and ``campaign``: one SweepSpec each."""
+    parser.add_argument(
+        "--algorithms", default="known_k_full",
+        help="comma-separated algorithm names (see `repro list`)",
+    )
+    parser.add_argument(
+        "--grid", type=_parse_grid, default=[(64, 8), (128, 16), (256, 16)],
+        help="comma-separated NxK pairs, e.g. 64x8,128x16",
+    )
+    _add_field(
+        parser, SweepSpec, "schedulers", type=_parse_scheduler_list,
+        help=(
+            "scheduler spec strings; separate with ';' when specs carry "
+            "parameters (sync;laggard:patience=5), ',' works for bare "
+            "names (sync,random,chaos)"
+        ),
+    )
+    _add_field(parser, SweepSpec, "trials")
+    _add_field(parser, SweepSpec, "base_seed", "--seed", help="base seed")
+    _add_field(
+        parser, SweepSpec, "max_steps", type=int,
+        help="per-run atomic-action cap",
+    )
+    _add_links(parser, SweepSpec)
+
+
+def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
+    """The SweepSpec that psweep/campaign grid flags denote."""
+    return SweepSpec(
+        algorithms=tuple(
+            name.strip() for name in args.algorithms.split(",") if name.strip()
+        ),
+        grid=tuple(args.grid),
+        schedulers=tuple(args.schedulers),
+        trials=args.trials,
+        base_seed=args.seed,
+        max_steps=args.max_steps,
+        links=args.links,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,15 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    list_parser = commands.add_parser(
-        "list", help="list registered algorithms and schedulers"
+    def command(name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        subparser = commands.add_parser(name, **kwargs)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    list_parser = command(
+        "list", _command_list, help="list registered algorithms and schedulers"
     )
     list_parser.add_argument(
         "--json", action="store_true",
         help="machine-readable dump of both registries",
     )
 
-    run_parser = commands.add_parser("run", help="run one experiment")
+    run_parser = command("run", _command_run, help="run one experiment")
     _add_run_style_arguments(run_parser)
     run_parser.add_argument(
         "--spec", default=None, metavar="PATH",
@@ -242,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    spec_parser = commands.add_parser(
-        "spec",
+    spec_parser = command(
+        "spec", _command_spec,
         help="emit the ExperimentSpec JSON a `run` command line denotes",
         description=(
             "Takes the same experiment flags as `run` and prints the "
@@ -258,12 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="write to a file instead of stdout"
     )
 
-    query_parser = commands.add_parser(
-        "query",
+    query_parser = command(
+        "query", _command_query,
         help="filter archived runs in a run store (no execution)",
         description=(
             "Search a content-addressed run store written by `run --store`, "
-            "`psweep --store`, `sweep --store` or `report --store`.  "
+            "`psweep --store`, `campaign` or `report --store`.  "
             "Filters combine conjunctively; `--hash` matches a content-hash "
             "prefix like git's abbreviated object names."
         ),
@@ -331,78 +479,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    sweep_parser = commands.add_parser("sweep", help="Table 1 style (n,k) sweep")
-    sweep_parser.add_argument(
-        "--algorithm", default="known_k_full", choices=algorithm_names()
+    psweep_parser = command(
+        "psweep", _command_psweep,
+        help="parallel sweep over a full experiment grid (Table 1)",
     )
-    sweep_parser.add_argument(
-        "--grid", type=_parse_grid, default=[(64, 8), (128, 8), (256, 8)],
-        help="comma-separated NxK pairs, e.g. 64x8,128x8",
-    )
-    sweep_parser.add_argument("--trials", type=int, default=1)
-    sweep_parser.add_argument("--seed", type=int, default=0)
-    _add_links_argument(sweep_parser)
-    sweep_parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="archive runs / reuse archived runs from this run store",
-    )
-
-    psweep_parser = commands.add_parser(
-        "psweep", help="parallel sweep over a full experiment grid"
-    )
-    psweep_parser.add_argument(
-        "--algorithms",
-        default="known_k_full",
-        help="comma-separated algorithm names (see `repro list`)",
-    )
-    psweep_parser.add_argument(
-        "--grid", type=_parse_grid, default=[(64, 8), (128, 16), (256, 16)],
-        help="comma-separated NxK pairs, e.g. 64x8,128x16",
-    )
-    psweep_parser.add_argument(
-        "--schedulers", default="sync",
-        help=(
-            "scheduler spec strings; separate with ';' when specs carry "
-            "parameters (sync;laggard:patience=5), ',' works for bare "
-            "names (sync,random,chaos)"
-        ),
-    )
-    psweep_parser.add_argument("--trials", type=int, default=1)
-    psweep_parser.add_argument("--seed", type=int, default=0, help="base seed")
-    _add_links_argument(psweep_parser)
-    psweep_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: CPU count; 1 disables the pool)",
-    )
+    _add_sweep_arguments(psweep_parser)
+    _add_options(psweep_parser, "sweep", processes="--jobs")
     psweep_parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the full row set as JSON for trajectory tracking",
     )
     psweep_parser.add_argument(
         "--summary", action="store_true",
-        help="print the per-(algorithm,n,k,scheduler) aggregate instead of raw rows",
+        help=(
+            "print the per-(algorithm,n,k,scheduler) aggregate instead of "
+            "raw rows, and chart moves and ideal time against n"
+        ),
     )
     psweep_parser.add_argument(
         "--store", default=None, metavar="DIR",
         help=(
             "stream completed cells into this content-addressed run store "
             "(a killed sweep resumes losslessly from it)"
-        ),
-    )
-    psweep_parser.add_argument(
-        "--resume", action=argparse.BooleanOptionalAction, default=None,
-        help=(
-            "with --store: skip cells whose spec hash is already archived "
-            "(the default; --no-resume recomputes everything).  Requires "
-            "--store either way."
-        ),
-    )
-    psweep_parser.add_argument(
-        "--backend", choices=("object", "batch"), default="object",
-        help=(
-            "execution backend: 'batch' runs the known_k_full/known_n_full "
-            "cells under sync as one vectorized numpy batch per cell "
-            "(byte-identical rows); every other cell runs on 'object'"
         ),
     )
     psweep_parser.add_argument(
@@ -413,8 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    symmetry_parser = commands.add_parser(
-        "symmetry", help="Result 4 adaptivity sweep over symmetry degrees"
+    symmetry_parser = command(
+        "symmetry", _command_symmetry,
+        help="Result 4 adaptivity sweep over symmetry degrees",
     )
     symmetry_parser.add_argument("--n", type=int, default=240)
     symmetry_parser.add_argument("--k", type=int, default=16)
@@ -424,8 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     symmetry_parser.add_argument("--seed", type=int, default=0)
 
-    impossibility_parser = commands.add_parser(
-        "impossibility", help="Theorem 5 / Figure 7 construction"
+    impossibility_parser = command(
+        "impossibility", _command_impossibility,
+        help="Theorem 5 / Figure 7 construction",
     )
     impossibility_parser.add_argument(
         "--distances", type=_parse_ints, default=[5, 7, 4, 8],
@@ -436,26 +536,23 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["known_k_full", "known_k_logspace"],
     )
 
-    bound_parser = commands.add_parser(
-        "lower-bound", help="Theorem 1 quarter-packed comparison"
+    bound_parser = command(
+        "lower-bound", _command_lower_bound,
+        help="Theorem 1 quarter-packed comparison",
     )
     bound_parser.add_argument(
         "--sizes", type=_parse_grid, default=[(64, 8), (128, 16)]
     )
 
-    compare_parser = commands.add_parser(
-        "compare", help="all algorithms head-to-head on one placement"
+    compare_parser = command(
+        "compare", _command_compare,
+        help="all algorithms head-to-head on one placement",
     )
-    compare_parser.add_argument("--n", type=int, default=60)
-    compare_parser.add_argument("--k", type=int, default=6)
-    compare_parser.add_argument("--seed", type=int, default=0)
-    compare_parser.add_argument(
-        "--distances", type=_parse_ints, default=None,
-        help="explicit distance sequence (overrides --n/--k/--seed)",
-    )
+    _add_placement_arguments(compare_parser, 60, 6)
 
-    report_parser = commands.add_parser(
-        "report", help="re-run the experiment suite, emit a markdown report"
+    report_parser = command(
+        "report", _command_report,
+        help="re-run the experiment suite, emit a markdown report",
     )
     report_parser.add_argument("--profile", default="quick", choices=["quick", "full"])
     report_parser.add_argument("--seed", type=int, default=0)
@@ -467,24 +564,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="render archived runs from this store instead of re-executing",
     )
 
-    timeline_parser = commands.add_parser(
-        "timeline", help="ASCII space-time diagram of one run"
+    timeline_parser = command(
+        "timeline", _command_timeline,
+        help="ASCII space-time diagram of one run",
     )
     timeline_parser.add_argument(
         "--algorithm", default="known_k_full", choices=algorithm_names()
     )
-    timeline_parser.add_argument("--n", type=int, default=16)
-    timeline_parser.add_argument("--k", type=int, default=4)
-    timeline_parser.add_argument("--seed", type=int, default=0)
-    timeline_parser.add_argument(
-        "--distances", type=_parse_ints, default=None,
-        help="explicit distance sequence (overrides --n/--k/--seed)",
-    )
+    _add_placement_arguments(timeline_parser, 16, 4)
     timeline_parser.add_argument("--sample-every", type=int, default=1)
     timeline_parser.add_argument("--limit", type=int, default=60)
 
-    mc_parser = commands.add_parser(
-        "mc",
+    mc_parser = command(
+        "mc", _command_mc,
         help="exhaust every interleaving of an (n, k) instance",
         description=(
             "Explore ALL enabled-agent choices from each initial "
@@ -502,13 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=algorithm_names(include_selftest=True),
         help="registered algorithm (wake_race is the broken self-test agent)",
     )
-    mc_parser.add_argument("--n", type=int, default=6, help="ring size")
-    mc_parser.add_argument("--k", type=int, default=2, help="agent count")
-    mc_parser.add_argument(
-        "--distances",
-        type=_parse_ints,
-        default=None,
-        help="check one explicit configuration instead of all placements",
+    _add_placement_arguments(
+        mc_parser, 6, 2, seed=False,
+        distances="check one explicit configuration instead of all placements",
     )
     mc_parser.add_argument(
         "--spec", default=None, metavar="PATH",
@@ -518,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
             "an exhaustive search and are ignored)"
         ),
     )
-    _add_links_argument(mc_parser)
+    _add_links(mc_parser, ExperimentSpec)
     mc_parser.add_argument(
         "--depth-limit", type=int, default=None,
         help="bound the schedule prefix length (result becomes a bounded check)",
@@ -535,14 +623,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="print exploration counters to stderr while searching",
     )
-    mc_parser.add_argument(
+    _counted(mc_parser, mc_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help=(
             "placements of a grid fan across a pool of N processes, with "
             "or without --store (one journal per placement); one search "
             "always runs in one process (same results as --jobs 1)"
         ),
-    )
+    ))
     mc_parser.add_argument(
         "--no-por", action="store_true",
         help=(
@@ -567,8 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue a killed --store run from its last committed wave",
     )
 
-    fuzz_parser = commands.add_parser(
-        "fuzz",
+    fuzz_parser = command(
+        "fuzz", _command_fuzz,
         help="coverage-guided schedule fuzzing with shrinking",
         description=(
             "Search the schedule space of instances the exhaustive checker "
@@ -587,36 +675,29 @@ def build_parser() -> argparse.ArgumentParser:
         choices=algorithm_names(include_selftest=True),
         help="registered algorithm (wake_race is the broken self-test agent)",
     )
-    fuzz_parser.add_argument("--n", type=int, default=16, help="ring size")
-    fuzz_parser.add_argument("--k", type=int, default=4, help="agent count")
-    fuzz_parser.add_argument(
-        "--distances",
-        type=_parse_ints,
-        default=None,
-        help="fuzz one explicit configuration instead of random placements",
+    _add_placement_arguments(
+        fuzz_parser, 16, 4, seed=False,
+        distances="fuzz one explicit configuration instead of random placements",
     )
-    fuzz_parser.add_argument("--seed", type=int, default=0, help="campaign seed")
-    _add_links_argument(fuzz_parser)
-    fuzz_parser.add_argument(
-        "--budget", type=int, default=1000,
+    _add_field(fuzz_parser, FuzzSpec, "seed", help="campaign seed")
+    _add_links(fuzz_parser, FuzzSpec)
+    _add_field(
+        fuzz_parser, FuzzSpec, "budget",
         help="total schedule executions (adversary seed runs included)",
     )
-    fuzz_parser.add_argument(
-        "--max-steps", type=int, default=None,
+    _add_field(
+        fuzz_parser, FuzzSpec, "max_steps", type=int,
         help="per-run atomic-action cap (default: derived from n and k)",
     )
-    fuzz_parser.add_argument(
-        "--placements", type=int, default=4,
+    _add_field(
+        fuzz_parser, FuzzSpec, "placements",
         help="distinct random placements to fuzz (ignored with --distances)",
     )
-    fuzz_parser.add_argument(
-        "--corpus", type=int, default=64,
+    _add_field(
+        fuzz_parser, FuzzSpec, "corpus_size", "--corpus",
         help="max retained coverage-novel schedule prefixes",
     )
-    fuzz_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes; the budget is sharded across them",
-    )
+    _add_options(fuzz_parser, "fuzz")
     fuzz_parser.add_argument(
         "--spec", default=None, metavar="PATH",
         help="run a serialized FuzzSpec (other campaign flags ignored)",
@@ -634,14 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the campaign outcome (failures included) as JSON",
     )
     fuzz_parser.add_argument(
-        "--keep-going", action="store_true",
-        help="spend the whole budget instead of stopping at the first failure",
-    )
-    fuzz_parser.add_argument(
-        "--no-shrink", action="store_true",
-        help="skip delta-debugging (archive the raw violating schedule)",
-    )
-    fuzz_parser.add_argument(
         "--progress", action="store_true",
         help=(
             "print per-run coverage counters to stderr while fuzzing "
@@ -649,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    campaign_parser = commands.add_parser(
-        "campaign",
+    campaign_parser = command(
+        "campaign", _command_campaign,
         help="fault-tolerant multi-worker campaign over a sweep or fuzz workload",
         description=(
             "Decompose a sweep grid or a fuzzing budget into spec-hash-keyed "
@@ -674,49 +747,32 @@ def build_parser() -> argparse.ArgumentParser:
         "--fuzz-spec", default=None, metavar="PATH",
         help="fuzz campaign: shard this serialized FuzzSpec across the fleet",
     )
-    campaign_parser.add_argument(
-        "--algorithms", default="known_k_full",
-        help="sweep campaign: comma-separated algorithm names",
-    )
-    campaign_parser.add_argument(
-        "--grid", type=_parse_grid, default=[(64, 8), (128, 16)],
-        help="sweep campaign: comma-separated NxK pairs, e.g. 64x8,128x16",
-    )
-    campaign_parser.add_argument(
-        "--schedulers", default="sync",
-        help="sweep campaign: scheduler spec strings (';' or ',' separated)",
-    )
-    campaign_parser.add_argument("--trials", type=int, default=1)
-    campaign_parser.add_argument("--seed", type=int, default=0, help="base seed")
-    campaign_parser.add_argument(
-        "--max-steps", type=int, default=None,
-        help="sweep campaign: per-run atomic-action cap",
-    )
-    campaign_parser.add_argument(
-        "--workers", type=int, default=2,
+    _add_sweep_arguments(campaign_parser)
+    _add_field(
+        campaign_parser, CampaignSpec, "workers", count=True,
         help="worker processes in the fleet (dead ones are replaced)",
     )
-    campaign_parser.add_argument(
-        "--lease-ttl", type=float, default=10.0, metavar="SECONDS",
+    _add_field(
+        campaign_parser, CampaignSpec, "lease_ttl", metavar="SECONDS",
         help="lease expires after this much heartbeat silence",
     )
-    campaign_parser.add_argument(
-        "--unit-timeout", type=float, default=120.0, metavar="SECONDS",
+    _add_field(
+        campaign_parser, CampaignSpec, "unit_timeout", metavar="SECONDS",
         help=(
             "hard per-unit wall-clock budget; heartbeats cannot extend it "
             "(catches workers that stall without crashing)"
         ),
     )
-    campaign_parser.add_argument(
-        "--max-retries", type=int, default=3,
+    _add_field(
+        campaign_parser, CampaignSpec, "max_retries",
         help="re-issues per unit before it is quarantined",
     )
-    campaign_parser.add_argument(
-        "--backoff-base", type=float, default=0.5, metavar="SECONDS",
+    _add_field(
+        campaign_parser, CampaignSpec, "backoff_base", metavar="SECONDS",
         help="base of the exponential re-issue backoff (with jitter)",
     )
-    campaign_parser.add_argument(
-        "--shards", type=int, default=4,
+    _add_field(
+        campaign_parser, CampaignSpec, "shards", count=True,
         help="fuzz campaign: independent shards the budget is split into",
     )
     campaign_parser.add_argument(
@@ -732,16 +788,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", required=True, metavar="DIR",
         help="run store receiving all records, failures, ledger and quarantine",
     )
-    campaign_parser.add_argument(
-        "--resume", action=argparse.BooleanOptionalAction, default=True,
-        help=(
-            "skip units already completed per the store and campaign ledger "
-            "(the default; --no-resume re-executes everything)"
-        ),
-    )
+    _add_options(campaign_parser, "campaign")
 
-    serve_parser = commands.add_parser(
-        "serve",
+    serve_parser = command(
+        "serve", _command_serve,
         help="run the experiment service: the run store behind an HTTP API",
         description=(
             "Start a long-lived daemon exposing a run store over a "
@@ -762,16 +812,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8765,
         help="TCP port to bind (0 picks an ephemeral port)",
     )
-    serve_parser.add_argument(
+    _counted(serve_parser, serve_parser.add_argument(
         "--workers", type=int, default=2,
         help="job-executor threads draining the submission queue",
-    )
+    ))
     serve_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
     )
 
-    submit_parser = commands.add_parser(
-        "submit",
+    submit_parser = command(
+        "submit", _command_submit,
         help="submit a spec file to a running experiment service",
         description=(
             "POST a serialized ExperimentSpec/SweepSpec/FuzzSpec/"
@@ -789,10 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec", required=True, metavar="PATH",
         help="JSON spec file of the given kind",
     )
-    submit_parser.add_argument(
-        "--processes", type=int, default=None,
-        help="sweep jobs: worker processes on the server (default 1)",
-    )
+    for name, option in _submit_options().items():
+        _add_option(submit_parser, name, option)
     submit_parser.add_argument(
         "--wait", action="store_true",
         help="poll until the job completes or fails",
@@ -809,8 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the final job as JSON"
     )
 
-    jobs_parser = commands.add_parser(
-        "jobs",
+    jobs_parser = command(
+        "jobs", _command_jobs,
         help="list or inspect jobs on a running experiment service",
     )
     jobs_parser.add_argument(
@@ -897,60 +945,9 @@ def _command_spec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
-    store = None
-    if args.store:
-        from repro.store import RunStore
-
-        store = RunStore(args.store)
-    results = table1_sweep(
-        args.algorithm, args.grid, seed=args.seed, trials=args.trials,
-        store=store, links=args.links,
-    )
-    print(format_rows([result.row() for result in results]))
-    ns = sorted({result.placement.ring_size for result in results})
-    if len(ns) >= 2:
-        from repro.analysis.chart import scaling_chart
-
-        by_n = {
-            n: [r for r in results if r.placement.ring_size == n][0] for n in ns
-        }
-        print()
-        print(
-            scaling_chart(
-                ns,
-                [by_n[n].total_moves for n in ns],
-                x_name="n",
-                y_name="total moves",
-            )
-        )
-        times = [by_n[n].ideal_time for n in ns]
-        if all(times):
-            print()
-            print(scaling_chart(ns, times, x_name="n", y_name="ideal time"))
-    return 0 if all(result.ok for result in results) else 1
-
-
-def _sweep_spec(args: argparse.Namespace, **extra):
-    """The SweepSpec that psweep/campaign grid flags denote."""
-    from repro.experiments.sweep import SweepSpec
-
-    return SweepSpec(
-        algorithms=tuple(
-            name.strip() for name in args.algorithms.split(",") if name.strip()
-        ),
-        grid=tuple(args.grid),
-        schedulers=tuple(_parse_scheduler_list(args.schedulers)),
-        trials=args.trials,
-        base_seed=args.seed,
-        **extra,
-    )
-
-
 def _command_psweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import rows_to_json, summarize_rows
 
-    _require_positive_workers(args.jobs, "--jobs")
     if args.validate_backend and args.backend != "batch":
         raise ReproError(
             "--validate-backend cross-checks the batch backend against the "
@@ -961,9 +958,8 @@ def _command_psweep(args: argparse.Namespace) -> int:
             "--resume/--no-resume controls how archived cells are reused "
             "and therefore requires --store DIR"
         )
-    resume = True if args.resume is None else args.resume
-    spec = _sweep_spec(args, links=args.links)
-    options = {"processes": args.jobs, "resume": resume, "backend": args.backend}
+    spec = _sweep_spec(args)
+    options = _job_options(args, "sweep", processes=os.cpu_count() or 1)
     try:
         outcome, result = KINDS["sweep"].run(
             spec, options, store_root=args.store,
@@ -992,12 +988,39 @@ def _command_psweep(args: argparse.Namespace) -> int:
             f"store: {outcome.executed} executed, {outcome.cached} cached "
             f"({args.store}, {result['records']} records)"
         )
-    print(format_rows(summarize_rows(rows) if args.summary else rows))
+    if args.summary:
+        summary = summarize_rows(rows)
+        print(format_rows(summary))
+        _print_scaling_charts(summary)
+    else:
+        print(format_rows(rows))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(rows_to_json(spec, rows) + "\n")
         print(f"wrote {args.json}")
     return 0 if all(row["uniform"] for row in rows) else 1
+
+
+def _print_scaling_charts(summary: Sequence[Dict[str, object]]) -> None:
+    """Moves, and ideal time where every size has one, against n: one
+    chart pair per (algorithm, k, scheduler) series of >= 2 sizes."""
+    from repro.analysis.chart import scaling_chart
+
+    series: Dict[Tuple[object, ...], List[Dict[str, object]]] = {}
+    for entry in summary:
+        key = (entry["algorithm"], entry["k"], entry["scheduler"])
+        series.setdefault(key, []).append(entry)
+    for (algorithm, k, scheduler), entries in series.items():
+        if len(entries) < 2:
+            continue
+        entries.sort(key=lambda entry: entry["n"])
+        ns = [entry["n"] for entry in entries]
+        for column, name in (("mean_moves", "total moves"),
+                             ("mean_ideal_time", "ideal time")):
+            values = [entry[column] for entry in entries]
+            if all(values):
+                print(f"\n{algorithm} k={k} {scheduler}:")
+                print(scaling_chart(ns, values, x_name="n", y_name=name))
 
 
 def _command_symmetry(args: argparse.Namespace) -> int:
@@ -1034,10 +1057,7 @@ def _command_impossibility(args: argparse.Namespace) -> int:
 def _command_compare(args: argparse.Namespace) -> int:
     from repro.experiments.comparison import compare_algorithms
 
-    if args.distances:
-        placement = placement_from_distances(tuple(args.distances))
-    else:
-        placement = random_placement(args.n, args.k, random.Random(args.seed))
+    placement = _placement_spec(args).build()
     print(f"configuration: {placement.describe()}")
     comparison = compare_algorithms(placement)
     print(format_rows(comparison.rows()))
@@ -1070,10 +1090,7 @@ def _command_timeline(args: argparse.Namespace) -> int:
     from repro.analysis.timeline import record_timeline
     from repro.experiments.runner import build_engine
 
-    if args.distances:
-        placement = placement_from_distances(tuple(args.distances))
-    else:
-        placement = random_placement(args.n, args.k, random.Random(args.seed))
+    placement = _placement_spec(args).build()
     print(f"configuration: {placement.describe()}")
     print("legend: digit/letter = staying agent, + = queued, - = token, . = empty")
     engine = build_engine(args.algorithm, placement)
@@ -1085,8 +1102,6 @@ def _command_timeline(args: argparse.Namespace) -> int:
 def _command_mc(args: argparse.Namespace) -> int:
     from repro.mc import all_placements, check_placements
 
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     if args.resume and not args.store:
         raise ReproError("--resume needs --store (nothing spilled to resume from)")
     por = not args.no_por
@@ -1209,30 +1224,18 @@ def _command_mc(args: argparse.Namespace) -> int:
 
 def _command_fuzz(args: argparse.Namespace) -> int:
     from repro.analysis.fuzzing import coverage_growth_rows, describe_growth
-    from repro.fuzz import FuzzSpec
 
-    _require_positive_workers(args.jobs, "--jobs")
+    options = _job_options(args, "fuzz")
     if args.spec:
         spec = FuzzSpec.load(args.spec)
     else:
-        if args.distances:
-            placement = PlacementSpec(
-                kind="distances", distances=tuple(args.distances)
-            )
-            placements = 1
-        else:
-            placement = PlacementSpec(
-                kind="random", ring_size=args.n, agent_count=args.k,
-                seed=args.seed,
-            )
-            placements = args.placements
         spec = FuzzSpec(
             algorithm=args.algorithm,
-            placement=placement,
+            placement=_placement_spec(args),
             budget=args.budget,
             max_steps=args.max_steps,
             seed=args.seed,
-            placements=placements,
+            placements=1 if args.distances else args.placements,
             corpus_size=args.corpus,
             links=args.links,
         )
@@ -1240,15 +1243,13 @@ def _command_fuzz(args: argparse.Namespace) -> int:
         f"fuzzing {spec.algorithm} ({spec.placements} placement(s), "
         f"budget {spec.budget} runs, campaign {spec.content_hash()[:16]})"
     )
-    if args.jobs > 1 and args.progress:
+    if options["jobs"] > 1 and args.progress:
         print(
             "note: --progress and the coverage-growth table are "
             "per-campaign views; with --jobs > 1 the budget is "
             "sharded into independent campaigns, so neither is shown",
             file=sys.stderr,
         )
-    options = {"jobs": args.jobs, "keep_going": args.keep_going,
-               "shrink": not args.no_shrink}
     try:
         outcome, _ = KINDS["fuzz"].run(
             spec, options, store_root=args.store,
@@ -1323,8 +1324,6 @@ def _print_campaign_event(update) -> None:
 def _command_campaign(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignSpec, parse_chaos_spec
 
-    _require_positive_workers(args.workers, "--workers")
-    _require_positive_workers(args.shards, "--shards")
     fleet = {
         "workers": args.workers,
         "lease_ttl": args.lease_ttl,
@@ -1342,15 +1341,14 @@ def _command_campaign(args: argparse.Namespace) -> int:
             shards=args.shards, **fleet,
         )
     else:
-        sweep = _sweep_spec(args, max_steps=args.max_steps)
-        spec = CampaignSpec(kind="sweep", sweep=sweep, **fleet)
+        spec = CampaignSpec(kind="sweep", sweep=_sweep_spec(args), **fleet)
     chaos = parse_chaos_spec(args.chaos) if args.chaos else None
     print(f"campaign {spec.content_hash()[:16]}: {spec.describe()}")
     if chaos:
         print(f"fault injection: {chaos.describe()}")
     outcome, _ = KINDS["campaign"].run(
         spec,
-        {"resume": args.resume},
+        _job_options(args, "campaign"),
         store_root=args.store,
         progress=_print_campaign_event,
         chaos=chaos,
@@ -1479,7 +1477,6 @@ def _command_query(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve import serve_forever
 
-    _require_positive_workers(args.workers, "--workers")
     return serve_forever(
         args.store,
         host=args.host,
@@ -1494,15 +1491,16 @@ def _command_submit(args: argparse.Namespace) -> int:
 
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = json.load(handle)
-    options = {}
-    if args.processes is not None:
-        if "processes" not in KINDS[args.kind].options:
+    options = {
+        name: getattr(args, name) for name in _submit_options()
+        if getattr(args, name) is not None
+    }
+    for name in options:
+        if name not in KINDS[args.kind].options:
             raise ReproError(
-                f"--processes sets the 'processes' option, which {args.kind} "
+                f"{_flag(name)} sets the {name!r} option, which {args.kind} "
                 f"jobs do not take"
             )
-        _require_positive_workers(args.processes, "--processes")
-        options["processes"] = args.processes
     client = ServeClient(args.url)
     job = client.submit(args.kind, spec, options)
     if not args.wait:
@@ -1597,33 +1595,17 @@ def _command_lower_bound(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code (0 ok, 1 fail, 2 error)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "list": _command_list,
-        "run": _command_run,
-        "spec": _command_spec,
-        "query": _command_query,
-        "sweep": _command_sweep,
-        "psweep": _command_psweep,
-        "symmetry": _command_symmetry,
-        "impossibility": _command_impossibility,
-        "lower-bound": _command_lower_bound,
-        "timeline": _command_timeline,
-        "mc": _command_mc,
-        "fuzz": _command_fuzz,
-        "campaign": _command_campaign,
-        "compare": _command_compare,
-        "report": _command_report,
-        "serve": _command_serve,
-        "submit": _command_submit,
-        "jobs": _command_jobs,
-    }
-    handler = handlers.get(args.command)
-    if handler is None:
-        parser.error(f"unhandled command {args.command!r}")
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        for action in getattr(args, "counts", ()):
+            value = getattr(args, action.dest)
+            if value is not None and value < 1:
+                flag = action.option_strings[0]
+                raise ReproError(
+                    f"{flag} must be >= 1 (got {value}); "
+                    f"omit {flag} to use the default"
+                )
+        return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -45,7 +45,6 @@ from repro.experiments.table1 import (
     format_rows,
     symmetry_placement,
     symmetry_sweep,
-    table1_sweep,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "run_experiment",
     "symmetry_placement",
     "symmetry_sweep",
-    "table1_sweep",
     "SweepCell",
     "SweepSpec",
     "cell_seed",

@@ -1,60 +1,28 @@
-"""Table 1 sweep drivers (E1, E2, E4) and report formatting.
+"""The Result 4 symmetry sweep (E16) and report formatting.
 
-The paper's Table 1 states, per algorithm, the memory, time and move
-complexities.  :func:`table1_sweep` measures all three across (n, k)
-grids; :func:`symmetry_sweep` fixes (n, k) and sweeps the symmetry
-degree ``l`` for the relaxed algorithm (Result 4's adaptivity, E16).
-:func:`format_rows` renders aligned text tables for benchmark output
-and EXPERIMENTS.md.
+The paper's Table 1 (memory, time and moves across (n, k) grids) is
+measured by :mod:`repro.experiments.sweep`.  :func:`symmetry_sweep`
+fixes (n, k) and sweeps the symmetry degree ``l`` for the relaxed
+algorithm (Result 4's adaptivity).  :func:`format_rows` renders aligned
+text tables for benchmark output and EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import RunResult
-from repro.ring.placement import (
-    Placement,
-    periodic_placement,
-    random_placement,
-)
+from repro.ring.placement import Placement, periodic_placement
 from repro.spec import ExperimentSpec
 from repro.store import RunStore, cached_run
 
 __all__ = [
-    "table1_sweep",
     "symmetry_sweep",
     "symmetry_placement",
     "format_rows",
 ]
-
-
-def table1_sweep(
-    algorithm: str,
-    grid: Sequence[Tuple[int, int]],
-    seed: int = 0,
-    trials: int = 1,
-    store: Optional[RunStore] = None,
-    links=None,
-) -> List[RunResult]:
-    """Run ``algorithm`` over random placements for every (n, k) in ``grid``.
-
-    With ``store=`` given, each run is content-addressed: archived
-    placements are served from the store and fresh ones are archived,
-    so repeating a sweep (or overlapping grids) re-simulates nothing.
-    ``links`` (a :class:`~repro.ring.faults.LinkSpec`) subjects every
-    run to the same link-fault model.
-    """
-    rng = random.Random(seed)
-    results = []
-    for n, k in grid:
-        for _ in range(trials):
-            placement = random_placement(n, k, rng)
-            spec = ExperimentSpec.for_placement(algorithm, placement, links=links)
-            results.append(cached_run(spec, store)[0])
-    return results
 
 
 def symmetry_placement(
@@ -99,8 +67,8 @@ def symmetry_sweep(
 ) -> List[RunResult]:
     """Fix (n, k); measure the relaxed algorithm across symmetry degrees.
 
-    ``store`` memoises runs by spec content hash, as in
-    :func:`table1_sweep`.
+    ``store`` memoises runs by spec content hash: archived runs are
+    served from it and fresh ones archived.
     """
     results = []
     for degree in degrees:

@@ -20,7 +20,6 @@ loads no simulation, fuzzing or campaign code before a job needs it.
 from __future__ import annotations
 
 import importlib
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -43,22 +42,22 @@ class OptionError(ConfigurationError):
 
 @dataclass(frozen=True)
 class Option:
-    """A service option.  ``workers`` marks a process count, which must
-    lie in ``[1, os.cpu_count()]`` because a pool is sized from it."""
+    """A job option, declared once for the service and the CLI flags.
+    ``workers`` marks a process count, which must be at least 1 and, when
+    ``cap`` is given, at most ``cap``."""
 
     type: type
     default: object
     choices: Tuple[str, ...] = ()
     workers: bool = False
 
-    def check(self, name: str, value: object) -> object:
-        cap = os.cpu_count() or 1
+    def check(self, name: str, value: object, cap: Optional[int] = None) -> object:
         if type(value) is not self.type:  # JSON true is not the integer 1
             wanted = f"a JSON {_JSON_TYPE[self.type]}"
         elif self.choices and value not in self.choices:
             wanted = f"one of {', '.join(self.choices)}"
-        elif self.workers and not 1 <= value <= cap:
-            wanted = f"between 1 and {cap} (the host's CPU count)"
+        elif self.workers and not 1 <= value <= (cap or value):
+            wanted = f"between 1 and {cap} (the host's CPU count)" if cap else ">= 1"
         else:
             return value
         raise OptionError(name, f"option {name!r} must be {wanted}, got {value!r}")
@@ -78,8 +77,12 @@ class Kind:
         module, _, name = self.spec.partition(":")
         return getattr(importlib.import_module(module), name)
 
-    def check_options(self, options: Mapping[str, object]) -> Dict[str, object]:
-        """``options`` validated and completed with the defaults."""
+    def check_options(
+        self, options: Mapping[str, object], cap: Optional[int] = None
+    ) -> Dict[str, object]:
+        """``options`` validated and completed with the defaults.  The
+        service passes its CPU count as ``cap``, since a pool forked for a
+        client must fit the host; a CLI pool may oversubscribe."""
         unknown = sorted(set(options) - set(self.options))
         if unknown:
             raise OptionError(
@@ -87,7 +90,7 @@ class Kind:
                 f"jobs (accepted: {', '.join(self.options) or 'none'})",
             )
         return {
-            name: option.check(name, options[name]) if name in options
+            name: option.check(name, options[name], cap) if name in options
             else option.default
             for name, option in self.options.items()
         }

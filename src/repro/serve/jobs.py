@@ -18,6 +18,7 @@ live progress without blocking on a running job.
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -98,7 +99,7 @@ class JobManager:
     def submit(self, kind: str, spec, options: Dict[str, object]) -> Job:
         from repro.jobs import get_kind
 
-        options = get_kind(kind).check_options(options)
+        options = get_kind(kind).check_options(options, os.cpu_count() or 1)
         spec_hash = spec.content_hash()
         with self._lock:
             self._seq += 1

@@ -12,13 +12,13 @@ from repro.cli import _parse_scheduler_list, build_parser, main
 class TestParsing:
     def test_grid_parsing(self):
         parser = build_parser()
-        args = parser.parse_args(["sweep", "--grid", "64x8,128x16"])
+        args = parser.parse_args(["psweep", "--grid", "64x8,128x16"])
         assert args.grid == [(64, 8), (128, 16)]
 
     def test_bad_grid_rejected(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
-            parser.parse_args(["sweep", "--grid", "64-8"])
+            parser.parse_args(["psweep", "--grid", "64-8"])
 
     def test_int_list_parsing(self):
         parser = build_parser()
@@ -95,11 +95,18 @@ class TestCommands:
         assert code == 2
         assert "no parameter" in capsys.readouterr().err
 
-    def test_sweep_prints_slopes(self, capsys):
-        code = main(["sweep", "--grid", "24x4,48x4", "--trials", "1"])
+    def test_psweep_summary_charts_each_series(self, capsys):
+        code = main(
+            ["psweep", "--grid", "24x4,48x4,24x6", "--trials", "2",
+             "--jobs", "1", "--summary"]
+        )
         output = capsys.readouterr().out
         assert code == 0
-        assert "log-log slope" in output
+        # k=4 has two sizes: moves and ideal time charts; k=6 has one.
+        assert output.count("known_k_full k=4 sync:") == 2
+        assert "k=6 sync:" not in output
+        assert "log-log slope of total moves vs n" in output
+        assert "log-log slope of ideal time vs n" in output
 
     def test_symmetry(self, capsys):
         code = main(["symmetry", "--n", "48", "--k", "8", "--degrees", "1,2"])

@@ -8,17 +8,30 @@ command line users type, so regenerate the file only for an intended
 one::
 
     PYTHONPATH=src python tests/test_cli_surface.py
+
+The default-parity tests keep every flag that is generated from a
+declaration equal to it: a spec flag defaults to its dataclass field's
+default, and a job-option flag defaults to ``None`` ("not given") so
+the option's declared default applies.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.campaign import CampaignSpec
+from repro.cli import _job_options, _sweep_spec, build_parser, main
+from repro.experiments.sweep import SweepSpec
+from repro.fuzz import FuzzSpec
+from repro.jobs import KINDS
+from repro.ring.faults import parse_link_spec
+from repro.spec import ExperimentSpec
 
 SURFACE = Path(__file__).resolve().parent / "data" / "cli_surface.json"
 
@@ -38,15 +51,20 @@ def _table(parser: argparse.ArgumentParser):
     ]
 
 
-def surface():
-    """``{command: option table}``; ``""`` is the top-level parser."""
+def _subparsers():
     parser = build_parser()
     (commands,) = [
         action for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
+    return parser, commands.choices
+
+
+def surface():
+    """``{command: option table}``; ``""`` is the top-level parser."""
+    parser, subparsers = _subparsers()
     table = {"": _table(parser)}
-    for name, subparser in commands.choices.items():
+    for name, subparser in subparsers.items():
         table[name] = _table(subparser)
     return table
 
@@ -76,8 +94,7 @@ PSWEEP_RESUME = (
 REJECTED = [
     (["psweep", "--grid", "6x2", "--jobs", "0"], COUNT.format(flag="--jobs")),
     (["fuzz", "--budget", "5", "--jobs", "0"], COUNT.format(flag="--jobs")),
-    (["mc", "--n", "6", "--k", "2", "--jobs", "0"],
-     "error: --jobs must be >= 1, got 0\n"),
+    (["mc", "--n", "6", "--k", "2", "--jobs", "0"], COUNT.format(flag="--jobs")),
     (["campaign", "--workers", "0", "--store", "STORE"],
      COUNT.format(flag="--workers")),
     (["campaign", "--shards", "0", "--store", "STORE"],
@@ -96,6 +113,7 @@ REJECTED = [
      "error: --processes sets the 'processes' option, which fuzz jobs do "
      "not take\n"),
     (["run", "--n", "6", "--k", "2", "--max-steps", "-1"], MAX_STEPS),
+    (["psweep", "--grid", "6x2", "--max-steps", "0"], MAX_STEPS),
     (["campaign", "--grid", "6x2", "--max-steps", "0", "--workers", "1",
       "--store", "STORE"], MAX_STEPS),
 ]
@@ -112,6 +130,169 @@ def test_rejected_values_exit_2_with_one_line(
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", stderr)
     assert not (tmp_path / "store").exists()
+
+
+_RUN = {
+    name: (ExperimentSpec, name)
+    for name in ("scheduler", "scheduler_seed", "max_steps", "links")
+}
+_SWEEP = {
+    "schedulers": (SweepSpec, "schedulers"),
+    "trials": (SweepSpec, "trials"),
+    "seed": (SweepSpec, "base_seed"),
+    "max_steps": (SweepSpec, "max_steps"),
+    "links": (SweepSpec, "links"),
+}
+#: ``{command: {dest: (spec class, field)}}`` of every spec flag.
+SPEC_FLAGS = {
+    "run": _RUN,
+    "spec": _RUN,
+    "psweep": _SWEEP,
+    "campaign": {
+        **_SWEEP,
+        **{
+            name: (CampaignSpec, name)
+            for name in ("workers", "lease_ttl", "unit_timeout",
+                         "max_retries", "backoff_base", "shards")
+        },
+    },
+    "fuzz": {
+        "seed": (FuzzSpec, "seed"),
+        "budget": (FuzzSpec, "budget"),
+        "placements": (FuzzSpec, "placements"),
+        "corpus": (FuzzSpec, "corpus_size"),
+        "max_steps": (FuzzSpec, "max_steps"),
+        "links": (FuzzSpec, "links"),
+    },
+    "mc": {"links": (ExperimentSpec, "links")},
+}
+#: The job kind whose options each command's flags set.
+OPTION_FLAGS = {"psweep": "sweep", "fuzz": "fuzz", "campaign": "campaign"}
+
+
+def _defaults(subparser):
+    return {action.dest: action.default for action in subparser._actions}
+
+
+@pytest.mark.parametrize("command", list(SPEC_FLAGS))
+def test_spec_flags_default_to_their_dataclass_field(command):
+    defaults = _defaults(_subparsers()[1][command])
+    for dest, (spec_class, name) in SPEC_FLAGS[command].items():
+        (field,) = [
+            entry for entry in dataclasses.fields(spec_class)
+            if entry.name == name
+        ]
+        assert defaults[dest] == field.default, (command, dest)
+
+
+@pytest.mark.parametrize("command", [*OPTION_FLAGS, "submit"])
+def test_option_flags_default_to_not_given(command):
+    kinds = [OPTION_FLAGS[command]] if command in OPTION_FLAGS else KINDS
+    defaults = _defaults(_subparsers()[1][command])
+    for kind in kinds:
+        for name in KINDS[kind].options:
+            assert defaults[name] is None, (command, name)
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [(["fuzz"], "fuzz"), (["campaign", "--store", "S"], "campaign"),
+     (["psweep"], "sweep")],
+)
+def test_not_given_options_take_the_declared_defaults(argv, kind):
+    options = _job_options(build_parser().parse_args(argv), kind)
+    assert options == KINDS[kind].check_options({})
+    if kind == "sweep":  # psweep's one CLI-side default: a pool per CPU
+        args = build_parser().parse_args(argv)
+        assert _job_options(args, kind, processes=os.cpu_count())[
+            "processes"
+        ] == os.cpu_count()
+
+
+def test_a_cli_pool_may_oversubscribe_the_host():
+    # The CPU-count cap is the service's: a pool forked for a remote
+    # client must fit the host, a local one is the user's call.
+    cpus = os.cpu_count() or 1
+    args = build_parser().parse_args(["psweep", "--jobs", str(cpus + 3)])
+    assert _job_options(args, "sweep")["processes"] == cpus + 3
+    with pytest.raises(Exception, match="between 1 and"):
+        KINDS["sweep"].check_options({"processes": cpus + 3}, cpus)
+
+
+def test_psweep_and_campaign_share_one_sweep_flag_set():
+    flags = ["--algorithms", "known_k_full,unknown", "--grid", "8x2,12x3",
+             "--schedulers", "sync;random:seed=3", "--trials", "2",
+             "--seed", "5", "--max-steps", "900", "--links", "delay=1,seed=2"]
+    parser = build_parser()
+    psweep = _sweep_spec(parser.parse_args(["psweep", *flags]))
+    campaign = _sweep_spec(
+        parser.parse_args(["campaign", *flags, "--store", "S"])
+    )
+    assert psweep == campaign == SweepSpec(
+        algorithms=("known_k_full", "unknown"), grid=((8, 2), (12, 3)),
+        schedulers=("sync", "random:seed=3"), trials=2, base_seed=5,
+        max_steps=900, links=parse_link_spec("delay=1,seed=2"),
+    )
+    defaults = _sweep_spec(parser.parse_args(["psweep"]))
+    assert defaults == _sweep_spec(
+        parser.parse_args(["campaign", "--store", "S"])
+    )
+    assert defaults.grid == ((64, 8), (128, 16), (256, 16))
+
+
+class _RecordingClient:
+    submitted = []
+
+    def __init__(self, url):
+        self.url = url
+
+    def submit(self, kind, spec, options):
+        self.submitted.append((kind, options))
+        return {"id": "job-1", "kind": kind, "spec_hash": "0" * 64,
+                "state": "queued"}
+
+
+@pytest.mark.parametrize(
+    "flags, kind, options",
+    [
+        ([], "sweep", {}),
+        (["--no-resume", "--backend", "object"], "sweep",
+         {"resume": False, "backend": "object"}),
+        (["--processes", "2"], "sweep", {"processes": 2}),
+        (["--jobs", "2", "--keep-going", "--no-shrink"], "fuzz",
+         {"jobs": 2, "keep_going": True, "shrink": False}),
+        (["--resume"], "campaign", {"resume": True}),
+    ],
+)
+def test_submit_sends_only_the_given_options(
+    flags, kind, options, spec_file, monkeypatch, capsys
+):
+    import repro.serve
+
+    monkeypatch.setattr(repro.serve, "ServeClient", _RecordingClient)
+    _RecordingClient.submitted = []
+    argv = ["submit", "--kind", kind, "--spec", str(spec_file), *flags]
+    assert main(argv) == 0
+    assert _RecordingClient.submitted == [(kind, options)]
+    assert capsys.readouterr().out.startswith("submitted job-1")
+
+
+@pytest.mark.parametrize(
+    "flags, kind, option",
+    [(["--resume"], "fuzz", "resume"), (["--shrink"], "sweep", "shrink"),
+     (["--backend", "batch"], "campaign", "backend"),
+     (["--jobs", "2"], "experiment", "jobs")],
+)
+def test_submit_refuses_an_option_the_kind_does_not_take(
+    flags, kind, option, spec_file, capsys
+):
+    argv = ["submit", "--url", "http://127.0.0.1:9", "--kind", kind,
+            "--spec", str(spec_file), *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flags[0]} sets the {option!r} option, which {kind} jobs "
+        "do not take\n"
+    )
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from repro.experiments.table1 import (
     format_rows,
     symmetry_placement,
     symmetry_sweep,
-    table1_sweep,
 )
 from repro.ring.placement import equidistant_placement, quarter_packed_placement
 
@@ -50,11 +49,6 @@ class TestRunner:
 
 
 class TestSweeps:
-    def test_table1_sweep_shapes(self):
-        results = table1_sweep("known_k_full", [(12, 3), (16, 4)], trials=2)
-        assert len(results) == 4
-        assert all(result.ok for result in results)
-
     def test_symmetry_sweep_monotone_moves(self):
         results = symmetry_sweep(24, 4, [1, 2, 4])
         moves = [result.total_moves for result in results]

@@ -308,15 +308,6 @@ class TestStoreBackedAggregation:
         assert aggregate.all_uniform
         assert aggregate.ideal_time is None  # async runs do not report time
 
-    def test_table1_sweep_store(self, tmp_path):
-        from repro.experiments.table1 import table1_sweep
-
-        store = RunStore(tmp_path / "store")
-        cold = table1_sweep("known_k_full", [(20, 4), (24, 4)], seed=3, store=store)
-        warm = table1_sweep("known_k_full", [(20, 4), (24, 4)], seed=3, store=store)
-        assert warm == cold
-        assert len(store) == 2
-
 
 class TestStoreBackedReport:
     def test_report_from_store_matches_fresh_report(self, tmp_path):
