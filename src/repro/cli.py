@@ -148,19 +148,15 @@ def _counted(parser: argparse.ArgumentParser, action: argparse.Action):
 
 def _add_field(
     parser: argparse.ArgumentParser, spec_class: type, field: str,
-    flag: Optional[str] = None, *, count: bool = False, **kwargs,
-) -> None:
+    flag: Optional[str] = None, **kwargs,
+) -> argparse.Action:
     """A flag that sets ``spec_class.field``, with the field's default."""
     (default,) = [
         entry.default for entry in dataclasses.fields(spec_class)
         if entry.name == field
     ]
     kwargs.setdefault("type", type(default))
-    action = parser.add_argument(
-        flag or _flag(field), default=default, **kwargs
-    )
-    if count:
-        _counted(parser, action)
+    return parser.add_argument(flag or _flag(field), default=default, **kwargs)
 
 
 #: The help of each job option's flag, by option name.
@@ -226,15 +222,20 @@ def _submit_options() -> Dict[str, Option]:
     }
 
 
+def _given(args: argparse.Namespace, names) -> Dict[str, object]:
+    """The options among ``names`` that the command line gave."""
+    return {
+        name: getattr(args, name) for name in names
+        if getattr(args, name) is not None
+    }
+
+
 def _job_options(
     args: argparse.Namespace, kind: str, **defaults: object
 ) -> Dict[str, object]:
     """The options of ``kind`` that the command line gave, completed
     with ``defaults`` and then the declared ones."""
-    given = {
-        name: getattr(args, name) for name in KINDS[kind].options
-        if getattr(args, name) is not None
-    }
+    given = _given(args, KINDS[kind].options)
     return KINDS[kind].check_options({**defaults, **given})
 
 
@@ -748,10 +749,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fuzz campaign: shard this serialized FuzzSpec across the fleet",
     )
     _add_sweep_arguments(campaign_parser)
-    _add_field(
-        campaign_parser, CampaignSpec, "workers", count=True,
+    _counted(campaign_parser, _add_field(
+        campaign_parser, CampaignSpec, "workers",
         help="worker processes in the fleet (dead ones are replaced)",
-    )
+    ))
     _add_field(
         campaign_parser, CampaignSpec, "lease_ttl", metavar="SECONDS",
         help="lease expires after this much heartbeat silence",
@@ -771,10 +772,10 @@ def build_parser() -> argparse.ArgumentParser:
         campaign_parser, CampaignSpec, "backoff_base", metavar="SECONDS",
         help="base of the exponential re-issue backoff (with jitter)",
     )
-    _add_field(
-        campaign_parser, CampaignSpec, "shards", count=True,
+    _counted(campaign_parser, _add_field(
+        campaign_parser, CampaignSpec, "shards",
         help="fuzz campaign: independent shards the budget is split into",
-    )
+    ))
     campaign_parser.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help=(
@@ -1322,7 +1323,7 @@ def _print_campaign_event(update) -> None:
 
 
 def _command_campaign(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignSpec, parse_chaos_spec
+    from repro.campaign import parse_chaos_spec
 
     fleet = {
         "workers": args.workers,
@@ -1334,8 +1335,6 @@ def _command_campaign(args: argparse.Namespace) -> int:
     if args.spec:
         spec = CampaignSpec.load(args.spec)
     elif args.fuzz_spec:
-        from repro.fuzz import FuzzSpec
-
         spec = CampaignSpec(
             kind="fuzz", fuzz=FuzzSpec.load(args.fuzz_spec),
             shards=args.shards, **fleet,
@@ -1491,10 +1490,7 @@ def _command_submit(args: argparse.Namespace) -> int:
 
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = json.load(handle)
-    options = {
-        name: getattr(args, name) for name in _submit_options()
-        if getattr(args, name) is not None
-    }
+    options = _given(args, _submit_options())
     for name in options:
         if name not in KINDS[args.kind].options:
             raise ReproError(
