@@ -2,7 +2,8 @@
 spilled search.
 
 Three measurements on a pinned n=10, k=3 cell (the largest instance the
-verification ladder reports as exhaustively verified):
+verification ladder reports as exhaustively verified), plus the time of
+the per-step target cell:
 
 * serial full expansion vs sleep-set POR — the asserted >=2x win: POR
   executes fewer than half the transitions while reaching the identical
@@ -11,7 +12,11 @@ verification ladder reports as exhaustively verified):
 * the same search spilled to a resumable journal (``repro mc --store``)
   against the in-memory one, with the journal's size and the time to
   replay it (``resume_state``).  The journal records frontier items as
-  parent-index deltas, so its size is asserted to stay O(states).
+  parent-index deltas, so its size is asserted to stay O(states);
+* the distances (1,1,1,1,2) cell of ``unknown`` (n=6, k=5, 192,128
+  states), whose exhaustive check covers Algorithms 5-6's
+  wrong-estimate path.  It runs at jobs=1 and tracks ROADMAP's target
+  of under 10 s, which would let it join tier-1.
 
 Results merge into ``BENCH_engine.json`` so the verified-instance
 ceiling and the reduction ratio are tracked PR over PR.
@@ -25,7 +30,7 @@ import time
 from pathlib import Path
 
 from repro.mc import FrontierSpill, check_frontier, check_interleavings
-from repro.ring.placement import Placement
+from repro.ring.placement import Placement, placement_from_distances
 
 from benchmarks.conftest import record_case, report_lines
 
@@ -180,5 +185,45 @@ def test_spilled_frontier_journal(benchmark):
             f"in memory {memory_seconds:.2f}s, spilled {spill_seconds:.2f}s; "
             f"journal {journal_bytes:,} bytes, replayed in "
             f"{replay_seconds:.2f}s",
+        ],
+    )
+
+
+#: ROADMAP's per-step verification target: this cell at jobs=1 in
+#: under 10 s.  Tracked, not asserted.
+_TARGET_DISTANCES = (1, 1, 1, 1, 2)
+_TARGET_SECONDS = 10.0
+
+
+def test_per_step_target_cell(benchmark):
+    placement = placement_from_distances(_TARGET_DISTANCES)
+
+    def verify():
+        start = time.perf_counter()
+        result = check_interleavings(_ALGORITHM, placement)
+        return result, time.perf_counter() - start
+
+    # One round: the cell takes tens of seconds.
+    result, seconds = benchmark.pedantic(verify, rounds=1, iterations=1)
+    assert result.ok and result.complete
+    assert result.explored == 192_128
+
+    record_case(f"mc target {_ALGORITHM} distances=1,1,1,1,2", {
+        "algorithm": _ALGORITHM,
+        "n": placement.ring_size,
+        "k": placement.agent_count,
+        "distances": list(_TARGET_DISTANCES),
+        "jobs": 1,
+        "states": result.explored,
+        "seconds": round(seconds, 3),
+        "states_per_second": round(result.explored / seconds),
+        "target_seconds": _TARGET_SECONDS,
+    })
+    report_lines(
+        "Model checker - per-step target cell (jobs=1)",
+        [
+            f"{_ALGORITHM} distances={_TARGET_DISTANCES}: {result.explored} "
+            f"states in {seconds:.2f}s ({result.explored / seconds:,.0f} "
+            f"states/s; target < {_TARGET_SECONDS:.0f}s)",
         ],
     )

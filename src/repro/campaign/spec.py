@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
+from repro.decode import read_float, read_int
 from repro.errors import ConfigurationError
 from repro.experiments.sweep import SweepSpec, expand_cells
 from repro.fuzz.spec import FuzzSpec
@@ -206,13 +207,16 @@ class CampaignSpec:
             kind=data.get("kind", ""),
             sweep=SweepSpec.from_dict(sweep_data) if sweep_data else None,
             fuzz=FuzzSpec.from_dict(fuzz_data) if fuzz_data else None,
-            workers=int(fleet.get("workers", 2)),
-            lease_ttl=float(fleet.get("lease_ttl", 10.0)),
-            unit_timeout=float(fleet.get("unit_timeout", 120.0)),
-            max_retries=int(fleet.get("max_retries", 3)),
-            backoff_base=float(fleet.get("backoff_base", 0.5)),
-            backoff_cap=float(fleet.get("backoff_cap", 30.0)),
-            shards=int(fleet.get("shards", 4)),
+            **{
+                name: read_int(fleet, name, cls, label="campaign spec fleet")
+                for name in ("workers", "max_retries", "shards")
+            },
+            **{
+                name: read_float(fleet, name, cls, label="campaign spec fleet")
+                for name in (
+                    "lease_ttl", "unit_timeout", "backoff_base", "backoff_cap"
+                )
+            },
         )
 
     def to_json(self, indent: Optional[int] = 2) -> str:

@@ -45,6 +45,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.decode import field_default, read_int, strict_int
 from repro.errors import (
     CampaignInterrupted,
     ConfigurationError,
@@ -210,16 +211,19 @@ class SweepSpec:
                 raise ConfigurationError(
                     f"sweep grid entries must be [n, k] pairs, got {pair!r}"
                 )
-            grid.append((int(pair[0]), int(pair[1])))
-        max_steps = data.get("max_steps")
+            grid.append(
+                tuple(strict_int(size, "sweep spec grid entry") for size in pair)
+            )
         links_data = data.get("links")
         return cls(
             algorithms=algorithms,
             grid=tuple(grid),
-            schedulers=tuple(data.get("schedulers", ("sync",))),
-            trials=int(data.get("trials", 1)),
-            base_seed=int(data.get("base_seed", 0)),
-            max_steps=None if max_steps is None else int(max_steps),
+            schedulers=tuple(
+                data.get("schedulers", field_default(cls, "schedulers"))
+            ),
+            trials=read_int(data, "trials", cls, label="sweep spec"),
+            base_seed=read_int(data, "base_seed", cls, label="sweep spec"),
+            max_steps=read_int(data, "max_steps", cls, label="sweep spec"),
             links=None if links_data is None else LinkSpec.from_dict(links_data),
         )
 

@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Union
 
+from repro.decode import read_int
 from repro.errors import ConfigurationError
 from repro.registry import get_algorithm
 from repro.ring.faults import LinkSpec
@@ -205,17 +206,16 @@ class FuzzSpec:
                     f"fuzz spec section {section_name!r} must be a dict, "
                     f"got {type(section).__name__}"
                 )
-        max_steps = budget.get("max_steps")
         links_data = data.get("links")
         return cls(
             algorithm=algorithm,
             placement=placement,
-            budget=int(budget.get("runs", 1000)),
-            max_steps=None if max_steps is None else int(max_steps),
-            seed=int(mutation.get("seed", 0)),
-            placements=int(mutation.get("placements", 4)),
-            corpus_size=int(mutation.get("corpus_size", 64)),
-            mutations=int(mutation.get("mutations", 3)),
+            budget=read_int(budget, "runs", cls, "budget", label="fuzz spec budget"),
+            max_steps=read_int(budget, "max_steps", cls, label="fuzz spec budget"),
+            **{
+                name: read_int(mutation, name, cls, label="fuzz spec mutation")
+                for name in ("seed", "placements", "corpus_size", "mutations")
+            },
             links=None if links_data is None else LinkSpec.from_dict(links_data),
         )
 

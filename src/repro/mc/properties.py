@@ -33,7 +33,7 @@ The built-ins cover the paper's claims:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.verification import audit_configuration, verify_uniform_deployment
 from repro.errors import ConfigurationError, SimulationError
@@ -182,8 +182,31 @@ class TokenMonotonicity(SafetyProperty):
         return None
 
 
+#: Most fingerprints :class:`MemoryBound` remembers the bits of; the
+#: memo is emptied when it is full.  Module-level, not per instance:
+#: :func:`repro.mc.frontier.check_spec` describes a property by its
+#: ``vars()``, so a memo attribute would change every journaled check's
+#: hash.
+_MEMORY_BITS_CAP = 2048
+_MEMORY_BITS: Dict[object, int] = {}
+
+
 class MemoryBound(SafetyProperty):
-    """The acting agent's audited memory stays under ``limit_bits``."""
+    """The acting agent's audited memory stays under ``limit_bits``.
+
+    The bits are memoised process-wide on the acting agent's state
+    fingerprint, which the snapshot already holds.
+    :meth:`repro.sim.agent.Agent.memory_bits` reads only the declared
+    variables and the fingerprint holds every one of them, so equal
+    fingerprints audit to equal bits, with one exception: ``True == 1``
+    and ``False == 0`` hash alike, but a bool costs one bit and ``1``
+    costs two.  The memo is exact under the rule that no agent field
+    holds a ``bool`` in one state and an ``int`` in another.
+    ``tests/test_fingerprint_completeness.py`` enforces that rule on
+    every reachable state of its cells, and checks there that each
+    fingerprint audits to one ``memory_bits()`` value.  Unhashable
+    fingerprints are audited without the memo.
+    """
 
     name = "memory-bound"
 
@@ -193,7 +216,16 @@ class MemoryBound(SafetyProperty):
     def check(self, pre, engine, snapshot, acted):
         if acted < 0:
             return None  # link actors have no agent memory
-        bits = engine.agent(acted).memory_bits()
+        fingerprint = snapshot.agent_states[acted]
+        try:
+            bits = _MEMORY_BITS[fingerprint]
+        except KeyError:
+            bits = engine.agent(acted).memory_bits()
+            if len(_MEMORY_BITS) >= _MEMORY_BITS_CAP:
+                _MEMORY_BITS.clear()
+            _MEMORY_BITS[fingerprint] = bits
+        except TypeError:
+            bits = engine.agent(acted).memory_bits()
         if bits > self.limit_bits:
             return (
                 f"agent {acted} uses {bits} bits of state "

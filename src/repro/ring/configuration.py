@@ -26,13 +26,31 @@ Equality and hashing delegate to the key, so a ``set`` or ``dict`` of
 configurations deduplicates the whole symmetry orbit — exactly what the
 model checker's visited-state memo and the fuzzer's coverage map need.
 
-Engine snapshots carry the per-agent payload bytes precomputed
-(``payload_bytes``) through :func:`encode_payload`, which memoises the
-bytes of each distinct payload process-wide.  Payloads repeat far more
-often than global states do (a search or a fuzz campaign revisits the
-same few hundred agent states across thousands of configurations), so
-encoding a state costs ``k`` dictionary lookups and a :func:`pack_value`
-only for payloads not seen recently.
+Incremental encoding
+--------------------
+
+One encoder, :meth:`Configuration._node_block`, turns one node into its
+block of the packed form and its agent slots.  A configuration built by
+hand from its fields encodes every node with it (the reference path).
+An engine snapshot carries caches that let it encode less
+(:meth:`repro.sim.engine.Engine.snapshot` decides what):
+
+* ``payload_bytes`` — each agent's packed payload, through
+  :func:`encode_payload`, which memoises the bytes of each distinct
+  payload process-wide.  Payloads repeat far more often than global
+  states do (a search or a fuzz campaign revisits the same few hundred
+  agent states across thousands of configurations), and the engine
+  re-packs only the payloads of the agents the last action touched;
+* the per-node blocks and slot tuples of the snapshot one action
+  earlier, when that one was packed: only the nodes the action touched
+  (the actor's node and the node whose queue it entered) are encoded
+  again, the rest are shared, so a step costs two block encodings plus
+  the rotation scan instead of one encoding per occupied node.
+
+None of these caches is an ``__init__`` argument, so
+:func:`dataclasses.replace` drops them all and a replaced configuration
+encodes from its fields.  ``tests/test_payload_cache.py`` checks every
+engine snapshot against one built from scratch.
 
 Link-fault state
 ----------------
@@ -60,7 +78,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Configuration",
@@ -75,6 +94,7 @@ __all__ = [
 #: byte layout changes so spilled model-checker frontiers keyed on the
 #: encoding can never be resumed against an incompatible format.
 PACKED_ENCODING_VERSION = "MC1"
+_VERSION_BYTES = PACKED_ENCODING_VERSION.encode("ascii")
 
 #: Packed-form byte for a phantom payload.  Every other payload encoding
 #: opens with a :func:`pack_value` type tag (``(`` for the payload
@@ -250,8 +270,19 @@ class Configuration:
     faults: Optional[Tuple[object, ...]] = None
     #: Agent id -> :func:`encode_payload` of its payload, precomputed by
     #: the engine; ``None`` packs the payloads from the fields above.
-    #: A cache, not state: it never enters equality.
-    payload_bytes: Optional[Mapping[int, bytes]] = field(default=None, repr=False)
+    #: A cache, not state: it never enters equality.  Like every cache
+    #: below it is not an ``__init__`` argument, so
+    #: :func:`dataclasses.replace` drops it and a replaced configuration
+    #: encodes from its fields.
+    payload_bytes: Optional[Mapping[int, bytes]] = field(
+        default=None, init=False, repr=False
+    )
+    #: Per-node blocks of the packed form and their agent slots, in node
+    #: order (see :meth:`_node_block`).
+    _blocks: Optional[List[bytes]] = field(default=None, init=False, repr=False)
+    _node_slots: Optional[List[Tuple[int, ...]]] = field(
+        default=None, init=False, repr=False
+    )
     _packed: Optional[bytes] = field(default=None, init=False, repr=False)
     _slots: Optional[Tuple[int, ...]] = field(default=None, init=False, repr=False)
     _key: Optional[bytes] = field(default=None, init=False, repr=False)
@@ -296,82 +327,126 @@ class Configuration:
         if self._packed is not None:
             assert self._slots is not None
             return self._packed, self._slots
+        if self._blocks is None:
+            self._encode_nodes()
+        blocks = self._blocks
+        node_slots = self._node_slots
+        best = least_rotation(blocks)
+        packed = b"%s;I%d;%s" % (
+            _VERSION_BYTES,
+            self.ring_size,
+            b"".join(blocks[best:] + blocks[:best]),
+        )
+        if self.faults is not None:
+            # Rotation-invariant trailer: the draw counters that fix
+            # every future fault decision.  ``F;`` cannot open a node
+            # block (those start with ``I``), so the trailer parses
+            # unambiguously after the ``size`` blocks.
+            _buffers, _lost, ordinal, loss_used, dup_used = self.faults
+            packed += b"F;I%d;I%d;I%d;" % (ordinal, loss_used, dup_used)
+        slots = tuple(chain.from_iterable(node_slots[best:] + node_slots[:best]))
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "_slots", slots)
+        return packed, slots
+
+    def _encode_nodes(self) -> None:
+        """Encode every node's block from the fields (see :meth:`_node_block`)."""
         payload_bytes = self.payload_bytes
         if payload_bytes is None:
             payload_bytes = {
                 agent_id: encode_payload(self._agent_payload(agent_id))
                 for agent_id in self.agent_states
             }
-        faults = self.faults
         occupied = {node for node, agents in self.staying.items() if agents}
         occupied.update(node for node, queue in self.queues.items() if queue)
-        if faults is None:
-            empty_tail = b""
-        else:
-            buffers, _lost, ordinal, loss_used, dup_used = faults
+        empty_tail = b""
+        if self.faults is not None:
             empty_tail = b"F0:"
-            occupied.update(node for node, held in enumerate(buffers) if held)
+            occupied.update(node for node, held in enumerate(self.faults[0]) if held)
         # Nodes with no agent in sight differ only in their token count:
-        # they share one block object per count.
+        # they share one block object per count (the bytes
+        # :meth:`_node_block` gives such a node).
         empty = {
             count: b"I%d;P0:Q0:%s" % (count, empty_tail) for count in set(self.tokens)
         }
         blocks = [empty[count] for count in self.tokens]
-        node_slots = {}
+        node_slots = [()] * self.ring_size
         for node in occupied:
-            staying_ids = sorted(
-                self.staying.get(node, ()),
-                key=lambda agent_id: (payload_bytes[agent_id], agent_id),
+            blocks[node], node_slots[node] = self._node_block(node, payload_bytes)
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_node_slots", node_slots)
+
+    def _node_block(
+        self, node: int, payload_bytes: Mapping[int, bytes]
+    ) -> Tuple[bytes, Tuple[int, ...]]:
+        """One node's block of the packed form and its agent slots.
+
+        The block is the token count, the staying payloads sorted by
+        their bytes (ties by agent id), the queued payloads head first
+        and, on a faulty ring, the delay buffer of the link into the
+        node.  The slots are the staying ids in that order, then the
+        queued agent ids.
+        """
+        staying_ids = self.staying.get(node, ())
+        if len(staying_ids) > 1:
+            staying_ids = tuple(
+                sorted(
+                    staying_ids,
+                    key=lambda agent_id: (payload_bytes[agent_id], agent_id),
+                )
             )
-            queued_ids = self.queues.get(node, ())
-            block = bytearray()
-            block += b"I%d;" % self.tokens[node]
-            block += b"P%d:" % len(staying_ids)
-            for agent_id in staying_ids:
+        queued_ids = self.queues.get(node, ())
+        block = bytearray(b"I%d;P%d:" % (self.tokens[node], len(staying_ids)))
+        for agent_id in staying_ids:
+            block += payload_bytes[agent_id]
+        block += b"Q%d:" % len(queued_ids)
+        phantoms = False
+        for agent_id in queued_ids:
+            if agent_id >= 0:
                 block += payload_bytes[agent_id]
-            block += b"Q%d:" % len(queued_ids)
-            for agent_id in queued_ids:
-                if agent_id >= 0:
-                    block += payload_bytes[agent_id]
+            else:
+                block += _PHANTOM_BYTE
+                phantoms = True
+        if self.faults is not None:
+            # Delay buffer of the link into this node, head first:
+            # payload encoding + remaining ticks, inside the rotation
+            # because buffers sit on concrete links.
+            held = self.faults[0][node]
+            block += b"F%d:" % len(held)
+            for payload, remaining in held:
+                if payload >= 0:
+                    block += payload_bytes[payload]
                 else:
                     block += _PHANTOM_BYTE
-            if faults is not None:
-                # Delay buffer of the link into this node, head first:
-                # payload encoding + remaining ticks, inside the
-                # rotation because buffers sit on concrete links.
-                held = buffers[node]
-                block += b"F%d:" % len(held)
-                for payload, remaining in held:
-                    if payload >= 0:
-                        block += payload_bytes[payload]
-                    else:
-                        block += _PHANTOM_BYTE
-                    block += b"I%d;" % remaining
-            blocks[node] = bytes(block)
-            node_slots[node] = tuple(staying_ids) + tuple(
-                agent_id for agent_id in queued_ids if agent_id >= 0
-            )
-        size = self.ring_size
-        best = least_rotation(blocks)
-        packed = b"%s;I%d;%s" % (
-            PACKED_ENCODING_VERSION.encode("ascii"),
-            size,
-            b"".join(blocks[best:] + blocks[:best]),
-        )
-        if faults is not None:
-            # Rotation-invariant trailer: the draw counters that fix
-            # every future fault decision.  ``F;`` cannot open a node
-            # block (those start with ``I``), so the trailer parses
-            # unambiguously after the ``size`` blocks.
-            packed += b"F;I%d;I%d;I%d;" % (ordinal, loss_used, dup_used)
-        slots: Tuple[int, ...] = tuple(
-            agent_id
-            for node in sorted(node_slots, key=lambda node: (node - best) % size)
-            for agent_id in node_slots[node]
-        )
-        object.__setattr__(self, "_packed", packed)
-        object.__setattr__(self, "_slots", slots)
-        return packed, slots
+                block += b"I%d;" % remaining
+        if phantoms:
+            queued_ids = [agent_id for agent_id in queued_ids if agent_id >= 0]
+        return bytes(block), tuple(staying_ids) + tuple(queued_ids)
+
+    def _carry(
+        self,
+        payload_bytes: Mapping[int, bytes],
+        base: "Optional[Configuration]" = None,
+        nodes: Iterable[int] = (),
+    ) -> None:
+        """Attach an engine snapshot's caches.
+
+        ``payload_bytes`` become :attr:`payload_bytes`.  With ``base``,
+        the snapshot of the state one action earlier, the node blocks
+        ``base`` has already encoded are taken over and only ``nodes``
+        (those the action touched) are encoded again.  Without it, or
+        when ``base`` was never packed, :meth:`packed_layout` encodes
+        every node.
+        """
+        object.__setattr__(self, "payload_bytes", payload_bytes)
+        if base is None or base._blocks is None:
+            return
+        blocks = list(base._blocks)
+        node_slots = list(base._node_slots)
+        for node in nodes:
+            blocks[node], node_slots[node] = self._node_block(node, payload_bytes)
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_node_slots", node_slots)
 
     def packed(self) -> bytes:
         """The rotation/relabelling-invariant packed byte encoding."""

@@ -44,6 +44,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.decode import read_int
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -168,10 +169,10 @@ class LinkSpec:
                 f"link spec has unknown keys {sorted(unknown)}"
             )
         return cls(
-            delay=int(data.get("delay", 0)),
-            loss=int(data.get("loss", 0)),
-            dup=int(data.get("dup", 0)),
-            seed=int(data.get("seed", 0)),
+            **{
+                name: read_int(data, name, cls, label="link spec")
+                for name in ("delay", "loss", "dup", "seed")
+            }
         )
 
     def describe(self) -> str:

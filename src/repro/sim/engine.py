@@ -111,10 +111,10 @@ class Engine:
         self._homes: Dict[int, int] = dict(enumerate(placement.homes))
         self._inboxes: Dict[int, List[object]] = {i: [] for i in self._agents}
         self._started: Dict[int, bool] = {i: False for i in self._agents}
-        # Agent id -> state fingerprint at activation-log length
-        # ``_fingerprinted``; see snapshot().
-        self._fingerprints: Dict[int, Tuple[object, ...]] = {}
-        self._fingerprinted = 0
+        # The last snapshot and the activation-log length it was taken
+        # at: the base the next snapshot re-encodes from (see snapshot()).
+        self._last: Optional[Configuration] = None
+        self._snapshotted = 0
         if scheduler is None:
             # Late import: the registry lazily imports the algorithm
             # modules, which themselves import this module.
@@ -361,6 +361,9 @@ class Engine:
         trace recorder — forks exist for state-space exploration, not
         accounting.  The activation log and step count carry over, so a
         violating fork's :attr:`activation_log` is directly replayable.
+        So does the last :meth:`snapshot`, shared rather than copied: the
+        clone's next snapshot re-encodes only what the clone's own
+        actions touched.
         """
         clone = Engine.__new__(Engine)
         clone._placement = self._placement
@@ -392,8 +395,10 @@ class Engine:
         clone._faults = fast.faults
         clone._size = self._size
         clone._enabled = set(self._enabled)
-        clone._fingerprints = dict(self._fingerprints)
-        clone._fingerprinted = self._fingerprinted
+        # Snapshots are immutable and each one builds new maps, so the
+        # clone shares the last one: copy-on-write for free.
+        clone._last = self._last
+        clone._snapshotted = self._snapshotted
         return clone
 
     def snapshot(self) -> Configuration:
@@ -405,45 +410,102 @@ class Engine:
         identifies the global state exactly — the model checker's
         memoisation key and the fuzzer's coverage key.
 
-        It also carries each agent's packed payload bytes, looked up in
-        the process-wide payload memo of :func:`encode_payload`.  An
-        agent's declared fields change only when it acts, so only the
-        agents in the activation log since the previous snapshot (of
-        this engine or of the engine it was forked from) are
-        fingerprinted again; the others keep their fingerprint.
+        It is built from the previous snapshot (of this engine or of the
+        engine it was forked from), re-encoding only what the actions
+        since then can have changed:
+
+        * agents in the activation log since then are fingerprinted
+          again; the others keep their fingerprint;
+        * after exactly one agent action on a reliable ring, the
+          *dirty* nodes are the actor's action node ``v`` (its tokens,
+          staying set and incoming queue) and the node whose queue the
+          actor entered, and the dirty agents are the actor and the
+          agents staying at ``v`` (the only broadcast recipients).
+          Their map entries, packed payload bytes (from the process-wide
+          memo of :func:`encode_payload`) and, if the previous snapshot
+          was packed, node blocks are rebuilt; every other entry and
+          block is shared with the previous snapshot;
+        * everything is dirty on the first snapshot, after more than one
+          action (``run_rounds``, replays) and on a faulty ring (link
+          actors, delay buffers and losses touch other nodes).
+
+        With no action since the previous snapshot it is returned again.
+        State must therefore change only through :meth:`step` and the
+        ``run`` family; ``tests/test_payload_cache.py`` checks every
+        field against a snapshot that carries nothing over.
         """
-        fingerprints = self._fingerprints
+        last = self._last
         log = self._activation_log
-        stale = set(log[self._fingerprinted:]) if fingerprints else self._agents
-        for agent_id in stale:
+        since = len(log) - self._snapshotted
+        if last is not None and not since:
+            return last
+        agents = self._agents
+        if last is None:
+            agent_states: Dict[int, object] = {}
+            refingerprint = agents
+        else:
+            agent_states = dict(last.agent_states)
+            refingerprint = set(log[self._snapshotted :])
+        for agent_id in refingerprint:
             if agent_id >= 0:  # link actors have negative ids
-                fingerprints[agent_id] = self._agents[agent_id].state_fingerprint()
-        self._fingerprinted = len(log)
-        agent_states = dict(fingerprints)
-        inboxes = {}
-        payload_bytes = {}
+                agent_states[agent_id] = agents[agent_id].state_fingerprint()
+        # One agent action on a reliable ring touches at most two nodes;
+        # anything else re-encodes every node.
+        code = self._locations.get(log[-1]) if since == 1 else None
+        if last is None or code is None or self._faults is not None:
+            base = None
+            nodes = range(self._size)
+            touched = agents
+            inboxes: Dict[int, Tuple[object, ...]] = {}
+            inbox_sizes: Dict[int, int] = {}
+            payload_bytes: Dict[int, bytes] = {}
+            staying: Dict[int, Tuple[int, ...]] = {}
+            queues: Dict[int, Tuple[int, ...]] = {}
+        else:
+            base = last
+            if code >= 0:
+                node = code  # the actor stayed
+                nodes = (node,)
+            else:
+                entered = -code - 1
+                node = (entered or self._size) - 1
+                nodes = (node,) if node == entered else (node, entered)
+            touched = (log[-1], *self._staying[node])
+            inboxes = dict(last.inboxes)
+            inbox_sizes = dict(last.inbox_sizes)
+            payload_bytes = dict(last.payload_bytes)
+            staying = dict(last.staying)
+            queues = dict(last.queues)
         started = self._started
-        for agent_id, inbox in self._inboxes.items():
-            inbox = tuple(inbox)
+        live_inboxes = self._inboxes
+        for agent_id in touched:
+            inbox = tuple(live_inboxes[agent_id])
             inboxes[agent_id] = inbox
+            inbox_sizes[agent_id] = len(inbox)
             payload_bytes[agent_id] = encode_payload(
-                (started[agent_id], fingerprints[agent_id], inbox)
+                (started[agent_id], agent_states[agent_id], inbox)
             )
-        return Configuration(
+        live_staying = self._staying
+        live_queues = self._queues
+        for node in nodes:
+            here = live_staying[node]
+            staying[node] = tuple(sorted(here)) if here else ()
+            queues[node] = tuple(live_queues[node])
+        snapshot = Configuration(
             ring_size=self._size,
             agent_states=agent_states,
             tokens=tuple(self._tokens),
-            inbox_sizes={agent_id: len(inbox) for agent_id, inbox in inboxes.items()},
-            staying={
-                node: tuple(sorted(agents)) if agents else ()
-                for node, agents in enumerate(self._staying)
-            },
-            queues={node: tuple(queue) for node, queue in enumerate(self._queues)},
+            inbox_sizes=inbox_sizes,
+            staying=staying,
+            queues=queues,
             inboxes=inboxes,
             started=dict(started),
             faults=None if self._faults is None else self._faults.snapshot(),
-            payload_bytes=payload_bytes,
         )
+        snapshot._carry(payload_bytes, base, nodes)
+        self._last = snapshot
+        self._snapshotted = len(log)
+        return snapshot
 
     def pending_messages(self) -> int:
         """Undelivered messages across all agents, without a snapshot."""

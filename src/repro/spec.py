@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple, Union
 
+from repro.decode import field_default, read_int
 from repro.errors import ConfigurationError
 from repro.registry import (
     SchedulerSpec,
@@ -319,12 +320,21 @@ class ExperimentSpec:
         return cls(
             algorithm=algorithm,
             placement=placement,
-            scheduler=scheduler.get("spec", "sync"),
-            scheduler_seed=int(scheduler.get("seed", 0)),
-            max_steps=limits.get("max_steps"),
-            memory_audit_interval=int(engine.get("memory_audit_interval", 16)),
-            collect_metrics=bool(engine.get("collect_metrics", True)),
-            validate_enabledness=bool(engine.get("validate_enabledness", False)),
+            scheduler=scheduler.get("spec", field_default(cls, "scheduler")),
+            scheduler_seed=read_int(
+                scheduler, "seed", cls, "scheduler_seed",
+                label="experiment spec scheduler",
+            ),
+            max_steps=read_int(
+                limits, "max_steps", cls, label="experiment spec limits"
+            ),
+            memory_audit_interval=read_int(
+                engine, "memory_audit_interval", cls, label="experiment spec engine"
+            ),
+            **{
+                name: bool(engine.get(name, field_default(cls, name)))
+                for name in ("collect_metrics", "validate_enabledness")
+            },
             links=links,
         )
 

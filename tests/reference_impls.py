@@ -81,3 +81,34 @@ def reference_canonical(config) -> tuple:
         _buffers, _lost, ordinal, loss_used, dup_used = config.faults
         canonical = canonical + (("link-faults", ordinal, loss_used, dup_used),)
     return canonical
+
+
+def scratch_snapshot(engine):
+    """The engine's current state as a ``Configuration`` built from scratch.
+
+    Reads the live ring, agents, inboxes and started flags directly and
+    carries nothing over from an earlier snapshot: no payload bytes, no
+    node blocks.  The reference that ``Engine.snapshot()``, which
+    re-encodes only what the last action touched, is checked against.
+    """
+    from repro.ring.configuration import Configuration
+
+    fast = engine.ring.fast_state()
+    agent_ids = engine.agent_ids
+    inboxes = {agent_id: tuple(engine._inboxes[agent_id]) for agent_id in agent_ids}
+    return Configuration(
+        ring_size=engine.ring.size,
+        agent_states={
+            agent_id: engine.agent(agent_id).state_fingerprint()
+            for agent_id in agent_ids
+        },
+        tokens=tuple(fast.tokens),
+        inbox_sizes={agent_id: len(inbox) for agent_id, inbox in inboxes.items()},
+        staying={
+            node: tuple(sorted(agents)) for node, agents in enumerate(fast.staying)
+        },
+        queues={node: tuple(queue) for node, queue in enumerate(fast.queues)},
+        inboxes=inboxes,
+        started={agent_id: engine._started[agent_id] for agent_id in agent_ids},
+        faults=None if fast.faults is None else fast.faults.snapshot(),
+    )

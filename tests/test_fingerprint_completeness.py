@@ -25,6 +25,11 @@ So no declared agent field and no message field may hold a ``bool`` in
 one reachable state and an ``int`` in another; the test records the
 value kinds of each ``(agent type, field)`` and ``(message class,
 field)`` over every state it visits.
+
+The memo of :class:`repro.mc.properties.MemoryBound` keys an agent's
+audited bits on its fingerprint under the same rule (a bool costs one
+bit, ``1`` two), so the exploration also checks that every fingerprint
+audits to one ``memory_bits()`` value.
 """
 
 from __future__ import annotations
@@ -68,8 +73,9 @@ def _record_kinds(snapshot, kinds):
                 )
 
 
-def _observe(engine, controls, kinds):
-    """Record every agent's control point; return the exploration key."""
+def _observe(engine, controls, kinds, audits):
+    """Record every agent's control point and audited bits; return the
+    exploration key."""
     snapshot = engine.snapshot()
     _record_kinds(snapshot, kinds)
     augmented = {}
@@ -82,9 +88,12 @@ def _observe(engine, controls, kinds):
             f"fingerprint {entry} seen at control points {first} and {control}"
         )
         augmented[agent_id] = (control, fingerprint)
-    return dataclasses.replace(
-        snapshot, agent_states=augmented, payload_bytes=None
-    ).canonical_key()
+        bits = audits.setdefault(fingerprint, agent.memory_bits())
+        assert bits == agent.memory_bits(), (
+            f"fingerprint {fingerprint} audits to {bits} and "
+            f"{agent.memory_bits()} bits"
+        )
+    return dataclasses.replace(snapshot, agent_states=augmented).canonical_key()
 
 
 def _explore(algorithm, placement):
@@ -95,12 +104,13 @@ def _explore(algorithm, placement):
     """
     controls = {}
     kinds = {}
+    audits = {}
     root = build_engine(algorithm, placement, collect_metrics=False)
     visited = set()
     stack = [root]
     while stack:
         engine = stack.pop()
-        key = _observe(engine, controls, kinds)
+        key = _observe(engine, controls, kinds, audits)
         if key in visited:
             continue
         visited.add(key)

@@ -275,6 +275,13 @@ class TestJobEndpoints:
                 ).encode(),
                 "max_steps must be >= 1 when given",
             ),
+            (
+                json.dumps(
+                    {"kind": "sweep",
+                     "spec": dict(_sweep().to_dict(), trials=2.9)}
+                ).encode(),
+                "sweep spec 'trials' must be an integer, got 2.9",
+            ),
         ]
         # Options are checked against the kind's declared ones before a
         # job exists: the 400 names the offending option.
