@@ -11,7 +11,6 @@ deterministic algorithms.
 from __future__ import annotations
 
 from repro.experiments.statistics import aggregate_trials
-from repro.sim.scheduler import RandomScheduler
 
 from benchmarks.conftest import report
 
@@ -54,7 +53,7 @@ def test_async_trials_match_sync_moves(benchmark):
             8,
             trials=3,
             seed=4,
-            scheduler_factory=lambda index: RandomScheduler(index),
+            scheduler_spec="random",
         )
         return sync, asynchronous
 

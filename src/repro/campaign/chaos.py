@@ -35,9 +35,12 @@ import hashlib
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.decode import (
+    field_default, parse_key_values, read_document, read_float, read_int,
+)
 from repro.errors import ConfigurationError
 
 __all__ = ["ChaosFault", "ChaosPlan", "parse_chaos_spec"]
@@ -90,7 +93,7 @@ class ChaosPlan:
     silence: float = 0.0
     stall_seconds: float = 30.0
     silence_seconds: float = 30.0
-    poison: Tuple[str, ...] = field(default_factory=tuple)
+    poison: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         for name, value in (
@@ -183,26 +186,16 @@ class ChaosPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChaosPlan":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"chaos plan must be a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - {
-            "seed", "kill", "stall", "silence",
-            "stall_seconds", "silence_seconds", "poison",
-        }
-        if unknown:
-            raise ConfigurationError(
-                f"chaos plan has unknown keys {sorted(unknown)}"
-            )
+        read_document(data, "chaos plan", cls.__dataclass_fields__)
         return cls(
-            seed=int(data.get("seed", 0)),
-            kill=float(data.get("kill", 0.0)),
-            stall=float(data.get("stall", 0.0)),
-            silence=float(data.get("silence", 0.0)),
-            stall_seconds=float(data.get("stall_seconds", 30.0)),
-            silence_seconds=float(data.get("silence_seconds", 30.0)),
-            poison=tuple(data.get("poison", ())),
+            seed=read_int(data, "seed", cls, label="chaos plan"),
+            **{
+                name: read_float(data, name, cls, label="chaos plan")
+                for name in (
+                    "kill", "stall", "silence", "stall_seconds", "silence_seconds"
+                )
+            },
+            poison=tuple(data.get("poison", field_default(cls, "poison"))),
         )
 
     def describe(self) -> str:
@@ -225,38 +218,9 @@ def parse_chaos_spec(text: str) -> ChaosPlan:
     prefixes).  A bare ``--chaos seed=N`` with no probabilities is
     rejected — it would inject nothing and silently test nothing.
     """
-    values: Dict[str, object] = {}
-    poison = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ConfigurationError(
-                f"bad chaos entry {chunk!r}; expected key=value"
-            )
-        key, _, raw = chunk.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key == "poison":
-            poison.append(raw)
-            continue
-        if key not in (
-            "seed", "kill", "stall", "silence",
-            "stall_seconds", "silence_seconds",
-        ):
-            raise ConfigurationError(
-                f"unknown chaos key {key!r}; expected one of seed, kill, "
-                "stall, silence, stall_seconds, silence_seconds, poison"
-            )
-        try:
-            values[key] = int(raw) if key == "seed" else float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"bad chaos value {raw!r} for {key!r}"
-            ) from None
-    if poison:
-        values["poison"] = tuple(poison)
+    readers = dict.fromkeys(ChaosPlan.__dataclass_fields__, float)
+    readers.update(seed=int, poison=str)
+    values = parse_key_values(text, "chaos", readers, repeated=("poison",))
     plan = ChaosPlan.from_dict(values)
     if not plan.active:
         raise ConfigurationError(

@@ -32,12 +32,12 @@ spec-hash-keyed :class:`WorkUnit`\\ s in canonical order:
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.decode import read_float, read_int
+from repro.decode import (
+    SpecCodec, canonical_hash, read_document, read_float, read_int,
+)
 from repro.errors import ConfigurationError
 from repro.experiments.sweep import SweepSpec, expand_cells
 from repro.fuzz.spec import FuzzSpec
@@ -76,8 +76,11 @@ class WorkUnit:
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
-    """One fault-tolerant campaign, fully described and serialisable."""
+class CampaignSpec(SpecCodec):
+    """One fault-tolerant campaign, fully described and serialisable.
+
+    :meth:`content_hash` covers the full spec (workload + fleet knobs).
+    """
 
     kind: str  # "sweep" | "fuzz"
     sweep: Optional[SweepSpec] = None
@@ -89,6 +92,8 @@ class CampaignSpec:
     backoff_base: float = 0.5
     backoff_cap: float = 30.0
     shards: int = 4  # fuzz only; fixed so work identity ignores workers
+
+    label = "campaign spec"
 
     def __post_init__(self) -> None:
         if self.kind not in ("sweep", "fuzz"):
@@ -122,9 +127,6 @@ class CampaignSpec:
     def heartbeat_interval(self) -> float:
         """Workers renew leases at a quarter TTL: three missed beats kill."""
         return max(0.02, self.lease_ttl / 4.0)
-
-    def with_options(self, **changes) -> "CampaignSpec":
-        return replace(self, **changes)
 
     # -- decomposition -------------------------------------------------------
 
@@ -186,21 +188,12 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"campaign spec must be a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - {"kind", "sweep", "fuzz", "fleet"}
-        if unknown:
-            raise ConfigurationError(
-                f"campaign spec has unknown keys {sorted(unknown)}"
-            )
         # Specs from before cells always ran on the object engine may
         # carry a "backend" fleet key; it never entered work_hash, so it
         # is ignored and their ledgers resume.
-        fleet = data.get("fleet", {})
-        if not isinstance(fleet, dict):
-            raise ConfigurationError("campaign spec 'fleet' must be a dict")
+        (fleet,) = read_document(
+            data, cls.label, ("kind", "sweep", "fuzz", "fleet"), sections=("fleet",)
+        )
         sweep_data = data.get("sweep")
         fuzz_data = data.get("fuzz")
         return cls(
@@ -219,38 +212,7 @@ class CampaignSpec:
             },
         )
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(
-                f"campaign spec is not valid JSON: {error}"
-            ) from None
-        return cls.from_dict(data)
-
-    @classmethod
-    def load(cls, path: str) -> "CampaignSpec":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return cls.from_json(handle.read())
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot read campaign spec {path!r}: {error}"
-            ) from None
-
     # -- identity ------------------------------------------------------------
-
-    def _hash_payload(self, data: Dict[str, object]) -> str:
-        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def content_hash(self) -> str:
-        """SHA-256 over the full spec (workload + fleet knobs)."""
-        return self._hash_payload(self.to_dict())
 
     def work_hash(self) -> str:
         """SHA-256 over the *work* alone: workload + shard count.
@@ -258,7 +220,7 @@ class CampaignSpec:
         Names the campaign ledger; fleet knobs (workers, TTLs, retry
         budget) can change between resumes without orphaning progress.
         """
-        return self._hash_payload(
+        return canonical_hash(
             {
                 "kind": self.kind,
                 "sweep": self.sweep.to_dict() if self.sweep else None,

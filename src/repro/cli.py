@@ -1216,9 +1216,14 @@ def _command_mc(args: argparse.Namespace) -> int:
     if not complete:
         print("\nsearch truncated (depth/state limit hit): bounded check only")
         return 1
+    # Sleep sets keep every state but not every cycle (repro.mc.por).
+    graph = (
+        ", with livelock cycles searched on the sleep-set-reduced graph only "
+        "(--no-por searches the full graph)" if por else ""
+    )
     print(
         "\nno violations: every fair schedule of every checked configuration "
-        f"deploys uniformly (exhaustive at n={n}, k={k})"
+        f"deploys uniformly (exhaustive at n={n}, k={k}){graph}"
     )
     return 0
 

@@ -17,7 +17,6 @@ from repro.baselines.optimal import optimal_uniform_plan
 from repro.experiments.runner import RunResult, run_experiment
 from repro.registry import algorithm_names
 from repro.ring.placement import Placement
-from repro.sim.scheduler import Scheduler
 
 __all__ = ["AlgorithmComparison", "compare_algorithms"]
 
@@ -70,27 +69,20 @@ class AlgorithmComparison:
 def compare_algorithms(
     placement: Placement,
     algorithms: Optional[Sequence[str]] = None,
-    scheduler_factory=None,
     memory_audit_interval: int = 1,
 ) -> AlgorithmComparison:
     """Run each algorithm on ``placement`` and bundle the outcomes.
 
-    ``scheduler_factory`` maps an algorithm name to a fresh scheduler
-    (default: a fresh synchronous scheduler each, so ideal times are
-    comparable).
+    Each algorithm runs under a fresh synchronous scheduler, so ideal
+    times are comparable.
     """
     names = list(algorithms) if algorithms is not None else algorithm_names()
-    results = {}
-    for name in names:
-        scheduler: Optional[Scheduler] = (
-            scheduler_factory(name) if scheduler_factory else None
+    results = {
+        name: run_experiment(
+            name, placement, memory_audit_interval=memory_audit_interval
         )
-        results[name] = run_experiment(
-            name,
-            placement,
-            scheduler=scheduler,
-            memory_audit_interval=memory_audit_interval,
-        )
+        for name in names
+    }
     plan = optimal_uniform_plan(placement)
     return AlgorithmComparison(
         placement=placement, optimal_moves=plan.total_moves, results=results

@@ -10,9 +10,7 @@ variation rather than single draws.
 Trials are content-addressed: pass ``store=RunStore(dir)`` and every
 trial whose spec is already archived is served from the store instead
 of re-simulated (the placements are declarative, so the aggregate over
-archived runs equals the aggregate over fresh ones).  Store-backed
-aggregation requires a declarative ``scheduler_spec`` — an opaque
-``scheduler_factory`` cannot be content-addressed.
+archived runs equals the aggregate over fresh ones).
 """
 
 from __future__ import annotations
@@ -20,14 +18,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import RunResult, run_experiment
+from repro.experiments.runner import RunResult
 from repro.ring.placement import random_placement
 from repro.spec import ExperimentSpec
 from repro.store import RunStore, cached_run
-from repro.sim.scheduler import Scheduler
 
 __all__ = ["MetricSummary", "TrialAggregate", "aggregate_trials"]
 
@@ -97,47 +94,24 @@ def aggregate_trials(
     agent_count: int,
     trials: int = 5,
     seed: int = 0,
-    scheduler_factory: Optional[Callable[[int], Scheduler]] = None,
     memory_audit_interval: int = 16,
     scheduler_spec: Optional[str] = None,
     store: Optional[RunStore] = None,
 ) -> TrialAggregate:
     """Run ``trials`` seeded random placements and summarise the metrics.
 
-    ``scheduler_factory`` maps a trial index to a scheduler; the default
-    keeps the synchronous scheduler (so ideal time is measured).  Pass
-    ``lambda i: RandomScheduler(i)`` to sample asynchronous executions —
-    or, preferably, a declarative ``scheduler_spec`` string such as
-    ``"random"`` (the trial index fills its unpinned seed parameters),
-    which also makes the trials archivable: with ``store=`` given, each
-    trial spec's content hash is looked up first and only missing trials
-    are simulated.
+    The default scheduler is the synchronous one (so ideal time is
+    measured).  A ``scheduler_spec`` string such as ``"random"`` samples
+    asynchronous executions, the trial index filling its unpinned seed
+    parameters.  With ``store=`` given, each trial spec's content hash
+    is looked up first and only missing trials are simulated.
     """
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive, got {trials}")
-    if scheduler_factory is not None and scheduler_spec is not None:
-        raise ConfigurationError(
-            "pass either scheduler_factory or scheduler_spec, not both"
-        )
-    if scheduler_factory is not None and store is not None:
-        raise ConfigurationError(
-            "store-backed aggregation needs a declarative scheduler_spec; "
-            "an opaque scheduler_factory cannot be content-addressed"
-        )
     rng = random.Random(seed)
     results: List[RunResult] = []
     for index in range(trials):
         placement = random_placement(ring_size, agent_count, rng)
-        if scheduler_factory is not None:
-            results.append(
-                run_experiment(
-                    algorithm,
-                    placement,
-                    scheduler=scheduler_factory(index),
-                    memory_audit_interval=memory_audit_interval,
-                )
-            )
-            continue
         spec = ExperimentSpec.for_placement(
             algorithm,
             placement,

@@ -38,14 +38,15 @@ store alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.decode import field_default, read_int, strict_int
+from repro.decode import (
+    SpecCodec, field_default, read_document, read_int, seed_from_key, strict_int,
+)
 from repro.errors import (
     CampaignInterrupted,
     ConfigurationError,
@@ -86,9 +87,9 @@ def cell_seed(
     SHA-256 of the coordinate string, not Python's ``hash`` — the value
     must be identical across processes, interpreter runs and platforms.
     """
-    key = f"{base_seed}|{algorithm}|{ring_size}x{agent_count}|{scheduler}|{trial}"
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
+    return seed_from_key(
+        f"{base_seed}|{algorithm}|{ring_size}x{agent_count}|{scheduler}|{trial}"
+    )
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,11 @@ class SweepCell:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """A full sweep grid: the cross product of every axis."""
+class SweepSpec(SpecCodec):
+    """A full sweep grid: the cross product of every axis.
+
+    Its content hash is the identity ``repro serve`` gives a sweep job.
+    """
 
     algorithms: Tuple[str, ...]
     grid: Tuple[Tuple[int, int], ...]
@@ -141,6 +145,8 @@ class SweepSpec:
     base_seed: int = 0
     max_steps: Optional[int] = None
     links: Optional[LinkSpec] = None
+
+    label = "sweep spec"
 
     def __post_init__(self) -> None:
         for algorithm in self.algorithms:
@@ -186,27 +192,12 @@ class SweepSpec:
         straight onto the dataclass, with unknown keys rejected loudly
         so a mistyped field never silently falls back to a default.
         """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"sweep spec must be a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - {
-            "algorithms", "grid", "schedulers", "trials",
-            "base_seed", "max_steps", "links",
-        }
-        if unknown:
-            raise ConfigurationError(
-                f"sweep spec has unknown keys {sorted(unknown)}"
-            )
-        try:
-            algorithms = tuple(data["algorithms"])
-            grid_pairs = data["grid"]
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"sweep spec is missing required key {missing}"
-            ) from None
+        read_document(
+            data, cls.label, cls.__dataclass_fields__,
+            required=("algorithms", "grid"),
+        )
         grid = []
-        for pair in grid_pairs:
+        for pair in data["grid"]:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigurationError(
                     f"sweep grid entries must be [n, k] pairs, got {pair!r}"
@@ -216,7 +207,7 @@ class SweepSpec:
             )
         links_data = data.get("links")
         return cls(
-            algorithms=algorithms,
+            algorithms=tuple(data["algorithms"]),
             grid=tuple(grid),
             schedulers=tuple(
                 data.get("schedulers", field_default(cls, "schedulers"))
@@ -226,14 +217,6 @@ class SweepSpec:
             max_steps=read_int(data, "max_steps", cls, label="sweep spec"),
             links=None if links_data is None else LinkSpec.from_dict(links_data),
         )
-
-    def content_hash(self) -> str:
-        """SHA-256 hex digest of the canonical JSON form of :meth:`to_dict`
-        (the identity ``repro serve`` gives a sweep job)."""
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def expand_cells(spec: SweepSpec) -> List[SweepCell]:

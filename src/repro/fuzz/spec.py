@@ -26,12 +26,10 @@ the loop.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
-from repro.decode import read_int
+from repro.decode import SpecCodec, read_document, read_int
 from repro.errors import ConfigurationError
 from repro.registry import get_algorithm
 from repro.ring.faults import LinkSpec
@@ -49,7 +47,7 @@ def replay_spec_string(schedule: Sequence[int]) -> str:
 
 
 @dataclass(frozen=True)
-class FuzzSpec:
+class FuzzSpec(SpecCodec):
     """One fuzzing campaign, fully described and JSON-serialisable.
 
     ``budget`` counts *runs* (schedule executions, including the
@@ -60,6 +58,9 @@ class FuzzSpec:
     ``corpus_size`` caps the retained coverage-novel schedule prefixes
     and ``mutations`` the number of stacked mutation operators applied
     per derived input.
+
+    Every random choice of a campaign (per-placement seeds, per-shard
+    seeds, the driver RNG) is a :meth:`derive_seed` of the spec.
     """
 
     algorithm: str
@@ -71,6 +72,8 @@ class FuzzSpec:
     corpus_size: int = 64
     mutations: int = 3
     links: Optional[LinkSpec] = None
+
+    label = "fuzz spec"
 
     def __post_init__(self) -> None:
         get_algorithm(self.algorithm)  # raises on unknown names
@@ -101,12 +104,6 @@ class FuzzSpec:
             raise ConfigurationError("corpus_size must be >= 2")
         if self.mutations < 1:
             raise ConfigurationError("mutations must be >= 1")
-
-    # -- construction helpers ------------------------------------------------
-
-    def with_options(self, **changes) -> "FuzzSpec":
-        """A copy with the given fields replaced (frozen-friendly)."""
-        return replace(self, **changes)
 
     # -- materialisation -----------------------------------------------------
 
@@ -180,36 +177,16 @@ class FuzzSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FuzzSpec":
         """Inverse of :meth:`to_dict`; missing sections take the defaults."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fuzz spec must be a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - {
-            "algorithm", "placement", "budget", "mutation", "links",
-        }
-        if unknown:
-            raise ConfigurationError(
-                f"fuzz spec has unknown keys {sorted(unknown)}"
-            )
-        try:
-            algorithm = data["algorithm"]
-            placement = PlacementSpec.from_dict(data["placement"])
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"fuzz spec is missing required key {missing}"
-            ) from None
-        budget = data.get("budget", {})
-        mutation = data.get("mutation", {})
-        for section_name, section in (("budget", budget), ("mutation", mutation)):
-            if not isinstance(section, dict):
-                raise ConfigurationError(
-                    f"fuzz spec section {section_name!r} must be a dict, "
-                    f"got {type(section).__name__}"
-                )
+        budget, mutation = read_document(
+            data, cls.label,
+            ("algorithm", "placement", "budget", "mutation", "links"),
+            required=("algorithm", "placement"),
+            sections=("budget", "mutation"),
+        )
         links_data = data.get("links")
         return cls(
-            algorithm=algorithm,
-            placement=placement,
+            algorithm=data["algorithm"],
+            placement=PlacementSpec.from_dict(data["placement"]),
             budget=read_int(budget, "runs", cls, "budget", label="fuzz spec budget"),
             max_steps=read_int(budget, "max_steps", cls, label="fuzz spec budget"),
             **{
@@ -218,56 +195,3 @@ class FuzzSpec:
             },
             links=None if links_data is None else LinkSpec.from_dict(links_data),
         )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """The spec as a JSON document (stable key order)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FuzzSpec":
-        """Parse a JSON document produced by :meth:`to_json`."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"fuzz spec is not valid JSON: {error}")
-        return cls.from_dict(data)
-
-    @classmethod
-    def load(cls, path: str) -> "FuzzSpec":
-        """Read a spec from a JSON file (the ``--spec file.json`` path)."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return cls.from_json(handle.read())
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot read fuzz spec {path!r}: {error}"
-            ) from None
-
-    # -- identity ------------------------------------------------------------
-
-    def content_hash(self) -> str:
-        """SHA-256 hex digest of the canonical JSON form (memoised).
-
-        The campaign driver derives one seed per run from this hash, so
-        it is computed once per (frozen, immutable) spec instance rather
-        than once per run.
-        """
-        cached = getattr(self, "_content_hash", None)
-        if cached is None:
-            canonical = json.dumps(
-                self.to_dict(), sort_keys=True, separators=(",", ":")
-            )
-            cached = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_content_hash", cached)
-        return cached
-
-    def derive_seed(self, salt: Union[int, str] = 0) -> int:
-        """A stable 63-bit seed derived from the content hash and ``salt``.
-
-        Used for per-placement seeds, per-shard seeds and the driver
-        RNG, so every random choice in a campaign traces back to the
-        spec alone.
-        """
-        key = f"{self.content_hash()}|{salt}"
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF

@@ -43,7 +43,6 @@ journal's integrity.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -51,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.decode import canonical_hash
 from repro.mc.state import SearchStats
 from repro.ring.configuration import PACKED_ENCODING_VERSION, Configuration
 from repro.ring.placement import Placement
@@ -116,7 +116,7 @@ class FrontierItem:
         )
 
     @classmethod
-    def from_json(
+    def from_journal(
         cls, record: dict, schedules: List[Tuple[int, ...]]
     ) -> "FrontierItem":
         """Rebuild an item whose parent is ``schedules[p]``: the
@@ -197,8 +197,7 @@ def check_spec(
 
 def check_hash(spec: dict) -> str:
     """SHA-256 of the canonical JSON form of ``spec``."""
-    payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return canonical_hash(spec)
 
 
 def _stats_to_json(stats: SearchStats) -> dict:
@@ -282,7 +281,7 @@ class FrontierSpill:
                         (bytes.fromhex(record["k"]), frozenset(record["s"]))
                     )
                 elif kind == "i":
-                    block_items.append(FrontierItem.from_json(record, schedules))
+                    block_items.append(FrontierItem.from_journal(record, schedules))
                 elif kind == "x":
                     block_violations.append(record)
                 elif kind == "tk":

@@ -44,7 +44,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.decode import read_int
+from repro.decode import parse_key_values, read_document, read_int
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -159,19 +159,11 @@ class LinkSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LinkSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"link spec must be a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - {"delay", "loss", "dup", "seed"}
-        if unknown:
-            raise ConfigurationError(
-                f"link spec has unknown keys {sorted(unknown)}"
-            )
+        read_document(data, "link spec", cls.__dataclass_fields__)
         return cls(
             **{
                 name: read_int(data, name, cls, label="link spec")
-                for name in ("delay", "loss", "dup", "seed")
+                for name in cls.__dataclass_fields__
             }
         )
 
@@ -193,28 +185,9 @@ def parse_link_spec(text: str) -> LinkSpec:
     injects nothing (``seed=3`` alone) is rejected — it would silently
     test the reliable model under a faulty-looking flag.
     """
-    values: Dict[str, int] = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ConfigurationError(
-                f"bad links entry {chunk!r}; expected key=value"
-            )
-        key, _, raw = chunk.partition("=")
-        key = key.strip()
-        if key not in ("delay", "loss", "dup", "seed"):
-            raise ConfigurationError(
-                f"unknown links key {key!r}; expected one of "
-                "delay, loss, dup, seed"
-            )
-        try:
-            values[key] = int(raw.strip())
-        except ValueError:
-            raise ConfigurationError(
-                f"bad links value {raw.strip()!r} for {key!r}"
-            ) from None
+    values = parse_key_values(
+        text, "links", dict.fromkeys(LinkSpec.__dataclass_fields__, int)
+    )
     spec = LinkSpec.from_dict(values)
     if not spec.active:
         raise ConfigurationError(

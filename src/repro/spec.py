@@ -26,13 +26,13 @@ Contracts:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
-from repro.decode import field_default, read_int
+from repro.decode import (
+    SpecCodec, field_default, read_bool, read_document, read_int, strict_int,
+)
 from repro.errors import ConfigurationError
 from repro.registry import (
     SchedulerSpec,
@@ -93,10 +93,16 @@ class PlacementSpec:
                 f"unknown placement kind {self.kind!r}; "
                 f"choose from {sorted(_PLACEMENT_KINDS)}"
             )
+        for name in ("ring_size", "agent_count", "seed"):
+            value = getattr(self, name)
+            if value is not None:
+                strict_int(value, f"placement spec {name!r}")
         for name in ("distances", "homes"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, tuple(int(v) for v in value))
+                object.__setattr__(self, name, tuple(
+                    strict_int(v, f"placement spec {name!r} entry") for v in value
+                ))
         required = _PLACEMENT_KINDS[self.kind]
         for spec_field in fields(self):
             if spec_field.name == "kind":
@@ -148,16 +154,7 @@ class PlacementSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PlacementSpec":
         """Inverse of :meth:`to_dict` (unknown keys are rejected)."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"placement spec must be a dict, got {type(data).__name__}"
-            )
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"placement spec has unknown keys {sorted(unknown)}"
-            )
+        read_document(data, "placement spec", cls.__dataclass_fields__)
         return cls(**data)
 
 
@@ -167,7 +164,7 @@ def _coerce_scheduler(value: Union[str, SchedulerSpec]) -> str:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(SpecCodec):
     """One experiment, fully described and JSON-serialisable.
 
     ``scheduler`` is stored as the *canonical* scheduler spec string
@@ -195,6 +192,8 @@ class ExperimentSpec:
     collect_metrics: bool = True
     validate_enabledness: bool = False
     links: Optional[LinkSpec] = None
+
+    label = "experiment spec"
 
     def __post_init__(self) -> None:
         get_algorithm(self.algorithm)  # raises on unknown names
@@ -229,10 +228,6 @@ class ExperimentSpec:
             placement=PlacementSpec.from_placement(placement),
             **kwargs,
         )
-
-    def with_options(self, **changes) -> "ExperimentSpec":
-        """A copy with the given fields replaced (frozen-friendly)."""
-        return replace(self, **changes)
 
     # -- materialisation -----------------------------------------------------
 
@@ -286,40 +281,16 @@ class ExperimentSpec:
         ``engine.record_views``, a removed option, is accepted with
         either value and ignored.
         """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"experiment spec must be a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - {
-            "algorithm", "placement", "scheduler", "engine", "limits", "links"
-        }
-        if unknown:
-            raise ConfigurationError(
-                f"experiment spec has unknown keys {sorted(unknown)}"
-            )
-        try:
-            algorithm = data["algorithm"]
-            placement = PlacementSpec.from_dict(data["placement"])
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"experiment spec is missing required key {missing}"
-            ) from None
-        scheduler = data.get("scheduler", {})
-        engine = data.get("engine", {})
-        limits = data.get("limits", {})
-        for section_name, section in (
-            ("scheduler", scheduler), ("engine", engine), ("limits", limits)
-        ):
-            if not isinstance(section, dict):
-                raise ConfigurationError(
-                    f"experiment spec section {section_name!r} must be a "
-                    f"dict, got {type(section).__name__}"
-                )
+        scheduler, engine, limits = read_document(
+            data, cls.label,
+            ("algorithm", "placement", "scheduler", "engine", "limits", "links"),
+            required=("algorithm", "placement"),
+            sections=("scheduler", "engine", "limits"),
+        )
         links_data = data.get("links")
-        links = None if links_data is None else LinkSpec.from_dict(links_data)
         return cls(
-            algorithm=algorithm,
-            placement=placement,
+            algorithm=data["algorithm"],
+            placement=PlacementSpec.from_dict(data["placement"]),
             scheduler=scheduler.get("spec", field_default(cls, "scheduler")),
             scheduler_seed=read_int(
                 scheduler, "seed", cls, "scheduler_seed",
@@ -332,55 +303,11 @@ class ExperimentSpec:
                 engine, "memory_audit_interval", cls, label="experiment spec engine"
             ),
             **{
-                name: bool(engine.get(name, field_default(cls, name)))
+                name: read_bool(engine, name, cls, label="experiment spec engine")
                 for name in ("collect_metrics", "validate_enabledness")
             },
-            links=links,
+            links=None if links_data is None else LinkSpec.from_dict(links_data),
         )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """The spec as a JSON document (stable key order)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        """Parse a JSON document produced by :meth:`to_json`."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"experiment spec is not valid JSON: {error}")
-        return cls.from_dict(data)
-
-    @classmethod
-    def load(cls, path: str) -> "ExperimentSpec":
-        """Read a spec from a JSON file (the ``--spec file.json`` path)."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return cls.from_json(handle.read())
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot read experiment spec {path!r}: {error}"
-            ) from None
-
-    # -- identity ------------------------------------------------------------
-
-    def content_hash(self) -> str:
-        """SHA-256 hex digest of the canonical JSON form.
-
-        Stable across processes, runs and platforms — equal specs hash
-        equal, any field change rehashes.  Use it as a cache key or to
-        derive deterministic seeds (:meth:`derive_seed`).
-        """
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def derive_seed(self, salt: Union[int, str] = 0) -> int:
-        """A stable 63-bit seed derived from the content hash and ``salt``."""
-        key = f"{self.content_hash()}|{salt}"
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 
 def run_spec(spec: ExperimentSpec):

@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Union
 
+from repro.decode import canonical_json
 from repro.errors import ConfigurationError
 from repro.store.failures import FailureArchive
 
@@ -92,8 +93,7 @@ class CampaignLedger:
             raise ConfigurationError("ledger event name must be non-empty")
         record: Dict[str, object] = {"event": event, "ts": time.time()}
         record.update(fields)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        encoded = line.encode("utf-8") + b"\n"
+        encoded = canonical_json(record).encode("utf-8") + b"\n"
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             os.write(fd, encoded)

@@ -52,6 +52,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
 
+from repro.decode import canonical_json
 from repro.errors import ConfigurationError
 from repro.store.index import LineEntry, MemoryLineIndex, SqliteLineIndex
 from repro.store.records import RunRecord
@@ -265,10 +266,7 @@ class _StoreView:
         chunk = 1024
         for begin in range(0, len(entries), chunk):
             for record in self._load_many(entries[begin:begin + chunk]):
-                canonical = json.dumps(
-                    record.to_dict(), sort_keys=True, separators=(",", ":")
-                )
-                hasher.update(canonical.encode("utf-8"))
+                hasher.update(canonical_json(record.to_dict()).encode("utf-8"))
                 hasher.update(b"\n")
         return hasher.hexdigest()
 
@@ -604,8 +602,7 @@ class RunStore(_StoreView):
             if existing is not None and stamp <= existing.stamp:
                 stamp = existing.stamp + 1
             payload["_ts"] = stamp
-            line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            encoded = line.encode("utf-8") + b"\n"
+            encoded = canonical_json(payload).encode("utf-8") + b"\n"
             gap_start = self._index.frontier().get(shard, 0)
             fd = os.open(
                 path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644

@@ -24,13 +24,12 @@ records can cross process boundaries and live on disk as JSONL lines.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import platform
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.decode import canonical_hash
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -141,8 +140,7 @@ def payload_hash(payload: Dict[str, object]) -> str:
     a domain prefix so it can never collide with a spec hash by
     construction) provides one.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(b"result|" + canonical.encode("utf-8")).hexdigest()
+    return canonical_hash(payload, prefix=b"result|")
 
 
 @dataclass(frozen=True)

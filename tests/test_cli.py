@@ -195,12 +195,21 @@ class TestSpecCommand:
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
 
+#: What ``repro mc`` appends to its closing line when the search ran
+#: with sleep-set POR.
+REDUCED_GRAPH = (
+    ", with livelock cycles searched on the sleep-set-reduced graph only "
+    "(--no-por searches the full graph)"
+)
+
+
 class TestMcCommand:
     def test_mc_exhausts_small_instance(self, capsys):
         code = main(["mc", "--algorithm", "known_k_full", "--n", "6", "--k", "2"])
         output = capsys.readouterr().out
         assert code == 0
         assert "no violations" in output
+        assert REDUCED_GRAPH in output
         assert "deduped" in output
         assert "all 3 rotation-distinct placements" in output
 
@@ -217,6 +226,21 @@ class TestMcCommand:
         assert document["totals"]["placements"] == 3
         assert len(document["results"]) == 3
         assert all(cell["verdict"] == "ok" for cell in document["results"])
+
+    def test_mc_closing_line_names_the_searched_graph(self, capsys):
+        closing = (
+            "no violations: every fair schedule of every checked "
+            "configuration deploys uniformly (exhaustive at n=6, k=2)"
+        )
+        assert main(["mc", "--n", "6", "--k", "2", "--no-por"]) == 0
+        full = capsys.readouterr().out
+        assert full.endswith(closing + "\n")
+        assert main(["mc", "--n", "6", "--k", "2", "--links", "delay=1"]) == 0
+        faulty = capsys.readouterr().out
+        assert faulty.endswith(closing + "\n")  # faults turn POR off
+        assert main(["mc", "--n", "6", "--k", "2"]) == 0
+        reduced = capsys.readouterr().out
+        assert reduced.endswith(f"{closing}{REDUCED_GRAPH}\n")
 
     def test_mc_no_por_doubles_transitions_only(self, capsys):
         import json
@@ -300,6 +324,7 @@ class TestMcCommand:
         assert "every fair schedule of every checked configuration deploys" in (
             captured.out
         )
+        assert REDUCED_GRAPH in captured.out
         assert "liveness" not in captured.out
 
     def test_mc_grid_pool_notes_dropped_progress(self, capsys):
@@ -310,6 +335,7 @@ class TestMcCommand:
         assert "every fair schedule of every checked configuration deploys" in (
             captured.out
         )
+        assert REDUCED_GRAPH in captured.out
 
     def test_mc_selftest_algorithm_is_reachable(self, capsys):
         # wake_race registers with selftest=True: hidden from `run`

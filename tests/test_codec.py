@@ -63,7 +63,7 @@ def test_to_dict_round_trips(name):
     assert type(spec).from_dict(json.loads(text)) == spec
 
 
-@pytest.mark.parametrize("name", ["experiment", "fuzz", "campaign"])
+@pytest.mark.parametrize("name", ["experiment", "sweep", "fuzz", "campaign"])
 def test_json_documents_round_trip(name):
     spec = SPECS[name]
     assert type(spec).from_json(spec.to_json()) == spec
@@ -128,6 +128,11 @@ MISSING = [
         {"algorithm": "unknown", "placement": PLACED, "budget": 3},
         "fuzz spec section 'budget' must be a dict, got int",
     ),
+    (
+        CampaignSpec,
+        {"kind": "sweep", "fleet": []},
+        "campaign spec section 'fleet' must be a dict, got list",
+    ),
 ]
 
 
@@ -137,7 +142,7 @@ def test_missing_key_and_section_texts(spec_class, data, text):
 
 
 @pytest.mark.parametrize(
-    "spec_class", [ExperimentSpec, FuzzSpec, CampaignSpec],
+    "spec_class", [ExperimentSpec, SweepSpec, FuzzSpec, CampaignSpec],
     ids=lambda c: c.__name__,
 )
 def test_json_and_file_error_texts(spec_class, tmp_path):
@@ -224,3 +229,12 @@ def test_pinned_identities():
         {"algorithm": "unknown", "total_moves": 12, "final_positions": [0, 3],
          "ideal_time": None}
     ) == "bbc6bb14ee8b93095562328418c187ccc629a19c228a3009cd7563b4aa60f4c1"
+
+
+def test_content_hash_is_memoised_per_instance():
+    spec = FUZZ.with_options(budget=7)
+    digest = spec.content_hash()
+    assert spec.__dict__["_content_hash"] == digest  # computed once
+    assert spec.with_options(budget=8).content_hash() != digest
+    assert spec.with_options(budget=1000) == FUZZ
+    assert spec.with_options(budget=1000).content_hash() == FUZZ.content_hash()

@@ -1,11 +1,13 @@
-"""The spec decoders read numbers strictly and take dataclass defaults.
+"""The spec decoders read values strictly and take dataclass defaults.
 
-Every ``from_dict`` decoder (experiment, link, sweep, fuzz, campaign)
-reads its numeric fields through :mod:`repro.decode`: a ``bool``, a
-``float`` or a string where an integer belongs is a
+Every ``from_dict`` decoder (placement, experiment, link, sweep, fuzz,
+campaign, chaos plan) reads its numeric and boolean fields through
+:mod:`repro.decode`: a ``bool``, a ``float`` or a string where an
+integer belongs, or a string or number where a boolean belongs, is a
 :class:`~repro.errors.ConfigurationError`, never a silent ``int(...)``
-coercion, and an absent key takes the spec dataclass's default.  Valid
-documents decode to the specs (and content hashes) they always did.
+or ``bool(...)`` coercion, and an absent key takes the spec dataclass's
+default.  Valid documents decode to the specs (and content hashes) they
+always did.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import copy
 
 import pytest
 
+from repro.campaign.chaos import ChaosPlan
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError
 from repro.experiments.sweep import SweepSpec
 from repro.fuzz import FuzzSpec
 from repro.ring.faults import LinkSpec
-from repro.spec import ExperimentSpec
+from repro.spec import ExperimentSpec, PlacementSpec
 
 EXPERIMENT = {
     "algorithm": "unknown",
@@ -144,3 +147,70 @@ def test_null_is_accepted_only_where_the_default_is_none():
     assert SweepSpec.from_dict(_with(SWEEP, ("max_steps",), None)).max_steps is None
     with pytest.raises(ConfigurationError, match="'trials' must be an integer"):
         SweepSpec.from_dict(_with(SWEEP, ("trials",), None))
+
+
+COERCED = [
+    (
+        ExperimentSpec,
+        _with(EXPERIMENT, ("engine", "collect_metrics"), "false"),
+        "experiment spec engine 'collect_metrics' must be a boolean, got 'false'",
+    ),
+    (
+        ExperimentSpec,
+        _with(EXPERIMENT, ("engine", "validate_enabledness"), "no"),
+        "experiment spec engine 'validate_enabledness' must be a boolean, "
+        "got 'no'",
+    ),
+    (
+        ExperimentSpec,
+        _with(EXPERIMENT, ("engine", "collect_metrics"), 0),
+        "experiment spec engine 'collect_metrics' must be a boolean, got 0",
+    ),
+    (
+        PlacementSpec,
+        {"kind": "homes", "ring_size": 8, "homes": [0, 3.9]},
+        "placement spec 'homes' entry must be an integer, got 3.9",
+    ),
+    (
+        PlacementSpec,
+        {"kind": "distances", "distances": [2, "3"]},
+        "placement spec 'distances' entry must be an integer, got '3'",
+    ),
+    (
+        PlacementSpec,
+        {"kind": "distances", "distances": [True, 4]},
+        "placement spec 'distances' entry must be an integer, got True",
+    ),
+    (
+        PlacementSpec,
+        {"kind": "random", "ring_size": 8.0, "agent_count": 2, "seed": 1},
+        "placement spec 'ring_size' must be an integer, got 8.0",
+    ),
+    (
+        PlacementSpec,
+        {"kind": "equidistant", "ring_size": 8, "agent_count": "2"},
+        "placement spec 'agent_count' must be an integer, got '2'",
+    ),
+    (ChaosPlan, {"seed": 2.7}, "chaos plan 'seed' must be an integer, got 2.7"),
+    (ChaosPlan, {"kill": "0.5"}, "chaos plan 'kill' must be a number, got '0.5'"),
+    (ChaosPlan, {"stall_seconds": True}, "chaos plan 'stall_seconds' must be a "
+     "number, got True"),
+]
+
+
+@pytest.mark.parametrize("spec_class,data,text", COERCED)
+def test_values_that_used_to_be_coerced_are_rejected(spec_class, data, text):
+    with pytest.raises(ConfigurationError) as caught:
+        spec_class.from_dict(data)
+    assert str(caught.value) == text
+
+
+def test_booleans_and_placement_sequences_still_decode():
+    spec = ExperimentSpec.from_dict(
+        _with(EXPERIMENT, ("engine", "collect_metrics"), False)
+    )
+    assert spec.collect_metrics is False
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    placement = PlacementSpec.from_dict({"kind": "distances", "distances": [2, 4]})
+    assert placement.distances == (2, 4)
+    assert ChaosPlan.from_dict({"kill": 1}) == ChaosPlan(kill=1.0)

@@ -35,6 +35,11 @@ def _spec(algorithm="known_k_full", seed=1, scheduler="sync", n=18, k=3):
     )
 
 
+def _with_section(document, section, **changes):
+    """``document`` with keys of its ``section`` replaced."""
+    return dict(document, **{section: dict(document[section], **changes)})
+
+
 def _sweep() -> SweepSpec:
     return SweepSpec(
         algorithms=("known_k_full",),
@@ -281,6 +286,23 @@ class TestJobEndpoints:
                      "spec": dict(_sweep().to_dict(), trials=2.9)}
                 ).encode(),
                 "sweep spec 'trials' must be an integer, got 2.9",
+            ),
+            (
+                json.dumps(
+                    {"kind": "experiment",
+                     "spec": _with_section(_spec().to_dict(), "placement",
+                                           ring_size=8.0)}
+                ).encode(),
+                "placement spec 'ring_size' must be an integer, got 8.0",
+            ),
+            (
+                json.dumps(
+                    {"kind": "experiment",
+                     "spec": _with_section(_spec().to_dict(), "engine",
+                                           collect_metrics="false")}
+                ).encode(),
+                "experiment spec engine 'collect_metrics' must be a boolean, "
+                "got 'false'",
             ),
         ]
         # Options are checked against the kind's declared ones before a

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.statistics import MetricSummary, aggregate_trials
-from repro.sim.scheduler import RandomScheduler
 
 
 class TestMetricSummary:
@@ -42,11 +41,7 @@ class TestAggregateTrials:
 
     def test_async_scheduler_factory(self):
         aggregate = aggregate_trials(
-            "known_k_logspace",
-            20,
-            4,
-            trials=2,
-            scheduler_factory=lambda index: RandomScheduler(index),
+            "known_k_logspace", 20, 4, trials=2, scheduler_spec="random"
         )
         assert aggregate.all_uniform
         assert aggregate.ideal_time is None  # async runs do not report time

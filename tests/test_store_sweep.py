@@ -288,17 +288,6 @@ class TestStoreBackedAggregation:
         plain = aggregate_trials("known_k_full", 20, 4, trials=3, seed=5)
         assert plain.total_moves == cold.total_moves
 
-    def test_aggregate_trials_factory_cannot_be_archived(self, tmp_path):
-        from repro.experiments.statistics import aggregate_trials
-        from repro.sim.scheduler import RandomScheduler
-
-        with pytest.raises(ConfigurationError, match="content-addressed"):
-            aggregate_trials(
-                "known_k_full", 20, 4, trials=2,
-                scheduler_factory=lambda i: RandomScheduler(i),
-                store=RunStore(tmp_path / "store"),
-            )
-
     def test_aggregate_trials_scheduler_spec_samples_async(self):
         from repro.experiments.statistics import aggregate_trials
 
