@@ -51,9 +51,13 @@ __all__ = [
 ]
 
 
+#: ``json.dumps`` with non-default options builds an encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: object) -> str:
     """The canonical JSON text of ``value``: compact, keys sorted."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 def canonical_hash(value: object, prefix: bytes = b"") -> str:

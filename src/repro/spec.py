@@ -95,14 +95,15 @@ class PlacementSpec:
             )
         for name in ("ring_size", "agent_count", "seed"):
             value = getattr(self, name)
-            if value is not None:
+            if value is not None and type(value) is not int:  # label on failure only
                 strict_int(value, f"placement spec {name!r}")
         for name in ("distances", "homes"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, tuple(
-                    strict_int(v, f"placement spec {name!r} entry") for v in value
-                ))
+                label = f"placement spec {name!r} entry"
+                object.__setattr__(
+                    self, name, tuple(strict_int(v, label) for v in value)
+                )
         required = _PLACEMENT_KINDS[self.kind]
         for spec_field in fields(self):
             if spec_field.name == "kind":
