@@ -187,6 +187,10 @@ class ChaosPlan:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChaosPlan":
         read_document(data, "chaos plan", cls.__dataclass_fields__)
+        poison = data.get("poison", field_default(cls, "poison"))
+        if not isinstance(poison, (list, tuple)):
+            message = f"chaos plan 'poison' must be a list, got {poison!r}"
+            raise ConfigurationError(message)
         return cls(
             seed=read_int(data, "seed", cls, label="chaos plan"),
             **{
@@ -195,7 +199,7 @@ class ChaosPlan:
                     "kill", "stall", "silence", "stall_seconds", "silence_seconds"
                 )
             },
-            poison=tuple(data.get("poison", field_default(cls, "poison"))),
+            poison=tuple(poison),
         )
 
     def describe(self) -> str:

@@ -1,9 +1,8 @@
 """The spec codec: canonical JSON, the identities built on it, strict decoding.
 
-Runs, sweep cells, fuzz shards, campaign units, mc checks and specless
-result payloads are all keyed by the SHA-256 of one canonical JSON text
-(compact, keys sorted).  This module owns that form and what is built
-on it:
+Every content-addressed key (runs, sweep cells, fuzz shards, campaign
+units, mc checks, specless results) is the SHA-256 of one canonical
+JSON text, compact and key-sorted.  This module owns it and its uses:
 
 * :func:`canonical_json` and :func:`canonical_hash` (with an optional
   domain prefix), and :func:`seed_from_key`, the 63-bit seed of a key.

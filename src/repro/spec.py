@@ -100,6 +100,10 @@ class PlacementSpec:
         for name in ("distances", "homes"):
             value = getattr(self, name)
             if value is not None:
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigurationError(
+                        f"placement spec {name!r} must be a list, got {value!r}"
+                    )
                 label = f"placement spec {name!r} entry"
                 object.__setattr__(
                     self, name, tuple(strict_int(v, label) for v in value)

@@ -191,6 +191,17 @@ COERCED = [
         {"kind": "equidistant", "ring_size": 8, "agent_count": "2"},
         "placement spec 'agent_count' must be an integer, got '2'",
     ),
+    (
+        PlacementSpec,
+        {"kind": "distances", "distances": 5},
+        "placement spec 'distances' must be a list, got 5",
+    ),
+    (
+        PlacementSpec,
+        {"kind": "homes", "ring_size": 8, "homes": "03"},
+        "placement spec 'homes' must be a list, got '03'",
+    ),
+    (ChaosPlan, {"poison": "ab"}, "chaos plan 'poison' must be a list, got 'ab'"),
     (ChaosPlan, {"seed": 2.7}, "chaos plan 'seed' must be an integer, got 2.7"),
     (ChaosPlan, {"kill": "0.5"}, "chaos plan 'kill' must be a number, got '0.5'"),
     (ChaosPlan, {"stall_seconds": True}, "chaos plan 'stall_seconds' must be a "
