@@ -46,7 +46,8 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -161,6 +162,38 @@ def parse_shard_lines(
                 lines.append((start + pos, len(raw), payload))
         pos = newline + 1
     return lines, start + pos, torn, corrupt
+
+
+def _shard_stats(root: Path) -> Tuple[Tuple[str, int, int], ...]:
+    """``(name, st_size, st_ino)`` of every shard file, from one scandir."""
+    stats = []
+    with os.scandir(root) as entries:
+        for entry in entries:
+            # The same names as ``root.glob(_SHARD_GLOB)``.
+            if entry.name.startswith("shard-") and entry.name.endswith(".jsonl"):
+                status = entry.stat()
+                stats.append((entry.name, status.st_size, status.st_ino))
+    return tuple(sorted(stats))
+
+
+def _read_at(path: Path, offset: int, length: int) -> bytes:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.pread(fd, length, offset)
+    finally:
+        os.close(fd)
+
+
+@dataclass
+class _TailMemo:
+    """What a full :meth:`SqliteLineIndex.tail` left behind."""
+
+    shards: Tuple[Tuple[str, int, int], ...]  # from _shard_stats
+    epoch: int
+    frontier: Dict[str, int]
+    # (shard, offset, bytes) of each shard's last indexed line, as it
+    # passed the rewrite check; None until the check has run on this memo.
+    lines: Optional[List[Tuple[str, int, bytes]]] = None
 
 
 def _visible(entry: LineEntry, frontier: Optional[Dict[str, int]]) -> bool:
@@ -396,8 +429,27 @@ class SqliteLineIndex:
     when asked about another one, or when the rows of ``lines`` may
     have changed: this connection inserted or reset rows, or ``PRAGMA
     data_version`` reports a commit by another connection (another
-    handle's tail, rebuild or compaction).  Point lookups
-    (:meth:`winner`) stay single indexed ``SELECT``\\ s on ``lines``.
+    handle's tail, rebuild or compaction).  Consecutive questions about
+    one frozen frontier (a :class:`~repro.store.jsonl.StoreSnapshot`'s
+    read-only mapping: a served request's count and then its page)
+    share one ``data_version`` read, so they are answered from one state
+    of the index; a tail or a question about another frontier ends the
+    share.  Point lookups (:meth:`winner`) stay single indexed
+    ``SELECT``\\ s on ``lines``.
+
+    Refreshing an unchanged store costs no SQL beyond one ``PRAGMA
+    data_version`` and parses no JSON.  A full :meth:`tail` that leaves
+    every shard consumed to its end remembers the shard files' ``(name,
+    st_size, st_ino)`` from one ``os.scandir``, the write epoch, the
+    frontier and, once the rewrite check has passed, the bytes of each
+    shard's last indexed line.  The next full tail is a no-op when the
+    scan, ``data_version`` and the epoch are unchanged and each of those
+    lines still reads back byte for byte: the rewrite check's answer is
+    a function of that row and those bytes, so a same-size rewrite in
+    place is still caught (whatever its mtime says).  A pending torn tail
+    keeps its shard short of its end, so such a store is tailed in full
+    every time and the tear is counted in ``torn_tails`` as before.
+    :meth:`frontier` right after a full tail answers from that memo.
 
     Thread safety: one connection per index instance, serialised by an
     RLock (``check_same_thread=False`` so server threads share it);
@@ -423,10 +475,18 @@ class SqliteLineIndex:
         self.torn_tails = 0
         self.corrupt_lines = 0
         # What temp.winners holds: (rows epoch, frontier key), or None.
-        # The epoch moves whenever the rows of ``lines`` may have changed.
+        # The epoch moves whenever the rows of ``lines`` or ``shards``
+        # may have changed.
         self._epoch = 0
         self._data_version: Optional[int] = None
         self._winners_key: Optional[Tuple] = None
+        # The frozen frontier whose question made the last data_version
+        # read, while no other read has been made since.
+        self._checked: Optional[Mapping[str, int]] = None
+        # What the last full tail left (see the class docstring), and
+        # its frontier until the next frontier() call takes it.
+        self._memo: Optional[_TailMemo] = None
+        self._fresh_frontier: Optional[Dict[str, int]] = None
         try:
             self._conn = self._connect()
             self._ensure_schema()
@@ -497,9 +557,23 @@ class SqliteLineIndex:
                 # Older (or newer) index layout: rebuild from shards.
                 self._reset_locked()
 
+    def _changed_locked(self) -> None:
+        """This connection changed ``lines`` or ``shards``."""
+        self._epoch += 1
+        self._fresh_frontier = None
+
+    def _sync_locked(self) -> None:
+        """Move the epoch if another connection committed since the last
+        look (``PRAGMA data_version``), and end any shared read."""
+        version = self._conn.execute("PRAGMA data_version").fetchone()[0]
+        self._checked = None
+        if version != self._data_version:
+            self._data_version = version
+            self._changed_locked()
+
     def _reset_locked(self) -> None:
         """Drop every derived row (caller holds lock + transaction)."""
-        self._epoch += 1
+        self._changed_locked()
         self._conn.execute("DELETE FROM lines")
         self._conn.execute("DELETE FROM shards")
         self._conn.execute("DELETE FROM meta")
@@ -526,6 +600,11 @@ class SqliteLineIndex:
         scratch — derived data is never patched into correctness.
         """
         with self._lock:
+            self._fresh_frontier = None
+            if only is None and self._unchanged_locked(root):
+                self._fresh_frontier = self._memo.frontier
+                return
+            self._memo = None
             recorded = dict(
                 self._conn.execute("SELECT shard, consumed FROM shards")
             )
@@ -546,7 +625,7 @@ class SqliteLineIndex:
                 # Cheap detection: the last indexed line of each shard
                 # must still round-trip at its recorded position.
                 for shard in recorded:
-                    if not self._tail_line_intact_locked(on_disk[shard]):
+                    if self._intact_tail_locked(on_disk[shard]) is None:
                         stale.append(shard)
             if stale:
                 # A recorded shard vanished or shrank: the directory
@@ -575,27 +654,85 @@ class SqliteLineIndex:
                     for offset, length, payload in lines:
                         self._insert_locked(shard, offset, length, payload)
                     self._advance_locked(shard, consumed)
+            if only is None:
+                self._remember_locked(root)
 
-    def _tail_line_intact_locked(self, path: Path) -> bool:
+    def _remember_locked(self, root: Path) -> None:
+        """Memoise what a full tail left, if every shard is consumed to
+        its end (a torn or racing tail leaves no memo)."""
+        self._sync_locked()
+        frontier = {
+            shard: int(consumed)
+            for shard, consumed in self._conn.execute(
+                "SELECT shard, consumed FROM shards"
+            )
+        }
+        self._fresh_frontier = frontier
+        try:
+            shards = _shard_stats(root)
+        except OSError:
+            return
+        if set(frontier) <= {name for name, _, _ in shards} and all(
+            size == frontier.get(name, 0) for name, size, _ in shards
+        ):
+            self._memo = _TailMemo(shards, self._epoch, frontier)
+
+    def _unchanged_locked(self, root: Path) -> bool:
+        """Whether a full tail now would change nothing and count nothing."""
+        memo = self._memo
+        if memo is None:
+            return False
+        try:
+            if _shard_stats(root) != memo.shards:
+                return False
+        except OSError:
+            return False
+        self._sync_locked()
+        if self._epoch != memo.epoch:
+            return False
+        if memo.lines is None:
+            # First look since the memo was made: run the rewrite check
+            # and keep the bytes that passed it.
+            lines = []
+            for shard in memo.frontier:
+                line = self._intact_tail_locked(root / shard)
+                if line is None:
+                    return False
+                if line[1]:
+                    lines.append((shard, *line))
+            memo.lines = lines
+            return True
+        return all(
+            _read_at(root / shard, offset, len(raw)) == raw
+            for shard, offset, raw in memo.lines
+        )
+
+    def _intact_tail_locked(self, path: Path) -> Optional[Tuple[int, bytes]]:
+        """The last indexed line of ``path`` as ``(offset, bytes)`` if it
+        still parses to its indexed row, else None.
+
+        A shard with no indexed line passes as ``(0, b"")``.
+        """
         row = self._conn.execute(
             "SELECT offset, length, content_hash, stamp FROM lines "
             "WHERE shard=? ORDER BY offset DESC LIMIT 1",
             (path.name,),
         ).fetchone()
         if row is None:
-            return True
+            return 0, b""
         offset, length, content_hash, stamp = row
         try:
-            with path.open("rb") as handle:
-                handle.seek(int(offset))
-                payload = json.loads(handle.read(int(length)))
+            raw = _read_at(path, int(offset), int(length))
+            payload = json.loads(raw)
         except (OSError, ValueError):
-            return False
-        return (
+            return None
+        if (
             isinstance(payload, dict)
             and payload.get("content_hash") == content_hash
             and int(payload.get("_ts", 0)) == int(stamp)
-        )
+        ):
+            return int(offset), raw
+        return None
 
     def _insert_locked(
         self, shard: str, offset: int, length: int, payload: Dict[str, object]
@@ -621,9 +758,10 @@ class SqliteLineIndex:
         if cursor.rowcount:
             # A new row can land below an existing frontier (a re-walked
             # gap) and always lands in the unbounded view.
-            self._epoch += 1
+            self._changed_locked()
 
     def _advance_locked(self, shard: str, consumed: int) -> None:
+        self._changed_locked()
         self._conn.execute(
             "INSERT INTO shards(shard, consumed) VALUES(?, ?) "
             "ON CONFLICT(shard) DO UPDATE SET consumed=max(consumed, ?)",
@@ -649,6 +787,9 @@ class SqliteLineIndex:
 
     def frontier(self) -> Dict[str, int]:
         with self._lock:
+            fresh, self._fresh_frontier = self._fresh_frontier, None
+            if fresh is not None:
+                return dict(fresh)
             return {
                 shard: int(consumed)
                 for shard, consumed in self._conn.execute(
@@ -719,12 +860,14 @@ class SqliteLineIndex:
         holds or the rows of ``lines`` may have changed since it was
         filled: this connection bumps ``_epoch`` on every insert and
         reset, and ``PRAGMA data_version`` moves on any commit by
-        another connection.
+        another connection.  It is read once per run of questions about
+        one frozen frontier (see the class docstring).
         """
-        version = self._conn.execute("PRAGMA data_version").fetchone()[0]
-        if version != self._data_version:
-            self._data_version = version
-            self._epoch += 1
+        if not isinstance(frontier, MappingProxyType) or (
+            frontier is not self._checked
+        ):
+            self._sync_locked()
+            self._checked = frontier
         key = (self._epoch, self._frontier_key(frontier))
         if key == self._winners_key:
             return

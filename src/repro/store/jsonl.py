@@ -50,7 +50,8 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.decode import canonical_json
 from repro.errors import ConfigurationError
@@ -85,7 +86,7 @@ class _StoreView:
     """
 
     root: Path
-    _frontier: Dict[str, int]
+    _frontier: Mapping[str, int]
 
     # -- loading -------------------------------------------------------------
 
@@ -318,7 +319,9 @@ class StoreSnapshot(_StoreView):
         self.root = store.root
         self._store = store
         self._generation = store.generation
-        self._frontier = dict(store._frontier)
+        # Read-only, which also lets the SQLite index answer one view's
+        # consecutive questions from one data_version read.
+        self._frontier = MappingProxyType(dict(store._frontier))
 
     @property
     def _index(self):
@@ -406,9 +409,12 @@ class RunStore(_StoreView):
 
         Tails only the shard bytes appended since the index last
         looked (O(new bytes), not O(store)) and advances this handle's
-        visibility frontier over them.  Both counts are taken on the
-        index as the tail left it, so a frontier that did not move
-        answers 0 without resolving any winners.
+        visibility frontier over them.  On the SQLite index, a store
+        whose shard files, index rows and last lines are unchanged is
+        recognised without a query or a JSON parse (see
+        :class:`~repro.store.index.SqliteLineIndex`).  Both counts are
+        taken on the index as the tail left it, so a frontier that did
+        not move answers 0 without resolving any winners.
         """
         with self._lock:
             old = self._frontier

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sqlite3
 import sys
 import threading
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.decode import canonical_json
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment
 from repro.spec import ExperimentSpec, PlacementSpec
@@ -727,3 +729,244 @@ class TestSqliteLineIndexInternals:
         index.add_line("shard-1.jsonl", 0, 40, payload, advance_to=41)
         assert index.count(None) == 1
         assert index.frontier() == {"shard-1.jsonl": 41}
+
+
+def _raw_line(index: int, stamp: int) -> bytes:
+    """One record line as any writer, index-aware or not, appends it."""
+    payload = dict(_fake_record(index).to_dict(), _ts=stamp)
+    return (canonical_json(payload) + "\n").encode("utf-8")
+
+
+def _rewrite_last_record_in_place(shard) -> bool:
+    """Give the last record line of ``shard`` another content hash.
+
+    The rewrite keeps the file's size, inode and mtime, which is what a
+    ``(size, mtime, inode)`` check cannot see.  Returns False when the
+    shard holds no record line.
+    """
+    status = shard.stat()
+    data = shard.read_bytes()
+    offset = 0
+    last = None
+    for raw in data.split(b"\n")[:-1]:  # complete lines only
+        try:
+            payload = json.loads(raw)
+        except ValueError:
+            payload = None
+        if isinstance(payload, dict) and "content_hash" in payload:
+            last = (offset, raw, payload["content_hash"])
+        offset += len(raw) + 1
+    if last is None:
+        return False
+    offset, raw, old = last
+    new = old[:-1] + ("1" if old[-1] == "0" else "0")
+    rewritten = raw.replace(
+        f'"content_hash":"{old}"'.encode(), f'"content_hash":"{new}"'.encode()
+    )
+    assert len(rewritten) == len(raw) and rewritten != raw
+    with shard.open("r+b") as handle:
+        handle.seek(offset)
+        handle.write(rewritten)
+    os.utime(shard, ns=(status.st_atime_ns, status.st_mtime_ns))
+    after = shard.stat()
+    assert (after.st_size, after.st_ino, after.st_mtime_ns) == (
+        status.st_size, status.st_ino, status.st_mtime_ns
+    )
+    return True
+
+
+def _matches_a_fresh_scan(store: RunStore) -> None:
+    _same_view(store, RunStore(store.root, index="memory"))
+    oracle = MemoryLineIndex()
+    oracle.tail(store.root)
+
+    def consumed(frontier):
+        return {shard: end for shard, end in frontier.items() if end}
+
+    assert consumed(store._frontier) == consumed(oracle.frontier())
+
+
+class TestRefreshOfAnUnchangedStore:
+    """``refresh()`` of a store that did not change skips the SQL and the
+    JSON parse, and still sees every change the full tail sees."""
+
+    @staticmethod
+    def _warm(root, refreshes=2):
+        store = RunStore(root)
+        _put_fakes(store, range(6))
+        (root / "shard-1.jsonl").write_bytes(
+            _raw_line(40, 1) + _raw_line(41, 2)
+        )
+        for _ in range(refreshes):
+            store.refresh()
+        return store
+
+    def test_unchanged_refresh_reads_data_version_only(
+        self, tmp_path, monkeypatch
+    ):
+        store = self._warm(tmp_path / "s")
+        frontier = dict(store._frontier)
+        statements = []
+        store._index._conn.set_trace_callback(statements.append)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("an unchanged refresh parsed JSON")
+
+        monkeypatch.setattr(json, "loads", no_parse)
+        try:
+            for _ in range(3):
+                assert store.refresh() == 0
+        finally:
+            monkeypatch.undo()
+            store._index._conn.set_trace_callback(None)
+        assert statements == ["PRAGMA data_version"] * 3
+        assert store._frontier == frontier
+
+    def test_runs_request_shares_one_version_read(self, tmp_path):
+        store = self._warm(tmp_path / "s")
+        jobs = JobManager(str(store.root), workers=1)
+        try:
+            api = ServeApi(store, jobs)
+            query = {"algorithm": "unknown", "limit": "2", "offset": "1"}
+            first = api.handle("GET", "/v1/runs", query)
+            statements = []
+            store._index._conn.set_trace_callback(statements.append)
+            assert api.handle("GET", "/v1/runs", query) == first
+        finally:
+            store._index._conn.set_trace_callback(None)
+            jobs.shutdown(timeout=2.0)
+        # One read for the refresh, one for the count and the page.
+        assert statements.count("PRAGMA data_version") == 2
+        assert all(
+            s == "PRAGMA data_version" or "FROM temp.winners" in s
+            for s in statements
+        ), statements
+
+    @pytest.mark.parametrize("refreshes", [1, 2], ids=["first", "warm"])
+    def test_same_size_rewrite_with_restored_mtime_rebuilds(
+        self, tmp_path, refreshes
+    ):
+        # After one refresh the rewrite check has not run on the memo
+        # yet; after two it compares the kept bytes.
+        root = tmp_path / "s"
+        store = self._warm(root, refreshes)
+        before = store.hashes()
+        assert _rewrite_last_record_in_place(root / "shard-1.jsonl")
+        store.refresh()
+        assert store.hashes() != before
+        _matches_a_fresh_scan(store)
+        store.verify_index()
+
+    def test_repeated_refreshes_over_a_torn_tail_count_each(self, tmp_path):
+        root = tmp_path / "s"
+        store = self._warm(root)
+        oracle = RunStore(root, index="memory")
+        with (root / "shard-1.jsonl").open("ab") as handle:
+            handle.write(b'{"content_hash":"ab')
+        for expected in (1, 2, 3):
+            assert store.refresh() == 0
+            oracle.refresh()
+            assert store._index.torn_tails == expected
+            assert oracle._index.torn_tails == expected
+        with (root / "shard-1.jsonl").open("ab") as handle:
+            handle.write(b"\n" + _raw_line(42, 3))
+        assert store.refresh() == 1
+        assert store._index.torn_tails == 3
+        assert store._index.corrupt_lines == 1
+        for _ in range(2):
+            assert store.refresh() == 0
+        assert store._index.torn_tails == 3
+        _matches_a_fresh_scan(store)
+
+    @pytest.mark.parametrize(
+        "change", ["other_handle_put", "raw_append", "new_shard",
+                   "deleted_shard", "other_handle_rebuild"],
+    )
+    def test_next_refresh_sees_the_change(self, tmp_path, change):
+        root = tmp_path / "s"
+        store = self._warm(root)
+        before = store.hashes()
+        if change == "other_handle_put":
+            RunStore(root).put(_fake_record(50))
+        elif change == "raw_append":
+            with (root / "shard-1.jsonl").open("ab") as handle:
+                handle.write(_raw_line(51, 3))
+        elif change == "new_shard":
+            (root / "shard-2.jsonl").write_bytes(_raw_line(52, 3))
+        elif change == "deleted_shard":
+            (root / "shard-1.jsonl").unlink()
+        else:
+            # No shard byte changes; only the index rows (new ``ord``s).
+            RunStore(root).rebuild_index()
+        store.refresh()
+        if change == "deleted_shard":
+            assert len(store.hashes()) == len(before) - 2
+        elif change != "other_handle_rebuild":
+            assert len(store.hashes()) == len(before) + 1
+        _matches_a_fresh_scan(store)
+        frontier = store._frontier
+        assert _index_answers(store._index, frontier) == _oracle_answers(
+            root, frontier
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from([
+                    "put", "other_put", "raw", "torn", "mend", "rewrite",
+                    "delete", "refresh", "refresh",
+                ]),
+                # Which record; for "refresh", how many (1-3).
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=1, max_value=3),  # which foreign shard
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_property_refresh_interleavings_equal_scan(
+        self, tmp_path_factory, ops
+    ):
+        # Puts through this handle and another connection, appends by a
+        # writer that never touches the index, torn tails, in-place
+        # rewrites and deleted shards, each followed by any number of
+        # refreshes: after every refresh the handle answers like a fresh
+        # JSONL scan and has counted every pending torn tail once more.
+        root = tmp_path_factory.mktemp("refresh") / "s"
+        store = RunStore(root)
+        other = RunStore(root)
+        torn = set()  # foreign shards ending in an unterminated line
+        expected_torn = 0
+        for stamp, (op, which, shard_no) in enumerate(ops, start=1):
+            shard = root / f"shard-{shard_no}.jsonl"
+            if op == "put":
+                store.put(_fake_record(which))
+            elif op == "other_put":
+                other.put(_fake_record(10 + which))
+            elif op == "raw":
+                with shard.open("ab") as handle:
+                    handle.write(_raw_line(20 + which, stamp))
+                torn.discard(shard.name)  # fenced into a corrupt line
+            elif op == "torn" and shard.name not in torn:
+                with shard.open("ab") as handle:
+                    handle.write(b'{"content_hash":"ab')
+                torn.add(shard.name)
+            elif op == "mend" and shard.name in torn:
+                with shard.open("ab") as handle:
+                    handle.write(b"\n")
+                torn.discard(shard.name)
+            elif op == "rewrite" and shard.exists():
+                _rewrite_last_record_in_place(shard)
+            elif op == "delete" and shard.exists():
+                shard.unlink()
+                torn.discard(shard.name)
+            elif op == "refresh":
+                for _ in range(1 + which % 3):
+                    store.refresh()
+                    expected_torn += len(torn)
+                    assert store._index.torn_tails == expected_torn
+                    _matches_a_fresh_scan(store)
+        store.refresh()
+        store.verify_index()
+        _matches_a_fresh_scan(store)
