@@ -1,23 +1,27 @@
 """The HTTP shell around :class:`repro.serve.api.ServeApi`.
 
-Stdlib only: a :class:`http.server.ThreadingHTTPServer` whose handler
-parses the request line into ``(method, path, query, body)``, hands it
-to the API layer, and writes the JSON answer back.  No framework, no
+Stdlib only: a :class:`http.server.HTTPServer` whose handler parses
+the request line into ``(method, path, query, body)``, hands it to the
+API layer, and writes the JSON answer back.  No framework, no
 dependency — the whole experiment service runs anywhere the repo does.
 
-Thread model: every HTTP request gets its own thread (reads are served
-from store snapshots, so they never block on running jobs), while the
-job manager's own worker threads drain the submission queue.  The
-server owns one long-lived :class:`~repro.store.RunStore` read handle;
-job workers open their own handles on the same root.
+Thread model: every connection is served on its own thread (reads are
+served from store snapshots, so they never block on running jobs),
+while the job manager's own worker threads drain the submission queue.
+A handler thread whose connection has closed waits for the next one, so
+a client that opens a connection per request does not pay for a thread
+start each time.  The server owns one long-lived
+:class:`~repro.store.RunStore` read handle; job workers open their own
+handles on the same root.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import signal
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
@@ -57,12 +61,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(status, payload)
 
     def _reply(self, status: int, payload: dict) -> None:
-        encoded = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        encoded = (json.dumps(payload) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
+        # Headers and body in one write: end_headers() would send the
+        # headers on their own.
+        self._headers_buffer.append(b"\r\n" + encoded)
+        self.flush_headers()
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         self._dispatch("GET")
@@ -82,14 +88,62 @@ class _Handler(BaseHTTPRequestHandler):
         BaseHTTPRequestHandler.log_message(self, format, *args)
 
 
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
+class _Server(HTTPServer):
+    """Hands each accepted connection to an idle handler thread.
+
+    A thread starts only when none is idle, and there is no cap, so as
+    many connections are served at once as with ``ThreadingHTTPServer``.
+    Idle threads wait until :meth:`server_close`.  Handler threads are
+    daemon threads: a client idling on a keep-alive connection must not
+    hold up the interpreter's exit.
+    """
+
     allow_reuse_address = True
 
     def __init__(self, address, api: ServeApi, *, quiet: bool) -> None:
         super().__init__(address, _Handler)
         self.api = api
         self.quiet = quiet
+        self._connections: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._idle_lock = threading.Lock()
+        # Threads waiting on _connections that no queued connection is
+        # promised to yet; each put() first takes one of them.
+        self._idle = 0
+        self._closed = False
+
+    def process_request(self, request, client_address) -> None:
+        with self._idle_lock:
+            if self._idle:
+                self._idle -= 1
+                self._connections.put((request, client_address))
+                return
+        threading.Thread(
+            target=self._handler_loop, args=((request, client_address),),
+            name="repro-serve-handler", daemon=True,
+        ).start()
+
+    def _handler_loop(self, connection) -> None:
+        while connection is not None:
+            request, client_address = connection
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._idle_lock:
+                if self._closed:
+                    return
+                self._idle += 1
+            connection = self._connections.get()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            for _ in range(self._idle):
+                self._connections.put(None)
+            self._idle = 0
 
 
 class ServeDaemon:

@@ -15,6 +15,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,126 @@ class TestCliAgainstDaemon:
         assert "fuzz jobs do not take" in capsys.readouterr().err
 
 
+def _get(connection: HTTPConnection, path: str = "/v1/health") -> dict:
+    """One request on ``connection``, which stays open (keep-alive)."""
+    connection.request("GET", path)
+    response = connection.getresponse()
+    body = response.read()
+    assert response.status == 200, body
+    return json.loads(body)
+
+
+class TestHandlerThreads:
+    """Each connection gets a handler thread of its own; a thread whose
+    connection closed serves the next one instead of a new thread."""
+
+    def test_new_request_answers_beside_idle_keep_alive_connections(
+        self, daemon
+    ):
+        host, port = daemon.address
+        idle = [HTTPConnection(host, port, timeout=10) for _ in range(3)]
+        try:
+            for connection in idle:
+                assert _get(connection)["status"] == "ok"
+            # Every handler thread so far sits on an idle connection.
+            assert ServeClient(daemon.url, timeout=10.0).health()[
+                "status"
+            ] == "ok"
+            for connection in idle:
+                assert _get(connection)["status"] == "ok"
+        finally:
+            for connection in idle:
+                connection.close()
+
+    def test_concurrent_requests_run_concurrently(self, daemon):
+        # Every request of a round waits inside the handler until all of
+        # them are there, so they pass only if each got its own thread.
+        # Later rounds mix threads that served a connection before with
+        # new ones (more parties than idle threads) or leave some idle.
+        barrier = None
+        handle = daemon.api.handle
+
+        def waiting_handle(method, path, query=None, body=None):
+            barrier.wait()
+            return handle(method, path, query, body)
+
+        daemon.api.handle = waiting_handle
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for parties in (2, 6, 3, 7):
+                barrier = threading.Barrier(parties, timeout=10)
+                answers = []
+
+                def fetch():
+                    client = ServeClient(daemon.url, timeout=30.0)
+                    answers.append(client.health()["status"])
+
+                threads = [
+                    threading.Thread(target=fetch) for _ in range(parties)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert answers == ["ok"] * parties
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_sequential_connections_reuse_handler_threads(self, daemon):
+        served_by = []
+        handle = daemon.api.handle
+
+        def recording_handle(*args, **kwargs):
+            served_by.append(threading.current_thread())
+            return handle(*args, **kwargs)
+
+        daemon.api.handle = recording_handle
+        host, port = daemon.address
+        for _ in range(30):
+            connection = HTTPConnection(host, port, timeout=10)
+            try:
+                _get(connection)
+            finally:
+                connection.close()
+        assert len(served_by) == 30
+        assert len(set(served_by)) < 15
+        assert all(thread.daemon for thread in served_by)
+
+    def test_stop_returns_with_an_idle_keep_alive_client(self, tmp_path):
+        served = ServeDaemon(
+            str(tmp_path / "store"), port=0, workers=1, quiet=True
+        )
+        served.start()
+        host, port = served.address
+        connection = HTTPConnection(host, port, timeout=10)
+        try:
+            assert _get(connection)["status"] == "ok"
+            stopper = threading.Thread(target=served.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=15)
+            assert not stopper.is_alive()
+        finally:
+            connection.close()
+
+
+def _serve_process(tmp_path) -> subprocess.Popen:
+    """``repro serve`` on an ephemeral port, started with SIGINT ignored."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--store",
+         str(tmp_path / "store"), "--port", "0", "--quiet"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+
+
 class TestForegroundShutdown:
     """``repro serve`` stops cleanly on SIGINT and SIGTERM, even when it
     starts with SIGINT ignored, as a background job of a
@@ -214,18 +336,7 @@ class TestForegroundShutdown:
     def test_signal_stops_a_daemon_started_with_sigint_ignored(
         self, tmp_path, signum
     ):
-        env = dict(os.environ, PYTHONUNBUFFERED="1")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--store",
-             str(tmp_path / "store"), "--port", "0", "--quiet"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
-        )
+        process = _serve_process(tmp_path)
         try:
             banner = process.stdout.readline()
             assert "repro serve: store" in banner, banner
@@ -234,6 +345,28 @@ class TestForegroundShutdown:
             process.send_signal(signum)
             out, _ = process.communicate(timeout=30)
         finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, out
+        assert "repro serve: shutting down" in out
+
+    def test_sigint_exits_with_an_idle_keep_alive_client(self, tmp_path):
+        # The idle connection's handler thread is blocked reading the
+        # next request; a non-daemon thread would hold up the exit.
+        process = _serve_process(tmp_path)
+        connection = None
+        try:
+            banner = process.stdout.readline()
+            assert "repro serve: store" in banner, banner
+            host, port = banner.rsplit("/", 1)[1].strip().split(":")
+            connection = HTTPConnection(host, int(port), timeout=10)
+            assert _get(connection)["status"] == "ok"
+            process.send_signal(signal.SIGINT)
+            out, _ = process.communicate(timeout=30)
+        finally:
+            if connection is not None:
+                connection.close()
             if process.poll() is None:
                 process.kill()
                 process.wait()
