@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.decode import (
-    field_default, parse_key_values, read_document, read_float, read_int,
+    parse_key_values, read_document, read_float, read_int, read_list,
 )
 from repro.errors import ConfigurationError
 
@@ -187,10 +187,7 @@ class ChaosPlan:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChaosPlan":
         read_document(data, "chaos plan", cls.__dataclass_fields__)
-        poison = data.get("poison", field_default(cls, "poison"))
-        if not isinstance(poison, (list, tuple)):
-            message = f"chaos plan 'poison' must be a list, got {poison!r}"
-            raise ConfigurationError(message)
+        poison = read_list(data, "poison", cls, label="chaos plan")
         return cls(
             seed=read_int(data, "seed", cls, label="chaos plan"),
             **{
@@ -199,7 +196,7 @@ class ChaosPlan:
                     "kill", "stall", "silence", "stall_seconds", "silence_seconds"
                 )
             },
-            poison=tuple(poison),
+            poison=poison,
         )
 
     def describe(self) -> str:

@@ -1164,6 +1164,8 @@ def _command_mc(args: argparse.Namespace) -> int:
             "n": n,
             "k": k,
             "por": por,
+            # Sleep sets keep every state but not every cycle (repro.mc.por).
+            "cycle_graph": "sleep-set-reduced" if por else "full",
             "jobs": args.jobs,
             "ok": all(result.ok for result in results),
             "complete": complete,
@@ -1216,7 +1218,6 @@ def _command_mc(args: argparse.Namespace) -> int:
     if not complete:
         print("\nsearch truncated (depth/state limit hit): bounded check only")
         return 1
-    # Sleep sets keep every state but not every cycle (repro.mc.por).
     graph = (
         ", with livelock cycles searched on the sleep-set-reduced graph only "
         "(--no-por searches the full graph)" if por else ""

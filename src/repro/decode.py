@@ -45,6 +45,7 @@ __all__ = [
     "read_document",
     "read_float",
     "read_int",
+    "read_list",
     "seed_from_key",
     "strict_int",
 ]
@@ -210,6 +211,18 @@ def read_bool(
     if not isinstance(value, bool):
         raise ConfigurationError(f"{label} {key!r} must be a boolean, got {value!r}")
     return value
+
+
+def read_list(
+    data: Mapping[str, object], key: str, spec_class: type, *, label: str
+) -> tuple:
+    """``data[key]`` as a tuple of a JSON list, never a string (which
+    ``tuple()`` would split into characters); defaults as in
+    :func:`read_int`."""
+    value = data.get(key, field_default(spec_class, key))
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{label} {key!r} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def parse_key_values(

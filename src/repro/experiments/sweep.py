@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.decode import (
-    SpecCodec, field_default, read_document, read_int, seed_from_key, strict_int,
+    SpecCodec, read_document, read_int, read_list, seed_from_key, strict_int,
 )
 from repro.errors import (
     CampaignInterrupted,
@@ -197,7 +197,7 @@ class SweepSpec(SpecCodec):
             required=("algorithms", "grid"),
         )
         grid = []
-        for pair in data["grid"]:
+        for pair in read_list(data, "grid", cls, label="sweep spec"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigurationError(
                     f"sweep grid entries must be [n, k] pairs, got {pair!r}"
@@ -207,11 +207,9 @@ class SweepSpec(SpecCodec):
             )
         links_data = data.get("links")
         return cls(
-            algorithms=tuple(data["algorithms"]),
+            algorithms=read_list(data, "algorithms", cls, label="sweep spec"),
             grid=tuple(grid),
-            schedulers=tuple(
-                data.get("schedulers", field_default(cls, "schedulers"))
-            ),
+            schedulers=read_list(data, "schedulers", cls, label="sweep spec"),
             trials=read_int(data, "trials", cls, label="sweep spec"),
             base_seed=read_int(data, "base_seed", cls, label="sweep spec"),
             max_steps=read_int(data, "max_steps", cls, label="sweep spec"),

@@ -187,19 +187,19 @@ MC_ONE = ["--distances", "1,2,3"]
     "flags, sha256",
     [
         (MC_GRID + ["--jobs", "1"],
-         "148eabce6d8356c52bacd19c5f80d4517552bd709115976ff2c838871ceb7ed1"),
+         "4a93692716f64bb0de10193b2ededecd5c5d639d0fe12fe2889c611b39796092"),
         (MC_GRID + ["--jobs", "1", "--store", "STORE"],
-         "148eabce6d8356c52bacd19c5f80d4517552bd709115976ff2c838871ceb7ed1"),
+         "4a93692716f64bb0de10193b2ededecd5c5d639d0fe12fe2889c611b39796092"),
         (MC_GRID + ["--jobs", "2"],
-         "5911b996dd979a6c7195933301e41182d1991957149b3bbacba4323d81530e14"),
+         "77cf053db8c4e429da99f723fc8b05de1f3ce350908b24b156e429ca2e81f06c"),
         (MC_GRID + ["--jobs", "2", "--store", "STORE"],
-         "5911b996dd979a6c7195933301e41182d1991957149b3bbacba4323d81530e14"),
+         "77cf053db8c4e429da99f723fc8b05de1f3ce350908b24b156e429ca2e81f06c"),
         (MC_ONE + ["--jobs", "1"],
-         "b6ff7c5fcf44cb2685979a122544a7c907f4f2eeef8bb638a7885f9e15fbe6df"),
+         "2e0c62feff773645a96d29fb1321ea112eead6b8cd3d7f2de60952bc4aeb8101"),
         (MC_ONE + ["--jobs", "1", "--store", "STORE"],
-         "b6ff7c5fcf44cb2685979a122544a7c907f4f2eeef8bb638a7885f9e15fbe6df"),
+         "2e0c62feff773645a96d29fb1321ea112eead6b8cd3d7f2de60952bc4aeb8101"),
         (MC_ONE + ["--jobs", "2"],
-         "0d973274fa38ee04d5d55b0ec94aa0d260c6a22377c780d84aea788056377e1b"),
+         "84dec706a9abcc2300eb976d5fb5e1da2e51ba3bd8d0d38a71f23dde2e8a801c"),
     ],
 )
 def test_mc_json_output(flags, sha256, tmp_path, capsys):
@@ -210,3 +210,20 @@ def test_mc_json_output(flags, sha256, tmp_path, capsys):
     code, out, err = _run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "flags, graph",
+    [
+        ([], "sleep-set-reduced"),
+        (["--no-por"], "full"),
+        (["--links", "delay=1"], "full"),  # faults turn POR off
+    ],
+    ids=["por", "no-por", "faulty-link"],
+)
+def test_mc_json_names_the_cycle_graph(flags, graph, capsys):
+    code, out, _ = _run(capsys, ["mc", "--json", "--n", "6", "--k", "2"] + flags)
+    assert code == 0
+    document = json.loads(out)
+    assert document["cycle_graph"] == graph
+    assert document["por"] is (graph == "sleep-set-reduced")

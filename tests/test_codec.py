@@ -141,6 +141,33 @@ def test_missing_key_and_section_texts(spec_class, data, text):
     assert _error(spec_class.from_dict, data) == text
 
 
+#: A string where a list belongs is rejected by name, never split into
+#: one name per character.
+SWEEP_LISTS = [
+    (
+        {"algorithms": "unknown", "grid": [[8, 2]]},
+        "sweep spec 'algorithms' must be a list, got 'unknown'",
+    ),
+    (
+        {"algorithms": ["unknown"], "grid": [[8, 2]], "schedulers": "sync"},
+        "sweep spec 'schedulers' must be a list, got 'sync'",
+    ),
+    (
+        {"algorithms": {"unknown": 1}, "grid": [[8, 2]]},
+        "sweep spec 'algorithms' must be a list, got {'unknown': 1}",
+    ),
+    (
+        {"algorithms": ["unknown"], "grid": "64x4"},
+        "sweep spec 'grid' must be a list, got '64x4'",
+    ),
+]
+
+
+@pytest.mark.parametrize("data,text", SWEEP_LISTS)
+def test_sweep_list_field_texts(data, text):
+    assert _error(SweepSpec.from_dict, data) == text
+
+
 @pytest.mark.parametrize(
     "spec_class", [ExperimentSpec, SweepSpec, FuzzSpec, CampaignSpec],
     ids=lambda c: c.__name__,

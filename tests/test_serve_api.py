@@ -289,6 +289,13 @@ class TestJobEndpoints:
             ),
             (
                 json.dumps(
+                    {"kind": "sweep",
+                     "spec": dict(_sweep().to_dict(), algorithms="unknown")}
+                ).encode(),
+                "sweep spec 'algorithms' must be a list, got 'unknown'",
+            ),
+            (
+                json.dumps(
                     {"kind": "experiment",
                      "spec": _with_section(_spec().to_dict(), "placement",
                                            ring_size=8.0)}
