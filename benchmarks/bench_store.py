@@ -317,7 +317,11 @@ def test_serve_runs_closed_loop(benchmark, tmp_path_factory):
     # One client, one GET /v1/runs at a time against a ServeDaemon on
     # the sweep's store; filters, limit and offset are drawn from a
     # fixed seed.  ``handle_p50_ms`` is the time inside ServeApi.handle,
-    # ``http_p50_ms`` the rest of each request (socket, parsing, JSON).
+    # ``http_p50_ms`` the rest of each request (socket, parsing, JSON),
+    # ``refresh_p50_ms`` the RunStore.refresh inside handle, and
+    # ``empty_page_frac`` the share of requests whose page is empty
+    # (those decode no record, so the median request is mostly fixed
+    # cost).
     root = tmp_path_factory.mktemp("serve")
     store = RunStore(root)
     execute_sweep(_SERVE_SWEEP, processes=min(2, os.cpu_count() or 1),
@@ -359,11 +363,23 @@ def test_serve_runs_closed_loop(benchmark, tmp_path_factory):
             handle_seconds.append(time.perf_counter() - start)
 
     daemon.api.handle = timed_handle
+    refresh = daemon.store.refresh
+    refresh_seconds = []
+
+    def timed_refresh():
+        start = time.perf_counter()
+        try:
+            return refresh()
+        finally:
+            refresh_seconds.append(time.perf_counter() - start)
+
+    daemon.store.refresh = timed_refresh
     daemon.start()
     host, port = daemon.address
 
     def closed_loop():
         handle_seconds.clear()
+        refresh_seconds.clear()
         latencies = []
         for path, total, page in requests:
             start = time.perf_counter()
@@ -387,6 +403,8 @@ def test_serve_runs_closed_loop(benchmark, tmp_path_factory):
     http_ms = 1000 * statistics.median(
         total - inner for total, inner in zip(latencies, handle_seconds)
     )
+    refresh_ms = 1000 * statistics.median(refresh_seconds)
+    empty = sum(1 for _, _, page in requests if page == 0) / len(requests)
     rate = len(latencies) / sum(latencies)
     record_case(f"serve GET /v1/runs x{_SERVE_REQUESTS}", {
         "records": len(expand_cells(_SERVE_SWEEP)),
@@ -395,14 +413,16 @@ def test_serve_runs_closed_loop(benchmark, tmp_path_factory):
         "p50_ms": round(p50_ms, 3),
         "handle_p50_ms": round(handle_ms, 3),
         "http_p50_ms": round(http_ms, 3),
+        "refresh_p50_ms": round(refresh_ms, 3),
+        "empty_page_frac": round(empty, 3),
     })
     report_lines(
         "Run store - serve GET /v1/runs (closed loop, one client)",
         [
             f"{len(latencies)} requests on a "
             f"{len(expand_cells(_SERVE_SWEEP))}-record sweep store: "
-            f"{rate:,.0f} req/s",
+            f"{rate:,.0f} req/s, {empty:.0%} with an empty page",
             f"p50 {p50_ms:.3f} ms = ServeApi.handle {handle_ms:.3f} ms "
-            f"+ HTTP {http_ms:.3f} ms",
+            f"(refresh {refresh_ms:.3f} ms) + HTTP {http_ms:.3f} ms",
         ],
     )
