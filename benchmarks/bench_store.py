@@ -301,6 +301,75 @@ def test_indexed_filtered_count_and_page(benchmark, tmp_path_factory):
     )
 
 
+_RESUME_HASHES = 120
+
+
+def test_indexed_resume_lookup(benchmark, tmp_path_factory):
+    # The resume question at scale: which of a sweep's cell hashes are
+    # archived, and what they hold.  120 archived hashes spread over the
+    # 50k-line store and 120 absent ones, interleaved, go to one
+    # ``get_many(..., default=None)``.  The same question about a store
+    # holding only its 120 records is the yardstick: the lookup searches
+    # the hash index once per hash, so the 50k-line store should cost
+    # about the same (``size_ratio`` near 1).
+    def open_store(name, count):
+        root = tmp_path_factory.mktemp(name)
+        hashes = _fabricate_shard(root, count)
+        RunStore(root).close()  # build the index outside the timings
+        step = count // _RESUME_HASHES
+        archived = hashes[::step][:_RESUME_HASHES]
+        absent = [
+            f"{_INDEX_RECORDS + index:064x}" for index in range(_RESUME_HASHES)
+        ]
+        asked = [h for pair in zip(archived, absent) for h in pair]
+        return RunStore(root), asked
+
+    def median_lookup(store, asked):
+        times = []
+        for _ in range(31):
+            start = time.perf_counter()
+            records = store.get_many(asked, default=None)
+            times.append(time.perf_counter() - start)
+        return records, statistics.median(times)
+
+    small, small_asked = open_store("resume_small", _RESUME_HASHES)
+    _, small_seconds = median_lookup(small, small_asked)
+    small.close()
+    large, asked = open_store("resume_large", _INDEX_RECORDS)
+    records, seconds = benchmark.pedantic(
+        median_lookup, args=(large, asked), rounds=1, iterations=1
+    )
+    large.close()
+    assert [r is None for r in records] == [False, True] * _RESUME_HASHES
+    assert [r.content_hash for r in records[::2]] == asked[::2]
+    ratio = seconds / small_seconds if small_seconds > 0 else float("inf")
+    assert ratio < 3, (
+        f"resume lookup on {_INDEX_RECORDS} records took {ratio:.1f}x "
+        f"its time on {_RESUME_HASHES}"
+    )
+    record_case(
+        f"store resume {_RESUME_HASHES}+{_RESUME_HASHES} absent "
+        f"x{_INDEX_RECORDS}",
+        {
+            "records": _INDEX_RECORDS,
+            "hashes": len(asked),
+            "mean_seconds": round(seconds, 6),
+            "small_store_seconds": round(small_seconds, 6),
+            "size_ratio": round(ratio, 2),
+        },
+    )
+    report_lines(
+        "Run store - resume lookup",
+        [
+            f"{_RESUME_HASHES} archived + {_RESUME_HASHES} absent hashes, "
+            f"one get_many (median of 31)",
+            f"{_INDEX_RECORDS}-record store: {1000 * seconds:.2f} ms",
+            f"{_RESUME_HASHES}-record store: {1000 * small_seconds:.2f} ms "
+            f"({ratio:.2f}x)",
+        ],
+    )
+
+
 #: The Table-1 sweep whose 120-record store the service is asked about:
 #: 4 algorithms x {64x4, 256x8} x 5 scheduler families x 3 trials.
 _SERVE_SWEEP = SweepSpec(

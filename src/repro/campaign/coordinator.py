@@ -64,7 +64,7 @@ from repro.campaign.lease import (
 from repro.campaign.spec import CampaignSpec, WorkUnit
 from repro.errors import ProvenanceWarning, ReproError
 from repro.fuzz.coverage import CoverageMap
-from repro.store import RunStore, env_fingerprint
+from repro.store import RunRecord, RunStore, env_fingerprint
 
 __all__ = ["CampaignOutcome", "run_campaign"]
 
@@ -223,15 +223,15 @@ class _Fleet:
         self.outboxes.clear()
 
 
-def _warn_foreign_provenance(store: RunStore, cached_keys: List[str]) -> None:
+def _warn_foreign_provenance(records: List[RunRecord]) -> None:
     """Satellite: archived records reused by --resume must not silently
     mix environments with freshly computed ones."""
-    if not cached_keys:
+    if not records:
         return
     current = env_fingerprint()
     foreign = 0
     examples: Dict[Tuple[Tuple[str, str], ...], int] = {}
-    for record in store.get_many(cached_keys):
+    for record in records:
         if record.env and record.env != current:
             foreign += 1
             key = tuple(sorted(record.env.items()))
@@ -301,18 +301,21 @@ def run_campaign(
             progress(text)
 
     # -- resume: mark already-finished units cached --------------------------
-    cached_cell_keys: List[str] = []
     if resume:
         store.refresh()
         finished = ledger.completed_units()
         previously_quarantined = ledger.quarantined_units()
+        cells = [unit.key for unit in units if unit.kind == "cell"]
+        archived = dict(zip(cells, store.get_many(cells, default=None)))
+        cached_records: List[RunRecord] = []
         for unit in units:
-            if unit.kind == "cell" and store.contains(unit.key):
+            record = archived.get(unit.key)
+            if unit.kind == "cell" and record is not None:
                 tracker.on_cached(unit.key)
-                cached_cell_keys.append(unit.key)
+                cached_records.append(record)
             elif unit.key in finished:
                 tracker.on_cached(unit.key)
-        _warn_foreign_provenance(store, cached_cell_keys)
+        _warn_foreign_provenance(cached_records)
         retrying = previously_quarantined & set(tracker.in_state(PENDING))
         if retrying:
             note(

@@ -300,6 +300,24 @@ def _row_for_cell(
     return index, run_cell(cell)
 
 
+def _archived_records(
+    store: RunStore, cells: Sequence[SweepCell]
+) -> List[Optional[RunRecord]]:
+    """Each cell's archived record, or None where the store lacks it.
+
+    Refreshes first, to see cells other writers archived since the
+    handle opened.  Then one :meth:`~repro.store.jsonl.RunStore.get_many`
+    call resolves every cell hash in one indexed query and reads the
+    hits with one open per shard: on a fully warm resume this is the
+    whole sweep, so per-cell lookups and opens would dominate it.
+    """
+    store.refresh()
+    return store.get_many(
+        [cell.to_experiment_spec().content_hash() for cell in cells],
+        default=None,
+    )
+
+
 @dataclass(frozen=True)
 class SweepOutcome:
     """What one sweep invocation did: the rows plus cache accounting."""
@@ -332,7 +350,10 @@ def execute_sweep(
 
     * ``resume=True`` (default) serves every cell whose spec content
       hash is already archived straight from the store — re-running a
-      completed sweep executes **zero** cells,
+      completed sweep executes **zero** cells.  The archive is asked
+      about all cells at once: one ``get_many`` resolves their hashes in
+      one indexed query (per chunk of hashes, whatever the store's
+      size) and reads the hits with one open per shard,
     * every freshly executed cell is archived *as its worker finishes*
       (``imap_unordered``), so the store is a live checkpoint: killing
       the sweep loses at most the in-flight cells and a later
@@ -368,27 +389,18 @@ def execute_sweep(
     pending: List[Tuple[int, SweepCell]] = []
     cached = 0
     if store is not None and resume:
-        store.refresh()  # see cells other writers archived since open
-        hit_indices: List[int] = []
-        hit_hashes: List[str] = []
-        for index, cell in enumerate(cells):
-            content_hash = cell.to_experiment_spec().content_hash()
-            if store.contains(content_hash):
-                hit_indices.append(index)
-                hit_hashes.append(content_hash)
-            else:
-                pending.append((index, cell))
-        # Bulk-read the hits (one open per shard): on a fully warm
-        # resume this IS the whole sweep, so per-record opens would
-        # dominate the wall clock.
         foreign_envs: Dict[Tuple[Tuple[str, str], ...], int] = {}
         current_env = env_fingerprint()
-        for index, record in zip(hit_indices, store.get_many(hit_hashes)):
-            rows[index] = cell_row(cells[index], record.to_run_result())
+        archived = _archived_records(store, cells)
+        for index, (cell, record) in enumerate(zip(cells, archived)):
+            if record is None:
+                pending.append((index, cell))
+                continue
+            rows[index] = cell_row(cell, record.to_run_result())
+            cached += 1
             if record.env and record.env != current_env:
                 key = tuple(sorted(record.env.items()))
                 foreign_envs[key] = foreign_envs.get(key, 0) + 1
-        cached = len(hit_indices)
         if foreign_envs:
             # Warn, don't refuse: mixed-provenance archives are often
             # fine (a patch release, a different host), but they must
@@ -562,21 +574,13 @@ def rows_from_store(
     ``strict=True``, raise a :class:`ConfigurationError` naming how
     many are absent (use :func:`execute_sweep` to fill them in).
     """
-    store.refresh()
-    hit_cells = []
-    hit_hashes = []
-    missing = 0
-    for cell in expand_cells(spec):
-        content_hash = cell.to_experiment_spec().content_hash()
-        if store.contains(content_hash):
-            hit_cells.append(cell)
-            hit_hashes.append(content_hash)
-        else:
-            missing += 1
+    cells = expand_cells(spec)
     rows = [
         cell_row(cell, record.to_run_result())
-        for cell, record in zip(hit_cells, store.get_many(hit_hashes))
+        for cell, record in zip(cells, _archived_records(store, cells))
+        if record is not None
     ]
+    missing = len(cells) - len(rows)
     if strict and missing:
         raise ConfigurationError(
             f"store {store.root} is missing {missing} of the sweep's "

@@ -29,9 +29,10 @@ def cached_run(spec, store: Optional[RunStore] = None) -> Tuple[object, bool]:
     from repro.experiments.runner import run_experiment
 
     if store is not None:
-        content_hash = spec.content_hash()
-        if store.contains(content_hash):
-            return store.get(content_hash).to_run_result(), True
+        # One index lookup answers both "archived?" and "where?".
+        (record,) = store.get_many([spec.content_hash()], default=None)
+        if record is not None:
+            return record.to_run_result(), True
         result = run_experiment(spec)
         store.put(result.to_record(spec))
         return result, False

@@ -8,8 +8,10 @@ index the shard bytes line by line:
   (``<store>/index.sqlite``) shared by every handle and every process
   on the store.  Opening a store becomes O(new bytes): the database
   remembers how far each shard has been consumed, so a reopen tails
-  only appended bytes instead of re-parsing the whole archive, and a
-  point lookup is one ``SELECT`` plus one line read.
+  only appended bytes instead of re-parsing the whole archive.  A
+  lookup of any number of content hashes is one indexed ``SELECT`` (per
+  chunk of hashes, see :meth:`SqliteLineIndex.winners_of`) plus one
+  read of each hit's line.
 * :class:`MemoryLineIndex` — the historical per-handle in-memory scan.
   It exists as the *differential oracle*: it answers every index
   question from a full JSONL parse, so any disagreement with the
@@ -47,7 +49,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -325,6 +327,17 @@ class MemoryLineIndex:
             return None
         return self._winner_of(bucket, frontier)
 
+    def winners_of(
+        self, content_hashes: Iterable[str], frontier: Optional[Dict[str, int]]
+    ) -> Dict[str, LineEntry]:
+        """The winning entry of each given hash that has one."""
+        found = {}
+        for content_hash in content_hashes:
+            entry = self.winner(content_hash, frontier)
+            if entry is not None:
+                found[content_hash] = entry
+        return found
+
     def winners(
         self,
         frontier: Optional[Dict[str, int]],
@@ -434,8 +447,10 @@ class SqliteLineIndex:
     read-only mapping: a served request's count and then its page)
     share one ``data_version`` read, so they are answered from one state
     of the index; a tail or a question about another frontier ends the
-    share.  Point lookups (:meth:`winner`) stay single indexed
-    ``SELECT``\\ s on ``lines``.
+    share.  Lookups by content hash never touch that table: the hashes
+    of a resume (:meth:`winners_of`) are resolved together by one
+    ``SELECT`` per chunk that searches ``idx_lines_hash`` for each of
+    them, and a single hash (:meth:`winner`) is a one-hash chunk.
 
     Refreshing an unchanged store costs no SQL beyond one ``PRAGMA
     data_version`` and parses no JSON.  A full :meth:`tail` that leaves
@@ -832,15 +847,50 @@ class SqliteLineIndex:
     def winner(
         self, content_hash: str, frontier: Optional[Dict[str, int]]
     ) -> Optional[LineEntry]:
+        return self.winners_of((content_hash,), frontier).get(content_hash)
+
+    def winners_of(
+        self, content_hashes: Iterable[str], frontier: Optional[Dict[str, int]]
+    ) -> Dict[str, LineEntry]:
+        """The winning entry of each given hash that has one.
+
+        One ``SELECT`` per chunk of hashes, answered by a search of
+        ``idx_lines_hash`` for each hash in the ``IN`` list, so the cost
+        follows the number of hashes asked about and not the size of the
+        store.  ``INDEXED BY`` pins that plan: left to itself, SQLite
+        may answer the frontier's ``(shard, offset)`` ranges from
+        ``idx_lines_pos`` instead, a pass over every visible line (it
+        does so for an ``IN`` list, and for a single hash when the
+        frontier has one shard, as a store written by one process has).
+        Each hash's visible lines come back in ascending ``(stamp,
+        ord)`` order (the index order, so no sort), and the last one is
+        its winner.  A chunk holds as many hashes as the connection's
+        variable limit leaves beside the frontier's two parameters per
+        shard.
+        """
         clause, params = self._frontier_clause(frontier)
+        unique = list(dict.fromkeys(content_hashes))
+        last: Dict[str, Tuple] = {}
         with self._lock:
-            row = self._conn.execute(
-                f"SELECT {self._COLUMNS} FROM lines "
-                f"WHERE content_hash=? AND {clause} "
-                f"ORDER BY stamp DESC, ord DESC LIMIT 1",
-                [content_hash, *params],
-            ).fetchone()
-        return self._entry(row) if row else None
+            size = max(
+                1,
+                self._conn.getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
+                - len(params),
+            )
+            for begin in range(0, len(unique), size):
+                chunk = unique[begin:begin + size]
+                rows = self._conn.execute(
+                    f"SELECT {self._COLUMNS} FROM lines "
+                    f"INDEXED BY idx_lines_hash "
+                    f"WHERE content_hash IN ({','.join('?' * len(chunk))}) "
+                    f"AND {clause} ORDER BY content_hash, stamp, ord",
+                    [*chunk, *params],
+                )
+                for row in rows:
+                    last[row[3]] = row
+        return {
+            content_hash: self._entry(row) for content_hash, row in last.items()
+        }
 
     @staticmethod
     def _frontier_key(

@@ -71,6 +71,10 @@ _SHARD_LOCKS: Dict[str, threading.Lock] = {}
 _SHARD_LOCKS_GUARD = threading.Lock()
 
 
+#: ``get_many``'s "no default given": an absent hash raises KeyError.
+_RAISE = object()
+
+
 def _shard_lock(path: Path) -> threading.Lock:
     key = os.path.realpath(path)
     with _SHARD_LOCKS_GUARD:
@@ -130,20 +134,31 @@ class _StoreView:
             raise KeyError(content_hash)
         return self._load(entry)
 
-    def get_many(self, content_hashes: List[str]) -> List[RunRecord]:
+    def get_many(
+        self, content_hashes: List[str], default: object = _RAISE
+    ) -> List[Optional[RunRecord]]:
         """The records for ``content_hashes``, in the given order.
 
-        Bulk counterpart of :meth:`get` for hot resume paths: shards
-        are opened once each instead of once per record.  Raises
-        ``KeyError`` on the first absent hash.
+        Bulk counterpart of :meth:`get` for the resume paths: the index
+        resolves every hash at once (:meth:`SqliteLineIndex.winners_of
+        <repro.store.index.SqliteLineIndex.winners_of>`, one indexed
+        ``SELECT`` per chunk of hashes), and shards are opened once each
+        instead of once per record.  A hash given twice yields the same
+        record object twice.  An absent hash raises ``KeyError`` (the
+        first one in the given order) unless a ``default`` is given:
+        like ``dict.get``, the default then stands in for the missing
+        record, so ``default=None`` asks which hashes are archived and
+        reads those in one call.
         """
-        entries = []
-        for content_hash in content_hashes:
-            entry = self._winner(content_hash)
-            if entry is None:
-                raise KeyError(content_hash)
-            entries.append(entry)
-        return self._load_many(entries)
+        found = self._index.winners_of(content_hashes, self._frontier)
+        if default is _RAISE:
+            for content_hash in content_hashes:
+                if content_hash not in found:
+                    raise KeyError(content_hash)
+        records = dict(zip(found, self._load_many(list(found.values()))))
+        return [
+            records.get(content_hash, default) for content_hash in content_hashes
+        ]
 
     def contains(self, content_hash: str) -> bool:
         return self._winner(content_hash) is not None

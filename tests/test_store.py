@@ -306,6 +306,26 @@ class TestRunStore:
         with pytest.raises(KeyError):
             store.get_many(hashes + ["0" * 64])
 
+    def test_get_many_default_stands_in_for_absent(self, tmp_path):
+        store = RunStore(tmp_path / "s")
+        specs = [_spec(seed=90 + i) for i in range(3)]
+        records = []
+        for spec in specs:
+            record = run_experiment(spec).to_record(spec)
+            store.put(record)
+            records.append(record)
+        hashes = [spec.content_hash() for spec in specs]
+        absent = "0" * 64
+        asked = [absent, hashes[2], hashes[0], absent, hashes[2]]
+        assert store.get_many(asked, default=None) == [
+            None, records[2], records[0], None, records[2]
+        ]
+        marker = object()
+        assert store.get_many([absent], default=marker) == [marker]
+        assert store.get_many([], default=None) == []
+        with pytest.raises(KeyError, match=absent):
+            store.get_many([hashes[1], absent, "1" * 64])
+
     def test_zero_schema_version_rejected(self):
         with pytest.raises(ConfigurationError, match="impossible schema version 0"):
             RunRecord.from_dict(

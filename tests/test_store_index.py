@@ -33,8 +33,11 @@ from hypothesis import strategies as st
 from repro.decode import canonical_json
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment
+from repro.experiments.sweep import (
+    SweepSpec, execute_sweep, expand_cells, rows_from_store,
+)
 from repro.spec import ExperimentSpec, PlacementSpec
-from repro.store import RunRecord, RunStore
+from repro.store import RunRecord, RunStore, cached_run
 from repro.serve import JobManager, ServeApi
 from repro.store.index import (
     INDEX_SCHEMA_VERSION,
@@ -72,6 +75,10 @@ def _fake_record(index: int, *, algorithm=None) -> RunRecord:
     return RunRecord.from_dict(data)
 
 
+#: Hashes no test record has.
+_ABSENT = ["f" * 64, "e" * 64]
+
+
 def _same_view(sqlite_store: RunStore, oracle: RunStore) -> None:
     """Assert both handles answer every index question identically."""
     assert sqlite_store.hashes() == oracle.hashes()
@@ -80,6 +87,15 @@ def _same_view(sqlite_store: RunStore, oracle: RunStore) -> None:
         assert sqlite_store.contains(content_hash)
         assert sqlite_store.get(content_hash) == oracle.get(content_hash)
     assert sqlite_store.digest() == oracle.digest()
+    # The bulk lookup of the resume paths, with absent and repeated
+    # hashes, against the oracle's one-by-one answers.
+    hashes = oracle.hashes()
+    probe = _ABSENT[:1] + hashes + hashes[:2] + _ABSENT[1:]
+    expected = [
+        oracle.get(h) if oracle.contains(h) else None for h in probe
+    ]
+    assert sqlite_store.get_many(probe, default=None) == expected
+    assert oracle.get_many(probe, default=None) == expected
 
 
 class TestDifferentialSqliteVsScan:
@@ -410,8 +426,13 @@ class TestConcurrentAccess:
         _same_view(store, RunStore(root, index="memory"))
 
 
+#: Every fake record's hash below 64, two of them twice, and two absent.
+_PROBE = [_fake_record(i).content_hash for i in (*range(64), 1, 5)] + _ABSENT
+
+
 def _index_answers(index, frontier) -> dict:
-    """Every winners-table question, asked of one backend at ``frontier``.
+    """Every winners-table question, asked of one backend at ``frontier``,
+    plus the bulk lookup of :data:`_PROBE`.
 
     Indexing order (``ord``) is backend-private, so it is dropped from
     the compared entries; everything else must agree exactly.
@@ -420,6 +441,12 @@ def _index_answers(index, frontier) -> dict:
         return [dataclasses.replace(entry, ord=0) for entry in entries]
 
     return {
+        "winners_of": {
+            content_hash: dataclasses.replace(entry, ord=0)
+            for content_hash, entry in index.winners_of(
+                _PROBE, frontier
+            ).items()
+        },
         "count": index.count(frontier),
         "hashes": index.hashes(frontier),
         "winners": strip(index.winners(frontier)),
@@ -970,3 +997,204 @@ class TestRefreshOfAnUnchangedStore:
         store.refresh()
         store.verify_index()
         _matches_a_fresh_scan(store)
+
+
+class TestBulkLookups:
+    """``get_many``/``winners_of``: every hash of a resume in one query."""
+
+    def test_snapshot_answers_do_not_move(self, tmp_path):
+        root = tmp_path / "s"
+        store = RunStore(root)
+        _put_fakes(store, range(6))
+        snapshot = store.snapshot()
+        before = snapshot.get_many(_PROBE, default=None)
+        assert [r is not None for r in before] == [
+            h in snapshot for h in _PROBE
+        ]
+        _put_fakes(RunStore(root), range(6, 10))
+        store.put(_replacement(2), replace=True)
+        _put_fakes(store, range(10, 12))
+        assert snapshot.get_many(_PROBE, default=None) == before
+        _same_view(RunStore(root), RunStore(root, index="memory"))
+        now = store.get_many(_PROBE, default=None)
+        assert now[2] == _replacement(2) != before[2]
+        assert sum(r is not None for r in now) == 14  # 12, two twice
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=5),  # which fake record
+                st.booleans(),  # replace?
+                st.booleans(),  # reopen the handle first?
+                st.booleans(),  # snapshot after the put?
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_property_snapshots_keep_their_bulk_answers(
+        self, tmp_path_factory, ops
+    ):
+        # Snapshots taken between puts, replacements and reopens: each
+        # keeps the get_many answer it gave when taken, and the index
+        # answers at its frontier like a fresh JSONL scan.
+        root = tmp_path_factory.mktemp("bulk") / "s"
+        store = RunStore(root)
+        taken = []
+        for step, (which, replace, reopen, snap) in enumerate(ops):
+            if reopen:
+                store = RunStore(root)
+            record = _fake_record(which)
+            if replace:
+                record = RunRecord(
+                    content_hash=record.content_hash,
+                    result=dict(record.result, total_moves=step),
+                    spec=record.spec,
+                )
+            store.put(record, replace=replace)
+            if snap:
+                snapshot = store.snapshot()
+                taken.append(
+                    (snapshot, snapshot.get_many(_PROBE, default=None))
+                )
+        for snapshot, answer in taken:
+            assert snapshot.get_many(_PROBE, default=None) == answer
+            frontier = snapshot._frontier
+            assert _index_answers(store._index, frontier) == (
+                _oracle_answers(root, frontier)
+            )
+        _same_view(RunStore(root), RunStore(root, index="memory"))
+
+    def test_chunks_under_a_small_variable_limit(self, tmp_path):
+        root = tmp_path / "s"
+        store = RunStore(root)
+        _put_fakes(store, range(10))
+        (root / "shard-1.jsonl").write_bytes(
+            b"".join(_raw_line(i, i) for i in range(10, 20))
+        )
+        store.put(_replacement(4), replace=True)
+        store.refresh()
+        frontier = store._frontier
+        assert len(frontier) == 2  # two shards: four frontier parameters
+        expected = _index_answers(store._index, frontier)
+        conn = store._index._conn
+        conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 7)
+        statements = []
+        conn.set_trace_callback(statements.append)
+        try:
+            answers = _index_answers(store._index, frontier)
+        finally:
+            conn.set_trace_callback(None)
+        assert answers == expected == _oracle_answers(root, frontier)
+        lookups = [s for s in statements if "content_hash IN" in s]
+        assert len(lookups) == 22  # 64 distinct hashes, 3 per query
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_lookups_search_the_hash_index(self, tmp_path, shards):
+        # Unpinned, SQLite answers a one-shard frontier's single-hash
+        # lookup, and any frontier's IN list, from idx_lines_pos: a pass
+        # over every visible line.
+        root = tmp_path / "s"
+        store = RunStore(root)
+        _put_fakes(store, range(4))
+        if shards == 2:
+            (root / "shard-1.jsonl").write_bytes(
+                b"".join(_raw_line(i, i) for i in range(4, 8))
+            )
+            store.refresh()
+        assert len(store._frontier) == shards
+        statements = []
+        store._index._conn.set_trace_callback(statements.append)
+        try:
+            store.get_many(_PROBE, default=None)
+            assert _PROBE[0] in store
+            store.put(_fake_record(0))
+        finally:
+            store._index._conn.set_trace_callback(None)
+        lookups = [s for s in statements if "FROM lines" in s]
+        assert len(lookups) == 3
+        for lookup in lookups:
+            plan = [
+                row[3]
+                for row in store._index._conn.execute(
+                    "EXPLAIN QUERY PLAN " + lookup
+                )
+            ]
+            assert plan == [
+                "SEARCH lines USING INDEX idx_lines_hash (content_hash=?)"
+            ]
+
+
+class TestResumeLookups:
+    """The resume paths ask the index one query, whatever their size."""
+
+    @staticmethod
+    def _spec(sizes, schedulers=("sync", "random")):
+        return SweepSpec(
+            algorithms=("known_k_full", "unknown"),
+            grid=tuple((n, 3) for n in sizes),
+            schedulers=schedulers,
+            trials=2,
+            base_seed=5,
+        )
+
+    @staticmethod
+    def _traced_warm_run(root, spec):
+        store = RunStore(root)
+        cold = execute_sweep(spec, processes=1, store=store)
+        # The first warm run leaves the tail memo, the second runs its
+        # rewrite check: from then on a refresh is one data_version read.
+        for _ in range(2):
+            execute_sweep(spec, processes=1, store=store)
+        statements = []
+        store._index._conn.set_trace_callback(statements.append)
+        try:
+            warm = execute_sweep(spec, processes=1, store=store)
+        finally:
+            store._index._conn.set_trace_callback(None)
+        assert warm.executed == 0 and warm.cached == cold.executed
+        assert warm.rows == cold.rows
+        return statements
+
+    def test_warm_sweep_statements_do_not_grow_with_cells(self, tmp_path):
+        small = self._traced_warm_run(tmp_path / "a", self._spec((9,)))
+        large = self._traced_warm_run(
+            tmp_path / "b", self._spec((9, 10, 11, 12, 13))
+        )
+        assert len(expand_cells(self._spec((9, 10, 11, 12, 13)))) == 40
+        assert len(small) == len(large) == 2, large
+        assert large[0] == "PRAGMA data_version"
+        assert "content_hash IN" in large[1]
+
+    def test_half_archived_resume_equals_a_cold_serial_sweep(self, tmp_path):
+        spec = self._spec((9, 10))
+        cold_store = RunStore(tmp_path / "cold")
+        cold = execute_sweep(spec, processes=1, store=cold_store)
+        store = RunStore(tmp_path / "resumed")
+        half = execute_sweep(
+            self._spec((9, 10), schedulers=("sync",)), processes=1,
+            store=store,
+        )
+        resumed = execute_sweep(spec, processes=2, store=store)
+        assert (resumed.executed, resumed.cached) == (half.total, half.total)
+        assert resumed.rows == cold.rows
+        assert store.digest() == cold_store.digest()
+        assert rows_from_store(RunStore(tmp_path / "resumed"), spec) == (
+            cold.rows
+        )
+
+    def test_cached_run_hit_is_one_lookup(self, tmp_path):
+        store = RunStore(tmp_path / "s")
+        spec = _spec(seed=4)
+        computed, hit = cached_run(spec, store)
+        assert not hit
+        statements = []
+        store._index._conn.set_trace_callback(statements.append)
+        try:
+            cached, hit = cached_run(spec, store)
+        finally:
+            store._index._conn.set_trace_callback(None)
+        assert hit and cached == computed
+        (lookup,) = statements
+        assert "content_hash IN" in lookup
