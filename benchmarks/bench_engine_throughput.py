@@ -19,7 +19,7 @@ import time
 from typing import Callable, Dict
 
 from repro.experiments.runner import build_engine
-from repro.experiments.sweep import SweepSpec, run_sweep
+from repro.experiments.sweep import SweepSpec, execute_sweep
 from repro.ring.placement import random_placement
 from repro.sim.scheduler import RandomScheduler
 
@@ -126,7 +126,7 @@ def test_throughput_sweep_grid(benchmark):
 
     def runner():
         start = time.perf_counter()
-        rows = run_sweep(spec, processes=1)
+        rows = execute_sweep(spec, processes=1).rows
         return rows, time.perf_counter() - start
 
     rows, seconds = benchmark.pedantic(runner, rounds=1, iterations=1)

@@ -12,7 +12,7 @@ import math
 
 from repro.analysis.complexity import loglog_slope
 from repro.experiments.runner import run_experiment
-from repro.experiments.sweep import SweepSpec, run_sweep
+from repro.experiments.sweep import SweepSpec, execute_sweep
 from repro.ring.placement import random_placement
 
 from benchmarks.conftest import report
@@ -32,7 +32,7 @@ def _run_sweep(pairs, seed=1):
     spec = SweepSpec(
         algorithms=(ALGO,), grid=tuple(pairs), base_seed=seed
     )
-    return run_sweep(spec, processes=1)
+    return execute_sweep(spec, processes=1).rows
 
 
 def test_result1_time_scales_linearly_in_n(benchmark):

@@ -47,7 +47,6 @@ import multiprocessing
 import queue as queue_module
 import signal
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -62,9 +61,9 @@ from repro.campaign.lease import (
     UnitTracker,
 )
 from repro.campaign.spec import CampaignSpec, WorkUnit
-from repro.errors import ProvenanceWarning, ReproError
+from repro.errors import ReproError
 from repro.fuzz.coverage import CoverageMap
-from repro.store import RunRecord, RunStore, env_fingerprint
+from repro.store import RunRecord, RunStore, warn_foreign_envs
 
 __all__ = ["CampaignOutcome", "run_campaign"]
 
@@ -95,6 +94,7 @@ class CampaignOutcome:
     interrupted: bool
     resume_command: str
     unit_reports: List[Dict[str, object]] = field(default_factory=list)
+    events: int = 0  # notable events, each one ``progress`` update
 
     @property
     def ok(self) -> bool:
@@ -223,39 +223,13 @@ class _Fleet:
         self.outboxes.clear()
 
 
-def _warn_foreign_provenance(records: List[RunRecord]) -> None:
-    """Satellite: archived records reused by --resume must not silently
-    mix environments with freshly computed ones."""
-    if not records:
-        return
-    current = env_fingerprint()
-    foreign = 0
-    examples: Dict[Tuple[Tuple[str, str], ...], int] = {}
-    for record in records:
-        if record.env and record.env != current:
-            foreign += 1
-            key = tuple(sorted(record.env.items()))
-            examples[key] = examples.get(key, 0) + 1
-    if foreign:
-        details = "; ".join(
-            f"{count} from {dict(env)}" for env, count in sorted(examples.items())
-        )
-        warnings.warn(
-            f"campaign resume reuses {foreign} archived unit(s) computed "
-            f"under a different environment than the current {current} "
-            f"({details}); pass resume=False to recompute",
-            ProvenanceWarning,
-            stacklevel=3,
-        )
-
-
 def run_campaign(
     spec: CampaignSpec,
     store_root: str,
     *,
     chaos: Optional[ChaosPlan] = None,
     resume: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
+    progress: Optional[Callable[[Dict[str, object]], None]] = None,
     stop_when: Optional[Callable[[Dict[str, int]], bool]] = None,
     install_signal_handlers: bool = False,
 ) -> CampaignOutcome:
@@ -263,7 +237,8 @@ def run_campaign(
 
     ``chaos`` injects deterministic worker faults (tests/CI only).
     ``resume`` skips units already completed per the store + ledger.
-    ``progress`` receives one human-readable line per notable event.
+    ``progress`` receives ``{"events", "last_event"}`` per notable
+    event: the running count and the event's human-readable line.
     ``stop_when`` is polled each tick with the current counts — return
     True to trigger the same graceful shutdown as SIGINT (tests use
     this to exercise interruption deterministically).
@@ -296,9 +271,13 @@ def run_campaign(
     leases = LeaseTable(ttl=spec.lease_ttl, unit_timeout=spec.unit_timeout)
     coverage = CoverageMap()
 
+    events = 0
+
     def note(text: str) -> None:
+        nonlocal events
+        events += 1
         if progress is not None:
-            progress(text)
+            progress({"events": events, "last_event": text})
 
     # -- resume: mark already-finished units cached --------------------------
     if resume:
@@ -315,7 +294,7 @@ def run_campaign(
                 cached_records.append(record)
             elif unit.key in finished:
                 tracker.on_cached(unit.key)
-        _warn_foreign_provenance(cached_records)
+        warn_foreign_envs(cached_records, "unit")
         retrying = previously_quarantined & set(tracker.in_state(PENDING))
         if retrying:
             note(
@@ -552,4 +531,5 @@ def run_campaign(
         interrupted=interrupted,
         resume_command=resume_command,
         unit_reports=[tracker.report(unit.key) for unit in units],
+        events=events,
     )

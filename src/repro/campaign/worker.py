@@ -141,8 +141,8 @@ def _execute_fuzz_shard(
 
     fuzzer: Optional[ScheduleFuzzer] = None
 
-    def on_progress(run: int, budget: int, coverage_text: str) -> None:
-        if run % stride == 0 and fuzzer is not None:
+    def on_progress(update: Dict[str, object]) -> None:
+        if update["runs"] % stride == 0 and fuzzer is not None:
             _stream_coverage_delta(
                 outbox, worker_id, unit.key, fuzzer.coverage,
                 sent_states, sent_patterns,

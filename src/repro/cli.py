@@ -68,7 +68,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.render import render_gaps, render_positions
 from repro.campaign import CampaignSpec
@@ -967,19 +967,10 @@ def _command_psweep(args: argparse.Namespace) -> int:
             validate_backend=args.validate_backend,
         )
     except CampaignInterrupted as interrupt:
-        # Graceful degradation: everything completed before the ^C is
-        # already flushed (and archived when --store was given) — report
-        # the partial accounting and how to pick the sweep back up.
-        partial = interrupt.outcome
-        print(f"\ninterrupted: {interrupt}")
-        if partial is not None:
-            print(
-                f"progress: {len(partial.rows)}/{partial.total} cells done "
-                f"({partial.executed} executed, {partial.cached} cached)"
-            )
-        if interrupt.resume_hint:
-            print(f"resume: {interrupt.resume_hint}")
-        return 130
+        return _report_interrupt(interrupt, lambda partial: (
+            f"{len(partial.rows)}/{partial.total} cells done "
+            f"({partial.executed} executed, {partial.cached} cached)"
+        ))
     rows = outcome.rows
     print(f"{len(rows)} cells "
           f"({len(spec.algorithms)} algorithms x {len(spec.grid)} sizes x "
@@ -1101,7 +1092,8 @@ def _command_timeline(args: argparse.Namespace) -> int:
 
 
 def _command_mc(args: argparse.Namespace) -> int:
-    from repro.mc import all_placements, check_placements
+    from repro.executor import in_process
+    from repro.mc import SearchStats, all_placements, check_placements
 
     if args.resume and not args.store:
         raise ReproError("--resume needs --store (nothing spilled to resume from)")
@@ -1133,8 +1125,8 @@ def _command_mc(args: argparse.Namespace) -> int:
     k = placements[0].agent_count
     progress = None
     if args.progress and not args.json:
-        progress = lambda stats: print(  # noqa: E731 - tiny local callback
-            f"  ... {stats.describe()}", file=sys.stderr
+        progress = lambda update: print(  # noqa: E731 - tiny local callback
+            f"  ... {SearchStats(**update).describe()}", file=sys.stderr
         )
     if links is not None and not links.active:
         links = None
@@ -1143,18 +1135,24 @@ def _command_mc(args: argparse.Namespace) -> int:
     if not args.json:
         faulty = f" under link faults ({links.describe()})" if links else ""
         print(f"model checking {algorithm} on n={n} k={k}: {scope}{faulty}")
-    if progress is not None and args.jobs > 1 and len(placements) > 1:
+    if progress is not None and not in_process(args.jobs, len(placements)):
         print(
             "note: --progress is a per-search view; with --jobs > 1 the "
             "placements run in separate processes, so it is not shown",
             file=sys.stderr,
         )
-    results = check_placements(
-        algorithm, placements, jobs=args.jobs, store_root=args.store,
-        resume=args.resume, progress=progress, depth_limit=args.depth_limit,
-        max_states=args.max_states, stop_at_first=not args.keep_going,
-        por=por, links=links,
-    )
+    try:
+        results = check_placements(
+            algorithm, placements, jobs=args.jobs, store_root=args.store,
+            resume=args.resume, progress=progress,
+            depth_limit=args.depth_limit, max_states=args.max_states,
+            stop_at_first=not args.keep_going, por=por, links=links,
+        )
+    except CampaignInterrupted as interrupt:
+        return _report_interrupt(interrupt, lambda finished: (
+            f"{len(finished)}/{len(placements)} placements checked "
+            f"({sum(result.explored for result in finished)} states)"
+        ))
 
     violations = [v for result in results for v in result.violations]
     complete = all(result.complete for result in results)
@@ -1263,14 +1261,9 @@ def _command_fuzz(args: argparse.Namespace) -> int:
             progress=_print_fuzz_progress if args.progress else None,
         )
     except CampaignInterrupted as interrupt:
-        print(f"\ninterrupted: {interrupt}")
-        partial = interrupt.outcome
-        if partial is not None:
-            print(f"progress: {partial.describe()}")
-            _print_archived(args.store, partial.failures)
-        if interrupt.resume_hint:
-            print(f"resume: {interrupt.resume_hint}")
-        return 130
+        return _report_interrupt(interrupt, lambda partial: "\n".join(
+            [partial.describe(), *_archived(args.store, partial.failures)]
+        ))
     print(outcome.describe())
     if outcome.history:
         print()
@@ -1292,7 +1285,8 @@ def _command_fuzz(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}")
-    _print_archived(args.store, outcome.failures)
+    for line in _archived(args.store, outcome.failures):
+        print(line)
     if outcome.failures:
         print(f"\n{len(outcome.failures)} FAILURE(S):")
         for failure in outcome.failures:
@@ -1315,12 +1309,26 @@ def _print_fuzz_progress(update) -> None:
         )
 
 
-def _print_archived(store: Optional[str], failures) -> None:
+def _archived(store: Optional[str], failures) -> List[str]:
     """One line per failure the fuzz body archived under ``store``."""
-    if store:
-        for failure in failures:
-            path = Path(store, "failures", f"{failure.content_hash}.json")
-            print(f"archived failure {failure.content_hash[:16]} -> {path}")
+    return [
+        f"archived failure {failure.content_hash[:16]} -> "
+        f"{Path(store, 'failures', f'{failure.content_hash}.json')}"
+        for failure in failures
+    ] if store else []
+
+
+def _report_interrupt(
+    interrupt: CampaignInterrupted, describe: Callable[[object], str]
+) -> int:
+    """Print what an interrupted psweep, fuzz or mc run finished (already
+    flushed) and how to pick it back up; return the exit code, 130."""
+    print(f"\ninterrupted: {interrupt}")
+    if interrupt.outcome is not None:
+        print(f"progress: {describe(interrupt.outcome)}")
+    if interrupt.resume_hint:
+        print(f"resume: {interrupt.resume_hint}")
+    return 130
 
 
 def _print_campaign_event(update) -> None:

@@ -35,9 +35,9 @@ from repro.experiments.sweep import (
     SweepCell,
     SweepSpec,
     cell_seed,
+    execute_sweep,
     expand_cells,
     run_cell,
-    run_sweep,
     rows_to_json,
     summarize_rows,
 )
@@ -80,9 +80,9 @@ __all__ = [
     "SweepCell",
     "SweepSpec",
     "cell_seed",
+    "execute_sweep",
     "expand_cells",
     "run_cell",
-    "run_sweep",
     "rows_to_json",
     "summarize_rows",
 ]

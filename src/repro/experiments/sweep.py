@@ -14,15 +14,13 @@ module provides the deterministic plumbing:
   worker count, or which process ran them,
 * :func:`cell_row` — the one row-shaping helper: a cell plus its
   :class:`RunResult` to the flat row every consumer sees,
-* :func:`run_cell` — one cell to one flat result row (picklable both
-  ways, so it can cross a process boundary),
-* :func:`run_sweep` / :func:`execute_sweep` — the driver: a
-  ``multiprocessing`` pool when ``processes > 1``, a plain loop
-  otherwise, identical rows either way.
+* :func:`run_cell` — one cell to one flat result row,
+* :func:`execute_sweep` — the driver: the pending cells go through
+  :func:`repro.executor.completed` (in this process at
+  ``processes=1``, else on its pool), identical rows either way.
 
-Determinism contract: ``run_sweep(spec, processes=1)`` and
-``run_sweep(spec, processes=32)`` return byte-identical row lists.
-This is what lets later PRs track benchmark trajectories cell by cell.
+Determinism contract: ``execute_sweep(spec, processes=1).rows`` and
+``execute_sweep(spec, processes=32).rows`` are byte-identical row lists.
 
 Sweeps are resumable: pass ``store=RunStore(dir)`` and every completed
 cell streams into the content-addressed archive *as workers finish*
@@ -40,23 +38,19 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.decode import (
     SpecCodec, read_document, read_int, read_list, seed_from_key, strict_int,
 )
-from repro.errors import (
-    CampaignInterrupted,
-    ConfigurationError,
-    ProvenanceWarning,
-)
+from repro.errors import CampaignInterrupted, ConfigurationError
+from repro.executor import completed
 from repro.experiments.runner import RunResult, run_experiment
 from repro.registry import get_algorithm, parse_scheduler_spec
 from repro.ring.faults import LinkSpec
 from repro.spec import ExperimentSpec, PlacementSpec
-from repro.store import RunRecord, RunStore, env_fingerprint
+from repro.store import RunRecord, RunStore, warn_foreign_envs
 
 __all__ = [
     "SUMMARY_GROUP_KEYS",
@@ -69,7 +63,6 @@ __all__ = [
     "expand_cells",
     "rows_from_store",
     "run_cell",
-    "run_sweep",
     "rows_to_json",
     "summarize_rows",
 ]
@@ -246,10 +239,6 @@ def expand_cells(spec: SweepSpec) -> List[SweepCell]:
     return cells
 
 
-def _result_for_cell(cell: SweepCell) -> RunResult:
-    return run_experiment(cell.to_experiment_spec())
-
-
 def cell_row(cell: SweepCell, result: RunResult) -> Dict[str, object]:
     """The canonical flat row of one completed cell.
 
@@ -268,12 +257,8 @@ def cell_row(cell: SweepCell, result: RunResult) -> Dict[str, object]:
 
 
 def run_cell(cell: SweepCell) -> Dict[str, object]:
-    """Run one cell to quiescence and return its flat result row.
-
-    Top-level function returning plain dicts so ``Pool.map`` can ship
-    cells out and rows back across process boundaries.
-    """
-    return cell_row(cell, _result_for_cell(cell))
+    """Run one cell to quiescence and return its flat result row."""
+    return cell_row(cell, run_experiment(cell.to_experiment_spec()))
 
 
 def _record_for_cell(
@@ -340,7 +325,7 @@ def execute_sweep(
     *,
     store: Optional[RunStore] = None,
     resume: bool = True,
-    progress: Optional[Callable[[int, int], None]] = None,
+    progress: Optional[Callable[[Dict[str, object]], None]] = None,
     backend: str = "object",
     validate_backend: bool = False,
 ) -> SweepOutcome:
@@ -354,10 +339,10 @@ def execute_sweep(
       about all cells at once: one ``get_many`` resolves their hashes in
       one indexed query (per chunk of hashes, whatever the store's
       size) and reads the hits with one open per shard,
-    * every freshly executed cell is archived *as its worker finishes*
-      (``imap_unordered``), so the store is a live checkpoint: killing
-      the sweep loses at most the in-flight cells and a later
-      ``resume`` run completes the remainder losslessly,
+    * every freshly executed cell is archived *as its worker finishes*,
+      so the store is a live checkpoint: killing the sweep loses at most
+      the in-flight cells and a later ``resume`` run completes the
+      remainder losslessly,
     * rows come back in canonical cell order regardless of which cells
       were cached, which were computed, and in what order workers
       finished — byte-identical to a storeless serial run.
@@ -374,9 +359,13 @@ def execute_sweep(
     and raises :class:`~repro.errors.BackendMismatch` on any
     divergence (the differential-oracle gate).
 
-    ``progress(done, pending_total)`` is called after each *executed*
-    cell is safely archived (or completed, when storeless); a callback
-    that raises aborts the sweep without losing archived cells.
+    ``progress({"done", "pending", "total"})`` is called after each
+    *executed* cell is safely archived (or completed, when storeless):
+    ``done`` of the ``pending`` cells have run, out of ``total`` in the
+    grid.  A callback that raises aborts the sweep without losing
+    archived cells.  ``processes`` (default: the CPU count) must be at
+    least 1; the pending cells go through
+    :func:`repro.executor.completed`.
     """
     if backend not in ("object", "batch"):
         raise ConfigurationError(
@@ -389,35 +378,14 @@ def execute_sweep(
     pending: List[Tuple[int, SweepCell]] = []
     cached = 0
     if store is not None and resume:
-        foreign_envs: Dict[Tuple[Tuple[str, str], ...], int] = {}
-        current_env = env_fingerprint()
         archived = _archived_records(store, cells)
         for index, (cell, record) in enumerate(zip(cells, archived)):
             if record is None:
                 pending.append((index, cell))
-                continue
-            rows[index] = cell_row(cell, record.to_run_result())
-            cached += 1
-            if record.env and record.env != current_env:
-                key = tuple(sorted(record.env.items()))
-                foreign_envs[key] = foreign_envs.get(key, 0) + 1
-        if foreign_envs:
-            # Warn, don't refuse: mixed-provenance archives are often
-            # fine (a patch release, a different host), but they must
-            # never be *silent* — the consumer decides whether the mix
-            # matters for their numbers.
-            details = "; ".join(
-                f"{count} from {dict(env)}"
-                for env, count in sorted(foreign_envs.items())
-            )
-            warnings.warn(
-                f"resume is reusing {sum(foreign_envs.values())} archived "
-                f"cell(s) computed under a different environment than the "
-                f"current {current_env} ({details}); pass resume=False to "
-                f"recompute them here",
-                ProvenanceWarning,
-                stacklevel=2,
-            )
+            else:
+                rows[index] = cell_row(cell, record.to_run_result())
+        cached = len(cells) - len(pending)
+        warn_foreign_envs([r for r in archived if r is not None], "cell")
     else:
         pending = list(enumerate(cells))
 
@@ -450,7 +418,10 @@ def execute_sweep(
                 pool_pending.append((index, cell))
         batch_groups = list(grouped.values())
 
-    def _complete(index: int, payload: Dict[str, object], done: int) -> None:
+    executed = 0
+
+    def _complete(index: int, payload: Dict[str, object]) -> None:
+        nonlocal executed
         if store is None:
             rows[index] = payload
         else:
@@ -461,43 +432,27 @@ def execute_sweep(
             # the printed rows and the archive silently diverge.
             store.put(record, replace=not resume)
             rows[index] = cell_row(cells[index], record.to_run_result())
+        executed += 1
         if progress is not None:
-            progress(done, len(pending))
+            progress(
+                {"done": executed, "pending": len(pending), "total": len(cells)}
+            )
 
-    executed = 0
+    if processes is None:
+        processes = multiprocessing.cpu_count()
     try:
         for group in batch_groups:
             specs = [cell.to_experiment_spec() for _, cell in group]
             results = run_batch(specs, validate=validate_backend)
             for (index, cell), cell_spec, result in zip(group, specs, results):
                 if store is None:
-                    payload = cell_row(cell, result)
+                    _complete(index, cell_row(cell, result))
                 else:
-                    payload = result.to_record(cell_spec).to_dict()
-                executed += 1
-                _complete(index, payload, executed)
-        if pool_pending:
-            if processes is None:
-                processes = multiprocessing.cpu_count()
-            processes = max(1, min(processes, len(pool_pending)))
-            if processes == 1:
-                for done, (index, cell) in enumerate(
-                    pool_pending, start=executed + 1
-                ):
-                    _, payload = worker((index, cell))
-                    _complete(index, payload, done)
-                    executed = done
-            else:
-                chunksize = max(1, len(pool_pending) // (processes * 4))
-                with multiprocessing.Pool(processes) as pool:
-                    completed = pool.imap_unordered(
-                        worker, pool_pending, chunksize=chunksize
-                    )
-                    for done, (index, payload) in enumerate(
-                        completed, start=executed + 1
-                    ):
-                        _complete(index, payload, done)
-                        executed = done
+                    _complete(index, result.to_record(cell_spec).to_dict())
+        # Not bound to a name: an exception out of this loop drops the
+        # iterator at once, and with it the pool.
+        for index, payload in completed(worker, pool_pending, processes):
+            _complete(index, payload)
     except KeyboardInterrupt:
         # Graceful degradation: everything completed so far is already
         # flushed (the store is written per-completion, before the row
@@ -530,37 +485,6 @@ def execute_sweep(
     return SweepOutcome(
         rows=rows, total=len(cells), executed=len(pending), cached=cached
     )
-
-
-def run_sweep(
-    spec: SweepSpec,
-    processes: Optional[int] = None,
-    *,
-    store: Optional[RunStore] = None,
-    resume: bool = True,
-    progress: Optional[Callable[[int, int], None]] = None,
-    backend: str = "object",
-    validate_backend: bool = False,
-) -> List[Dict[str, object]]:
-    """Run every cell of ``spec``; return rows in canonical cell order.
-
-    ``processes`` defaults to the machine's CPU count, capped at the
-    number of cells.  With one process (or one cell) the pool is skipped
-    entirely.  Completed cells stream back as workers finish, but the
-    returned rows are identical regardless of parallelism.  ``store``/
-    ``resume``/``progress``/``backend``/``validate_backend`` are
-    forwarded to :func:`execute_sweep` (which also reports cache-hit
-    accounting).
-    """
-    return execute_sweep(
-        spec,
-        processes,
-        store=store,
-        resume=resume,
-        progress=progress,
-        backend=backend,
-        validate_backend=validate_backend,
-    ).rows
 
 
 def rows_from_store(

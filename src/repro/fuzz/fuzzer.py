@@ -33,9 +33,10 @@ One campaign (:class:`ScheduleFuzzer`, described by a
 
 Campaigns are deterministic functions of their spec: every RNG is
 seeded from the spec's content hash, so a failing campaign replays
-anywhere.  :func:`fuzz_parallel` shards a budget across a process pool
-(the sweep pool pattern): shards are independent deterministic
-campaigns whose coverage maps merge by key-set union.
+anywhere.  :func:`fuzz_parallel` shards a budget across the process
+pool of :mod:`repro.executor` (the one sweep cells and mc placements
+use): shards are independent deterministic campaigns whose coverage
+maps merge by key-set union.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignInterrupted
+from repro.executor import completed
 from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.failure import FailureCase
@@ -73,8 +75,6 @@ _SEED_SCHEDULERS: Tuple[str, ...] = ("random", "burst", "chaos")
 #: Probability weights of the mutation phase's input sources.
 _FRESH_PROB = 0.15  # brand new random-tail input
 _SPLICE_PROB = 0.2  # crossover of two corpus entries
-
-ProgressFn = Callable[[int, int, str], None]
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class ScheduleFuzzer:
         shrink: bool = True,
         shrink_evals: int = 800,
         history_points: int = 20,
-        progress: Optional[ProgressFn] = None,
+        progress: Optional[Callable[[Dict[str, object]], None]] = None,
     ) -> None:
         self.spec = spec
         self.keep_going = keep_going
@@ -138,6 +138,11 @@ class ScheduleFuzzer:
         self.progress = progress
         self.coverage = CoverageMap()
         self.corpus = Corpus(spec.corpus_size)
+        # The campaign so far (see :meth:`outcome`).
+        self.runs = 0
+        self.steps = 0
+        self.failures: List[FailureCase] = []
+        self.history: List[Dict[str, object]] = []
         self._history_every = max(1, spec.budget // max(1, history_points))
         self._rng = random.Random(spec.derive_seed("driver"))
         self._placements: List[Placement] = [
@@ -306,26 +311,22 @@ class ScheduleFuzzer:
     def run(self) -> FuzzOutcome:
         """Execute the campaign; deterministic for a given spec."""
         spec = self.spec
-        failures: List[FailureCase] = []
-        history: List[Dict[str, object]] = []
-        runs = 0
-        total_steps = 0
         seeds = deque(self._seed_inputs())
 
         def record_history(force: bool = False) -> None:
-            if force or runs % self._history_every == 0:
-                history.append(
+            if force or self.runs % self._history_every == 0:
+                self.history.append(
                     {
-                        "run": runs,
-                        "steps": total_steps,
+                        "run": self.runs,
+                        "steps": self.steps,
                         "states": self.coverage.states,
                         "patterns": self.coverage.patterns,
                         "corpus": len(self.corpus),
-                        "failures": len(failures),
+                        "failures": len(self.failures),
                     }
                 )
 
-        while runs < spec.budget:
+        while self.runs < spec.budget:
             if seeds:
                 placement_index, scheduler_spec = seeds.popleft()
                 scheduler = build_scheduler(
@@ -336,15 +337,15 @@ class ScheduleFuzzer:
             else:
                 scheduler = None
                 placement_index, schedule = self._next_mutated_input()
-            run_rng = random.Random(spec.derive_seed(f"run|{runs}"))
+            run_rng = random.Random(spec.derive_seed(f"run|{self.runs}"))
             outcome = self._execute(
                 placement_index, schedule, run_rng, scheduler=scheduler
             )
-            runs += 1
-            total_steps += outcome.steps
+            self.runs += 1
+            self.steps += outcome.steps
             if outcome.violation is not None:
-                failures.append(
-                    self._build_failure(placement_index, outcome, runs)
+                self.failures.append(
+                    self._build_failure(placement_index, outcome, self.runs)
                 )
                 if not self.keep_going:
                     record_history(force=True)
@@ -355,24 +356,31 @@ class ScheduleFuzzer:
                         placement_index=placement_index,
                         schedule=outcome.executed[: outcome.last_novel_step],
                         gain=outcome.novelty,
-                        run_index=runs,
+                        run_index=self.runs,
                     )
                 )
             record_history()
             if self.progress is not None:
-                self.progress(runs, spec.budget, self.coverage.describe())
-        if not history or history[-1]["run"] != runs:
+                self.progress({
+                    "runs": self.runs, "budget": spec.budget,
+                    "coverage": self.coverage.describe(),
+                })
+        if not self.history or self.history[-1]["run"] != self.runs:
             record_history(force=True)
+        return self.outcome(complete=self.runs >= spec.budget)
+
+    def outcome(self, complete: bool) -> FuzzOutcome:
+        """The campaign as far as :meth:`run` got."""
         return FuzzOutcome(
-            spec=spec,
-            runs=runs,
-            steps=total_steps,
-            failures=tuple(failures),
+            spec=self.spec,
+            runs=self.runs,
+            steps=self.steps,
+            failures=tuple(self.failures),
             states=self.coverage.states,
             patterns=self.coverage.patterns,
             corpus_size=len(self.corpus),
-            history=tuple(history),
-            complete=runs >= spec.budget,
+            history=tuple(self.history),
+            complete=complete,
         )
 
     def _next_mutated_input(self) -> Tuple[int, Tuple[int, ...]]:
@@ -473,15 +481,14 @@ def merge_outcomes(
 
 def _fuzz_shard(
     payload: Tuple[int, Dict[str, object], bool, bool]
-) -> Tuple[int, FuzzOutcome, List[int], List[int]]:
+) -> Tuple[int, Tuple[FuzzOutcome, List[int], List[int]]]:
     """Pool worker: one deterministic shard campaign plus its raw coverage."""
     index, spec_dict, keep_going, shrink = payload
     fuzzer = ScheduleFuzzer(
         FuzzSpec.from_dict(spec_dict), keep_going=keep_going, shrink=shrink
     )
     outcome = fuzzer.run()
-    state_keys, pattern_keys = fuzzer.coverage.export_keys()
-    return index, outcome, state_keys, pattern_keys
+    return index, (outcome, *fuzzer.coverage.export_keys())
 
 
 def fuzz_parallel(
@@ -490,60 +497,57 @@ def fuzz_parallel(
     *,
     keep_going: bool = False,
     shrink: bool = True,
-    progress: Optional[ProgressFn] = None,
+    progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> FuzzOutcome:
-    """Shard ``spec``'s budget across ``jobs`` worker processes.
+    """Run ``spec`` in this process at ``jobs == 1`` (``progress`` then
+    receives its per-run counters), else as ``jobs`` shards.
 
     Each shard is an independent deterministic campaign
     (:func:`shard_specs`: seeds derived from the parent spec and the
     shard index, so shards explore *different* placements and
-    schedules); shard results merge via :func:`merge_outcomes` in shard
-    order, so the returned outcome is identical regardless of which
-    worker finished first.
+    schedules) run through :func:`repro.executor.completed`; shard
+    results merge via :func:`merge_outcomes` in shard order, so the
+    returned outcome is identical regardless of which worker finished
+    first.  Shards report no progress.
 
-    A ``KeyboardInterrupt`` mid-pool degrades gracefully: the pool is
-    torn down and a :class:`~repro.errors.CampaignInterrupted` carries
-    the outcome merged from every shard that *did* finish (flagged
-    ``complete=False``), so the CLI can archive partial failures and
-    report honest coverage instead of dumping a traceback.
-
-    At ``jobs=1`` this is :func:`fuzz` in process, and ``progress``
-    receives its per-run counters; shards report no progress.
+    A ``KeyboardInterrupt`` raises
+    :class:`~repro.errors.CampaignInterrupted` carrying the outcome so
+    far (the in-process campaign's, or the merge of the shards that
+    finished), flagged ``complete=False``, so the CLI can archive
+    partial failures instead of dumping a traceback.
     """
-    jobs = max(1, jobs)
     if jobs == 1:
-        return fuzz(
+        fuzzer = ScheduleFuzzer(
             spec, keep_going=keep_going, shrink=shrink, progress=progress
         )
+        try:
+            return fuzzer.run()
+        except KeyboardInterrupt:
+            partial = fuzzer.outcome(complete=False)
+            done = f"{partial.runs} of {spec.budget} runs"
+            raise _interrupted(partial, done) from None
     shards = [
         (index, shard.to_dict(), keep_going, shrink)
         for index, shard in enumerate(shard_specs(spec, jobs))
     ]
-    import multiprocessing
-
     received: Dict[int, Tuple[FuzzOutcome, List[int], List[int]]] = {}
     try:
-        with multiprocessing.Pool(min(jobs, len(shards))) as pool:
-            for index, outcome, state_keys, pattern_keys in (
-                pool.imap_unordered(_fuzz_shard, shards)
-            ):
-                received[index] = (outcome, state_keys, pattern_keys)
+        for index, result in completed(_fuzz_shard, shards, jobs):
+            received[index] = result
     except KeyboardInterrupt:
         partial = merge_outcomes(
-            spec,
-            [received[index] for index in sorted(received)],
-            complete=False,
+            spec, [received[i] for i in sorted(received)], complete=False
         )
-        raise CampaignInterrupted(
-            f"fuzz campaign interrupted: {len(received)} of {len(shards)} "
-            f"shards finished ({partial.runs} runs, "
-            f"{len(partial.failures)} failure(s))",
-            outcome=partial,
-            resume_hint=(
-                "fuzz shards are deterministic: re-run the same spec to "
-                "repeat the campaign, or lower --budget for a shorter one"
-            ),
-        ) from None
-    return merge_outcomes(
-        spec, [received[index] for index in sorted(received)]
+        done = f"{len(received)} of {len(shards)} shards"
+        raise _interrupted(partial, done) from None
+    return merge_outcomes(spec, [received[i] for i in sorted(received)])
+
+
+def _interrupted(partial: FuzzOutcome, finished: str) -> CampaignInterrupted:
+    return CampaignInterrupted(
+        f"fuzz campaign interrupted: {finished} finished ({partial.runs} "
+        f"runs, {len(partial.failures)} failure(s))",
+        outcome=partial,
+        resume_hint="fuzz campaigns are deterministic: re-run the same spec "
+        "to repeat the campaign, or lower --budget for a shorter one",
     )

@@ -8,8 +8,11 @@ code that opens the run store for its kind, calls the library entry
 point, archives fuzz failures and builds the JSON ``result``.  It
 returns ``(outcome, result)``: the library's outcome object, which the
 CLI renders, and the dict ``repro serve`` publishes as ``job.result``.
-``progress`` receives one flat dict per subsystem event and a last one
-with the final counters; serve publishes it as ``job.progress``.
+``progress`` goes to the subsystem unchanged, since every subsystem
+publishes one flat dict per event (sweep ``{done, pending, total}``,
+fuzz ``{runs, budget, coverage}``, campaign ``{events, last_event}``);
+the body adds a last one with the final counters.  Serve publishes
+each as ``job.progress``.
 Arguments that only the CLI has (``validate_backend``, ``chaos``,
 ``install_signal_handlers``) are keywords of the body, never options.
 
@@ -138,19 +141,12 @@ def experiment_job(spec, options, *, store_root=None, progress=None):
 def sweep_job(
     spec, options, *, store_root=None, progress=None, validate_backend=False
 ):
-    from repro.experiments.sweep import execute_sweep, expand_cells
-
-    on_progress = None
-    if progress is not None:
-        total = len(expand_cells(spec))
-
-        def on_progress(done: int, pending: int) -> None:
-            progress({"done": done, "pending": pending, "total": total})
+    from repro.experiments.sweep import execute_sweep
 
     store = _open_store(store_root)
     outcome = execute_sweep(
         spec, processes=options["processes"], store=store,
-        resume=options["resume"], progress=on_progress,
+        resume=options["resume"], progress=progress,
         backend=options["backend"], validate_backend=validate_backend,
     )
     counts = {
@@ -180,16 +176,10 @@ def fuzz_job(spec, options, *, store_root=None, progress=None):
     an interrupted campaign."""
     from repro.fuzz import fuzz_parallel
 
-    on_progress = None
-    if progress is not None:
-
-        def on_progress(runs: int, budget: int, coverage: str) -> None:
-            progress({"runs": runs, "budget": budget, "coverage": coverage})
-
     try:
         outcome = fuzz_parallel(
             spec, options["jobs"], keep_going=options["keep_going"],
-            shrink=options["shrink"], progress=on_progress,
+            shrink=options["shrink"], progress=progress,
         )
     except CampaignInterrupted as interrupt:
         if interrupt.outcome is not None:
@@ -214,19 +204,12 @@ def campaign_job(
 ):
     from repro.campaign import run_campaign
 
-    events = 0
-
-    def on_progress(line: str) -> None:
-        nonlocal events
-        events += 1
-        _publish(progress, {"events": events, "last_event": line})
-
     outcome = run_campaign(
         spec, store_root, chaos=chaos, resume=options["resume"],
-        progress=on_progress, install_signal_handlers=install_signal_handlers,
+        progress=progress, install_signal_handlers=install_signal_handlers,
     )
     _publish(progress, {
-        "events": events, "completed": outcome.completed,
+        "events": outcome.events, "completed": outcome.completed,
         "cached": outcome.cached, "total": outcome.total,
         "quarantined": len(outcome.quarantined),
     })

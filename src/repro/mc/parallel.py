@@ -10,9 +10,10 @@
 
 * :func:`check_placements` — every grid goes through it
   (:func:`repro.mc.checker.exhaust_placements` and ``repro mc``): one
-  search per placement, serially at ``jobs=1``, else whole placements
-  fan across one process pool.  Results keep placement order, so the
-  output is identical at every ``jobs``, spilled or not.
+  search per placement, each a work item of
+  :func:`repro.executor.completed` (in this process at ``jobs=1``,
+  else on its pool).  Results keep placement order, so the output is
+  identical at every ``jobs``, spilled or not.
 
 Expansion never replays.  Each :class:`~repro.mc.frontier.FrontierItem`
 carries a live engine at its state, the snapshot already taken of it
@@ -45,11 +46,12 @@ the result.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import deque
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from repro.errors import CampaignInterrupted
+from repro.executor import completed, in_process
 from repro.mc.checker import Counterexample, MCResult, _cycle_message
 from repro.mc.frontier import FrontierItem, FrontierSpill, ResumeState, check_spec
 from repro.mc.oracle import AgentsFactory, PropertyOracle, Violation
@@ -67,13 +69,13 @@ PROGRESS_EVERY = 5000
 
 
 # ----------------------------------------------------------------------
-# Placements of a grid: serially, or on one pool
+# Placements of a grid, through the one executor
 # ----------------------------------------------------------------------
 
 
-def _check_placement_task(payload: tuple) -> MCResult:
-    algorithm, placement, options = payload
-    return check_frontier(algorithm, placement, **options)
+def _check_placement_task(payload: tuple) -> Tuple[int, MCResult]:
+    index, algorithm, placement, options = payload
+    return index, check_frontier(algorithm, placement, **options)
 
 
 def check_placements(
@@ -85,35 +87,50 @@ def check_placements(
 ) -> List[MCResult]:
     """Run :func:`check_frontier` on each placement, in placement order.
 
-    With ``jobs == 1`` or a single placement the searches run one after
-    another in this process; otherwise whole placements fan across one
-    pool of ``min(jobs, len(placements))`` processes.  Each placement is
-    one search either way, so every ``jobs`` returns the same results.
+    Whole placements go through :func:`repro.executor.completed`: one
+    after another in this process at ``jobs == 1`` or for a single
+    placement, else across its pool.  Each placement is one search
+    either way, so every ``jobs`` returns the same results.
 
     ``options`` are :func:`check_frontier`'s: with ``store_root`` each
     placement journals to its own ``<store_root>/mc/<check-hash>/`` and
-    ``resume`` applies to each.  ``progress`` is called on the serial
-    path only.  A ``factory`` is refused at ``jobs > 1``: a callable
-    does not cross process boundaries, so a pool needs a registered
-    ``algorithm`` name.
+    ``resume`` applies to each.  ``progress`` is called only when the
+    searches run in this process.  A ``factory`` is refused at
+    ``jobs > 1``: a callable does not cross process boundaries, so a
+    pool needs a registered ``algorithm`` name.  A ``KeyboardInterrupt``
+    raises :class:`~repro.errors.CampaignInterrupted` carrying the
+    finished placements' results, in placement order.
     """
-    if jobs < 1:
-        raise ValueError(f"check_placements needs jobs >= 1, got {jobs}")
     if jobs > 1 and options.get("factory") is not None:
         raise ValueError(
             "check_placements needs a registered algorithm name at jobs > 1; "
             "agent factories do not cross process boundaries"
         )
     placements = list(placements)
-    if jobs == 1 or len(placements) <= 1:
-        return [
-            check_frontier(algorithm, placement, **options)
-            for placement in placements
-        ]
-    options.pop("progress", None)
-    payloads = [(algorithm, placement, options) for placement in placements]
-    with multiprocessing.Pool(processes=min(jobs, len(placements))) as pool:
-        return pool.map(_check_placement_task, payloads)
+    if not in_process(jobs, len(placements)):
+        options.pop("progress", None)  # a callback does not cross either
+    payloads = [
+        (index, algorithm, placement, options)
+        for index, placement in enumerate(placements)
+    ]
+    finished: Dict[int, MCResult] = {}
+    try:
+        for index, result in completed(_check_placement_task, payloads, jobs):
+            finished[index] = result
+    except KeyboardInterrupt:
+        store_root = options.get("store_root")
+        hint = (
+            "no store was attached; re-run with --store DIR to make the "
+            "check resumable" if store_root is None
+            else f"re-run the same check with --store {store_root} --resume"
+        )
+        raise CampaignInterrupted(
+            f"model check interrupted: {len(finished)} of {len(placements)} "
+            f"placements checked",
+            outcome=[finished[index] for index in sorted(finished)],
+            resume_hint=hint,
+        ) from None
+    return [finished[index] for index in range(len(placements))]
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +401,7 @@ def check_frontier(
     max_states: Optional[int] = None,
     stop_at_first: bool = True,
     links: Optional[LinkSpec] = None,
-    progress: Optional[Callable[[SearchStats], None]] = None,
+    progress: Optional[Callable[[Dict[str, int]], None]] = None,
 ) -> MCResult:
     """Exhaust every fair interleaving from ``placement`` under ``algorithm``.
 
@@ -403,8 +420,8 @@ def check_frontier(
     state.  Livelock cycles are reported after the search unless it
     already stopped at a violation: one lasso under ``stop_at_first``,
     else one per cyclic strongly connected component of the explored
-    graph.  ``progress`` receives the running :class:`SearchStats` at
-    the end of each wave in which the transition count crosses a
+    graph.  ``progress`` receives the running :class:`SearchStats` as a
+    dict (``dataclasses.asdict``) at the end of each wave in which the transition count crosses a
     multiple of :data:`PROGRESS_EVERY`.
 
     ``por=True`` (the default) applies the sleep-set partial-order
@@ -577,7 +594,7 @@ def check_frontier(
             and stats.transitions // PROGRESS_EVERY
             > transitions_before // PROGRESS_EVERY
         ):
-            progress(stats)
+            progress(asdict(stats))
         if hit_max_states:
             complete = False
             break

@@ -35,6 +35,7 @@ from repro.store.records import (
     env_fingerprint,
     result_from_payload,
     result_to_payload,
+    warn_foreign_envs,
 )
 
 __all__ = [
@@ -51,4 +52,5 @@ __all__ = [
     "env_fingerprint",
     "result_from_payload",
     "result_to_payload",
+    "warn_foreign_envs",
 ]

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import platform
 import sys
+import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.decode import canonical_hash
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProvenanceWarning
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -38,6 +39,7 @@ __all__ = [
     "env_fingerprint",
     "result_to_payload",
     "result_from_payload",
+    "warn_foreign_envs",
 ]
 
 #: Version of the RunRecord envelope + result payload schema.
@@ -72,6 +74,32 @@ def env_fingerprint() -> Dict[str, str]:
         "platform": sys.platform,
         "repro": __version__,
     }
+
+
+def warn_foreign_envs(records: Iterable["RunRecord"], noun: str) -> None:
+    """Warn the resuming function's caller when archived ``records``
+    that a resume reuses were computed under another environment.
+
+    Warn, don't refuse: mixed-provenance archives are often fine (a
+    patch release, a different host), but they must never be *silent*.
+    """
+    current = env_fingerprint()
+    foreign: Dict[Tuple[Tuple[str, str], ...], int] = {}
+    for record in records:
+        if record.env and record.env != current:
+            key = tuple(sorted(record.env.items()))
+            foreign[key] = foreign.get(key, 0) + 1
+    if foreign:
+        details = "; ".join(
+            f"{count} from {dict(env)}" for env, count in sorted(foreign.items())
+        )
+        warnings.warn(
+            f"resume reuses {sum(foreign.values())} archived {noun}(s) "
+            f"computed under a different environment than the current "
+            f"{current} ({details}); pass resume=False to recompute them",
+            ProvenanceWarning,
+            stacklevel=3,
+        )
 
 
 def result_to_payload(result) -> Dict[str, object]:

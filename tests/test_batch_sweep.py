@@ -89,10 +89,13 @@ def test_batch_backend_progress_counts_every_cell():
         spec,
         processes=1,
         backend="batch",
-        progress=lambda done, total: seen.append((done, total)),
+        progress=seen.append,
     )
     total = len(spec.algorithms) * len(spec.grid) * len(spec.schedulers)
-    assert seen == [(i, total) for i in range(1, total + 1)]
+    assert seen == [
+        {"done": i, "pending": total, "total": total}
+        for i in range(1, total + 1)
+    ]
 
 
 def test_parallel_mixed_grid_identical_across_backends(tmp_path):

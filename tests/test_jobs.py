@@ -84,3 +84,27 @@ def test_option_defaults_have_their_declared_type():
     for entry in KINDS.values():
         for name, option in entry.options.items():
             assert option.check(name, option.default) == option.default
+
+
+def _running_keys():
+    """The README's "While a job runs" keys per kind."""
+    text = README.read_text(encoding="utf-8")
+    sentence = text[text.index("While a job runs"):].split(".")[0]
+    return {
+        kind: _names(names)
+        for names, kind in re.findall(r"((?:`\w+`/?)+) \((\w+)\)", sentence)
+    }
+
+
+@pytest.mark.parametrize("kind", ["sweep", "fuzz", "campaign"])
+def test_running_progress_is_the_subsystems_flat_dict(kind, tmp_path):
+    # Each subsystem publishes the dict itself; the body only adds the
+    # final counters.
+    updates = []
+    entry = KINDS[kind]
+    entry.run(
+        SPECS[kind], entry.check_options({}), store_root=str(tmp_path),
+        progress=updates.append,
+    )
+    assert len(updates) >= 2
+    assert all(list(update) == _running_keys()[kind] for update in updates[:-1])

@@ -193,7 +193,8 @@ def test_spilled_grid_pool_matches_serial_and_resumes(tmp_path, monkeypatch):
     pool = multiprocessing.Pool
     monkeypatch.setattr(
         multiprocessing, "Pool",
-        lambda processes: pools.append(processes) or pool(processes),
+        lambda processes, **kwargs: pools.append(processes)
+        or pool(processes, **kwargs),
     )
     store = tmp_path / "store"
     pooled = check_placements(
@@ -222,7 +223,7 @@ def test_check_placements_reports_progress_in_process(monkeypatch, jobs, placeme
     seen = []
     results = check_placements(
         "unknown", placements, jobs=jobs,
-        progress=lambda stats: seen.append(stats.transitions),
+        progress=lambda update: seen.append(update["transitions"]),
     )
     assert len(seen) == sum(result.transitions // 100 for result in results) >= 8
 
@@ -482,7 +483,7 @@ def test_progress_fires_once_per_crossed_multiple(tmp_path, monkeypatch, mode):
         PLACEMENT,
         jobs=2 if mode == "jobs2" else 1,
         store_root=str(tmp_path / "run") if mode == "spilled" else None,
-        progress=lambda stats: seen.append(stats.transitions),
+        progress=lambda update: seen.append(update["transitions"]),
     )
     assert seen == expected
     assert len(seen) == result.transitions // 100 >= 8  # not once per wave

@@ -19,7 +19,6 @@ from repro.experiments.sweep import (
     execute_sweep,
     expand_cells,
     rows_from_store,
-    run_sweep,
     summarize_rows,
 )
 from repro.errors import ConfigurationError
@@ -39,7 +38,7 @@ SPEC = SweepSpec(
 @pytest.fixture(scope="module")
 def baseline_rows():
     """Rows of a clean, storeless serial run (the ground truth)."""
-    return run_sweep(SPEC, processes=1)
+    return execute_sweep(SPEC, processes=1).rows
 
 
 def _write_one(task):
@@ -125,8 +124,8 @@ class TestResume:
         class Killed(Exception):
             pass
 
-        def kill_after_five(done, _total):
-            if done >= 5:
+        def kill_after_five(update):
+            if update["done"] >= 5:
                 raise Killed
 
         with pytest.raises(Killed):

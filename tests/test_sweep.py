@@ -11,10 +11,10 @@ from repro.experiments.sweep import (
     SweepCell,
     SweepSpec,
     cell_seed,
+    execute_sweep,
     expand_cells,
     rows_to_json,
     run_cell,
-    run_sweep,
     summarize_rows,
 )
 
@@ -120,14 +120,14 @@ class TestRunCell:
 
 class TestRunSweep:
     def test_serial_and_parallel_rows_are_identical(self):
-        serial = run_sweep(SMALL_SPEC, processes=1)
-        parallel = run_sweep(SMALL_SPEC, processes=2)
+        serial = execute_sweep(SMALL_SPEC, processes=1).rows
+        parallel = execute_sweep(SMALL_SPEC, processes=2).rows
         assert serial == parallel
         assert len(serial) == len(expand_cells(SMALL_SPEC))
         assert all(row["uniform"] for row in serial)
 
     def test_rows_follow_cell_order(self):
-        rows = run_sweep(SMALL_SPEC, processes=1)
+        rows = execute_sweep(SMALL_SPEC, processes=1).rows
         cells = expand_cells(SMALL_SPEC)
         for row, cell in zip(rows, cells):
             assert row["algorithm"] == cell.algorithm
@@ -138,7 +138,7 @@ class TestRunSweep:
             assert row["seed"] == cell.seed
 
     def test_summary_aggregates_trials(self):
-        rows = run_sweep(SMALL_SPEC, processes=1)
+        rows = execute_sweep(SMALL_SPEC, processes=1).rows
         summary = summarize_rows(rows)
         assert len(summary) == 2 * 2 * 2  # trials collapsed
         for entry in summary:
@@ -146,7 +146,7 @@ class TestRunSweep:
             assert entry["uniform"] is True
 
     def test_json_round_trip(self):
-        rows = run_sweep(SMALL_SPEC, processes=1)
+        rows = execute_sweep(SMALL_SPEC, processes=1).rows
         payload = json.loads(rows_to_json(SMALL_SPEC, rows))
         assert payload["spec"]["trials"] == SMALL_SPEC.trials
         assert payload["spec"]["algorithms"] == list(SMALL_SPEC.algorithms)
