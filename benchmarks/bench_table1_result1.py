@@ -3,7 +3,8 @@
 Paper claims: memory O(k log n), ideal time O(n), total moves O(kn).
 The n-sweep fixes k and checks time ~ n and moves ~ n (slope ~ 1 in
 log-log space); the k-sweep fixes n and checks moves ~ k and memory ~ k.
-Absolute constants are also asserted (time <= 3n, moves <= 3kn).
+The declared ceilings (``get_algorithm(ALGO).bounds``) are also
+asserted on every run.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from repro.analysis.complexity import loglog_slope
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import SweepSpec, execute_sweep
+from repro.registry import get_algorithm
 from repro.ring.placement import random_placement
 
 from benchmarks.conftest import report
@@ -20,6 +22,7 @@ from benchmarks.conftest import report
 import random
 
 ALGO = "known_k_full"
+BOUNDS = get_algorithm(ALGO).bounds
 N_SWEEP = [64, 128, 256, 512]
 K_SWEEP = [4, 8, 16, 32]
 FIXED_K = 8
@@ -59,7 +62,10 @@ def test_result1_time_scales_linearly_in_n(benchmark):
     )
     assert all(row["uniform"] for row in rows)
     assert 0.7 <= slope <= 1.3
-    assert all(row["ideal_time"] <= 3 * row["n"] + 5 for row in rows)
+    assert all(
+        row["ideal_time"] <= BOUNDS.max_ideal_time(row["n"], row["k"])
+        for row in rows
+    )
 
 
 def test_result1_moves_scale_linearly_in_k(benchmark):
@@ -85,7 +91,9 @@ def test_result1_moves_scale_linearly_in_k(benchmark):
     )
     assert all(row["uniform"] for row in rows)
     assert 0.7 <= slope <= 1.3
-    assert all(row["total_moves"] <= 3 * row["k"] * FIXED_N for row in rows)
+    assert all(
+        row["total_moves"] <= BOUNDS.max_moves(FIXED_N, row["k"]) for row in rows
+    )
 
 
 def test_result1_memory_scales_linearly_in_k(benchmark):

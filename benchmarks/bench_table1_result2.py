@@ -2,8 +2,8 @@
 
 Paper claims: memory O(log n) (independent of k), ideal time
 O(n log k), total moves O(kn).  The k-sweep shows memory staying flat
-while Algorithm 1's grows; the n-sweep checks time stays within
-n * (ceil(log2 k) + c); the moves sweep checks the O(kn) envelope.
+while Algorithm 1's grows; the n-sweep and the moves sweep check the
+declared ceilings (``get_algorithm(ALGO).bounds``) on time and moves.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ import random
 
 from repro.analysis.complexity import loglog_slope
 from repro.experiments.runner import run_experiment
+from repro.registry import get_algorithm
 from repro.ring.placement import random_placement
 
 from benchmarks.conftest import report
 
 ALGO = "known_k_logspace"
+BOUNDS = get_algorithm(ALGO).bounds
 N_SWEEP = [64, 128, 256, 512]
 K_SWEEP = [4, 8, 16, 32]
 FIXED_K = 8
@@ -92,9 +94,9 @@ def test_result2_time_is_n_log_k(benchmark):
     )
     assert all(r.ok for r in results)
     assert 0.7 <= slope <= 1.3
-    bound = math.ceil(math.log2(FIXED_K)) + 3
     assert all(
-        r.ideal_time <= bound * r.placement.ring_size + 10 for r in results
+        r.ideal_time <= BOUNDS.max_ideal_time(r.placement.ring_size, FIXED_K)
+        for r in results
     )
 
 
@@ -126,5 +128,6 @@ def test_result2_moves_scale_with_kn(benchmark):
     )
     assert all(r.ok for r in results)
     assert all(
-        r.total_moves <= 4 * r.placement.agent_count * FIXED_N for r in results
+        r.total_moves <= BOUNDS.max_moves(FIXED_N, r.placement.agent_count)
+        for r in results
     )

@@ -5,7 +5,7 @@ time O(n/l), moves O(kn/l) — the algorithm adapts to the symmetry of
 the initial configuration.  The l-sweep fixes (n, k) and doubles l;
 every measured quantity should roughly halve.  The n-sweep at l = 1
 checks the worst-case envelope (memory O(k log n), time O(n), moves
-O(kn), with the paper's x14 move constant).
+O(kn)) against the declared ceilings (``get_algorithm(ALGO).bounds``).
 """
 
 from __future__ import annotations
@@ -15,11 +15,13 @@ import random
 from repro.analysis.complexity import loglog_slope
 from repro.experiments.runner import run_experiment
 from repro.experiments.table1 import symmetry_placement
+from repro.registry import get_algorithm
 from repro.ring.placement import random_placement
 
 from benchmarks.conftest import report
 
 ALGO = "unknown"
+BOUNDS = get_algorithm(ALGO).bounds
 L_SWEEP = [1, 2, 4, 8]
 FIXED_N = 240
 FIXED_K = 16
@@ -87,8 +89,9 @@ def test_result4_worst_case_envelope(benchmark):
             "k": FIXED_K,
             "l": r.placement.symmetry_degree,
             "total_moves": r.total_moves,
-            "moves/(14kn)": round(
-                r.total_moves / (14 * FIXED_K * r.placement.ring_size), 2
+            "moves/ceiling": round(
+                r.total_moves / BOUNDS.max_moves(r.placement.ring_size, FIXED_K),
+                2,
             ),
             "ideal_time": r.ideal_time,
             "time/n": round(r.ideal_time / r.placement.ring_size, 2),
@@ -104,7 +107,7 @@ def test_result4_worst_case_envelope(benchmark):
     )
     assert all(r.ok for r in results)
     assert 0.7 <= slope <= 1.3
-    assert all(
-        r.total_moves <= 14 * FIXED_K * r.placement.ring_size for r in results
-    )
-    assert all(r.ideal_time <= 20 * r.placement.ring_size for r in results)
+    for r in results:
+        n = r.placement.ring_size
+        assert r.total_moves <= BOUNDS.max_moves(n, FIXED_K)
+        assert r.ideal_time <= BOUNDS.max_ideal_time(n, FIXED_K)

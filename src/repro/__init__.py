@@ -54,6 +54,7 @@ from repro.errors import (
 from repro.experiments.runner import RunResult, run_experiment
 from repro.registry import (
     AlgorithmInfo,
+    Bounds,
     SchedulerInfo,
     SchedulerParam,
     SchedulerSpec,
@@ -90,6 +91,7 @@ __version__ = "1.1.0"
 
 __all__ = [
     "AlgorithmInfo",
+    "Bounds",
     "BurstScheduler",
     "ConfigurationError",
     "Engine",

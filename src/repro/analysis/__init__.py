@@ -7,12 +7,7 @@ tests' schedule replays all run.
 """
 
 from repro.analysis.chart import bar_chart, scaling_chart
-from repro.analysis.complexity import (
-    bound_ratio_spread,
-    is_bounded_by,
-    loglog_slope,
-    ratios,
-)
+from repro.analysis.complexity import loglog_slope
 from repro.analysis.coverage import (
     mean_service_gap,
     service_gaps,
@@ -48,12 +43,9 @@ from repro.analysis.verification import (
 __all__ = [
     "Timeline",
     "bar_chart",
-    "bound_ratio_spread",
     "configuration_distance_sequence",
-    "is_bounded_by",
     "loglog_slope",
     "mean_service_gap",
-    "ratios",
     "record_timeline",
     "render_configuration",
     "scaling_chart",

@@ -1,12 +1,9 @@
 """Empirical scaling checks for Table 1's O(.) claims (E1, E2, E4).
 
-Benchmarks validate asymptotic claims with two tools:
-
-* :func:`loglog_slope` — least-squares slope in log-log space; a
-  measured quantity growing as ``Theta(x^a)`` yields slope ``~ a``.
-* :func:`bound_ratio_spread` — ``measured / bound`` across a sweep; a
-  correct O(bound) claim keeps the ratio bounded (spread close to the
-  largest ratio, no upward drift).
+:func:`loglog_slope` is the least-squares slope in log-log space: a
+measured quantity growing as ``Theta(x^a)`` yields slope ``~ a``.  The
+concrete ceilings the benchmarks assert next to it are each
+algorithm's declared :class:`repro.registry.Bounds`.
 
 Pure Python (math only) so the core library stays dependency-free.
 """
@@ -14,11 +11,11 @@ Pure Python (math only) so the core library stays dependency-free.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["loglog_slope", "bound_ratio_spread", "ratios", "is_bounded_by"]
+__all__ = ["loglog_slope"]
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -41,35 +38,3 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     if denominator == 0:
         raise ConfigurationError("all x values identical; slope undefined")
     return numerator / denominator
-
-
-def ratios(
-    measurements: Sequence[Tuple[float, float]],
-    bound: Callable[[float], float],
-) -> List[float]:
-    """Return ``y / bound(x)`` for every measurement ``(x, y)``."""
-    result = []
-    for x, y in measurements:
-        denominator = bound(x)
-        if denominator <= 0:
-            raise ConfigurationError(f"bound({x}) = {denominator} must be positive")
-        result.append(y / denominator)
-    return result
-
-
-def bound_ratio_spread(
-    measurements: Sequence[Tuple[float, float]],
-    bound: Callable[[float], float],
-) -> Tuple[float, float]:
-    """Return ``(min ratio, max ratio)`` of measured over bound."""
-    values = ratios(measurements, bound)
-    return min(values), max(values)
-
-
-def is_bounded_by(
-    measurements: Sequence[Tuple[float, float]],
-    bound: Callable[[float], float],
-    constant: float,
-) -> bool:
-    """True when every measurement is within ``constant * bound(x)``."""
-    return all(ratio <= constant for ratio in ratios(measurements, bound))

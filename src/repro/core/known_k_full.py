@@ -26,7 +26,7 @@ from __future__ import annotations
 from repro.analysis.sequences import minimal_period, rotation_rank
 from repro.core.targets import target_offset
 from repro.errors import ConfigurationError
-from repro.registry import register_algorithm
+from repro.registry import Bounds, register_algorithm
 from repro.sim.actions import Action, NodeView
 from repro.sim.agent import Agent
 
@@ -64,8 +64,12 @@ class FullDeployment(Agent):
     build=lambda cls, k, n: cls(k),
     halts=True,
     knowledge="k",
-    memory_bound="O(k log n)",
-    time_bound="O(n)",
+    bounds=Bounds(
+        memory="O(k log n)",
+        time="O(n)",
+        max_moves=lambda n, k: 3 * k * n,
+        max_ideal_time=lambda n, k: 3 * n + 5,
+    ),
     table1_row="Algorithm 1",
     description="Algorithm 1: knowledge of k, O(k log n) memory, O(n) time",
 )

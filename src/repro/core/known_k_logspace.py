@@ -32,10 +32,12 @@ Complexities (Theorem 4): O(log n) memory, O(n log k) time, O(kn) moves.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.messages import LeaderNotice
 from repro.core.targets import hop_to_next_target
 from repro.errors import ConfigurationError
-from repro.registry import register_algorithm
+from repro.registry import Bounds, register_algorithm
 from repro.sim.actions import Action, NodeView
 from repro.sim.agent import Agent
 
@@ -47,8 +49,12 @@ __all__ = ["KnownKLogSpaceAgent"]
     build=lambda cls, k, n: cls(k),
     halts=True,
     knowledge="k",
-    memory_bound="O(log n)",
-    time_bound="O(n log k)",
+    bounds=Bounds(
+        memory="O(log n)",
+        time="O(n log k)",
+        max_moves=lambda n, k: 4 * k * n,
+        max_ideal_time=lambda n, k: (math.ceil(math.log2(k)) + 3) * n + 10,
+    ),
     table1_row="Algorithms 2+3",
     description="Algorithms 2+3: knowledge of k, O(log n) memory, O(n log k) time",
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core.known_k_full import FullDeployment
 from repro.errors import ConfigurationError
-from repro.registry import register_algorithm
+from repro.registry import Bounds, register_algorithm
 from repro.sim.actions import Action, NodeView
 
 __all__ = ["KnownNFullAgent"]
@@ -25,8 +25,12 @@ __all__ = ["KnownNFullAgent"]
     build=lambda cls, k, n: cls(n),
     halts=True,
     knowledge="n",
-    memory_bound="O(k log n)",
-    time_bound="O(n)",
+    bounds=Bounds(
+        memory="O(k log n)",
+        time="O(n)",
+        max_moves=lambda n, k: 3 * k * n,
+        max_ideal_time=lambda n, k: 3 * n + 5,
+    ),
     table1_row="Algorithm 1 (footnote 2)",
     description="Algorithm 1 variant (footnote 2): knowledge of n instead of k",
 )

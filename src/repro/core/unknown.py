@@ -47,7 +47,7 @@ from repro.analysis.sequences import (
 )
 from repro.core.messages import PatrolInfo
 from repro.core.targets import target_offset
-from repro.registry import register_algorithm
+from repro.registry import Bounds, register_algorithm
 from repro.sim.actions import Action, NodeView
 from repro.sim.agent import Agent
 
@@ -59,8 +59,12 @@ __all__ = ["UnknownKAgent"]
     build=lambda cls, k, n: cls(),
     halts=False,
     knowledge="none",
-    memory_bound="O(k log n)",
-    time_bound="O(n l)",
+    bounds=Bounds(
+        memory="O((k/l) log(n/l))",
+        time="O(n/l)",
+        max_moves=lambda n, k: 14 * k * n,
+        max_ideal_time=lambda n, k: 20 * n,
+    ),
     table1_row="Algorithms 4-6",
     description="Algorithms 4-6: no knowledge, relaxed problem, adaptive in l",
 )

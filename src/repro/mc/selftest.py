@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.known_k_logspace import KnownKLogSpaceAgent
-from repro.registry import register_algorithm
+from repro.registry import get_algorithm, register_algorithm
 from repro.sim.actions import Action, NodeView
 
 __all__ = ["WakeRaceAgent", "wake_race_agents"]
@@ -44,8 +44,7 @@ __all__ = ["WakeRaceAgent", "wake_race_agents"]
     build=lambda cls, k, n: cls(k),
     halts=True,
     knowledge="k",
-    memory_bound="O(log n)",
-    time_bound="O(n log k)",
+    bounds=get_algorithm("known_k_logspace").bounds,
     table1_row="selftest (broken Algorithms 2+3)",
     description=(
         "model-checker self-test: Algorithms 2+3 with an injected "

@@ -7,11 +7,13 @@ source of truth for both:
 
 * :class:`AlgorithmInfo` — a frozen record per deployment algorithm
   (factory, halting behaviour, knowledge regime, the paper's Table 1
-  memory/time bounds, description), registered by decorating the agent
+  :class:`Bounds`, description), registered by decorating the agent
   class with :func:`register_algorithm`.  The four core algorithms, the
   ``known_n_full`` variant and the model checker's deliberately broken
   self-test agent (``wake_race``, flagged ``selftest=True``) all
-  register themselves this way.
+  register themselves this way.  Each algorithm's bounds are declared
+  once, in its registration: ``repro list``, ``/v1/registry``, the
+  Table 1 benchmarks and the tests all read ``info.bounds``.
 * :class:`SchedulerInfo` — a frozen record per scheduler (class, typed
   parameter declarations, fairness/time semantics), registered by
   decorating the scheduler class with :func:`register_scheduler`.
@@ -56,6 +58,7 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "AlgorithmInfo",
+    "Bounds",
     "SchedulerInfo",
     "SchedulerParam",
     "SchedulerSpec",
@@ -79,6 +82,23 @@ CONTEXT_SEED = None
 
 
 @dataclass(frozen=True)
+class Bounds:
+    """One algorithm's Table 1 bounds: the big-O text and two ceilings.
+
+    ``memory`` and ``time`` are the paper's asymptotic bounds as shown
+    by ``repro list``.  ``max_moves(n, k)`` and ``max_ideal_time(n, k)``
+    are the ceilings on total moves and on ideal time (rounds under
+    ``sync``) that the Table 1 benchmarks and tests assert for ``k``
+    agents on an ``n``-node ring.
+    """
+
+    memory: str
+    time: str
+    max_moves: Callable[[int, int], int]
+    max_ideal_time: Callable[[int, int], int]
+
+
+@dataclass(frozen=True)
 class AlgorithmInfo:
     """Everything the harness knows about one registered algorithm.
 
@@ -86,7 +106,7 @@ class AlgorithmInfo:
     agents on an ``n``-node ring (``n`` may be 0 for algorithms that do
     not use it).  ``halts`` selects the terminal-state requirement the
     verifier applies (halted for termination-detecting algorithms,
-    suspended for the relaxed problem).  ``knowledge``, the bounds and
+    suspended for the relaxed problem).  ``knowledge``, ``bounds`` and
     ``table1_row`` carry the paper's Table 1 metadata; ``selftest``
     marks deliberately broken agents that exist to prove the model
     checker can find bugs (they are hidden from experiment-facing
@@ -97,8 +117,7 @@ class AlgorithmInfo:
     factory: Callable[[int, int], object]
     halts: bool
     knowledge: str
-    memory_bound: str
-    time_bound: str
+    bounds: Bounds
     table1_row: str
     description: str
     selftest: bool = False
@@ -113,8 +132,8 @@ class AlgorithmInfo:
             "name": self.name,
             "halts": self.halts,
             "knowledge": self.knowledge,
-            "memory_bound": self.memory_bound,
-            "time_bound": self.time_bound,
+            "memory_bound": self.bounds.memory,
+            "time_bound": self.bounds.time,
             "table1_row": self.table1_row,
             "description": self.description,
             "selftest": self.selftest,
@@ -277,8 +296,7 @@ def register_algorithm(
     build: Callable[[Type, int, int], object],
     halts: bool,
     knowledge: str,
-    memory_bound: str,
-    time_bound: str,
+    bounds: Bounds,
     table1_row: str,
     description: str,
     selftest: bool = False,
@@ -298,8 +316,7 @@ def register_algorithm(
                 factory=lambda k, n, _cls=cls: build(_cls, k, n),
                 halts=halts,
                 knowledge=knowledge,
-                memory_bound=memory_bound,
-                time_bound=time_bound,
+                bounds=bounds,
                 table1_row=table1_row,
                 description=description,
                 selftest=selftest,

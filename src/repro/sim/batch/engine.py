@@ -54,12 +54,11 @@ from repro.errors import (
 )
 from repro.ring.placement import Placement
 from repro.sim.batch.kernels import KERNELS
+from repro.sim.engine import _default_step_budget
 from repro.sim.metrics import Metrics
 from repro.sim.scheduler import Scheduler, SynchronousScheduler
 
 __all__ = ["BatchEngine"]
-
-_DEFAULT_STEP_SLACK = 64  # keep in lockstep with repro.sim.engine
 
 
 def _sub(asel: Union[int, np.ndarray], mask: np.ndarray):
@@ -116,7 +115,7 @@ class BatchEngine:
         self.logs: List[List[int]] = [[] for _ in range(B)] if record_log else []
         self.kernel = KERNELS[algorithm](B, k, n)
 
-        default_budget = _DEFAULT_STEP_SLACK * n * k + 10_000
+        default_budget = _default_step_budget(n, k)
         self.budget = np.array(
             [default_budget if m is None else int(m) for m in max_steps],
             dtype=np.int64,

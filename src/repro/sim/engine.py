@@ -79,10 +79,15 @@ from repro.sim.trace import TraceEvent, TraceEventKind, TraceRecorder
 
 __all__ = ["Engine"]
 
-#: Default safety multiplier: the paper's algorithms use O(k n) moves and
-#: comparable numbers of waits; 64x that with slack catches livelocks
-#: without tripping on legitimate executions.
-_DEFAULT_STEP_SLACK = 64
+
+def _default_step_budget(n: int, k: int) -> int:
+    """Default ``max_steps`` of an ``n``-node, ``k``-agent run.
+
+    The paper's algorithms use O(kn) moves and comparable numbers of
+    waits; 64x that with slack catches livelocks without tripping on
+    legitimate executions.  The batch engine uses the same budget.
+    """
+    return 64 * n * k + 10_000
 
 
 class Engine:
@@ -129,8 +134,9 @@ class Engine:
         self._steps = 0
         self._activation_log: List[int] = []
         if max_steps is None:
-            budget = _DEFAULT_STEP_SLACK * placement.ring_size * placement.agent_count
-            max_steps = budget + 10_000
+            max_steps = _default_step_budget(
+                placement.ring_size, placement.agent_count
+            )
         self._max_steps = max_steps
         if memory_audit_interval < 1:
             raise ConfigurationError("memory audit interval must be >= 1")

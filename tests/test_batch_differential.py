@@ -159,6 +159,15 @@ def test_failure_parity_step_budget(algorithm):
     )
 
 
+@pytest.mark.parametrize("n,k", [(12, 1), (24, 6), (64, 16)])
+def test_default_step_budget_parity(n, k):
+    # With no max_steps given, both engines choose the same budget.
+    spec = _spec("known_k_full", n, k, "sync", seed=7)
+    assert spec.max_steps is None
+    budget = int(_batch_engine([spec]).budget[0])
+    assert budget == build_engine(spec)._max_steps == 64 * n * k + 10_000
+
+
 def test_collect_metrics_off_parity():
     specs = [
         _spec("known_k_full", 20, 5, "sync", seed=s, collect_metrics=False)

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.core.known_k_full import KnownKFullAgent
 from repro.experiments.runner import run_experiment
+from repro.registry import get_algorithm
 from repro.ring.placement import (
     Placement,
     equidistant_placement,
@@ -20,6 +21,7 @@ from repro.ring.placement import (
 from repro.sim.scheduler import BurstScheduler, LaggardScheduler, RandomScheduler
 
 ALGO = "known_k_full"
+BOUNDS = get_algorithm(ALGO).bounds
 
 
 class TestCorrectness:
@@ -103,15 +105,15 @@ class TestSchedulers:
 
 class TestComplexity:
     def test_time_is_linear(self, rng):
-        # Ideal time <= 3n: one selection circuit + at most 2n deployment.
+        # Ideal time <= 3n + 5: one selection circuit + at most 2n deployment.
         for n, k in [(24, 4), (48, 8), (96, 8)]:
             result = run_experiment(ALGO, random_placement(n, k, rng))
-            assert result.ideal_time <= 3 * n + 5
+            assert result.ideal_time <= BOUNDS.max_ideal_time(n, k)
 
     def test_total_moves_bounded_by_3kn(self, rng):
         for n, k in [(24, 4), (48, 8)]:
             result = run_experiment(ALGO, random_placement(n, k, rng))
-            assert result.total_moves <= 3 * k * n
+            assert result.total_moves <= BOUNDS.max_moves(n, k)
 
     def test_memory_grows_with_k(self, rng):
         # O(k log n): doubling k roughly doubles the stored sequence.

@@ -9,6 +9,7 @@ import pytest
 from repro.core.known_k_logspace import KnownKLogSpaceAgent
 from repro.errors import ConfigurationError
 from repro.experiments.runner import build_engine, run_experiment
+from repro.registry import get_algorithm
 from repro.ring.placement import (
     Placement,
     equidistant_placement,
@@ -20,6 +21,7 @@ from repro.ring.placement import (
 from repro.sim.scheduler import BurstScheduler, LaggardScheduler, RandomScheduler
 
 ALGO = "known_k_logspace"
+BOUNDS = get_algorithm(ALGO).bounds
 
 
 def _figure5_placement() -> Placement:
@@ -192,13 +194,12 @@ class TestComplexity:
     def test_time_is_n_log_k(self, rng):
         for n, k in [(24, 4), (48, 8)]:
             result = run_experiment(ALGO, random_placement(n, k, rng))
-            bound = n * (math.ceil(math.log2(k)) + 3) + 10
-            assert result.ideal_time <= bound
+            assert result.ideal_time <= BOUNDS.max_ideal_time(n, k)
 
     def test_total_moves_bounded(self, rng):
         for n, k in [(24, 4), (48, 8)]:
             result = run_experiment(ALGO, random_placement(n, k, rng))
-            assert result.total_moves <= 4 * k * n
+            assert result.total_moves <= BOUNDS.max_moves(n, k)
 
 
 class TestMessages:

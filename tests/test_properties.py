@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import build_engine, run_experiment
 from repro.mc.oracle import PropertyOracle, drive_schedule
+from repro.registry import get_algorithm
 from repro.ring.placement import Placement, random_placement
 from repro.sim.scheduler import (
     BurstScheduler,
@@ -193,11 +194,14 @@ def test_all_algorithms_agree_on_gap_multiset(placement):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@given(placement=placements(max_n=24))
+@given(placement=placements(max_n=24), seed=st.integers(0, 2**16))
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_moves_respect_kn_budget(algorithm, placement):
-    """Total moves stay within the paper's O(kn) envelope (x14 for Alg 6)."""
-    result = run_experiment(algorithm, placement)
+def test_moves_respect_kn_budget(algorithm, placement, seed):
+    """Moves, and ideal time where counted, stay within the declared ceilings."""
+    scheduler = random.Random(seed).choice(schedulers(seed))
+    result = run_experiment(algorithm, placement, scheduler=scheduler)
     n, k = placement.ring_size, placement.agent_count
-    budget = 16 * k * n  # generous constant covering all three bounds
-    assert result.total_moves <= budget
+    bounds = get_algorithm(algorithm).bounds
+    assert result.total_moves <= bounds.max_moves(n, k), scheduler.describe()
+    if scheduler.counts_time:
+        assert result.ideal_time <= bounds.max_ideal_time(n, k)

@@ -51,12 +51,28 @@ class TestAlgorithmRegistry:
     def test_table1_metadata(self):
         info = get_algorithm("known_k_logspace")
         assert info.knowledge == "k"
-        assert info.memory_bound == "O(log n)"
-        assert info.time_bound == "O(n log k)"
+        assert info.bounds.memory == "O(log n)"
+        assert info.bounds.time == "O(n log k)"
         assert info.halts is True
         relaxed = get_algorithm("unknown")
         assert relaxed.halts is False
         assert relaxed.knowledge == "none"
+        assert relaxed.bounds.memory == "O((k/l) log(n/l))"
+        assert relaxed.bounds.time == "O(n/l)"
+
+    def test_selftest_agent_shares_the_logspace_bounds(self):
+        logspace = get_algorithm("known_k_logspace").bounds
+        assert get_algorithm("wake_race").bounds is logspace
+
+    def test_ceilings_keep_the_table1_constants(self):
+        assert get_algorithm("known_k_full").bounds.max_moves(24, 4) == 288
+        assert get_algorithm("known_n_full").bounds.max_ideal_time(24, 4) == 77
+        logspace = get_algorithm("known_k_logspace").bounds
+        assert logspace.max_ideal_time(24, 5) == 154
+        assert logspace.max_moves(24, 5) == 480
+        relaxed = get_algorithm("unknown").bounds
+        assert relaxed.max_moves(24, 4) == 1344
+        assert relaxed.max_ideal_time(24, 4) == 480
 
     def test_make_agents_respects_knowledge(self):
         k_aware = get_algorithm("known_k_full").make_agents(3)

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.complexity import (
-    bound_ratio_spread,
-    is_bounded_by,
-    loglog_slope,
-    ratios,
-)
+from repro.analysis.complexity import loglog_slope
 from repro.errors import ConfigurationError
 from repro.experiments.lower_bound import lower_bound_comparison, quarter_sweep
 from repro.experiments.runner import build_agents, run_experiment
@@ -108,17 +103,3 @@ class TestComplexityHelpers:
         with pytest.raises(ConfigurationError):
             loglog_slope([2, 2], [1, 4])
 
-    def test_ratios_and_spread(self):
-        measurements = [(10, 20), (20, 50)]
-        values = ratios(measurements, lambda x: x)
-        assert values == [2.0, 2.5]
-        assert bound_ratio_spread(measurements, lambda x: x) == (2.0, 2.5)
-
-    def test_ratios_rejects_nonpositive_bound(self):
-        with pytest.raises(ConfigurationError):
-            ratios([(0, 1)], lambda x: x)
-
-    def test_is_bounded_by(self):
-        measurements = [(4, 12), (8, 20)]
-        assert is_bounded_by(measurements, lambda x: x, constant=3)
-        assert not is_bounded_by(measurements, lambda x: x, constant=2)

@@ -12,23 +12,24 @@ import random
 import pytest
 
 from repro.experiments.runner import run_experiment
+from repro.registry import get_algorithm
 from repro.ring.placement import random_placement
 
 
 @pytest.mark.parametrize(
-    "algorithm,n,k,move_budget",
+    "algorithm,n,k",
     [
-        ("known_k_full", 1024, 16, 3 * 16 * 1024),
-        ("known_n_full", 1024, 16, 3 * 16 * 1024),
-        ("known_k_logspace", 1024, 16, 4 * 16 * 1024),
-        ("unknown", 512, 8, 14 * 8 * 512),
+        ("known_k_full", 1024, 16),
+        ("known_n_full", 1024, 16),
+        ("known_k_logspace", 1024, 16),
+        ("unknown", 512, 8),
     ],
 )
-def test_scale_run(algorithm, n, k, move_budget):
+def test_scale_run(algorithm, n, k):
     placement = random_placement(n, k, random.Random(1234))
     result = run_experiment(algorithm, placement)
     assert result.ok, result.report.describe()
-    assert result.total_moves <= move_budget
+    assert result.total_moves <= get_algorithm(algorithm).bounds.max_moves(n, k)
 
 
 def test_scale_many_agents():
