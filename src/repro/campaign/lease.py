@@ -133,11 +133,6 @@ class LeaseTable:
     def holder(self, unit_key: str) -> Optional[Lease]:
         return self._by_unit.get(unit_key)
 
-    def by_worker(self, worker: int) -> List[Lease]:
-        return [
-            lease for lease in self._by_unit.values() if lease.worker == worker
-        ]
-
     def issue(self, unit_key: str, worker: int, attempt: int) -> Lease:
         """Grant ``worker`` a fresh lease on ``unit_key``.
 

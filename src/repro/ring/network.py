@@ -20,21 +20,20 @@ into a :class:`repro.sim.actions.NodeView`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.ring.faults import PHANTOM, LinkSpec
+from repro.ring.faults import LinkSpec
 
-__all__ = ["Ring", "RingFastState", "RingFaults"]
+__all__ = ["Ring", "RingFaults"]
 
 
 class RingFaults:
     """Mutable link-fault state of one ring (present only when faulty).
 
-    One shared object: the ring, its :class:`RingFastState` and the
-    engine all hold the *same* instance, so counter updates are visible
-    everywhere without synchronisation code.  ``buffers[i]`` is the
-    FIFO delay buffer of the link into node ``i`` — ``[payload,
+    One shared object: the ring and the engine hold the *same*
+    instance, so counter updates are visible to both.  ``buffers[i]``
+    is the FIFO delay buffer of the link into node ``i`` — ``[payload,
     remaining]`` pairs, head at index 0, where payload is an agent id
     or :data:`~repro.ring.faults.PHANTOM` — draining into ``queues[i]``
     in send order (FIFO is preserved under pure delay).  ``ordinal``
@@ -53,8 +52,9 @@ class RingFaults:
         self.loss_used = 0
         self.dup_used = 0
 
-    def clone(self, size: int) -> "RingFaults":
-        other = RingFaults(self.spec, size)
+    def clone(self) -> "RingFaults":
+        other = RingFaults.__new__(RingFaults)
+        other.spec = self.spec
         other.buffers = [
             deque(list(entry) for entry in buffer) for buffer in self.buffers
         ]
@@ -78,329 +78,101 @@ class RingFaults:
         )
 
 
-class RingFastState(NamedTuple):
-    """Direct references to a ring's mutable structures (engine fast path).
-
-    The simulation engine activates agents millions of times per sweep;
-    going through the validating :class:`Ring` methods on every atomic
-    action costs several attribute lookups and function calls per step.
-    :meth:`Ring.fast_state` hands the engine the four underlying
-    structures so the hot loop can mutate them directly.
-
-    The contract: a holder that mutates these MUST keep ``locations`` in
-    sync with ``staying``/``queues`` using the same encoding as the ring
-    (staying at node ``i`` -> code ``i``; queued toward node ``i`` ->
-    code ``-(i + 1)``), and must itself enforce the FIFO/no-overtake
-    invariants that the public methods check.  Everything read through
-    the public :class:`Ring` API (snapshots, analysis, verification)
-    stays consistent as long as that contract holds.
-    """
-
-    tokens: List[int]
-    staying: List[Set[int]]
-    queues: List[Deque[int]]
-    locations: Dict[int, int]
-    #: shared link-fault state, or None on a reliable ring (the default
-    #: keeps every historical 4-field construction working unchanged).
-    faults: Optional[RingFaults] = None
-
-
 class Ring:
     """Passive state of an ``n``-node unidirectional ring.
 
-    The ring enforces the model's structural invariants:
+    The fields are public, and :class:`repro.sim.engine.Engine` is the
+    only code that writes them: it places C0 and applies every atomic
+    action.  The ring checks nothing itself.  The model's invariants
+    are checked on snapshots and on the engine:
 
-    * tokens are released once per call and never removed
-      (token monotonicity),
-    * link queues are strictly FIFO — agents enter at the tail and leave
-      at the head only (the no-overtaking property the paper's proofs
-      rely on),
-    * an agent *stays* at exactly one node or sits in exactly one link
-      queue, never both.
+    * tokens are never removed, and one action releases at most one —
+      :class:`~repro.mc.properties.TokenMonotonicity`;
+    * link queues are strictly FIFO, agents enter at the tail and leave
+      at the head only (no overtaking) —
+      :class:`~repro.mc.properties.FifoLinkIntegrity`;
+    * an agent stays at exactly one node, or sits in exactly one link
+      queue or delay buffer, or is lost —
+      :func:`~repro.analysis.verification.audit_configuration`, run as
+      :class:`~repro.mc.properties.StructuralIntegrity`;
+    * the engine's live enabled set matches this state —
+      :meth:`repro.sim.engine.Engine.recompute_enabled_agents`, run as
+      :class:`~repro.mc.properties.EnabledSetConsistency` and by
+      ``validate_enabledness=True``.
 
-    Agent locations are stored as a single int code per agent (staying
-    at node ``i`` -> ``i``; queued toward node ``i`` -> ``-(i + 1)``;
-    held in the delay buffer of the link into ``i`` ->
-    ``-(i + 1 + n)``) so the hot path never allocates location tuples;
-    :meth:`locate` decodes on demand for the human-facing API.
+    The fields:
 
-    With an active :class:`~repro.ring.faults.LinkSpec` the ring
-    additionally carries a :class:`RingFaults` block: per-link FIFO
-    delay buffers feeding the queues, the lost-agent set and the
-    deterministic draw counters.  A reliable ring (``links=None``, the
-    default) allocates none of it and behaves bit-identically to the
-    pre-fault implementation.
+    * ``size`` — the number of nodes ``n``;
+    * ``tokens[i]`` — the token count of node ``i``;
+    * ``staying[i]`` — the set of agents staying at node ``i``;
+    * ``queues[i]`` — the agents in transit toward node ``i`` (the
+      paper's ``q_i``, the queue of link ``(v_{i-1}, v_i)``), head at
+      index 0;
+    * ``locations`` — agent id -> one int code (staying at node ``i``
+      -> ``i``; queued toward node ``i`` -> ``-(i + 1)``; held in the
+      delay buffer of the link into ``i`` -> ``-(i + 1 + n)``), so the
+      hot path never allocates location tuples; :meth:`locate` decodes
+      it;
+    * ``faults`` — the :class:`RingFaults` block under an active
+      :class:`~repro.ring.faults.LinkSpec` (delay buffers feeding the
+      queues, the lost-agent set, the draw counters), else ``None``.
+      A reliable ring allocates none of it.
     """
+
+    __slots__ = ("size", "tokens", "staying", "queues", "locations", "faults")
 
     def __init__(self, size: int, links: Optional[LinkSpec] = None) -> None:
         if size <= 0:
             raise ConfigurationError(f"ring size must be positive, got {size}")
-        self._size = size
-        self._tokens: List[int] = [0] * size
-        self._staying: List[Set[int]] = [set() for _ in range(size)]
-        # _queues[i] holds agents in transit toward node i (the paper's
-        # q_i, the queue of link (v_{i-1}, v_i)), head at index 0.
-        self._queues: List[Deque[int]] = [deque() for _ in range(size)]
-        # agent id -> int location code (see class docstring).
-        self._locations: Dict[int, int] = {}
-        if links is not None and links.active:
-            self._faults: Optional[RingFaults] = RingFaults(links, size)
-        else:
-            self._faults = None
-
-    # ------------------------------------------------------------------
-    # Structure
-    # ------------------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        """Number of nodes ``n``."""
-        return self._size
-
-    def successor(self, node: int) -> int:
-        """Return ``v_{node+1 mod n}``, the only forward neighbour."""
-        return (node + 1) % self._size
-
-    def forward_distance(self, source: int, destination: int) -> int:
-        """Return the forward distance ``(destination - source) mod n``."""
-        return (destination - source) % self._size
-
-    # ------------------------------------------------------------------
-    # Tokens
-    # ------------------------------------------------------------------
-
-    def release_token(self, node: int) -> None:
-        """Increase the token count of ``node`` by one (irrevocable)."""
-        self._tokens[node] += 1
-
-    def tokens_at(self, node: int) -> int:
-        """Return the number of tokens at ``node``."""
-        return self._tokens[node]
-
-    @property
-    def token_counts(self) -> Tuple[int, ...]:
-        """Snapshot of all node token counters (the 5-tuple's ``T``)."""
-        return tuple(self._tokens)
-
-    # ------------------------------------------------------------------
-    # Agent placement
-    # ------------------------------------------------------------------
-
-    def enqueue(self, agent_id: int, node: int) -> None:
-        """Append ``agent_id`` to the tail of the queue entering ``node``.
-
-        Used both for initial placement (the paper stores each agent in
-        the incoming buffer of its home node) and for every move.
-        """
-        self._assert_absent(agent_id)
-        self._queues[node].append(agent_id)
-        self._locations[agent_id] = -(node + 1)
-
-    def queue_head(self, node: int) -> int:
-        """Return the agent at the head of the queue entering ``node``."""
-        queue = self._queues[node]
-        if not queue:
-            raise SimulationError(f"queue into node {node} is empty")
-        return queue[0]
-
-    def dequeue(self, agent_id: int, node: int) -> None:
-        """Pop ``agent_id`` from the head of the queue entering ``node``.
-
-        Raises :class:`SimulationError` if the agent is not at the head —
-        that would be an overtake, which the model forbids.
-        """
-        queue = self._queues[node]
-        if not queue or queue[0] != agent_id:
-            raise SimulationError(
-                f"agent {agent_id} is not at the head of the queue into node {node}"
-            )
-        queue.popleft()
-        del self._locations[agent_id]
-
-    def settle(self, agent_id: int, node: int) -> None:
-        """Record that ``agent_id`` is now *staying* at ``node`` (in ``p_node``)."""
-        self._assert_absent(agent_id)
-        self._staying[node].add(agent_id)
-        self._locations[agent_id] = node
-
-    def depart(self, agent_id: int, node: int) -> None:
-        """Remove a staying ``agent_id`` from ``node`` (about to move)."""
-        if agent_id not in self._staying[node]:
-            raise SimulationError(f"agent {agent_id} is not staying at node {node}")
-        self._staying[node].remove(agent_id)
-        del self._locations[agent_id]
-
-    def staying_at(self, node: int) -> Set[int]:
-        """Return a copy of the set of agents staying at ``node``."""
-        return set(self._staying[node])
-
-    def queue_contents(self, node: int) -> Tuple[int, ...]:
-        """Return the queue into ``node`` as a tuple, head first."""
-        return tuple(self._queues[node])
-
-    def locate(self, agent_id: int) -> Tuple[str, int]:
-        """Return ``("node", i)``, ``("queue", i)`` or ``("buffer", i)``."""
-        try:
-            code = self._locations[agent_id]
-        except KeyError:
-            raise SimulationError(f"agent {agent_id} is not on the ring") from None
-        if code < -self._size:
-            return ("buffer", -code - 1 - self._size)
-        if code < 0:
-            return ("queue", -code - 1)
-        return ("node", code)
-
-    def occupied_nodes(self) -> List[int]:
-        """Return the sorted list of nodes with at least one staying agent."""
-        return [node for node in range(self._size) if self._staying[node]]
-
-    def all_queues_empty(self) -> bool:
-        """Return ``True`` when no agent is in transit (all ``q_i`` empty)."""
-        return all(not queue for queue in self._queues)
-
-    def iter_in_transit(self) -> Iterator[int]:
-        """Yield every agent currently inside a link queue.
-
-        Phantom duplicates are not agents and are skipped; agents held
-        in a delay buffer are still in transit and are included.
-        """
-        for queue in self._queues:
-            for agent_id in queue:
-                if agent_id >= 0:
-                    yield agent_id
-        if self._faults is not None:
-            for buffer in self._faults.buffers:
-                for payload, _ in buffer:
-                    if payload >= 0:
-                        yield payload
-
-    # ------------------------------------------------------------------
-    # Link faults (present only with an active LinkSpec)
-    # ------------------------------------------------------------------
-
-    @property
-    def faults(self) -> Optional[RingFaults]:
-        """The shared link-fault block, or ``None`` on a reliable ring."""
-        return self._faults
+        self.size = size
+        self.tokens: List[int] = [0] * size
+        self.staying: List[Set[int]] = [set() for _ in range(size)]
+        self.queues: List[Deque[int]] = [deque() for _ in range(size)]
+        self.locations: Dict[int, int] = {}
+        self.faults: Optional[RingFaults] = (
+            RingFaults(links, size) if links is not None and links.active else None
+        )
 
     @property
     def links(self) -> Optional[LinkSpec]:
         """The active link-fault spec, or ``None`` on a reliable ring."""
-        return None if self._faults is None else self._faults.spec
+        return None if self.faults is None else self.faults.spec
 
-    def buffer_entry(self, payload: int, node: int, remaining: int) -> None:
-        """Append ``payload`` to the delay buffer of the link into ``node``.
+    def locate(self, agent_id: int) -> Tuple[str, int]:
+        """Return ``("node", i)``, ``("queue", i)`` or ``("buffer", i)``."""
+        try:
+            code = self.locations[agent_id]
+        except KeyError:
+            raise SimulationError(f"agent {agent_id} is not on the ring") from None
+        if code < -self.size:
+            return ("buffer", -code - 1 - self.size)
+        if code < 0:
+            return ("queue", -code - 1)
+        return ("node", code)
 
-        ``payload`` is an agent id (tracked in ``locations`` with the
-        buffer code) or :data:`~repro.ring.faults.PHANTOM` (anonymous).
-        """
-        if self._faults is None:
-            raise SimulationError("ring has no link faults configured")
-        if payload >= 0:
-            self._assert_absent(payload)
-            self._locations[payload] = -(node + 1 + self._size)
-        self._faults.buffers[node].append([payload, remaining])
+    def queue_head(self, node: int) -> int:
+        """Return the agent at the head of the queue entering ``node``."""
+        queue = self.queues[node]
+        if not queue:
+            raise SimulationError(f"queue into node {node} is empty")
+        return queue[0]
 
-    def append_phantom(self, node: int) -> None:
-        """Append a phantom duplicate to the tail of the queue into ``node``."""
-        if self._faults is None:
-            raise SimulationError("ring has no link faults configured")
-        self._queues[node].append(PHANTOM)
-
-    def pop_phantom(self, node: int) -> None:
-        """Discard the phantom at the head of the queue into ``node``."""
-        queue = self._queues[node]
-        if not queue or queue[0] != PHANTOM:
-            raise SimulationError(
-                f"no phantom at the head of the queue into node {node}"
-            )
-        queue.popleft()
-
-    def tick_buffer(self, node: int) -> Optional[int]:
-        """Advance the delay buffer of the link into ``node`` by one action.
-
-        Decrements the head entry's remaining delay; when it reaches
-        zero the entry transfers to the queue tail (send order — FIFO
-        under pure delay).  Returns the delivered payload, or ``None``
-        when the action only ticked the countdown.
-        """
-        if self._faults is None:
-            raise SimulationError("ring has no link faults configured")
-        buffer = self._faults.buffers[node]
-        if not buffer:
-            raise SimulationError(f"delay buffer into node {node} is empty")
-        head = buffer[0]
-        if head[1] > 0:
-            head[1] -= 1
-            if head[1] > 0:
-                return None
-        buffer.popleft()
-        payload = head[0]
-        if payload >= 0:
-            self._locations[payload] = -(node + 1)
-        self._queues[node].append(payload)
-        return payload
-
-    def mark_lost(self, agent_id: int) -> None:
-        """Record that ``agent_id`` was dropped in transit (never returns)."""
-        if self._faults is None:
-            raise SimulationError("ring has no link faults configured")
-        self._faults.lost.add(agent_id)
-
-    def link_pending(self, node: int) -> bool:
-        """Whether the link actor into ``node`` has an enabled action."""
-        if self._faults is None:
-            return False
-        if self._faults.buffers[node]:
-            return True
-        queue = self._queues[node]
-        return bool(queue) and queue[0] == PHANTOM
-
-    # ------------------------------------------------------------------
-    # Cloning (engine fork support)
-    # ------------------------------------------------------------------
+    def all_queues_empty(self) -> bool:
+        """Return ``True`` when no agent is in transit (all ``q_i`` empty)."""
+        return all(not queue for queue in self.queues)
 
     def clone(self) -> "Ring":
         """Return a deep copy of the passive ring state.
 
-        Agent ids are plain ints, so copying the four structures fully
+        Agent ids are plain ints, so copying the structures fully
         detaches the clone: mutations on either ring never leak to the
         other.  Used by :meth:`repro.sim.engine.Engine.fork`.
         """
-        other = Ring(self._size)
-        other._tokens = list(self._tokens)
-        other._staying = [set(agents) for agents in self._staying]
-        other._queues = [deque(queue) for queue in self._queues]
-        other._locations = dict(self._locations)
-        if self._faults is not None:
-            other._faults = self._faults.clone(self._size)
+        other = Ring.__new__(Ring)
+        other.size = self.size
+        other.tokens = list(self.tokens)
+        other.staying = [set(agents) for agents in self.staying]
+        other.queues = [deque(queue) for queue in self.queues]
+        other.locations = dict(self.locations)
+        other.faults = None if self.faults is None else self.faults.clone()
         return other
-
-    # ------------------------------------------------------------------
-    # Engine fast path
-    # ------------------------------------------------------------------
-
-    def fast_state(self) -> RingFastState:
-        """Hand out direct references to the mutable structures.
-
-        See :class:`RingFastState` for the synchronisation contract the
-        holder takes on.  Intended for the simulation engine's hot loop
-        only; everything else should use the validating methods above.
-        """
-        return RingFastState(
-            tokens=self._tokens,
-            staying=self._staying,
-            queues=self._queues,
-            locations=self._locations,
-            faults=self._faults,
-        )
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-
-    def _assert_absent(self, agent_id: int) -> None:
-        if agent_id in self._locations:
-            raise SimulationError(
-                f"agent {agent_id} is already on the ring at {self.locate(agent_id)}"
-            )

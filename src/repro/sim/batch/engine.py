@@ -13,7 +13,7 @@ column              shape       object-engine counterpart
 ``halted``          (B, k)      ``Agent._halted``
 ``enabled``         (B, k)      ``Engine._enabled``
 ``tokens``          (B, n)      ``Ring.tokens``
-``qbuf/qhead/qlen`` (B, n, k)   ``Ring._queues[node]`` as a ring buffer
+``qbuf/qhead/qlen`` (B, n, k)   ``Ring.queues[node]`` as a ring buffer
 ``steps``           (B,)        ``Engine._steps``
 ==================  ==========  ==========================================
 

@@ -26,6 +26,17 @@ Model guarantees enforced here:
   the relaxed algorithm it is the paper's "all suspended, no messages
   pending, all links empty" condition (Definition 2).
 
+The engine is the only code that writes the
+:class:`~repro.ring.network.Ring` fields, and it checks no single
+write: ``__init__`` places C0, ``_activate`` applies an agent's action
+and ``_activate_link`` a link actor's.  ``repro mc`` and ``repro fuzz``
+check the resulting state after every action (:mod:`repro.mc.oracle`):
+:class:`~repro.mc.properties.FifoLinkIntegrity` (no overtaking),
+:class:`~repro.mc.properties.StructuralIntegrity` (one place per agent),
+:class:`~repro.mc.properties.TokenMonotonicity` and
+:class:`~repro.mc.properties.EnabledSetConsistency` (the live set below
+against :meth:`Engine.recompute_enabled_agents`).
+
 Incremental enabledness
 -----------------------
 
@@ -111,9 +122,8 @@ class Engine:
                 f"{placement.agent_count} homes"
             )
         self._placement = placement
-        self._ring = Ring(placement.ring_size, links)
+        self._bind(Ring(placement.ring_size, links))
         self._agents: Dict[int, Agent] = dict(enumerate(agents))
-        self._homes: Dict[int, int] = dict(enumerate(placement.homes))
         self._inboxes: Dict[int, List[object]] = {i: [] for i in self._agents}
         self._started: Dict[int, bool] = {i: False for i in self._agents}
         # The last snapshot and the activation-log length it was taken
@@ -141,21 +151,13 @@ class Engine:
         if memory_audit_interval < 1:
             raise ConfigurationError("memory audit interval must be >= 1")
         self._audit_interval = memory_audit_interval
-        # Hot-path references into the ring's structures (see
-        # Ring.fast_state for the synchronisation contract).
-        fast = self._ring.fast_state()
-        self._tokens = fast.tokens
-        self._staying = fast.staying
-        self._queues = fast.queues
-        self._locations = fast.locations
-        self._faults = fast.faults
-        self._size = placement.ring_size
         # The paper's C0: every agent sits in the incoming buffer of its
         # home node, guaranteeing it acts there first.  Initial placement
         # is fault-free: faults apply to *moves* on links, not to the
         # paper's C0 buffer rule.
-        for agent_id, home in self._homes.items():
-            self._ring.enqueue(agent_id, home)
+        for agent_id, home in enumerate(placement.homes):
+            self._queues[home].append(agent_id)
+            self._locations[agent_id] = -(home + 1)
         # Live enabled set: initially the head of every non-empty queue.
         self._enabled: Set[int] = {queue[0] for queue in self._queues if queue}
 
@@ -165,7 +167,7 @@ class Engine:
 
     @property
     def ring(self) -> Ring:
-        """The ring substrate (read-mostly; mutate only via agent actions)."""
+        """The ring state (read it; only the engine's actions write it)."""
         return self._ring
 
     @property
@@ -373,11 +375,10 @@ class Engine:
         """
         clone = Engine.__new__(Engine)
         clone._placement = self._placement
-        clone._ring = self._ring.clone()
+        clone._bind(self._ring.clone())
         clone._agents = {
             agent_id: agent.fork() for agent_id, agent in self._agents.items()
         }
-        clone._homes = dict(self._homes)
         # Message payloads are immutable values; a shallow list copy
         # fully detaches the inboxes.
         clone._inboxes = {
@@ -393,13 +394,6 @@ class Engine:
         clone._activation_log = list(self._activation_log)
         clone._max_steps = self._max_steps
         clone._audit_interval = self._audit_interval
-        fast = clone._ring.fast_state()
-        clone._tokens = fast.tokens
-        clone._staying = fast.staying
-        clone._queues = fast.queues
-        clone._locations = fast.locations
-        clone._faults = fast.faults
-        clone._size = self._size
         clone._enabled = set(self._enabled)
         # Snapshots are immutable and each one builds new maps, so the
         # clone shares the last one: copy-on-write for free.
@@ -537,6 +531,16 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution internals
     # ------------------------------------------------------------------
+
+    def _bind(self, ring: Ring) -> None:
+        """Own ``ring``, and keep the hot path's references to its fields."""
+        self._ring = ring
+        self._tokens = ring.tokens
+        self._staying = ring.staying
+        self._queues = ring.queues
+        self._locations = ring.locations
+        self._faults = ring.faults
+        self._size = ring.size
 
     def _run_batch(self) -> None:
         enabled = self._enabled
@@ -768,10 +772,20 @@ class Engine:
                 if head >= 0:
                     enabled.add(head)  # the duplicate's victim surfaces
         else:
-            delivered = self._ring.tick_buffer(node)
-            if delivered is not None and delivered >= 0:
-                if queue[0] == delivered:
-                    enabled.add(delivered)
+            buffer = faults.buffers[node]
+            head = buffer[0]
+            if head[1] > 0:
+                head[1] -= 1
+            if not head[1]:
+                # The delay drained: the entry moves to the queue tail,
+                # in send order (FIFO is preserved under pure delay).
+                buffer.popleft()
+                payload = head[0]
+                queue.append(payload)
+                if payload >= 0:
+                    self._locations[payload] = -(node + 1)
+                    if queue[0] == payload:
+                        enabled.add(payload)
         if queue and queue[0] == PHANTOM:
             pending = True
         else:

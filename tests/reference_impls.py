@@ -93,22 +93,22 @@ def scratch_snapshot(engine):
     """
     from repro.ring.configuration import Configuration
 
-    fast = engine.ring.fast_state()
+    ring = engine.ring
     agent_ids = engine.agent_ids
     inboxes = {agent_id: tuple(engine._inboxes[agent_id]) for agent_id in agent_ids}
     return Configuration(
-        ring_size=engine.ring.size,
+        ring_size=ring.size,
         agent_states={
             agent_id: engine.agent(agent_id).state_fingerprint()
             for agent_id in agent_ids
         },
-        tokens=tuple(fast.tokens),
+        tokens=tuple(ring.tokens),
         inbox_sizes={agent_id: len(inbox) for agent_id, inbox in inboxes.items()},
         staying={
-            node: tuple(sorted(agents)) for node, agents in enumerate(fast.staying)
+            node: tuple(sorted(agents)) for node, agents in enumerate(ring.staying)
         },
-        queues={node: tuple(queue) for node, queue in enumerate(fast.queues)},
+        queues={node: tuple(queue) for node, queue in enumerate(ring.queues)},
         inboxes=inboxes,
         started={agent_id: engine._started[agent_id] for agent_id in agent_ids},
-        faults=None if fast.faults is None else fast.faults.snapshot(),
+        faults=None if ring.faults is None else ring.faults.snapshot(),
     )

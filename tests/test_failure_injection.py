@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from reference_impls import scratch_snapshot
 from repro.errors import ProtocolViolation, SimulationError, SimulationLimitExceeded
+from repro.mc.properties import (
+    FifoLinkIntegrity,
+    StructuralIntegrity,
+    TokenMonotonicity,
+)
 from repro.ring.placement import Placement
 from repro.sim.actions import Action, NodeView
 from repro.sim.agent import Agent
@@ -119,22 +125,54 @@ class TestSchedulerFailures:
             engine.run()
 
 
-class TestRingLevelInjection:
-    def test_out_of_order_dequeue_rejected(self):
-        # Simulate an overtake attempt at the substrate level.
-        engine = _engine([SpinnerAgent(), SpinnerAgent()])
-        ring = engine.ring
-        ring.enqueue(99, 5)
-        ring.enqueue(98, 5)
-        with pytest.raises(SimulationError):
-            ring.dequeue(98, 5)  # 99 is at the head: overtaking forbidden
+class TestLiveStateCorruption:
+    """Corrupt a live engine's ring, and the per-action checks report it.
 
-    def test_double_settle_rejected(self):
+    The engine writes ring state without checking each write; the
+    safety properties that ``repro mc`` and ``repro fuzz`` run after
+    every action are what catch a bad write.  The post-state comes from
+    ``scratch_snapshot``: ``Engine.snapshot`` re-encodes only the nodes
+    the last action touched, so it would miss corruption elsewhere.
+    """
+
+    def _stepped(self):
+        """Agent 0 has joined agent 1's queue; agent 2 is about to act."""
+        placement = Placement(ring_size=8, homes=(0, 1, 5))
+        engine = Engine(placement, [SpinnerAgent() for _ in range(3)])
+        engine.step(0)
+        assert tuple(engine.ring.queues[1]) == (1, 0)
+        pre = scratch_snapshot(engine)
+        engine.step(2)  # touches nodes 5 and 6 only
+        return engine, pre
+
+    def test_reordered_queue_is_an_overtake(self):
+        engine, pre = self._stepped()
+        engine.ring.queues[1].reverse()
+        post = scratch_snapshot(engine)
+        assert FifoLinkIntegrity().check(pre, engine, post, 2) == (
+            "queue into node 1 changed (1, 0) -> (0, 1) by agent 2: "
+            "not a head-leave/tail-enter"
+        )
+
+    def test_agent_in_two_places(self):
+        engine, pre = self._stepped()
+        engine.ring.staying[3].add(0)
+        post = scratch_snapshot(engine)
+        assert StructuralIntegrity().check(pre, engine, post, 2) == (
+            "agent 0 queued toward 1 and staying at 3"
+        )
+
+    def test_removed_token(self):
         engine = _engine([SpinnerAgent()])
-        ring = engine.ring
-        ring.settle(77, 3)
-        with pytest.raises(SimulationError):
-            ring.settle(77, 4)
+        engine.ring.tokens[3] = 1
+        pre = scratch_snapshot(engine)
+        engine.step(0)  # touches nodes 0 and 1 only
+        engine.ring.tokens[3] = 0
+        post = scratch_snapshot(engine)
+        assert TokenMonotonicity().check(pre, engine, post, 0) == (
+            "token count decreased: "
+            "(0, 0, 0, 1, 0, 0, 0, 0) -> (0, 0, 0, 0, 0, 0, 0, 0)"
+        )
 
 
 class TestViewIntegrity:

@@ -267,7 +267,7 @@ class TestFaultyEngine:
             # Quiescence means every phantom was consumed: none left at
             # any queue head or in any buffer.
             for node in range(engine.ring.size):
-                contents = engine.ring.queue_contents(node)
+                contents = engine.ring.queues[node]
                 assert not contents or contents[0] != PHANTOM
             assert all(
                 entry[0] != PHANTOM or entry[1] > 0

@@ -78,7 +78,7 @@ def test_every_agent_releases_exactly_one_token(algorithm, placement):
     engine.run()
     assert engine.metrics.tokens_released == placement.agent_count
     # Tokens sit exactly on the home nodes, one each.
-    tokens = engine.ring.token_counts
+    tokens = engine.ring.tokens
     assert sum(tokens) == placement.agent_count
     assert all(tokens[home] == 1 for home in placement.homes)
 

@@ -65,4 +65,4 @@ def test_snapshot_tokens_match_ring():
     placement = random_placement(14, 3, random.Random(9))
     engine = build_engine("known_k_full", placement)
     engine.run_rounds(5)
-    assert engine.snapshot().tokens == engine.ring.token_counts
+    assert engine.snapshot().tokens == tuple(engine.ring.tokens)
