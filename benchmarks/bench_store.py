@@ -30,7 +30,9 @@ from http.client import HTTPConnection
 from pathlib import Path
 
 from repro.experiments.runner import run_experiment
-from repro.experiments.sweep import SweepSpec, execute_sweep, expand_cells
+from repro.experiments.sweep import (
+    SweepSpec, cell_hashes, cell_row, execute_sweep, expand_cells,
+)
 from repro.serve.server import ServeDaemon
 from repro.spec import ExperimentSpec, PlacementSpec
 from repro.store import RunRecord, RunStore
@@ -156,6 +158,66 @@ def test_warm_cache_sweep_speedup(benchmark, tmp_path_factory):
             f"cold: {cold_seconds:.3f}s for {cold.executed} cells",
             f"warm: {warm_seconds:.3f}s (100% cache hits)",
             f"speedup: {speedup:.0f}x",
+        ],
+    )
+
+
+#: perfbench's ``sweep`` grid: 4 algorithms x 2 (n, k) x 5 schedulers x
+#: 3 trials = 120 cells.
+_RESUME_SPEC = SweepSpec(
+    algorithms=("known_k_full", "known_n_full", "known_k_logspace", "unknown"),
+    grid=((64, 4), (256, 8)),
+    schedulers=("sync", "random", "burst", "chaos", "laggard"),
+    trials=3,
+    base_seed=1,
+)
+
+
+def _median_seconds(call, rounds: int = 51) -> float:
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def test_warm_resume_split(benchmark, tmp_path_factory):
+    # A fully warm re-run of a Table 1-sized sweep, and where its time
+    # goes: the cell hashes, the store lookup (refresh + one get_many:
+    # index query, line reads, record decode) and the row shaping.
+    store = RunStore(tmp_path_factory.mktemp("warm_resume"))
+    cold = execute_sweep(_RESUME_SPEC, processes=1, store=store)
+    benchmark(execute_sweep, _RESUME_SPEC, processes=1, store=store)
+    seconds = benchmark.stats.stats.median
+    warm = execute_sweep(_RESUME_SPEC, processes=1, store=store)
+    assert warm.executed == 0 and warm.rows == cold.rows
+
+    cells = expand_cells(_RESUME_SPEC)
+    hashes = cell_hashes(cells)
+    records = store.get_many(hashes, default=None)
+    split = {
+        "hash_s": _median_seconds(lambda: cell_hashes(cells)),
+        "lookup_s": _median_seconds(
+            lambda: (store.refresh(), store.get_many(hashes, default=None))
+        ),
+        "rows_s": _median_seconds(
+            lambda: [cell_row(c, r.result) for c, r in zip(cells, records)]
+        ),
+    }
+    store.close()
+    record_case(f"sweep warm-resume {len(cells)} cells", {
+        "cells": len(cells),
+        "median_seconds": round(seconds, 6),
+        "cells_per_second": round(len(cells) / seconds),
+        **{name: round(value, 6) for name, value in split.items()},
+    })
+    report_lines(
+        "Run store - warm resume",
+        [
+            f"{len(cells)} cells in {1000 * seconds:.2f} ms "
+            f"({len(cells) / seconds:,.0f} cells/s)",
+            ", ".join(f"{name} {1000 * value:.2f} ms" for name, value in split.items()),
         ],
     )
 

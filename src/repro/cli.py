@@ -1383,7 +1383,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
 
 def _command_query(args: argparse.Namespace) -> int:
-    from repro.store import RunStore
+    from repro.store import RunStore, result_row
 
     store = RunStore(args.store, create=False)
     if args.compact:
@@ -1466,11 +1466,11 @@ def _command_query(args: argparse.Namespace) -> int:
         return 0
     rows = []
     for record in records:
-        # One row schema everywhere: RunResult.row() shapes the metrics;
+        # One row schema everywhere: result_row shapes the metrics;
         # query only prefixes the content hash and swaps the scheduler
         # description for the producing spec's canonical string.
         row = {"hash": record.content_hash[:16]}
-        row.update(record.to_run_result().row())
+        row.update(result_row(record.result))
         spec = record.spec or {}
         row["scheduler"] = (spec.get("scheduler") or {}).get(
             "spec", row["scheduler"]

@@ -59,20 +59,12 @@ class RunResult:
         return self.report.ok
 
     def row(self) -> Dict[str, object]:
-        """Flat row for benchmark tables and EXPERIMENTS.md."""
-        return {
-            "algorithm": self.algorithm,
-            "n": self.placement.ring_size,
-            "k": self.placement.agent_count,
-            "l": self.placement.symmetry_degree,
-            "scheduler": self.scheduler,
-            "total_moves": self.total_moves,
-            "max_moves": self.max_moves,
-            "ideal_time": self.ideal_time,
-            "max_memory_bits": self.max_memory_bits,
-            "messages": self.messages_sent,
-            "uniform": self.report.ok,
-        }
+        """Flat row for benchmark tables and EXPERIMENTS.md: the one row
+        schema, :func:`repro.store.records.result_row` of this run's
+        payload."""
+        from repro.store.records import result_row, result_to_payload
+
+        return result_row(result_to_payload(self))
 
     def to_record(self, spec: Optional[ExperimentSpec] = None) -> "RunRecord":
         """The canonical archived form of this run (see :mod:`repro.store`).

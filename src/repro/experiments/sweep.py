@@ -12,8 +12,12 @@ module provides the deterministic plumbing:
 * :func:`cell_seed` — a stable per-cell seed derived by hashing the
   cell coordinates, so cell results never depend on sweep order,
   worker count, or which process ran them,
-* :func:`cell_row` — the one row-shaping helper: a cell plus its
-  :class:`RunResult` to the flat row every consumer sees,
+* :func:`cell_hashes` — every cell's content hash (the store key of
+  its :class:`~repro.spec.ExperimentSpec`), rendered into one canonical
+  JSON template per call instead of building a spec per cell,
+* :func:`cell_row` — the one row-shaping helper: a cell plus its result
+  payload (:func:`~repro.store.records.result_to_payload`, the
+  ``result`` of a stored record) to the flat row every consumer sees,
 * :func:`run_cell` — one cell to one flat result row,
 * :func:`execute_sweep` — the driver: the pending cells go through
   :func:`repro.executor.completed` (in this process at
@@ -28,35 +32,42 @@ cell streams into the content-addressed archive *as workers finish*
 flight).  With ``resume=True`` (the default) cells whose spec hash is
 already archived are served from the store without executing anything,
 so re-running a completed sweep costs zero simulations and overlapping
-sweeps only pay for their new cells.  :func:`rows_from_store` and
-:func:`summarize_rows` turn an archive back into canonical rows and
-aggregates without re-running — ``repro report`` can render from a
-store alone.
+sweeps only pay for their new cells.  A fully warm re-run pays for the
+cell hashes, one indexed lookup and the line reads: rows are shaped
+from the records' payloads, with no ``RunResult`` rebuilt.
+:func:`rows_from_store` and :func:`summarize_rows` turn an archive
+back into canonical rows and aggregates without re-running —
+``repro report`` can render from a store alone.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.decode import (
-    SpecCodec, read_document, read_int, read_list, seed_from_key, strict_int,
+    SpecCodec, canonical_json, read_document, read_int, read_list,
+    seed_from_key, strict_int,
 )
 from repro.errors import CampaignInterrupted, ConfigurationError
 from repro.executor import completed
-from repro.experiments.runner import RunResult, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.registry import get_algorithm, parse_scheduler_spec
 from repro.ring.faults import LinkSpec
-from repro.spec import ExperimentSpec, PlacementSpec
-from repro.store import RunRecord, RunStore, warn_foreign_envs
+from repro.spec import ExperimentSpec, PlacementSpec, _coerce_scheduler
+from repro.store import (
+    RunRecord, RunStore, result_row, result_to_payload, warn_foreign_envs,
+)
 
 __all__ = [
     "SUMMARY_GROUP_KEYS",
     "SweepCell",
     "SweepOutcome",
     "SweepSpec",
+    "cell_hashes",
     "cell_row",
     "cell_seed",
     "execute_sweep",
@@ -66,6 +77,10 @@ __all__ = [
     "rows_to_json",
     "summarize_rows",
 ]
+
+#: Decorrelates a cell's scheduler seed from its placement seed.
+SCHEDULER_SEED_XOR = 0x5DEECE66D
+
 
 def cell_seed(
     base_seed: int,
@@ -118,7 +133,7 @@ class SweepCell:
                 seed=self.seed,
             ),
             scheduler=self.scheduler,
-            scheduler_seed=self.seed ^ 0x5DEECE66D,
+            scheduler_seed=self.seed ^ SCHEDULER_SEED_XOR,
             max_steps=self.max_steps,
             links=self.links,
         )
@@ -146,6 +161,19 @@ class SweepSpec(SpecCodec):
             get_algorithm(algorithm)  # raises on unknown names
         for scheduler in self.schedulers:
             parse_scheduler_spec(scheduler)  # full spec strings are allowed
+        for pair in self.grid:
+            # Strict ints: cell_hashes renders them with str(), and
+            # str(True) is not the JSON `true` a spec would hold.
+            if not (
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and all(type(size) is int for size in pair)
+                and 1 <= pair[1] <= pair[0]
+            ):
+                raise ConfigurationError(
+                    f"sweep grid entry {pair!r} must be an (n, k) pair of "
+                    f"ints with 1 <= k <= n"
+                )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.max_steps is not None and self.max_steps < 1:
@@ -239,17 +267,83 @@ def expand_cells(spec: SweepSpec) -> List[SweepCell]:
     return cells
 
 
-def cell_row(cell: SweepCell, result: RunResult) -> Dict[str, object]:
+#: Stand-ins for the six per-cell values of a cell spec's canonical JSON,
+#: in the order :func:`cell_hashes` renders them.
+_CELL_SENTINELS = tuple(f"\x00cell-value-{index}\x00" for index in range(6))
+
+
+def cell_hashes(cells: Sequence[SweepCell]) -> List[str]:
+    """Each cell's ``to_experiment_spec().content_hash()``, in order.
+
+    The cells of one sweep differ only in six values of their spec:
+    algorithm, ring size, agent count, canonical scheduler string,
+    placement seed and scheduler seed.  So the first cell's spec is
+    encoded once by the real codec, with sentinels in those six places,
+    and every cell's canonical JSON is that template with its values
+    rendered in (strings as canonical JSON, ints with ``str``; each
+    scheduler spelling is canonicalised once per call); ``max_steps`` and
+    ``links`` stay inside it.  Every call also checks the first cell's
+    hash against its full spec hash, so a template that drifted from
+    the codec raises instead of missing the store.
+    """
+    if not cells:
+        return []
+    first = cells[0]
+    spec = first.to_experiment_spec()
+    document = spec.to_dict()
+    placement, scheduler = document["placement"], document["scheduler"]
+    (
+        document["algorithm"], placement["ring_size"], placement["agent_count"],
+        scheduler["spec"], placement["seed"], scheduler["seed"],
+    ) = _CELL_SENTINELS
+    template = canonical_json(document).replace("{", "{{").replace("}", "}}")
+    for index, sentinel in enumerate(_CELL_SENTINELS):
+        token = canonical_json(sentinel)
+        if template.count(token) != 1:
+            raise AssertionError(f"cell spec template lost value {index}")
+        template = template.replace(token, f"{{{index}}}")
+    render = template.format
+    algorithms: Dict[str, str] = {}
+    schedulers: Dict[str, str] = {}
+    hashes = []
+    for cell in cells:
+        if cell.max_steps != first.max_steps or (
+            cell.links is not first.links and cell.links != first.links
+        ):
+            raise ValueError("cell_hashes takes the cells of one sweep")
+        algorithm = algorithms.get(cell.algorithm)
+        if algorithm is None:
+            algorithm = algorithms[cell.algorithm] = canonical_json(cell.algorithm)
+        scheduler = schedulers.get(cell.scheduler)
+        if scheduler is None:
+            scheduler = schedulers[cell.scheduler] = canonical_json(
+                _coerce_scheduler(cell.scheduler)
+            )
+        text = render(
+            algorithm, cell.ring_size, cell.agent_count, scheduler,
+            cell.seed, cell.seed ^ SCHEDULER_SEED_XOR,
+        )
+        hashes.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    if hashes[0] != spec.content_hash():
+        raise AssertionError(
+            "cell spec template disagrees with ExperimentSpec.content_hash"
+        )
+    return hashes
+
+
+def cell_row(cell: SweepCell, payload: Dict[str, object]) -> Dict[str, object]:
     """The canonical flat row of one completed cell.
 
     This is the *only* place the sweep row schema is shaped — the
     executing path, the store-resume path and :func:`rows_from_store`
     all call it, so cached and freshly computed rows are byte-identical
-    by construction.  ``scheduler`` reports the cell's spec name (not
-    the instance's ``describe()`` text) and the cell coordinates ride
-    along for grouping.
+    by construction.  ``payload`` is the run's result payload (a stored
+    record's ``result``), shaped by
+    :func:`~repro.store.records.result_row`.  ``scheduler`` reports the
+    cell's spec name (not the instance's ``describe()`` text) and the
+    cell coordinates ride along for grouping.
     """
-    row = result.row()
+    row = result_row(payload)
     row["scheduler"] = cell.scheduler  # spec name, not describe() text
     row["trial"] = cell.trial
     row["seed"] = cell.seed
@@ -258,7 +352,8 @@ def cell_row(cell: SweepCell, result: RunResult) -> Dict[str, object]:
 
 def run_cell(cell: SweepCell) -> Dict[str, object]:
     """Run one cell to quiescence and return its flat result row."""
-    return cell_row(cell, run_experiment(cell.to_experiment_spec()))
+    result = run_experiment(cell.to_experiment_spec())
+    return cell_row(cell, result_to_payload(result))
 
 
 def _record_for_cell(
@@ -297,10 +392,7 @@ def _archived_records(
     whole sweep, so per-cell lookups and opens would dominate it.
     """
     store.refresh()
-    return store.get_many(
-        [cell.to_experiment_spec().content_hash() for cell in cells],
-        default=None,
-    )
+    return store.get_many(cell_hashes(cells), default=None)
 
 
 @dataclass(frozen=True)
@@ -383,7 +475,7 @@ def execute_sweep(
             if record is None:
                 pending.append((index, cell))
             else:
-                rows[index] = cell_row(cell, record.to_run_result())
+                rows[index] = cell_row(cell, record.result)
         cached = len(cells) - len(pending)
         warn_foreign_envs([r for r in archived if r is not None], "cell")
     else:
@@ -431,7 +523,7 @@ def execute_sweep(
             # fresh record must supersede any archived one — otherwise
             # the printed rows and the archive silently diverge.
             store.put(record, replace=not resume)
-            rows[index] = cell_row(cells[index], record.to_run_result())
+            rows[index] = cell_row(cells[index], record.result)
         executed += 1
         if progress is not None:
             progress(
@@ -446,7 +538,7 @@ def execute_sweep(
             results = run_batch(specs, validate=validate_backend)
             for (index, cell), cell_spec, result in zip(group, specs, results):
                 if store is None:
-                    _complete(index, cell_row(cell, result))
+                    _complete(index, cell_row(cell, result_to_payload(result)))
                 else:
                     _complete(index, result.to_record(cell_spec).to_dict())
         # Not bound to a name: an exception out of this loop drops the
@@ -500,7 +592,7 @@ def rows_from_store(
     """
     cells = expand_cells(spec)
     rows = [
-        cell_row(cell, record.to_run_result())
+        cell_row(cell, record.result)
         for cell, record in zip(cells, _archived_records(store, cells))
         if record is not None
     ]

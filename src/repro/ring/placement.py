@@ -36,6 +36,7 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "Placement",
+    "normalised_homes",
     "random_placement",
     "equidistant_placement",
     "arc_packed_placement",
@@ -60,18 +61,9 @@ class Placement:
     homes: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.ring_size <= 0:
-            raise ConfigurationError(f"ring size must be positive, got {self.ring_size}")
-        if not self.homes:
-            raise ConfigurationError("a placement needs at least one agent")
-        if len(self.homes) > self.ring_size:
-            raise ConfigurationError(
-                f"{len(self.homes)} agents do not fit on {self.ring_size} nodes"
-            )
-        normalised = tuple(sorted(home % self.ring_size for home in self.homes))
-        if len(set(normalised)) != len(normalised):
-            raise ConfigurationError(f"home nodes are not distinct: {self.homes}")
-        object.__setattr__(self, "homes", normalised)
+        object.__setattr__(
+            self, "homes", normalised_homes(self.ring_size, self.homes)
+        )
 
     @property
     def agent_count(self) -> int:
@@ -94,6 +86,27 @@ class Placement:
             f"n={self.ring_size} k={self.agent_count} l={self.symmetry_degree} "
             f"D={self.distances}"
         )
+
+
+def normalised_homes(ring_size: int, homes: Sequence[int]) -> Tuple[int, ...]:
+    """``homes`` reduced modulo ``ring_size`` and sorted into ring order.
+
+    Raises :class:`ConfigurationError` unless the ring size is positive
+    and the homes are one to ``ring_size`` distinct nodes: the checks
+    every :class:`Placement` (and every archived result row) makes.
+    """
+    if ring_size <= 0:
+        raise ConfigurationError(f"ring size must be positive, got {ring_size}")
+    if not homes:
+        raise ConfigurationError("a placement needs at least one agent")
+    if len(homes) > ring_size:
+        raise ConfigurationError(
+            f"{len(homes)} agents do not fit on {ring_size} nodes"
+        )
+    normalised = tuple(sorted(home % ring_size for home in homes))
+    if len(set(normalised)) != len(normalised):
+        raise ConfigurationError(f"home nodes are not distinct: {homes}")
+    return normalised
 
 
 def random_placement(ring_size: int, agent_count: int, rng: random.Random) -> Placement:

@@ -34,6 +34,7 @@ from repro.store.records import (
     RunRecord,
     env_fingerprint,
     result_from_payload,
+    result_row,
     result_to_payload,
     warn_foreign_envs,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "cached_run",
     "env_fingerprint",
     "result_from_payload",
+    "result_row",
     "result_to_payload",
     "warn_foreign_envs",
 ]

@@ -11,7 +11,10 @@ experiment:
 * ``result`` — the canonical :class:`~repro.experiments.runner.RunResult`
   payload (:func:`result_to_payload` / :func:`result_from_payload` are
   the *only* converters in the codebase; ``serialize.results_to_json``
-  and ``RunResult.to_record`` both call them),
+  and ``RunResult.to_record`` both call them).  :func:`result_row`
+  shapes a payload into the flat result row: ``RunResult.row()``, sweep
+  rows and ``repro query`` all come from it, and archived rows need no
+  ``RunResult`` rebuilt,
 * ``env`` — an environment fingerprint (interpreter, platform, package
   version) recording where the numbers came from,
 * ``schema_version`` — bumped on any incompatible payload change;
@@ -30,8 +33,10 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro.analysis.sequences import distances_from_positions, symmetry_degree
 from repro.decode import canonical_hash
 from repro.errors import ConfigurationError, ProvenanceWarning
+from repro.ring.placement import normalised_homes
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -39,6 +44,7 @@ __all__ = [
     "env_fingerprint",
     "result_to_payload",
     "result_from_payload",
+    "result_row",
     "warn_foreign_envs",
 ]
 
@@ -58,6 +64,9 @@ _REQUIRED_RESULT_KEYS = (
     "final_positions",
     "report",
 )
+
+#: The verification report's keys, in the order the readers take them.
+_REPORT_KEYS = ("ok", "ring_size", "agent_count", "gaps", "failures")
 
 
 def env_fingerprint() -> Dict[str, str]:
@@ -158,6 +167,45 @@ def result_from_payload(data: Dict[str, object]):
         raise ConfigurationError(
             f"malformed result record: missing key {missing}"
         ) from None
+
+
+def result_row(payload: Dict[str, object]) -> Dict[str, object]:
+    """The flat result row of one :func:`result_to_payload` payload.
+
+    The one row schema: ``RunResult.row()`` is this function of its own
+    payload, and archived runs are shaped straight from their records.
+    ``l`` is the placement's symmetry degree, recomputed from the homes
+    (it is not stored, so archived digests stay as they are).  A
+    malformed payload raises :class:`ConfigurationError` exactly where
+    :func:`result_from_payload` would: every key it reads must be there,
+    and the homes pass the checks every placement makes.
+    """
+    try:
+        report = payload["report"]
+        uniform, _, _, gaps, failures = [report[key] for key in _REPORT_KEYS]
+        algorithm = payload["algorithm"]
+        ring_size = payload["ring_size"]
+        homes = normalised_homes(ring_size, tuple(payload["homes"]))
+        row = {
+            "algorithm": algorithm,
+            "n": ring_size,
+            "k": len(homes),
+            "l": symmetry_degree(distances_from_positions(homes, ring_size)),
+            "scheduler": payload["scheduler"],
+            "total_moves": payload["total_moves"],
+            "max_moves": payload["max_moves"],
+            "ideal_time": payload["ideal_time"],
+            "max_memory_bits": payload["max_memory_bits"],
+            "messages": payload["messages_sent"],
+            "uniform": uniform,
+        }
+        for sequence in (gaps, failures, payload["final_positions"]):
+            iter(sequence)  # result_from_payload makes tuples of these
+    except (KeyError, TypeError) as missing:
+        raise ConfigurationError(
+            f"malformed result record: missing key {missing}"
+        ) from None
+    return row
 
 
 def payload_hash(payload: Dict[str, object]) -> str:

@@ -112,3 +112,27 @@ def scratch_snapshot(engine):
         started={agent_id: engine._started[agent_id] for agent_id in agent_ids},
         faults=None if ring.faults is None else ring.faults.snapshot(),
     )
+
+
+def reference_row(result) -> dict:
+    """The flat result row as ``RunResult`` once shaped it: from the live
+    result, with ``l`` read off a rebuilt :class:`Placement`.  The
+    payload shaper (:func:`repro.store.records.result_row`) must match it."""
+    from repro.ring.placement import Placement
+
+    placement = Placement(
+        ring_size=result.placement.ring_size, homes=result.placement.homes
+    )
+    return {
+        "algorithm": result.algorithm,
+        "n": placement.ring_size,
+        "k": placement.agent_count,
+        "l": placement.symmetry_degree,
+        "scheduler": result.scheduler,
+        "total_moves": result.total_moves,
+        "max_moves": result.max_moves,
+        "ideal_time": result.ideal_time,
+        "max_memory_bits": result.max_memory_bits,
+        "messages": result.messages_sent,
+        "uniform": result.report.ok,
+    }

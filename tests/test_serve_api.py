@@ -283,6 +283,14 @@ class TestJobEndpoints:
             (
                 json.dumps(
                     {"kind": "sweep",
+                     "spec": dict(_sweep().to_dict(), grid=[[4, 8]])}
+                ).encode(),
+                "sweep grid entry (4, 8) must be an (n, k) pair of ints "
+                "with 1 <= k <= n",
+            ),
+            (
+                json.dumps(
+                    {"kind": "sweep",
                      "spec": dict(_sweep().to_dict(), trials=2.9)}
                 ).encode(),
                 "sweep spec 'trials' must be an integer, got 2.9",

@@ -24,7 +24,7 @@ from repro.experiments.sweep import (
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment
 from repro.spec import ExperimentSpec, PlacementSpec
-from repro.store import RunStore
+from repro.store import RunStore, result_to_payload
 
 SPEC = SweepSpec(
     algorithms=("known_k_full", "unknown"),
@@ -211,7 +211,8 @@ class TestStoreQueriesOverRows:
 
     def test_cell_row_is_the_single_row_shape(self, baseline_rows):
         cells = expand_cells(SPEC)
-        rebuilt = cell_row(cells[0], run_experiment(cells[0].to_experiment_spec()))
+        result = run_experiment(cells[0].to_experiment_spec())
+        rebuilt = cell_row(cells[0], result_to_payload(result))
         assert rebuilt == baseline_rows[0]
 
 

@@ -71,6 +71,27 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec(algorithms=("known_k_full",), grid=((24, 4),), trials=0)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [(4, 8), (0, 1), (-3, 2), (5, 0), (True, 2), (4, False), (4.0, 2),
+         (4,), (4, 2, 1), "4x2"],
+    )
+    def test_rejects_bad_grid_entries_at_construction(self, entry):
+        with pytest.raises(ConfigurationError, match="sweep grid entry") as raised:
+            SweepSpec(algorithms=("known_k_full",), grid=((24, 4), entry))
+        assert repr(entry) in str(raised.value)
+
+    def test_accepts_k_equal_one_and_k_equal_n(self):
+        spec = SweepSpec(algorithms=("known_k_full",), grid=((1, 1), (6, 6), (6, 1)))
+        assert [(c.ring_size, c.agent_count) for c in expand_cells(spec)] == [
+            (1, 1), (6, 6), (6, 1),
+        ]
+
+    def test_bad_grid_from_json_is_rejected_before_any_cell(self):
+        document = dict(SMALL_SPEC.to_dict(), grid=[[24, 4], [4, 8]])
+        with pytest.raises(ConfigurationError, match=r"entry \(4, 8\)"):
+            SweepSpec.from_dict(document)
+
     def test_expand_order_is_canonical(self):
         cells = expand_cells(SMALL_SPEC)
         assert len(cells) == 2 * 2 * 2 * 2
